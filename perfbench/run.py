@@ -15,6 +15,7 @@ diagnostics (raw seconds, the reference-slice median, sample counts).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import gc
 import itertools
 import json
@@ -29,6 +30,7 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from multiprocessing import active_children, resource_tracker
 from pathlib import Path
 from time import perf_counter
 
@@ -49,6 +51,9 @@ COUNT_DESIGNS = 12
 
 #: Seconds any child interpreter of a run may take.
 CHILD_TIMEOUT_S = 120
+
+#: ``prctl`` option that makes a process adopt its orphaned descendants.
+PR_SET_CHILD_SUBREAPER = 36
 
 #: Scratch space of the service workload's artifact stores (git-ignored).
 SCRATCH = ROOT / ".perfbench_tmp"
@@ -94,10 +99,21 @@ class Bench:
         return len(self.drive.corpus.STRATA[self.workload])
 
     def close(self) -> None:
-        """Stop the pool's worker and remove the store, whatever state the run is in."""
+        """Stop the pool's worker and remove the store, whatever state the run is in.
+
+        Every process the pool started has ended when this returns: its
+        worker, and the resource tracker its queues started, which would
+        otherwise outlive this interpreter.
+        """
         if self.pool is not None:
-            self.pool.shutdown(wait=False)
-            self.pool = None
+            pool, self.pool = self.pool, None
+            pool.shutdown(wait=False)
+            for process in active_children():
+                process.kill()
+                process.join()
+            del pool
+            gc.collect()  # releases the pool's semaphores before their tracker stops
+            stop_resource_tracker()
         if self.store_root is not None:
             shutil.rmtree(self.store_root, ignore_errors=True)
             self.store_root = None
@@ -195,19 +211,76 @@ def scaled_samples(samples: list[Sample], slices: list[float]) -> list[tuple[flo
     ]
 
 
+def stop_resource_tracker() -> None:
+    """End multiprocessing's resource tracker, if this process started one, and reap it.
+
+    Its public API has no stop: the tracker exits when the pipe it reads
+    closes, which otherwise happens only as this interpreter exits, so the
+    tracker would outlive the run by a moment.
+    """
+    resource_tracker._resource_tracker._stop()
+
+
 def child(args: argparse.Namespace, role: str, env: dict | None = None):
-    """Run this script in ``role`` in a fresh interpreter; its last output line, parsed."""
+    """Run this script in ``role`` in a fresh interpreter; its last output line, parsed.
+
+    The child leads a process group of its own, so that when it fails to
+    finish in time, or this run is stopped meanwhile, it and any worker it
+    started are stopped together.
+    """
     command = [
         sys.executable, str(Path(__file__).resolve()),
         "--workload", args.workload, "--seed", str(args.seed),
         "--seconds", str(args.seconds), "--trace", str(args.trace), "--role", role,
     ]
-    completed = subprocess.run(
-        command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S
+    process = subprocess.Popen(
+        command, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
     )
-    if completed.returncode != 0:
-        raise RuntimeError(f"the {role} child failed:\n{completed.stderr[-4000:]}")
-    return json.loads(completed.stdout.strip().splitlines()[-1])
+    try:
+        stdout, stderr = process.communicate(timeout=CHILD_TIMEOUT_S)
+    finally:
+        stop_group(process)
+    if process.returncode != 0:
+        raise RuntimeError(f"the {role} child failed:\n{stderr[-4000:]}")
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def become_subreaper() -> None:
+    """Adopt the processes orphaned below this one (Linux), so they can be reaped here."""
+    try:
+        ctypes.CDLL(None, use_errno=True).prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+    except (OSError, AttributeError):
+        pass  # elsewhere an orphan goes to init, which reaps it
+
+
+def stop_group(process: subprocess.Popen) -> None:
+    """Stop a child and all that is left of its process group, and reap them.
+
+    A child still running gets SIGTERM first, so it can shut its pool down;
+    then SIGKILL ends whatever remains.  Members the child's exit orphaned
+    were adopted by this process (:func:`become_subreaper`) and are reaped.
+    """
+    if process.poll() is None:
+        signal_group(process.pid, signal.SIGTERM)
+        try:
+            process.communicate(timeout=15.0)
+        except subprocess.TimeoutExpired:
+            pass
+    signal_group(process.pid, signal.SIGKILL)
+    process.communicate()
+    while True:
+        try:
+            os.waitpid(-process.pid, 0)
+        except ChildProcessError:
+            return
+
+
+def signal_group(group: int, signum: int) -> None:
+    try:
+        os.killpg(group, signum)
+    except ProcessLookupError:
+        pass  # no member is left
 
 
 def set_up_once(args: argparse.Namespace) -> dict:
@@ -353,6 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     signal.signal(signal.SIGTERM, _stop)
+    become_subreaper()
     if args.role == "setup":
         print(json.dumps(set_up_once(args)))
         return 0
