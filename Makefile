@@ -4,12 +4,8 @@
 #                      symbolic-vs-explicit suite and the benchmark smoke runs)
 #   make cov         - the tier-1 suite under coverage with the minimum gate
 #                      (CI runs this on the py3.12 leg only)
-#   make test-parallel - the pooled image-computation differential suite only
-#                      (CI runs it at REPRO_PARALLEL_WORKERS=1, 2 and 4)
 #   make test-step   - the step-engine differential + explorer suites only
 #                      (CI runs them at REPRO_STEP_COMPILE=interp and codegen)
-#   make test-bdd    - the BDD core differential + symbolic suites only
-#                      (CI runs them at REPRO_BDD_CORE=object and array)
 #   make lint        - ruff (high-signal core rules) + byte-compilation check
 #   make bench-smoke - only the benchmark smoke runs (every benchmarks/bench_*.py
 #                      main path at its smallest size); writes BENCH_SMOKE.json,
@@ -25,19 +21,13 @@ PYTEST := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest
 COV_MIN ?= 85
 BENCH_FACTOR ?= 3.0
 
-.PHONY: test test-parallel test-step test-bdd cov lint bench-smoke bench-check bench
+.PHONY: test test-step cov lint bench-smoke bench-check bench
 
 test:
 	$(PYTEST) -x -q
 
-test-parallel:
-	$(PYTEST) -x -q tests/test_parallel_image.py
-
 test-step:
 	$(PYTEST) -x -q tests/test_step_codegen.py tests/test_simulation.py tests/test_verification.py
-
-test-bdd:
-	$(PYTEST) -x -q tests/test_bdd_core.py tests/test_bdd_reorder.py tests/test_bdd_serialisation.py tests/test_symbolic_vs_explicit.py tests/test_workbench_cache.py
 
 cov:
 	$(PYTEST) -q --cov=repro --cov-report=term-missing:skip-covered --cov-fail-under=$(COV_MIN)

@@ -1,35 +1,39 @@
-"""Array-core vs object-core relational image throughput.
+"""Relational image throughput of the BDD core on first-visit steps.
 
-The headline claim of the array BDD core: on *first-visit* relational image
-steps — a fresh (frontier, visited-block) pair per step, the regime every
-partitioned or multiprocess reachability worker runs in — the array core is
-at least **10x** faster than the object core.  The separation is
-structural, not cache luck: ``diff(img, reach)`` on the object core
-materialises the complement of the visited block node by node (an O(|reach|)
-rebuild the operation caches can only amortise when the same pair comes
-back), while the array core's complement edges make the same negation a bit
-flip, leaving the step's cost proportional to the small cube frontier.
+Each measured step takes a fresh (frontier, visited-block) pair — the
+regime of every partitioned reachability fixpoint — and runs the full image
+step: relational product, rename back onto the current bits, frontier diff
+against the visited block, union.  ``diff(img, reach)`` negates the visited
+block; complement edges make that negation a bit flip, so a step costs in
+proportion to the small cube frontier rather than the large block.
 
-Both cores run the identical fixed-seed workload; the differential guard
-compares exact model counts of every updated block across cores after the
-timed region (``count_satisfying`` walks the whole diagram, so counting
-inside the loop would measure the walk, not the step).  The measured ratio
-is recorded into the bench-smoke trajectory via
-:func:`repro.clocks.bdd.record_core_speedup` so ``BENCH_SMOKE.json``
-carries the speedup next to the wall-clocks.
+The guard is independent of the image algebra.  The relation is a
+parity-tapped shift register, so it maps each state to exactly one
+successor, which plain Python computes from the frontier cube's bits.  Each
+updated block must therefore count ``count(visited)`` plus one, unless the
+successor already lies in ``visited``.  The counts are taken after the
+timed region: ``count_satisfying`` walks the whole diagram, so counting
+inside the loop would measure the walk, not the step.
 """
 
 import random
-import time
 
 import pytest
 
-from repro.clocks.bdd import BDDManager, record_core_speedup
+from repro.clocks.bdd import BDDManager
 
-#: The headline core-vs-core floor asserted at every size.  Measured ratios
-#: at the sizes below are 80x-900x; the floor leaves an order of magnitude
-#: of headroom for slow or noisy runners.
-SPEEDUP_FLOOR = 10.0
+
+def cube_state(current, block):
+    """The one-state frontier of pair ``block``: a fixed bit pattern."""
+    return {name: bool((block * 2654435761 + index) >> 3 & 1) for index, name in enumerate(current)}
+
+
+def successor(current, state):
+    """The register's unique successor of ``state`` (the relation in plain Python)."""
+    variables = len(current)
+    bits = [state[name] for name in current]
+    tap = bits[-1] ^ bits[variables // 2] ^ bits[3]
+    return dict(zip(current, [tap, *bits[:-1]]))
 
 
 def random_function(manager, names, rng, depth):
@@ -50,8 +54,8 @@ def sparse_set(manager, names, rng, depth=6, terms=3):
     return function
 
 
-def build_workload(core, variables, blocks, seed=17):
-    """One core's manager plus the relation and (frontier, block) pairs.
+def build_workload(variables, blocks, seed=17):
+    """A manager plus the relation and (frontier, block) pairs.
 
     The relation is a parity-tapped shift register over an interleaved
     current/next order — linear-sized, so the timed region isolates the
@@ -61,7 +65,7 @@ def build_workload(core, variables, blocks, seed=17):
     current = [f"x{index}" for index in range(variables)]
     primed = [f"y{index}" for index in range(variables)]
     order = [name for pair in zip(current, primed) for name in pair]
-    manager = BDDManager(order, core=core)
+    manager = BDDManager(order)
     rng = random.Random(seed)
     tap = manager.xor(
         manager.var(current[-1]),
@@ -76,10 +80,7 @@ def build_workload(core, variables, blocks, seed=17):
     pairs = []
     for block in range(blocks + 1):
         visited = manager.protect(sparse_set(manager, current, rng))
-        cube = manager.true
-        for index, name in enumerate(current):
-            bit = (block * 2654435761 + index) >> 3 & 1
-            cube = manager.conj(cube, manager.var(name) if bit else manager.nvar(name))
+        cube = manager.cube(cube_state(current, block))
         pairs.append((manager.protect(cube), visited))
     return manager, relation, current, dict(zip(primed, current)), pairs
 
@@ -90,66 +91,26 @@ def image_step(manager, relation, current, rename_map, frontier, visited):
     return manager.disj(visited, manager.diff(image, visited))
 
 
-def timed_pass(manager, relation, current, rename_map, pairs):
-    """Run every measured pair once; return (elapsed_seconds, results)."""
-    started = time.perf_counter()
-    results = [
+def measured_pass(manager, relation, current, rename_map, pairs):
+    """Run every measured pair once; return the updated blocks."""
+    return [
         image_step(manager, relation, current, rename_map, frontier, visited)
         for frontier, visited in pairs
     ]
-    return time.perf_counter() - started, results
 
 
 @pytest.mark.parametrize("variables,blocks", [(18, 5), (22, 6), (24, 8)])
 def test_bench_bdd_core_image_throughput(benchmark, variables, blocks):
-    """First-visit image steps run >=10x faster on the array core."""
-    m_array, rel_a, cur_a, map_a, pairs_a = build_workload("array", variables, blocks)
-    m_object, rel_o, cur_o, map_o, pairs_o = build_workload("object", variables, blocks)
+    """First-visit image steps, each checked against the one-successor count."""
+    manager, relation, current, rename_map, pairs = build_workload(variables, blocks)
 
-    # Warm both cores on the dedicated pair 0 (first-touch allocations,
-    # variable handles) without touching the measured pairs.
-    image_step(m_array, rel_a, cur_a, map_a, *pairs_a[0])
-    image_step(m_object, rel_o, cur_o, map_o, *pairs_o[0])
+    # Warm up on the dedicated pair 0 (first-touch allocations, variable
+    # handles) without touching the measured pairs.
+    image_step(manager, relation, current, rename_map, *pairs[0])
 
-    array_seconds, array_results = benchmark(
-        lambda: timed_pass(m_array, rel_a, cur_a, map_a, pairs_a[1:])
-    )
-    object_seconds, object_results = timed_pass(m_object, rel_o, cur_o, map_o, pairs_o[1:])
+    results = benchmark(lambda: measured_pass(manager, relation, current, rename_map, pairs[1:]))
 
-    # The differential guard: every updated block holds exactly the same
-    # states on both cores.
-    array_counts = [m_array.count_satisfying(result, cur_a) for result in array_results]
-    object_counts = [m_object.count_satisfying(result, cur_o) for result in object_results]
-    assert array_counts == object_counts
-
-    ratio = object_seconds / array_seconds
-    record_core_speedup(round(ratio, 3))
-    assert ratio >= SPEEDUP_FLOOR, (
-        f"array-core image throughput only {ratio:.1f}x the object core "
-        f"at {variables} variables (floor {SPEEDUP_FLOOR}x)"
-    )
-
-
-@pytest.mark.parametrize("variables,rounds", [(16, 10), (18, 12)])
-def test_bench_bdd_core_sustained_sweep(variables, rounds):
-    """The win must survive the cache-amortised sustained regime.
-
-    Accumulating many dense images into one growing set lets the object
-    core's operation caches amortise the complement rebuilds, so the gap
-    narrows — but the array core must never be slower.
-    """
-    durations = {}
-    counts = {}
-    for core in ("array", "object"):
-        names = [f"v{index}" for index in range(variables)]
-        manager = BDDManager(names, core=core)
-        rng = random.Random(3)
-        images = [sparse_set(manager, names, rng, depth=5) for _ in range(rounds)]
-        started = time.perf_counter()
-        accumulated = manager.false
-        for image in images:
-            accumulated = manager.disj(accumulated, manager.diff(image, accumulated))
-        durations[core] = time.perf_counter() - started
-        counts[core] = manager.count_satisfying(accumulated, names)
-    assert counts["array"] == counts["object"]
-    assert durations["array"] <= durations["object"]
+    for block, ((_, visited), result) in enumerate(zip(pairs[1:], results), start=1):
+        known = manager.evaluate(visited, successor(current, cube_state(current, block)))
+        expected = manager.count_satisfying(visited, current) + (0 if known else 1)
+        assert manager.count_satisfying(result, current) == expected, block

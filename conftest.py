@@ -40,14 +40,6 @@ def _bdd_module():
     return bdd
 
 
-def _parallel_module():
-    try:
-        from repro.verification import parallel
-    except ImportError:  # pragma: no cover - repro not importable (bad env)
-        return None
-    return parallel
-
-
 def _codegen_module():
     try:
         from repro.simulation import codegen
@@ -66,29 +58,6 @@ def step_compile_mode() -> str:
     kernels, with the interpreter kept as the oracle.
     """
     return os.environ.get("REPRO_STEP_COMPILE", "codegen")
-
-
-@pytest.fixture(scope="session")
-def bdd_core_mode() -> str:
-    """The BDD core this session builds decision diagrams on.
-
-    CI's ``bdd-core`` matrix leg exports ``REPRO_BDD_CORE`` (``object``,
-    ``array``) so the differential and symbolic suites run against both
-    cores; everywhere else the default is the array core with complement
-    edges, with the object core kept as the oracle.
-    """
-    return os.environ.get("REPRO_BDD_CORE", "array")
-
-
-@pytest.fixture(scope="session")
-def parallel_workers() -> int:
-    """Worker count for the pooled-image differential suite.
-
-    CI's ``parallel`` matrix leg exports ``REPRO_PARALLEL_WORKERS`` (1, 2, 4)
-    so the same tests exercise every pool width; local runs default to 2 —
-    wide enough to cross the process boundary, cheap enough for one core.
-    """
-    return int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
 
 
 # --------------------------------------------------------------------- timeout guard
@@ -142,9 +111,6 @@ def pytest_runtest_setup(item):
         bdd = _bdd_module()
         if bdd is not None:
             bdd.reset_global_stats()
-        parallel = _parallel_module()
-        if parallel is not None:
-            parallel.reset_global_stats()
         codegen = _codegen_module()
         if codegen is not None:
             codegen.reset_global_stats()
@@ -162,17 +128,6 @@ def pytest_runtest_logreport(report):
                 "cache_hits": stats["cache_hits"],
                 "cache_misses": stats["cache_misses"],
             }
-            # Array-vs-object image throughput, recorded by the benchmark
-            # itself (bench_bdd_core.py); 0.0 everywhere else.
-            if stats["core_speedup"]:
-                _bdd_stats[report.nodeid]["core_speedup"] = stats["core_speedup"]
-        parallel = _parallel_module()
-        if parallel is not None:
-            # Worker count the benchmark actually ran with (0 = sequential).
-            # The regression gate uses it to skip scaling assertions on
-            # runners with too few cores to show a speedup.
-            entry = _bdd_stats.setdefault(report.nodeid, {})
-            entry["workers"] = parallel.global_stats()["workers"]
         codegen = _codegen_module()
         if codegen is not None:
             # Codegen-vs-interp step throughput, recorded by the benchmark

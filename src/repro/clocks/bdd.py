@@ -1,10 +1,10 @@
-"""A small reduced ordered binary decision diagram (ROBDD) package.
+"""A reduced ordered binary decision diagram (ROBDD) package.
 
 The SIGNAL compiler's clock calculus manipulates boolean formulas over
 presence and value conditions; canonicalising them is what lets the compiler
 decide clock equivalence, inclusion and emptiness.  This module provides the
-minimal ROBDD machinery needed for that: a manager with hash-consed nodes,
-the ``ite`` combinator, the usual boolean connectives, restriction,
+ROBDD machinery needed for that: a manager with hash-consed nodes, the
+``ite`` combinator, the usual boolean connectives, restriction,
 satisfiability and model enumeration.
 
 The same engine is reused by the verification layer to represent state
@@ -13,32 +13,41 @@ relational product (``and_exists``) are the primitives the symbolic
 reachability engine of :mod:`repro.verification.symbolic` builds its image
 computation from.
 
-Two interchangeable cores implement the manager:
+The diagram store lives in flat parallel lists:
 
-* ``core="object"`` — the reference implementation: one Python
-  :class:`BDDNode` object per node, dict-based unique table, per-operation
-  dict caches.  Kept as the differential oracle.
-* ``core="array"`` (the default) — the hot core of
-  :mod:`repro.clocks.bdd_array`: nodes are indices into flat parallel
-  ``var/low/high`` arrays, edges are integers carrying a *complement* bit
-  (so negation is O(1) and each diagram is shared with its complement), the
-  unique table is an open-addressed integer hash table, and every boolean
-  connective collapses into a single ITE primitive backed by one lossy
-  array-mapped computed cache with standard-triple normalisation.
+* A *node* is an index ``n`` into ``_var``/``_lo``/``_hi`` (variable id,
+  low edge, high edge).  Index 0 is the only terminal.
+* An *edge* is ``(n << 1) | complement``: the low bit tags logical
+  negation, so edge 0 is TRUE, edge 1 is FALSE, and ``neg`` is a single
+  XOR — no traversal, no allocation.  Canonical form: the **stored high
+  edge of every node is regular** (complement bit clear); ``_mk``
+  normalises by complementing both children and returning a complemented
+  edge instead, which is what makes ``f`` and ``¬f`` share one node and
+  ``ite(x, 1, 0)`` the only representation of a literal.
+* The unique table is one integer hash table: the ``(var, low, high)``
+  triple is packed into a single int key mapping to the slot index, so
+  every probe hashes and compares machine integers (and sifting's eager
+  deletions are plain key removals).
+* All boolean connectives funnel into one recursive ``_ite`` with the
+  Brace–Rudell–Bryant *standard triple* normalisation, backed by a single
+  packed-integer-keyed computed cache shared with quantification and the
+  relational product, bounded at ``_CACHE_RATIO`` times the unique-table
+  size and dropped wholesale on overflow or garbage collection (losing
+  entries only costs recomputation, never correctness).
 
-``BDDManager(...)`` dispatches between them via the ``core=`` keyword,
-defaulting to the ``REPRO_BDD_CORE`` environment variable (mirroring
-``REPRO_STEP_COMPILE``).  Both cores expose the same node handle API
-(``variable``/``low``/``high``/``identifier``/``is_terminal``) with
-hash-consed ``is``-identity, so the clock calculus, the symbolic engines,
-the parallel image layer and the persistent cache run unmodified on either.
+Handles: the public API trades in :class:`BDDNode` objects with
+``variable``/``low``/``high``/``identifier`` attributes — a two-word view
+over an edge, canonicalised through a ``WeakValueDictionary`` so
+``is``-identity decides function equality.  Their ``low``/``high``
+properties push the complement bit down, presenting the plain-BDD view
+:func:`dump_nodes` serialises.
 
 Variable ordering is dynamic: beyond the static first-use order the callers
 establish with :meth:`BDDManager.declare`, the manager implements the
 classical in-place adjacent *level exchange* and group-aware Rudell
 *sifting* (:meth:`BDDManager.reorder`), auto-triggered on unique-table
 growth when ``auto_reorder`` is on.  Every exchange rewrites the affected
-nodes in place — same handle, same identifier, same boolean function — so
+nodes in place — same slot, same identifier, same boolean function — so
 node references held by callers and name-based renaming maps stay valid
 across reorders.  :meth:`BDDManager.group_variables` pins variable tuples
 (the symbolic engines' prime/unprime pairs) adjacent through every reorder.
@@ -46,10 +55,8 @@ across reorders.  :meth:`BDDManager.group_variables` pins variable tuples
 
 from __future__ import annotations
 
-import os
 import weakref
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
-
 
 class NodeBudgetExceeded(RuntimeError):
     """The unique table outgrew the manager's declared ``node_budget``.
@@ -64,38 +71,14 @@ class NodeBudgetExceeded(RuntimeError):
     """
 
 
-#: Name of the environment variable selecting the default BDD core, and the
-#: fallback when it is unset.  Mirrors ``REPRO_STEP_COMPILE``: CI runs the
-#: same suites under both values, everyone else gets the fast core with the
-#: object core kept as the oracle.
-BDD_CORE_ENV = "REPRO_BDD_CORE"
-DEFAULT_BDD_CORE = "array"
-
-#: Core registry, filled in as the implementations are defined (the array
-#: core registers itself from :mod:`repro.clocks.bdd_array`, imported at the
-#: bottom of this module).
-_CORES: dict[str, type] = {}
-
-
-def resolve_bdd_core(core: Optional[str] = None) -> str:
-    """The effective core name: explicit argument, else env, else default."""
-    chosen = core if core is not None else (os.environ.get(BDD_CORE_ENV) or DEFAULT_BDD_CORE)
-    if chosen not in ("object", "array"):
-        raise ValueError(f"unknown BDD core {chosen!r} (choose 'object' or 'array')")
-    return chosen
-
-
 #: Process-wide accumulators over every manager, so test harnesses can record
 #: peak BDD pressure per benchmark without threading managers around.
-#: ``core_speedup`` is written by ``benchmarks/bench_bdd_core.py`` (the
-#: measured array-vs-object relational throughput ratio); 0.0 elsewhere.
 GLOBAL_STATS = {
     "managers": 0,
     "peak_nodes": 0,
     "reorders": 0,
     "cache_hits": 0,
     "cache_misses": 0,
-    "core_speedup": 0.0,
 }
 
 #: Live managers, so :func:`global_stats` can fold their cache counters in
@@ -106,7 +89,7 @@ _MANAGERS: "weakref.WeakSet[BDDManager]" = weakref.WeakSet()
 def reset_global_stats() -> None:
     """Zero the process-wide BDD counters (per-benchmark bookkeeping)."""
     GLOBAL_STATS.update(
-        managers=0, peak_nodes=0, reorders=0, cache_hits=0, cache_misses=0, core_speedup=0.0
+        managers=0, peak_nodes=0, reorders=0, cache_hits=0, cache_misses=0
     )
     for manager in list(_MANAGERS):
         manager._stat_base_hits = manager.cache_hits
@@ -127,15 +110,9 @@ def global_stats() -> dict:
     return snapshot
 
 
-def record_core_speedup(ratio: float) -> None:
-    """Record the measured array-vs-object throughput ratio (benchmarks)."""
-    GLOBAL_STATS["core_speedup"] = round(float(ratio), 3)
-
-
 #: Version tag of the :func:`dump_nodes` payload layout.  Bump on any change
 #: to the node-table encoding so stale persisted dumps are rejected as a
-#: cache miss instead of being mis-decoded.  Both cores emit and accept the
-#: same layout — payloads are cross-core portable.
+#: cache miss instead of being mis-decoded.
 DUMP_FORMAT = 1
 
 
@@ -203,181 +180,106 @@ def load_nodes(manager: "BDDManager", payload: Mapping) -> list["BDDNode"]:
     if not isinstance(payload, Mapping) or payload.get("format") != DUMP_FORMAT:
         raise ValueError(f"unsupported BDD dump payload (format {payload.get('format')!r})"
                          if isinstance(payload, Mapping) else "BDD dump payload is not a mapping")
-    loader = getattr(manager, "_load_payload", None)
-    if loader is not None:
-        return loader(payload)
-    for name in payload["order"]:
-        manager.declare(name)
-    table: list[BDDNode] = [manager.false, manager.true]
-    for entry in payload["nodes"]:
-        variable, low, high = entry
-        if not isinstance(variable, str) or not (0 <= low < len(table)) or not (0 <= high < len(table)):
-            raise ValueError(f"malformed BDD dump entry {entry!r}")
-        table.append(manager.ite(manager.var(variable), table[high], table[low]))
-    roots = payload["roots"]
-    if any(not isinstance(index, int) or not (0 <= index < len(table)) for index in roots):
-        raise ValueError("BDD dump root index out of range")
-    return [table[index] for index in roots]
+    return manager._load_payload(payload)
 
 
-class IncrementalDumper:
-    """Serialise successive root sets against one growing shared node table.
+#: Level sentinel for the terminal — orders below every real variable.
+_BIG = 1 << 60
 
-    :func:`dump_nodes` re-encodes the full diagram of every root on each
-    call; a long-lived channel shipping closely related diagrams (the
-    per-iteration frontiers of a fixpoint, say) re-pays that cost for nodes
-    the receiver already holds.  An ``IncrementalDumper`` keeps the node
-    index *across* calls: each :meth:`dump` payload carries only the nodes
-    not shipped on an earlier call, referencing the rest by their previously
-    assigned table indices, and a matching :class:`IncrementalLoader` on the
-    receiving side grows the mirror table.  Payloads are therefore deltas —
-    they only decode through the loader fed every earlier payload in order.
-
-    Identity is tracked by ``BDDNode.identifier``, which the manager never
-    reuses, and dynamic reordering preserves the *function* of every live
-    node it touches — so an index entry keeps denoting the function it was
-    shipped as, across reorders and garbage collections alike.  The one
-    contract: only dump roots that are live in ``manager`` (reachable from
-    protected roots or freshly computed), as all engine code does.
-    """
-
-    def __init__(self, manager: "BDDManager") -> None:
-        self.manager = manager
-        self._index: dict[int, int] = {manager.false.identifier: 0, manager.true.identifier: 1}
-        self._next = 2
-
-    def dump(self, roots: Sequence["BDDNode"]) -> dict:
-        """A delta payload for ``roots``: new nodes only, old ones by index."""
-        index = self._index
-        nodes: list[list] = []
-        for root in roots:
-            if root.identifier in index:
-                continue
-            stack: list[tuple[BDDNode, bool]] = [(root, False)]
-            while stack:
-                node, expanded = stack.pop()
-                if node.identifier in index:
-                    continue
-                if expanded:
-                    nodes.append(
-                        [node.variable, index[node.low.identifier], index[node.high.identifier]]
-                    )
-                    index[node.identifier] = self._next
-                    self._next += 1
-                else:
-                    stack.append((node, True))
-                    stack.append((node.high, False))
-                    stack.append((node.low, False))
-        return {
-            "format": DUMP_FORMAT,
-            "delta": True,
-            "nodes": nodes,
-            "roots": [index[root.identifier] for root in roots],
-        }
-
-
-class IncrementalLoader:
-    """The receiving half of :class:`IncrementalDumper`: a growing node table.
-
-    Feed it every payload of one dumper **in dump order**; each load appends
-    the payload's new nodes (rebuilt bottom-up through ``ite``, so the local
-    variable order may differ from the dumper's) and resolves the roots
-    against the accumulated table.  The table entries must stay valid BDDs of
-    this manager between loads — intended for managers that never
-    garbage-collect (no dynamic reordering), e.g. the short-lived worker
-    managers of :mod:`repro.verification.parallel`.
-    """
-
-    def __init__(self, manager: "BDDManager") -> None:
-        self.manager = manager
-        self._table: list[BDDNode] = [manager.false, manager.true]
-
-    def load(self, payload: Mapping) -> list["BDDNode"]:
-        """Append one delta payload and return its root nodes."""
-        if not isinstance(payload, Mapping) or payload.get("format") != DUMP_FORMAT:
-            raise ValueError(
-                f"unsupported BDD dump payload (format {payload.get('format')!r})"
-                if isinstance(payload, Mapping)
-                else "BDD dump payload is not a mapping"
-            )
-        if not payload.get("delta"):
-            raise ValueError("IncrementalLoader needs delta payloads (IncrementalDumper.dump)")
-        table = self._table
-        for entry in payload["nodes"]:
-            variable, low, high = entry
-            if not isinstance(variable, str) or not (0 <= low < len(table)) or not (0 <= high < len(table)):
-                raise ValueError(f"malformed BDD dump entry {entry!r}")
-            table.append(self.manager.ite(self.manager.var(variable), table[high], table[low]))
-        roots = payload["roots"]
-        if any(not isinstance(index, int) or not (0 <= index < len(table)) for index in roots):
-            raise ValueError("BDD dump root index out of range")
-        return [table[index] for index in roots]
+#: Computed-table operation tags (one cache, many operations; the tag
+#: occupies the low 3 bits of the packed cache key).
+_OP_ITE = 1
+_OP_EX = 2
+_OP_ALL = 3
+_OP_ANDEX = 4
 
 
 class BDDNode:
-    """A hash-consed BDD node (internal: use :class:`BDDManager`).
+    """A canonical handle over one edge of a :class:`BDDManager`.
 
-    ``refcount`` is only meaningful while a reorder is in flight: it counts
-    live in-table parents plus root references, letting level exchanges
-    delete dead nodes eagerly instead of accumulating garbage.
+    Presents the node protocol (``variable``, ``low``, ``high``,
+    ``identifier``, ``is_terminal``) over the packed edge; the complement
+    bit is pushed into the children on access, so walking ``low``/``high``
+    yields the plain (complement-free) view of the function.  Handles are
+    hash-consed per edge through the manager's weak table, so two
+    references to the same function are the same object.
     """
 
-    __slots__ = ("variable", "low", "high", "identifier", "refcount")
+    __slots__ = ("manager", "_edge", "__weakref__")
 
-    def __init__(self, variable: Optional[str], low: Optional["BDDNode"], high: Optional["BDDNode"], identifier: int):
-        self.variable = variable
-        self.low = low
-        self.high = high
-        self.identifier = identifier
-        self.refcount = 0
+    def __init__(self, manager: "BDDManager", edge: int) -> None:
+        self.manager = manager
+        self._edge = edge
+
+    @property
+    def identifier(self) -> int:
+        # uid is per-slot and never reused, the low bit keeps f and ¬f
+        # distinct — together: a process-unique, never-recycled function id.
+        return (self.manager._uid[self._edge >> 1] << 1) | (self._edge & 1)
+
+    @property
+    def variable(self) -> Optional[str]:
+        n = self._edge >> 1
+        if n == 0:
+            return None
+        manager = self.manager
+        return manager._name_of[manager._var[n]]
 
     @property
     def is_terminal(self) -> bool:
-        return self.variable is None
+        return self._edge < 2
+
+    @property
+    def low(self) -> Optional["BDDNode"]:
+        e = self._edge
+        n = e >> 1
+        if n == 0:
+            return None
+        manager = self.manager
+        return manager._handle(manager._lo[n] ^ (e & 1))
+
+    @property
+    def high(self) -> Optional["BDDNode"]:
+        e = self._edge
+        n = e >> 1
+        if n == 0:
+            return None
+        manager = self.manager
+        return manager._handle(manager._hi[n] ^ (e & 1))
 
     def __repr__(self) -> str:
-        if self.is_terminal:
-            return f"BDD({'1' if self.identifier == 1 else '0'})"
+        if self._edge < 2:
+            return f"BDD({'1' if self._edge == 0 else '0'})"
         return f"BDD({self.variable}, id={self.identifier})"
 
 
 class BDDManager:
     """Factory and algebra of ROBDDs over a growable, ordered variable set.
 
-    Instantiating ``BDDManager(...)`` yields one of two cores (see the
-    module docstring): ``core="array"`` (default, overridable through the
-    ``REPRO_BDD_CORE`` environment variable) or ``core="object"`` (the
-    reference oracle).  This base class holds the shared surface — variable
-    bookkeeping, the generic algorithms expressed over the node handle
-    protocol, and the group-aware sifting driver — while the subclasses
-    provide node construction, ITE, quantification and level exchanges.
+    See the module docstring for the store layout.  Nodes handed out are
+    :class:`BDDNode` handles; every boolean connective goes through
+    :meth:`ite`, and :meth:`reorder` is the one entry point of dynamic
+    variable reordering (sifting).
     """
 
-    #: Overridden per core ("object" / "array"); also the ``core=`` value
-    #: that selects the class through the dispatching constructor.
-    core = "object"
+    #: The computed cache is bounded at ``_CACHE_RATIO x unique-table size``
+    #: (with a fixed floor ``_MIN_CACHE``): when an insert trips the bound
+    #: the limit is re-derived from the table's current size, and the cache
+    #: is dropped wholesale if it is still over — so between garbage
+    #: collections the cache tracks the diagram store instead of growing
+    #: without bound.
+    _CACHE_RATIO = 4.0
 
-    #: Default operation-cache budget as a multiple of the unique-table
-    #: size; see ``cache_ratio`` in ``__init__``.
-    _default_cache_ratio = 8.0
-
-    def __new__(cls, *args, **kwargs):
-        if cls is BDDManager:
-            cls = _CORES[resolve_bdd_core(kwargs.get("core"))]
-        return super().__new__(cls)
+    _MIN_CACHE = 1 << 12
 
     def __init__(
         self,
         variables: Iterable[str] = (),
         *,
-        core: Optional[str] = None,
         auto_reorder: bool = False,
         reorder_threshold: int = 20000,
         node_budget: Optional[int] = None,
-        cache_ratio: Optional[float] = None,
     ) -> None:
-        if core is not None and resolve_bdd_core(core) != self.core:
-            raise ValueError(f"cannot build a {self.core!r}-core manager with core={core!r}")
         self._order: list[str] = []
         self._rank: dict[str, int] = {}
         #: Reordering state: grouped variables stay adjacent, protected nodes
@@ -397,17 +299,46 @@ class BDDManager:
         self.reorder_count = 0
         self.peak_nodes = 0
         self._reordering = False
-        #: Operation-cache policy and counters.  ``cache_ratio`` bounds the
-        #: cache between reorders: the object core clears its dict caches
-        #: once they outgrow ``ratio × table``, the array core sizes its
-        #: lossy direct-mapped cache at ``ratio × table capacity``.
-        self.cache_ratio = self._default_cache_ratio if cache_ratio is None else float(cache_ratio)
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_clears = 0
         self._stat_base_hits = 0
         self._stat_base_misses = 0
-        self._setup_core()
+        # Slot 0 is the single terminal; edge 0 = TRUE, edge 1 = FALSE.
+        self._var: list[int] = [0]   # variable id per slot, -1 = free slot
+        self._lo: list[int] = [0]
+        self._hi: list[int] = [0]
+        self._uid: list[int] = [0]   # stable per-slot ids, never reused
+        self._ref: list[int] = [0]   # refcounts, meaningful during reorders
+        self._next_uid = 1
+        self._created = 0
+        self._count = 0              # live (non-free) internal slots
+        self._free: list[int] = []   # reusable slots (refilled by GC sweeps)
+        # The unique table: packed ``(vid << 64) | (lo << 32) | hi`` integer
+        # keys to slot indices.  Integer keys hash and compare in C, which
+        # is what makes ``_mk`` cheap; deletion (sifting) is a plain ``del``.
+        self._index: dict[int, int] = {}
+        # Variable bookkeeping: names <-> stable variable ids <-> levels.
+        # Nodes store the id, so a level exchange never rewrites node data
+        # beyond the two levels being swapped.
+        self._name_of: list[Optional[str]] = [None]  # id 0 = the terminal
+        self._varids: dict[str, int] = {}
+        self._level_of: list[int] = [_BIG]
+        self._var_at: list[int] = []                 # level -> variable id
+        self._var_nodes: dict[int, list[int]] = {}   # id -> slots (lazily filtered)
+        # One computed cache for every operation, keyed on packed integers
+        # with a 3-bit op tag; bounded at ``_CACHE_RATIO`` x the unique-table
+        # size and dropped wholesale on overflow or garbage collection.
+        self._cache: dict[int, int] = {}
+        self._cache_limit = self._MIN_CACHE
+        self._quant_ids: dict[frozenset, int] = {}
+        self._handles: "weakref.WeakValueDictionary[int, BDDNode]" = (
+            weakref.WeakValueDictionary()
+        )
+        self.true = BDDNode(self, 0)
+        self.false = BDDNode(self, 1)
+        self._handles[0] = self.true
+        self._handles[1] = self.false
         GLOBAL_STATS["managers"] += 1
         _MANAGERS.add(self)
         for name in variables:
@@ -422,21 +353,27 @@ class BDDManager:
         except Exception:
             pass
 
-    def _setup_core(self) -> None:
-        """Core-specific state (tables, terminals); called by ``__init__``."""
-        raise NotImplementedError
+    # -- handles -------------------------------------------------------------------
 
-    # -- variables ---------------------------------------------------------------
+    def _handle(self, edge: int) -> BDDNode:
+        handle = self._handles.get(edge)
+        if handle is None:
+            handle = BDDNode(self, edge)
+            self._handles[edge] = handle
+        return handle
+
+    # -- variables -----------------------------------------------------------------
 
     def declare(self, name: str) -> None:
         """Declare a variable (appended at the end of the ordering)."""
         if name not in self._rank:
             self._rank[name] = len(self._order)
             self._order.append(name)
-            self._declared(name)
-
-    def _declared(self, name: str) -> None:
-        """Core hook: ``name`` was appended at the last ordering position."""
+            vid = len(self._name_of)
+            self._varids[name] = vid
+            self._name_of.append(name)
+            self._level_of.append(len(self._var_at))
+            self._var_at.append(vid)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -482,27 +419,187 @@ class BDDManager:
             self._protected.append(node)
         return node
 
-    # -- generic node helpers -----------------------------------------------------
+    def var(self, name: str) -> BDDNode:
+        """The BDD of the literal ``name``."""
+        self.declare(name)
+        return self._handle(self._mk(self._varids[name], 1, 0))
 
-    def _top_variable(self, *nodes: BDDNode) -> str:
-        best: Optional[str] = None
-        best_rank = len(self._order)
-        for node in nodes:
-            if node.is_terminal:
-                continue
-            rank = self._rank[node.variable]
-            if rank < best_rank:
-                best_rank = rank
-                best = node.variable
-        assert best is not None
-        return best
+    def nvar(self, name: str) -> BDDNode:
+        """The BDD of the negated literal ``¬name``."""
+        self.declare(name)
+        return self._handle(self._mk(self._varids[name], 1, 0) ^ 1)
 
-    def _cofactors(self, node: BDDNode, variable: str) -> tuple[BDDNode, BDDNode]:
-        if node.is_terminal or node.variable != variable:
-            return node, node
-        return node.low, node.high
+    # -- node construction ---------------------------------------------------------
 
-    # -- boolean connectives ------------------------------------------------------------
+    def _mk(self, vid: int, lo: int, hi: int) -> int:
+        """Find-or-create the canonical edge for ``vid ? hi : lo``."""
+        if lo == hi:
+            return lo
+        c = hi & 1
+        if c:  # keep the stored high edge regular: push the complement up
+            lo ^= 1
+            hi ^= 1
+        key = (vid << 64) | (lo << 32) | hi
+        n = self._index.get(key)
+        if n is not None:
+            return (n << 1) | c
+        if (
+            self.node_budget is not None
+            and not self._reordering
+            and self._count >= self.node_budget
+        ):
+            raise NodeBudgetExceeded(
+                f"unique table would outgrow the node budget of {self.node_budget}"
+            )
+        n = self._alloc(vid, lo, hi)
+        self._index[key] = n
+        return (n << 1) | c
+
+    def _alloc(self, vid: int, lo: int, hi: int) -> int:
+        """Claim a free (or fresh) slot for a new node."""
+        # Reuse is safe mid-sift too: the lazy per-level lists may then hold
+        # duplicate entries for a resurrected slot, which the exchange scan
+        # deduplicates.
+        if self._free:
+            n = self._free.pop()
+            self._var[n] = vid
+            self._lo[n] = lo
+            self._hi[n] = hi
+            self._uid[n] = self._next_uid
+            self._ref[n] = 0
+        else:
+            n = len(self._var)
+            self._var.append(vid)
+            self._lo.append(lo)
+            self._hi.append(hi)
+            self._uid.append(self._next_uid)
+            self._ref.append(0)
+        self._next_uid += 1
+        self._created += 1
+        self._var_nodes.setdefault(vid, []).append(n)
+        self._count += 1
+        if self._count > self.peak_nodes:
+            self.peak_nodes = self._count
+            if self._count > GLOBAL_STATS["peak_nodes"]:
+                GLOBAL_STATS["peak_nodes"] = self._count
+        return n
+
+    def _rebuild_index(self) -> None:
+        """Re-key the unique table from the live slots (after a GC sweep)."""
+        V, L, H = self._var, self._lo, self._hi
+        index: dict[int, int] = {}
+        for n in range(1, len(V)):
+            vid = V[n]
+            if vid >= 0:
+                index[(vid << 64) | (L[n] << 32) | H[n]] = n
+        self._index = index
+
+    def _cache_overflow(self) -> None:
+        """Called when the computed cache outgrows its limit: raise the
+        limit if the unique table has grown to justify it, clear otherwise."""
+        limit = max(self._MIN_CACHE, int(self._CACHE_RATIO * len(self._index)))
+        if len(self._cache) >= limit:
+            self._cache.clear()
+            self.cache_clears += 1
+        self._cache_limit = limit
+
+    def _cache_clear(self) -> None:
+        self._cache.clear()
+        self._cache_limit = max(self._MIN_CACHE, int(self._CACHE_RATIO * len(self._index)))
+        self.cache_clears += 1
+
+    # -- the ITE primitive and the boolean connectives ---------------------------------
+
+    def ite(self, condition: BDDNode, then: BDDNode, otherwise: BDDNode) -> BDDNode:
+        """The if-then-else combinator, core of every boolean connective."""
+        return self._handle(self._ite(condition._edge, then._edge, otherwise._edge))
+
+    def neg(self, node: BDDNode) -> BDDNode:
+        """Negation ``¬node`` — one bit flip on the edge."""
+        return self._handle(node._edge ^ 1)
+
+    def _ite(self, f: int, g: int, h: int) -> int:
+        # Terminal / absorption cases.
+        if f == 0:
+            return g
+        if f == 1:
+            return h
+        if g == h:
+            return g
+        if g == f:
+            g = 0
+        elif g == f ^ 1:
+            g = 1
+        if h == f:
+            h = 1
+        elif h == f ^ 1:
+            h = 0
+        if g == h:
+            return g
+        if g == 0 and h == 1:
+            return f
+        if g == 1 and h == 0:
+            return f ^ 1
+        # Standard-triple normalisation: pick a canonical representative of
+        # the equivalent (f, g, h) argument triples so commutative forms
+        # share one cache line.
+        if g == 0:            # ite(f, 1, h) = f OR h = ite(h, 1, f)
+            if h < f:
+                f, h = h, f
+        elif h == 1:          # ite(f, g, 0) = f AND g = ite(g, f, 0)
+            if g < f:
+                f, g = g, f
+        elif h == g ^ 1:      # ite(f, g, ¬g) = f XNOR g = ite(g, f, ¬f)
+            if g < f:
+                f, g = g, f
+                h = g ^ 1
+        if f & 1:             # regular first argument: ite(¬f, g, h) = ite(f, h, g)
+            f ^= 1
+            g, h = h, g
+        flip = g & 1          # regular then-branch: complement the output
+        if flip:
+            g ^= 1
+            h ^= 1
+        cache = self._cache
+        key = (((f << 32 | g) << 32 | h) << 3) | _OP_ITE
+        result = cache.get(key)
+        if result is not None:
+            self.cache_hits += 1
+            return result ^ flip
+        self.cache_misses += 1
+        V, L, H, LEV = self._var, self._lo, self._hi, self._level_of
+        nf = f >> 1
+        level = LEV[V[nf]]
+        ng = g >> 1
+        if ng:
+            lg = LEV[V[ng]]
+            if lg < level:
+                level = lg
+        nh = h >> 1
+        if nh:
+            lh = LEV[V[nh]]
+            if lh < level:
+                level = lh
+        if LEV[V[nf]] == level:   # f is regular here: cofactor directly
+            f0, f1 = L[nf], H[nf]
+        else:
+            f0 = f1 = f
+        if ng and LEV[V[ng]] == level:  # g is regular after the flip
+            g0, g1 = L[ng], H[ng]
+        else:
+            g0 = g1 = g
+        if nh and LEV[V[nh]] == level:  # h may carry a complement bit
+            ch = h & 1
+            h0, h1 = L[nh] ^ ch, H[nh] ^ ch
+        else:
+            h0 = h1 = h
+        r1 = self._ite(f1, g1, h1)
+        r0 = self._ite(f0, g0, h0)
+        result = r1 if r0 == r1 else self._mk(self._var_at[level], r0, r1)
+        cache[key] = result
+        if len(cache) >= self._cache_limit:
+            self._cache_overflow()
+        return result ^ flip
 
     def conj(self, left: BDDNode, right: BDDNode) -> BDDNode:
         """Conjunction ``left ∧ right``."""
@@ -511,10 +608,6 @@ class BDDManager:
     def disj(self, left: BDDNode, right: BDDNode) -> BDDNode:
         """Disjunction ``left ∨ right``."""
         return self.ite(left, self.true, right)
-
-    def neg(self, node: BDDNode) -> BDDNode:
-        """Negation ``¬node``."""
-        return self.ite(node, self.false, self.true)
 
     def diff(self, left: BDDNode, right: BDDNode) -> BDDNode:
         """Difference ``left ∧ ¬right``."""
@@ -549,7 +642,148 @@ class BDDManager:
             result = self.conj(result, self.var(name) if value else self.nvar(name))
         return result
 
-    # -- rename validation (shared by both cores) ---------------------------------------
+    # -- quantification and relational operations ---------------------------------------
+
+    def _quant_set(self, variables: Iterable[str]) -> tuple[frozenset, int]:
+        names = variables if isinstance(variables, frozenset) else frozenset(variables)
+        varids = self._varids
+        # Undeclared names cannot occur in any diagram: drop them.
+        vids = frozenset(varids[name] for name in names if name in varids)
+        set_id = self._quant_ids.get(vids)
+        if set_id is None:
+            set_id = len(self._quant_ids)
+            self._quant_ids[vids] = set_id
+        return vids, set_id
+
+    def exists(self, node: BDDNode, variables: Iterable[str]) -> BDDNode:
+        """Existential quantification ``∃ variables . node``."""
+        vids, set_id = self._quant_set(variables)
+        if not vids:
+            return self._handle(node._edge)
+        deepest = max(self._level_of[v] for v in vids)
+        return self._handle(self._quantify(node._edge, vids, set_id, True, deepest))
+
+    def forall(self, node: BDDNode, variables: Iterable[str]) -> BDDNode:
+        """Universal quantification ``∀ variables . node``."""
+        vids, set_id = self._quant_set(variables)
+        if not vids:
+            return self._handle(node._edge)
+        deepest = max(self._level_of[v] for v in vids)
+        return self._handle(self._quantify(node._edge, vids, set_id, False, deepest))
+
+    def _quantify(self, e: int, vids: frozenset, set_id: int, existential: bool, deepest: int) -> int:
+        # Quantification does not commute with complement (∃x.¬f ≠ ¬∃x.f),
+        # so the cache keys and the recursion work on the full edge, pushing
+        # the complement bit into the cofactors.
+        n = e >> 1
+        if n == 0:
+            return e
+        V, L, H, LEV = self._var, self._lo, self._hi, self._level_of
+        vid = V[n]
+        if LEV[vid] > deepest:  # no quantified variable below this level
+            return e
+        cache = self._cache
+        key = ((e << 32 | set_id) << 3) | (_OP_EX if existential else _OP_ALL)
+        result = cache.get(key)
+        if result is not None:
+            self.cache_hits += 1
+            return result
+        self.cache_misses += 1
+        c = e & 1
+        lo = L[n] ^ c
+        hi = H[n] ^ c
+        if vid in vids:
+            r0 = self._quantify(lo, vids, set_id, existential, deepest)
+            if existential:
+                if r0 == 0:
+                    result = 0
+                else:
+                    r1 = self._quantify(hi, vids, set_id, existential, deepest)
+                    result = self._ite(r0, 0, r1)  # r0 OR r1
+            else:
+                if r0 == 1:
+                    result = 1
+                else:
+                    r1 = self._quantify(hi, vids, set_id, existential, deepest)
+                    result = self._ite(r0, r1, 1)  # r0 AND r1
+        else:
+            r0 = self._quantify(lo, vids, set_id, existential, deepest)
+            r1 = self._quantify(hi, vids, set_id, existential, deepest)
+            result = r1 if r0 == r1 else self._mk(vid, r0, r1)
+        cache[key] = result
+        if len(cache) >= self._cache_limit:
+            self._cache_overflow()
+        return result
+
+    def and_exists(self, left: BDDNode, right: BDDNode, variables: Iterable[str]) -> BDDNode:
+        """The relational product ``∃ variables . left ∧ right`` in one pass.
+
+        Quantifying while conjoining avoids materialising the (often much
+        larger) conjunction — the classical optimisation of symbolic image
+        computation.
+        """
+        vids, set_id = self._quant_set(variables)
+        deepest = -1
+        if vids:
+            deepest = max(self._level_of[v] for v in vids)
+        return self._handle(self._andex(left._edge, right._edge, vids, set_id, deepest))
+
+    def _andex(self, a: int, b: int, vids: frozenset, set_id: int, deepest: int) -> int:
+        if a == 1 or b == 1:
+            return 1
+        if a == b:
+            if a < 2:
+                return a
+            return self._quantify(a, vids, set_id, True, deepest)
+        if a == b ^ 1:
+            return 1
+        if a == 0:
+            return self._quantify(b, vids, set_id, True, deepest)
+        if b == 0:
+            return self._quantify(a, vids, set_id, True, deepest)
+        V, L, H, LEV = self._var, self._lo, self._hi, self._level_of
+        na, nb = a >> 1, b >> 1
+        la, lb = LEV[V[na]], LEV[V[nb]]
+        if la > deepest and lb > deepest:
+            return self._ite(a, b, 1)  # plain conjunction below the last quantified level
+        if a > b:
+            a, b = b, a
+            na, nb = nb, na
+            la, lb = lb, la
+        cache = self._cache
+        key = (((a << 32 | b) << 32 | set_id) << 3) | _OP_ANDEX
+        result = cache.get(key)
+        if result is not None:
+            self.cache_hits += 1
+            return result
+        self.cache_misses += 1
+        level = la if la < lb else lb
+        vid = self._var_at[level]
+        if la == level:
+            ca = a & 1
+            a0, a1 = L[na] ^ ca, H[na] ^ ca
+        else:
+            a0 = a1 = a
+        if lb == level:
+            cb = b & 1
+            b0, b1 = L[nb] ^ cb, H[nb] ^ cb
+        else:
+            b0 = b1 = b
+        if vid in vids:
+            r0 = self._andex(a0, b0, vids, set_id, deepest)
+            if r0 == 0:
+                result = 0
+            else:
+                r1 = self._andex(a1, b1, vids, set_id, deepest)
+                result = self._ite(r0, 0, r1)  # r0 OR r1
+        else:
+            r0 = self._andex(a0, b0, vids, set_id, deepest)
+            r1 = self._andex(a1, b1, vids, set_id, deepest)
+            result = r1 if r0 == r1 else self._mk(vid, r0, r1)
+        cache[key] = result
+        if len(cache) >= self._cache_limit:
+            self._cache_overflow()
+        return result
 
     def _rename_relevant(self, node: BDDNode, mapping: Mapping[str, str]) -> dict[str, str]:
         """The support-restricted, validated renaming (targets declared)."""
@@ -564,6 +798,63 @@ class BDDManager:
         for new in relevant.values():
             self.declare(new)
         return relevant
+
+    def rename(self, node: BDDNode, mapping: Mapping[str, str]) -> BDDNode:
+        """Simultaneous substitution of variables by variables.
+
+        When the renaming is monotone on the support's levels (the
+        prime/unprime case: grouped pairs keep both orders aligned), the
+        diagram is relabelled structurally bottom-up in one O(n) pass;
+        otherwise it falls back to ite-composition, which re-reduces under
+        the target order.
+        """
+        relevant = self._rename_relevant(node, mapping)
+        if not relevant:
+            return self._handle(node._edge)
+        varids = self._varids
+        vmap = {varids[old]: varids[new] for old, new in relevant.items()}
+        LEV = self._level_of
+        ordered = sorted(self._support_vids(node._edge), key=LEV.__getitem__)
+        mapped = [LEV[vmap.get(v, v)] for v in ordered]
+        memo: dict[int, int] = {}
+        if all(x < y for x, y in zip(mapped, mapped[1:])):
+            edge = node._edge
+            result = self._relabel(edge & ~1, vmap, memo) ^ (edge & 1)
+            return self._handle(result)
+        return self._handle(self._compose(node._edge, vmap, memo))
+
+    def _relabel(self, e: int, vmap: dict[int, int], memo: dict[int, int]) -> int:
+        """Structural bottom-up relabel of a regular edge (order-preserving map)."""
+        n = e >> 1
+        if n == 0:
+            return e
+        done = memo.get(n)
+        if done is not None:
+            return done
+        lo = self._lo[n]
+        hi = self._hi[n]
+        rlo = self._relabel(lo & ~1, vmap, memo) ^ (lo & 1)
+        rhi = self._relabel(hi, vmap, memo)  # stored high edges are regular
+        vid = self._var[n]
+        result = self._mk(vmap.get(vid, vid), rlo, rhi)
+        memo[n] = result
+        return result
+
+    def _compose(self, e: int, vmap: dict[int, int], memo: dict[int, int]) -> int:
+        """Rename by ite-composition (correct for order-breaking maps)."""
+        n = e >> 1
+        if n == 0:
+            return e
+        c = e & 1
+        done = memo.get(n)
+        if done is None:
+            lo = self._compose(self._lo[n], vmap, memo)
+            hi = self._compose(self._hi[n], vmap, memo)
+            vid = self._var[n]
+            literal = self._mk(vmap.get(vid, vid), 1, 0)
+            done = self._ite(literal, hi, lo)
+            memo[n] = done
+        return done ^ c  # substitution commutes with negation
 
     def preimage(
         self,
@@ -648,7 +939,7 @@ class BDDManager:
             for group in sorted(groups, key=lambda g: population[g], reverse=True):
                 self._sift_group(groups, group, max_growth)
             total = self._population()
-            self._end_reorder(root_nodes)
+            self._collect([handle._edge for handle in root_nodes])
         finally:
             self._reordering = False
         self.reorder_count += 1
@@ -713,17 +1004,219 @@ class BDDManager:
             self._swap_groups(groups, position - 1)
             position -= 1
 
+    def _population(self) -> int:
+        return self._count
+
+    def _begin_reorder(self, root_nodes: Sequence[BDDNode]) -> None:
+        edges = [handle._edge for handle in root_nodes]
+        self._collect(edges)
+        # Root and parent reference counts let exchanges delete dead slots
+        # eagerly: from here on ``_count`` is the live total, the sifting
+        # metric.
+        V, L, H, R = self._var, self._lo, self._hi, self._ref
+        for n in range(1, len(V)):
+            if V[n] >= 0:
+                R[n] = 0
+        for n in range(1, len(V)):
+            if V[n] >= 0:
+                m = L[n] >> 1
+                if m:
+                    R[m] += 1
+                m = H[n] >> 1
+                if m:
+                    R[m] += 1
+        for e in edges:
+            n = e >> 1
+            if n:
+                R[n] += 1
+
+    def _collect(self, root_edges: Sequence[int]) -> None:
+        """Mark-and-sweep down to the diagrams of ``root_edges``.
+
+        Unreachable slots are freed for reuse, the unique table is rebuilt
+        without tombstones, the per-level lists are refiltered, and the
+        computed cache is dropped wholesale (its entries may name freed
+        slots).
+        """
+        V, L, H = self._var, self._lo, self._hi
+        mark = bytearray(len(V))
+        stack = [e >> 1 for e in root_edges if e >= 2]
+        while stack:
+            n = stack.pop()
+            if mark[n]:
+                continue
+            mark[n] = 1
+            m = L[n] >> 1
+            if m and not mark[m]:
+                stack.append(m)
+            m = H[n] >> 1
+            if m and not mark[m]:
+                stack.append(m)
+        var_nodes: dict[int, list[int]] = {}
+        free: list[int] = []
+        count = 0
+        for n in range(1, len(V)):
+            if mark[n]:
+                var_nodes.setdefault(V[n], []).append(n)
+                count += 1
+            else:
+                V[n] = -1
+                free.append(n)
+        self._var_nodes = var_nodes
+        self._free = free
+        self._count = count
+        self._rebuild_index()
+        self._cache_clear()
+
+    def _swap_adjacent(self, position: int) -> None:
+        """Exchange the variables at ``position`` and ``position + 1`` in place.
+
+        The classical level exchange over the array store: an affected node
+        keeps its slot and uid (so handles and shipped identifiers stay
+        valid) while its variable id, low and high are rewritten.  The
+        complement-edge invariant survives without any edge flipping: the
+        new high child is assembled from the old high cofactors, which are
+        read off stored (hence regular) high edges, so ``_claim`` always
+        returns it regular.
+        """
+        var_at = self._var_at
+        upper = var_at[position]
+        lower = var_at[position + 1]
+        V, L, H, R = self._var, self._lo, self._hi, self._ref
+        affected: list[int] = []
+        remaining: list[int] = []
+        seen: set[int] = set()
+        for n in self._var_nodes.get(upper, ()):
+            if V[n] != upper or R[n] <= 0 or n in seen:
+                continue  # died, migrated, or a stale duplicate entry
+            seen.add(n)
+            m = L[n] >> 1
+            k = H[n] >> 1
+            if (m and V[m] == lower) or (k and V[k] == lower):
+                affected.append(n)
+            else:
+                remaining.append(n)
+        # Reset the level list before rewriting: freshly created upper-level
+        # children re-register themselves through ``_claim``.
+        self._var_nodes[upper] = remaining
+        lower_level = self._var_nodes.setdefault(lower, [])
+        # Level bookkeeping: ids, names, ranks.
+        var_at[position], var_at[position + 1] = lower, upper
+        self._level_of[upper] = position + 1
+        self._level_of[lower] = position
+        upper_name = self._name_of[upper]
+        lower_name = self._name_of[lower]
+        self._order[position], self._order[position + 1] = lower_name, upper_name
+        self._rank[upper_name] = position + 1
+        self._rank[lower_name] = position
+        for n in affected:
+            old_lo = L[n]
+            old_hi = H[n]
+            self._table_delete(upper, old_lo, old_hi)
+            m = old_lo >> 1
+            if m and V[m] == lower:
+                c = old_lo & 1
+                lo0, lo1 = L[m] ^ c, H[m] ^ c
+            else:
+                lo0 = lo1 = old_lo
+            k = old_hi >> 1  # stored high edges are regular: no bit to push
+            if k and V[k] == lower:
+                hi0, hi1 = L[k], H[k]
+            else:
+                hi0 = hi1 = old_hi
+            new_hi = self._claim(upper, lo1, hi1)
+            new_lo = self._claim(upper, lo0, hi0)
+            assert new_hi & 1 == 0, "level exchange produced a complemented high edge"
+            V[n] = lower
+            L[n] = new_lo
+            H[n] = new_hi
+            self._table_insert(lower, new_lo, new_hi, n)
+            lower_level.append(n)
+            self._release(old_lo)
+            self._release(old_hi)
+
+    def _claim(self, vid: int, lo: int, hi: int) -> int:
+        """Reduced edge construction during a reorder, claiming one reference."""
+        R = self._ref
+        if lo == hi:
+            n = lo >> 1
+            if n:
+                R[n] += 1
+            return lo
+        c = hi & 1
+        if c:
+            lo ^= 1
+            hi ^= 1
+        key = (vid << 64) | (lo << 32) | hi
+        n = self._index.get(key)
+        if n is not None:
+            R[n] += 1
+            return (n << 1) | c
+        n = self._alloc(vid, lo, hi)
+        self._index[key] = n
+        R = self._ref  # _alloc may have extended the list object in place
+        R[n] = 1
+        m = lo >> 1
+        if m:
+            R[m] += 1
+        m = hi >> 1
+        if m:
+            R[m] += 1
+        return (n << 1) | c
+
+    def _release(self, e: int) -> None:
+        """Drop one reference; free the slot (and cascade) when none remain."""
+        n = e >> 1
+        if n == 0:
+            return
+        R = self._ref
+        R[n] -= 1
+        if R[n] > 0:
+            return
+        V, L, H = self._var, self._lo, self._hi
+        self._table_delete(V[n], L[n], H[n])
+        V[n] = -1
+        self._count -= 1
+        self._free.append(n)
+        self._release(L[n])
+        self._release(H[n])
+
+    def _table_delete(self, vid: int, lo: int, hi: int) -> None:
+        del self._index[(vid << 64) | (lo << 32) | hi]
+
+    def _table_insert(self, vid: int, lo: int, hi: int, node: int) -> None:
+        """Insert a rewritten node under its new key (must not collide)."""
+        key = (vid << 64) | (lo << 32) | hi
+        assert key not in self._index, "level exchange produced a duplicate"
+        self._index[key] = node
+
+    def _live_counts(self, roots: Sequence[BDDNode]) -> dict[str, int]:
+        """Per-variable node counts of the diagrams reachable from ``roots``."""
+        counts = {name: 0 for name in self._order}
+        V, L, H = self._var, self._lo, self._hi
+        name_of = self._name_of
+        seen: set[int] = set()
+        stack = [handle._edge >> 1 for handle in roots]
+        while stack:
+            n = stack.pop()
+            if n == 0 or n in seen:
+                continue
+            seen.add(n)
+            counts[name_of[V[n]]] += 1
+            stack.append(L[n] >> 1)
+            stack.append(H[n] >> 1)
+        return counts
+
     def statistics(self) -> dict:
         """Counters of the manager's life so far (sizes, peaks, caches)."""
         return {
-            "core": self.core,
             "variables": len(self._order),
             "table_nodes": self._population(),
             "live_nodes": sum(self._live_counts(self._protected).values()),
             "peak_nodes": self.peak_nodes,
             "reorders": self.reorder_count,
-            "nodes_created": self._nodes_created(),
-            "cache_entries": self._cache_entries(),
+            "nodes_created": self._created,
+            "cache_entries": len(self._cache),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_clears": self.cache_clears,
@@ -840,20 +1333,55 @@ class BDDManager:
             return high if assignment[node.variable] else low
         return self._node(node.variable, low, high)
 
+    def _node(self, variable: str, low: BDDNode, high: BDDNode) -> BDDNode:
+        self.declare(variable)
+        return self._handle(self._mk(self._varids[variable], low._edge, high._edge))
+
+    def _support_vids(self, e: int) -> set[int]:
+        V, L, H = self._var, self._lo, self._hi
+        seen: set[int] = set()
+        vids: set[int] = set()
+        stack = [e >> 1]
+        while stack:
+            n = stack.pop()
+            if n == 0 or n in seen:
+                continue
+            seen.add(n)
+            vids.add(V[n])
+            stack.append(L[n] >> 1)
+            stack.append(H[n] >> 1)
+        return vids
+
     def support(self, node: BDDNode) -> set[str]:
         """Variables the function actually depends on."""
+        name_of = self._name_of
+        return {name_of[v] for v in self._support_vids(node._edge)}
+
+    def size(self, node: BDDNode) -> int:
+        """Number of distinct decision slots of the diagram.
+
+        With complement edges a function and its negation share every slot,
+        so this can be smaller than the plain (complement-free) diagram —
+        it is the number the sifting metric and ``table_nodes`` count in.
+        """
+        V, L, H = self._var, self._lo, self._hi
         seen: set[int] = set()
-        variables: set[str] = set()
-        stack = [node]
+        stack = [node._edge >> 1]
+        count = 0
         while stack:
-            current = stack.pop()
-            if current.is_terminal or current.identifier in seen:
+            n = stack.pop()
+            if n == 0 or n in seen:
                 continue
-            seen.add(current.identifier)
-            variables.add(current.variable)
-            stack.append(current.low)
-            stack.append(current.high)
-        return variables
+            seen.add(n)
+            count += 1
+            stack.append(L[n] >> 1)
+            stack.append(H[n] >> 1)
+        return count
+
+    def _cofactors(self, node: BDDNode, variable: str) -> tuple[BDDNode, BDDNode]:
+        if node.is_terminal or node.variable != variable:
+            return node, node
+        return node.low, node.high
 
     def _counting_order(self, node: BDDNode, variables: Optional[list[str]]) -> list[str]:
         """Normalise a variable list to diagram order (undeclared names are
@@ -892,35 +1420,49 @@ class BDDManager:
     def count_satisfying(self, node: BDDNode, variables: Optional[list[str]] = None) -> int:
         """Number of satisfying assignments over ``variables``.
 
-        Computed by dynamic programming over the diagram (not by enumeration),
-        so counting the 2^n states of a large symbolic reachable set is cheap.
+        Edge-level dynamic programming: one memo entry per regular slot and
+        the complement handled arithmetically (``|¬f| = 2^k − |f|``), so
+        counting a huge reached set walks integers instead of materialising
+        a weakref handle per visited node.
         """
         names = self._counting_order(node, variables)
-        memo: dict[tuple[int, int], int] = {}
+        width = len(names)
+        LEV = self._level_of
+        position = {LEV[self._varids[name]]: index for index, name in enumerate(names)}
+        V, L, H = self._var, self._lo, self._hi
+        memo: dict[int, int] = {}
 
-        def count(current: BDDNode, index: int) -> int:
-            if index == len(names):
-                return 1 if current is self.true else 0
-            key = (current.identifier, index)
-            cached = memo.get(key)
-            if cached is None:
-                low, high = self._cofactors(current, names[index])
-                cached = count(low, index + 1) + count(high, index + 1)
-                memo[key] = cached
-            return cached
+        def count(e: int, index: int) -> int:
+            # models of edge ``e`` over ``names[index:]``
+            n = e >> 1
+            if n == 0:
+                return 0 if e & 1 else 1 << (width - index)
+            p = position[LEV[V[n]]]
+            sub = memo.get(n)
+            if sub is None:
+                # models of the regular function at ``n`` over ``names[p:]``
+                sub = count(L[n], p + 1) + count(H[n], p + 1)
+                memo[n] = sub
+            if e & 1:
+                sub = (1 << (width - p)) - sub
+            return sub << (p - index)
 
-        return count(node, 0)
+        return count(node._edge, 0)
 
     def evaluate(self, node: BDDNode, assignment: dict[str, bool]) -> bool:
         """Evaluate the function under a total assignment of its support."""
-        current = node
-        while not current.is_terminal:
+        V, L, H = self._var, self._lo, self._hi
+        name_of = self._name_of
+        e = node._edge
+        n = e >> 1
+        while n:
             try:
-                value = assignment[current.variable]
+                value = assignment[name_of[V[n]]]
             except KeyError:
-                raise KeyError(f"assignment misses variable {current.variable!r}") from None
-            current = current.high if value else current.low
-        return current is self.true
+                raise KeyError(f"assignment misses variable {name_of[V[n]]!r}") from None
+            e = (H[n] if value else L[n]) ^ (e & 1)
+            n = e >> 1
+        return e == 0
 
     def to_expression(self, node: BDDNode) -> str:
         """A readable sum-of-cubes rendering of the function."""
@@ -934,405 +1476,55 @@ class BDDManager:
             cubes.append(" ∧ ".join(literals) if literals else "true")
         return " ∨ ".join(cubes) if cubes else "false"
 
-    def size(self, node: BDDNode) -> int:
-        """Number of distinct decision nodes of the diagram."""
-        seen: set[int] = set()
-        stack = [node]
-        count = 0
-        while stack:
-            current = stack.pop()
-            if current.is_terminal or current.identifier in seen:
-                continue
-            seen.add(current.identifier)
-            count += 1
-            stack.append(current.low)
-            stack.append(current.high)
-        return count
+    def _load_payload(self, payload: Mapping) -> list[BDDNode]:
+        """The table rebuild behind :func:`repro.clocks.bdd.load_nodes`.
 
-
-class ObjectBDDManager(BDDManager):
-    """The reference core: one Python object per node, dict-based tables.
-
-    Slower than the array core but structurally transparent — every node is
-    a :class:`BDDNode` with real attributes — which is what makes it the
-    differential oracle the array core is pinned against in
-    ``tests/test_bdd_core.py`` and the CI ``bdd-core`` matrix leg.
-    """
-
-    core = "object"
-    _default_cache_ratio = 8.0
-
-    #: Never trim the dict caches below this many entries, whatever the
-    #: ratio says — tiny tables would otherwise thrash the caches on every
-    #: recursion.
-    _CACHE_FLOOR = 1 << 15
-
-    def _setup_core(self) -> None:
-        self.false = BDDNode(None, None, None, 0)
-        self.true = BDDNode(None, None, None, 1)
-        self._next_id = 2
-        self._unique: dict[tuple[str, int, int], BDDNode] = {}
-        self._ite_cache: dict[tuple[int, int, int], BDDNode] = {}
-        self._quant_cache: dict[tuple[int, int, bool], BDDNode] = {}
-        self._relprod_cache: dict[tuple[int, int, int], BDDNode] = {}
-        self._varsets: dict[frozenset, int] = {}
-        #: Per-variable node index, so a level exchange touches one level's
-        #: nodes instead of scanning the whole unique table.
-        self._var_nodes: dict[str, list[BDDNode]] = {}
-
-    # -- core accounting -----------------------------------------------------------
-
-    def _population(self) -> int:
-        return len(self._unique)
-
-    def _nodes_created(self) -> int:
-        return self._next_id - 2
-
-    def _cache_entries(self) -> int:
-        return len(self._ite_cache) + len(self._quant_cache) + len(self._relprod_cache)
-
-    def _note_cache_insert(self) -> None:
-        """Clear the dict caches once they outgrow ``cache_ratio × table``."""
-        limit = max(self._CACHE_FLOOR, int(self.cache_ratio * len(self._unique)))
-        if self._cache_entries() > limit:
-            self._ite_cache.clear()
-            self._quant_cache.clear()
-            self._relprod_cache.clear()
-            self.cache_clears += 1
-
-    # -- variables -----------------------------------------------------------------
-
-    def var(self, name: str) -> BDDNode:
-        """The BDD of the literal ``name``."""
-        self.declare(name)
-        return self._node(name, self.false, self.true)
-
-    def nvar(self, name: str) -> BDDNode:
-        """The BDD of the negated literal ``¬name``."""
-        self.declare(name)
-        return self._node(name, self.true, self.false)
-
-    # -- node construction ---------------------------------------------------------
-
-    def _node(self, variable: str, low: BDDNode, high: BDDNode) -> BDDNode:
-        if low is high:
-            return low
-        node = self._unique.get((variable, low.identifier, high.identifier))
-        if node is None:
+        Rebuilds the table over raw edges — no handles, no weak-dict
+        traffic — and short-circuits ``ite(var, high, low)`` to a single
+        ``_mk`` whenever the variable sits above both children in the
+        current order (always true when the dump-time order is a suffix-
+        compatible match, the warm-cache common case).
+        """
+        for name in payload["order"]:
+            self.declare(name)
+        varids = self._varids
+        V, LEV = self._var, self._level_of
+        table = [1, 0]  # payload index 0 = false, 1 = true
+        for entry in payload["nodes"]:
+            variable, low, high = entry
             if (
-                self.node_budget is not None
-                and not self._reordering
-                and len(self._unique) >= self.node_budget
+                not isinstance(variable, str)
+                or not (0 <= low < len(table))
+                or not (0 <= high < len(table))
             ):
-                raise NodeBudgetExceeded(
-                    f"unique table would outgrow the node budget of {self.node_budget}"
-                )
-            node = self._new_node(variable, low, high)
-        return node
+                raise ValueError(f"malformed BDD dump entry {entry!r}")
+            vid = varids.get(variable)
+            if vid is None:
+                self.declare(variable)
+                vid = varids[variable]
+            level = LEV[vid]
+            lo_e = table[low]
+            hi_e = table[high]
+            nl = lo_e >> 1
+            nh = hi_e >> 1
+            if (nl == 0 or LEV[V[nl]] > level) and (nh == 0 or LEV[V[nh]] > level):
+                table.append(self._mk(vid, lo_e, hi_e))
+            else:  # the target order differs: re-reduce through ITE
+                table.append(self._ite(self._mk(vid, 1, 0), hi_e, lo_e))
+        roots = payload["roots"]
+        if any(not isinstance(index, int) or not (0 <= index < len(table)) for index in roots):
+            raise ValueError("BDD dump root index out of range")
+        return [self._handle(table[index]) for index in roots]
 
-    def _new_node(self, variable: str, low: BDDNode, high: BDDNode) -> BDDNode:
-        """Create and register a fresh node (table, level index, peak stats)."""
-        node = BDDNode(variable, low, high, self._next_id)
-        self._next_id += 1
-        self._unique[(variable, low.identifier, high.identifier)] = node
-        self._var_nodes.setdefault(variable, []).append(node)
-        population = len(self._unique)
-        if population > self.peak_nodes:
-            self.peak_nodes = population
-            if population > GLOBAL_STATS["peak_nodes"]:
-                GLOBAL_STATS["peak_nodes"] = population
-        return node
+    # -- invariant checking (tests) --------------------------------------------------
 
-    def ite(self, condition: BDDNode, then: BDDNode, otherwise: BDDNode) -> BDDNode:
-        """The if-then-else combinator, core of every boolean connective."""
-        if condition is self.true:
-            return then
-        if condition is self.false:
-            return otherwise
-        if then is otherwise:
-            return then
-        if then is self.true and otherwise is self.false:
-            return condition
-        key = (condition.identifier, then.identifier, otherwise.identifier)
-        cached = self._ite_cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        variable = self._top_variable(condition, then, otherwise)
-        c_low, c_high = self._cofactors(condition, variable)
-        t_low, t_high = self._cofactors(then, variable)
-        o_low, o_high = self._cofactors(otherwise, variable)
-        result = self._node(
-            variable,
-            self.ite(c_low, t_low, o_low),
-            self.ite(c_high, t_high, o_high),
-        )
-        self._ite_cache[key] = result
-        self._note_cache_insert()
-        return result
-
-    # -- quantification and relational operations ---------------------------------------
-
-    def _varset_id(self, variables: Iterable[str]) -> tuple[frozenset, int]:
-        names = variables if isinstance(variables, frozenset) else frozenset(variables)
-        identifier = self._varsets.get(names)
-        if identifier is None:
-            identifier = len(self._varsets)
-            self._varsets[names] = identifier
-        return names, identifier
-
-    def exists(self, node: BDDNode, variables: Iterable[str]) -> BDDNode:
-        """Existential quantification ``∃ variables . node``."""
-        names, set_id = self._varset_id(variables)
-        return self._quantify(node, names, set_id, existential=True)
-
-    def forall(self, node: BDDNode, variables: Iterable[str]) -> BDDNode:
-        """Universal quantification ``∀ variables . node``."""
-        names, set_id = self._varset_id(variables)
-        return self._quantify(node, names, set_id, existential=False)
-
-    def _quantify(self, node: BDDNode, names: frozenset, set_id: int, existential: bool) -> BDDNode:
-        if node.is_terminal:
-            return node
-        key = (node.identifier, set_id, existential)
-        cached = self._quant_cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        low = self._quantify(node.low, names, set_id, existential)
-        high = self._quantify(node.high, names, set_id, existential)
-        if node.variable in names:
-            result = self.disj(low, high) if existential else self.conj(low, high)
-        else:
-            result = self._node(node.variable, low, high)
-        self._quant_cache[key] = result
-        self._note_cache_insert()
-        return result
-
-    def rename(self, node: BDDNode, mapping: Mapping[str, str]) -> BDDNode:
-        """Simultaneous substitution of variables by variables.
-
-        The substitution is functional composition, so it is correct even when
-        the renaming does not preserve the variable ordering (the result is
-        rebuilt with ``ite``); renaming onto a variable in the support of
-        ``node`` that is not itself renamed away is rejected.
-        """
-        relevant = self._rename_relevant(node, mapping)
-        memo: dict[int, BDDNode] = {}
-
-        def walk(current: BDDNode) -> BDDNode:
-            if current.is_terminal:
-                return current
-            done = memo.get(current.identifier)
-            if done is not None:
-                return done
-            low = walk(current.low)
-            high = walk(current.high)
-            target = relevant.get(current.variable, current.variable)
-            result = self.ite(self.var(target), high, low)
-            memo[current.identifier] = result
-            return result
-
-        return walk(node)
-
-    def and_exists(self, left: BDDNode, right: BDDNode, variables: Iterable[str]) -> BDDNode:
-        """The relational product ``∃ variables . left ∧ right`` in one pass.
-
-        Quantifying while conjoining avoids materialising the (often much
-        larger) conjunction — the classical optimisation of symbolic image
-        computation.
-        """
-        names, set_id = self._varset_id(variables)
-        return self._and_exists(left, right, names, set_id)
-
-    def _and_exists(self, left: BDDNode, right: BDDNode, names: frozenset, set_id: int) -> BDDNode:
-        if left is self.false or right is self.false:
-            return self.false
-        if left is self.true and right is self.true:
-            return self.true
-        if left is self.true:
-            return self._quantify(right, names, set_id, existential=True)
-        if right is self.true:
-            return self._quantify(left, names, set_id, existential=True)
-        key = (min(left.identifier, right.identifier), max(left.identifier, right.identifier), set_id)
-        cached = self._relprod_cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        variable = self._top_variable(left, right)
-        l_low, l_high = self._cofactors(left, variable)
-        r_low, r_high = self._cofactors(right, variable)
-        low = self._and_exists(l_low, r_low, names, set_id)
-        if variable in names and low is self.true:
-            result = self.true
-        else:
-            high = self._and_exists(l_high, r_high, names, set_id)
-            if variable in names:
-                result = self.disj(low, high)
-            else:
-                result = self._node(variable, low, high)
-        self._relprod_cache[key] = result
-        self._note_cache_insert()
-        return result
-
-    # -- dynamic variable reordering -----------------------------------------------------
-
-    def _begin_reorder(self, root_nodes: Sequence[BDDNode]) -> None:
-        self._collect(root_nodes)
-        # Root and parent reference counts let exchanges delete dead
-        # diagrams eagerly: from here on the table holds exactly the
-        # live nodes, so ``len(self._unique)`` is the sifting metric.
-        for node in self._unique.values():
-            node.refcount = 0
-        for node in self._unique.values():
-            if not node.low.is_terminal:
-                node.low.refcount += 1
-            if not node.high.is_terminal:
-                node.high.refcount += 1
-        for root in root_nodes:
-            root.refcount += 1
-
-    def _end_reorder(self, root_nodes: Sequence[BDDNode]) -> None:
-        self._collect(root_nodes)  # rebuild the level index, drop dead entries
-
-    def _collect(self, roots: Sequence[BDDNode]) -> None:
-        """Mark-and-sweep the unique table down to ``roots``' diagrams.
-
-        Nodes unreachable from the roots are dropped from the table (their
-        Python objects become dead weight the moment the caller lets go);
-        the operation caches are cleared wholesale since they may reference
-        swept nodes.  Only called inside :meth:`reorder` — the sweep is what
-        keeps level exchanges proportional to the live diagrams instead of
-        every node ever created.
-        """
-        live: dict[int, BDDNode] = {}
-        stack = list(roots)
-        while stack:
-            node = stack.pop()
-            if node.is_terminal or node.identifier in live:
+    def assert_canonical(self) -> None:
+        """Check the complement-edge canonicity invariants over every live slot."""
+        V, L, H = self._var, self._lo, self._hi
+        for n in range(1, len(V)):
+            if V[n] < 0:
                 continue
-            live[node.identifier] = node
-            stack.append(node.low)
-            stack.append(node.high)
-        self._unique = {
-            (node.variable, node.low.identifier, node.high.identifier): node
-            for node in live.values()
-        }
-        self._var_nodes = {}
-        for node in live.values():
-            self._var_nodes.setdefault(node.variable, []).append(node)
-        self._ite_cache.clear()
-        self._quant_cache.clear()
-        self._relprod_cache.clear()
-        self.cache_clears += 1
-
-    def _swap_adjacent(self, position: int) -> None:
-        """Exchange the variables at ``position`` and ``position + 1`` in place.
-
-        The classical level exchange: every live node labelled by the upper
-        variable whose cofactors mention the lower one is rewritten *in
-        place* — same object, same identifier, same boolean function — so
-        references into the root diagrams, and name-based maps, stay valid.
-        Nodes without a lower-variable cofactor simply travel with their
-        label's new rank.  The exchange preserves canonicity because a
-        rewritten node can collide neither with a pre-existing lower-variable
-        node (those are ordered below both levels, hence free of the upper
-        variable, while a rewrite keeps at least one upper-variable cofactor)
-        nor with another rewrite (distinct functions stay distinct).
-
-        Reference counts (established by :meth:`reorder` after its garbage
-        collection) are maintained: rewired-away children are released and
-        dead diagrams deleted eagerly, so ``len(self._unique)`` *is* the live
-        node count throughout sifting — the metric positions are judged by.
-        """
-        upper = self._order[position]
-        lower = self._order[position + 1]
-        affected: list[BDDNode] = []
-        remaining: list[BDDNode] = []
-        for node in self._var_nodes.get(upper, ()):
-            if node.refcount <= 0 or node.variable != upper:
-                continue  # died, or migrated in an earlier exchange
-            if node.low.variable == lower or node.high.variable == lower:
-                affected.append(node)
-            else:
-                remaining.append(node)
-        # Reset the level index before rewriting: freshly created upper-level
-        # children re-register themselves through ``_claim``.
-        self._var_nodes[upper] = remaining
-        lower_level = self._var_nodes.setdefault(lower, [])
-        for node in affected:
-            del self._unique[(upper, node.low.identifier, node.high.identifier)]
-        self._order[position], self._order[position + 1] = lower, upper
-        self._rank[upper], self._rank[lower] = self._rank[lower], self._rank[upper]
-        for node in affected:
-            old_low, old_high = node.low, node.high
-            low_low, low_high = self._cofactors(old_low, lower)
-            high_low, high_high = self._cofactors(old_high, lower)
-            new_low = self._claim(upper, low_low, high_low)
-            new_high = self._claim(upper, low_high, high_high)
-            node.variable = lower
-            node.low = new_low
-            node.high = new_high
-            new_key = (lower, new_low.identifier, new_high.identifier)
-            assert new_key not in self._unique, "level exchange produced a duplicate"
-            self._unique[new_key] = node
-            lower_level.append(node)
-            self._release(old_low)
-            self._release(old_high)
-
-    def _claim(self, variable: str, low: BDDNode, high: BDDNode) -> BDDNode:
-        """Reduced node construction during a reorder, claiming one reference."""
-        if low is high:
-            if not low.is_terminal:
-                low.refcount += 1
-            return low
-        node = self._unique.get((variable, low.identifier, high.identifier))
-        if node is not None:
-            node.refcount += 1
-            return node
-        node = self._new_node(variable, low, high)
-        node.refcount = 1
-        if not low.is_terminal:
-            low.refcount += 1
-        if not high.is_terminal:
-            high.refcount += 1
-        return node
-
-    def _release(self, node: BDDNode) -> None:
-        """Drop one reference; delete the node (and cascade) when none remain."""
-        if node.is_terminal:
-            return
-        node.refcount -= 1
-        if node.refcount > 0:
-            return
-        del self._unique[(node.variable, node.low.identifier, node.high.identifier)]
-        self._release(node.low)
-        self._release(node.high)
-
-    def _live_counts(self, roots: Sequence[BDDNode]) -> dict[str, int]:
-        """Per-variable node counts of the diagrams reachable from ``roots``."""
-        counts = {name: 0 for name in self._order}
-        seen: set[int] = set()
-        stack = list(roots)
-        while stack:
-            current = stack.pop()
-            if current.is_terminal or current.identifier in seen:
-                continue
-            seen.add(current.identifier)
-            counts[current.variable] += 1
-            stack.append(current.low)
-            stack.append(current.high)
-        return counts
-
-
-_CORES["object"] = ObjectBDDManager
-
-# The array core lives in its own module (it shares nothing structural with
-# the object core beyond the base class); importing it registers it under
-# _CORES["array"].  Imported last so the base machinery above is defined.
-from .bdd_array import ArrayBDDManager, ArrayBDDNode  # noqa: E402
-
-_CORES["array"] = ArrayBDDManager
+            if H[n] & 1:
+                raise AssertionError(f"slot {n} stores a complemented high edge")
+            if L[n] == H[n]:
+                raise AssertionError(f"slot {n} is redundant (equal children)")

@@ -85,7 +85,7 @@ def resolve_step_compile(mode: Optional[str]) -> str:
 # ------------------------------------------------------------------- global stats
 
 # Process-wide counters the bench-smoke conftest folds into BENCH_SMOKE.json,
-# mirroring repro.clocks.bdd / repro.verification.parallel.
+# mirroring repro.clocks.bdd.
 _GLOBAL_STATS = {"kernels": 0, "step_speedup": 0.0}
 
 

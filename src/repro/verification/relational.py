@@ -41,12 +41,11 @@ reorder groups so renaming stays cheap across reorders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from ..clocks.bdd import BDDManager, BDDNode, dump_nodes, load_nodes
 from ..core.values import ABSENT
 from .invariants import CheckResult
-from .parallel import PARALLEL_MODES, ParallelImageEngine, resolve_workers
 from .reachability import (
     ControlVerdict,
     Reachability,
@@ -90,17 +89,6 @@ class RelationalEngineOptions:
         node_budget: hard cap on the unique table —
             :class:`~repro.clocks.bdd.NodeBudgetExceeded` beyond it (None =
             unbounded; benchmarks use this to bound adversarial orders).
-        parallel: run the fixpoint's image computations on a persistent pool
-            of spawned worker processes (:mod:`repro.verification.parallel`):
-            a worker count, ``"auto"`` (``REPRO_PARALLEL_WORKERS`` env, else
-            ``os.cpu_count()``), or None/0 for the sequential fold.  Pooled
-            and sequential runs produce identical results — the differential
-            suite pins verdicts, state counts, rings and rendered traces.
-        parallel_mode: ``"frontier"`` disjunctively shards the frontier by
-            state variable (each worker computes a full image, the parent
-            disjoins); ``"clusters"`` computes per-cluster partial products
-            in parallel (each worker eliminates only its cluster-private
-            variables, the parent conjoins and finishes the quantification).
     """
 
     partition: bool = True
@@ -108,19 +96,12 @@ class RelationalEngineOptions:
     cluster_size: int = 600
     reorder_threshold: int = 20000
     node_budget: Optional[int] = None
-    parallel: Optional[Union[int, str]] = None
-    parallel_mode: str = "frontier"
 
 
 def manager_for_options(options: RelationalEngineOptions) -> BDDManager:
     """A BDD manager configured from the shared relational knobs."""
     if options.reorder not in ("auto", "off"):
         raise ValueError(f"reorder must be 'auto' or 'off', not {options.reorder!r}")
-    if options.parallel_mode not in PARALLEL_MODES:
-        raise ValueError(
-            f"parallel_mode must be one of {PARALLEL_MODES}, not {options.parallel_mode!r}"
-        )
-    resolve_workers(options.parallel)  # fail on nonsense before any BDD work
     return BDDManager(
         auto_reorder=options.reorder == "auto",
         reorder_threshold=options.reorder_threshold,
@@ -236,9 +217,6 @@ class RelationalFixpointEngine:
     frontiers for counterexample paths) lands in both at once.
     """
 
-    #: Pooled-image statistics of the last fixpoint (None = it ran sequentially).
-    _parallel_stats: Optional[dict] = None
-
     def _finalise_relation(
         self, parts: Sequence[BDDNode], partition: bool, cluster_size: int
     ) -> None:
@@ -306,47 +284,27 @@ class RelationalFixpointEngine:
         reached after exactly k images): the onion rings counterexample
         extraction walks backward through.  Keeping them is free — they are
         exactly the frontier BDDs the loop already computes.
-
-        With ``options.parallel`` set, every image runs on the worker pool
-        (:class:`~repro.verification.parallel.ParallelImageEngine`) — the
-        result BDDs are identical by hash-consing, only the statistics
-        differ; the pool's per-worker counters are folded into
-        :meth:`statistics` when the loop ends.
         """
         manager = self.manager
-        pool = self._parallel_image_engine()
-        compute_image = self.image if pool is None else pool.image
         reach = self.initial
         frontier = self.initial
         rings = [self.initial]
         iterations = 0
-        self._parallel_stats = None
-        try:
-            while frontier is not manager.false:
-                if max_iterations is not None and iterations >= max_iterations:
-                    return manager.protect(reach), iterations, False, rings
-                successors = compute_image(frontier)
-                frontier = manager.diff(successors, reach)
-                reach = manager.disj(reach, frontier)
-                if frontier is not manager.false:
-                    rings.append(manager.protect(frontier))
-                iterations += 1
-                # Iteration boundary = reordering checkpoint: the rings are
-                # protected, the running reach is passed explicitly, every other
-                # intermediate of this iteration is dead — exactly the state a
-                # garbage-collecting reorder needs.
-                manager.maybe_reorder((reach,))
-            return manager.protect(reach), iterations, True, rings
-        finally:
-            if pool is not None:
-                self._parallel_stats = pool.finish()
-
-    def _parallel_image_engine(self) -> Optional[ParallelImageEngine]:
-        """A pooled image engine when the options ask for one (None = sequential)."""
-        workers = resolve_workers(self.options.parallel)
-        if workers is None:
-            return None
-        return ParallelImageEngine(self, workers, self.options.parallel_mode)
+        while frontier is not manager.false:
+            if max_iterations is not None and iterations >= max_iterations:
+                return manager.protect(reach), iterations, False, rings
+            successors = self.image(frontier)
+            frontier = manager.diff(successors, reach)
+            reach = manager.disj(reach, frontier)
+            if frontier is not manager.false:
+                rings.append(manager.protect(frontier))
+            iterations += 1
+            # Iteration boundary = reordering checkpoint: the rings are
+            # protected, the running reach is passed explicitly, every other
+            # intermediate of this iteration is dead — exactly the state a
+            # garbage-collecting reorder needs.
+            manager.maybe_reorder((reach,))
+        return manager.protect(reach), iterations, True, rings
 
     # -- suspend / resume ------------------------------------------------------------
 
@@ -417,17 +375,9 @@ class RelationalFixpointEngine:
             yield self.decode_reaction(model)
 
     def statistics(self) -> dict:
-        """BDD-level engine statistics (peak nodes, reorders, clusters, ...).
-
-        After a pooled fixpoint the per-worker counters ride along under
-        ``parallel_*`` keys: worker count and mode, images computed on the
-        pool, requests shipped, bytes serialised each way and the summed
-        worker-side wall-clock.
-        """
+        """BDD-level engine statistics (peak nodes, reorders, clusters, ...)."""
         stats = self.manager.statistics()
         stats["clusters"] = self.relation.cluster_count
-        if self._parallel_stats:
-            stats.update(self._parallel_stats)
         return stats
 
 

@@ -82,12 +82,10 @@ VALUE_ATOM_LIMIT = 1 << 16
 class SymbolicIntOptions(RelationalEngineOptions):
     """Parameters of a finite-integer symbolic exploration.
 
-    Inherits the partitioning/reordering/parallelism knobs of
+    Inherits the partitioning/reordering knobs of
     :class:`~repro.verification.relational.RelationalEngineOptions`
     (``partition``, ``reorder``, ``cluster_size``, ``reorder_threshold``,
-    ``node_budget``, ``parallel``, ``parallel_mode`` — the last two run the
-    fixpoint's image computations on a pool of spawned workers, with results
-    pinned identical to the sequential fold) and adds:
+    ``node_budget``) and adds:
 
     Attributes:
         max_iterations: bound on image-computation rounds (None = fixpoint).

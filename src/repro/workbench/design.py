@@ -40,7 +40,6 @@ default keeps batch throughput unchanged).
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -147,7 +146,6 @@ class Design:
         symbolic_int_options: Optional[SymbolicIntOptions] = None,
         polynomial_max_states: int = 5000,
         symbolic_state_threshold: Optional[int] = None,
-        parallel: Optional[Union[int, str]] = None,
         step_compile: Optional[str] = None,
         registry: Optional[BackendRegistry] = None,
         source: Optional[str] = None,
@@ -177,17 +175,10 @@ class Design:
         self.symbolic_int_options = symbolic_int_options or SymbolicIntOptions(
             integer_domain=self.exploration_options.integer_domain
         )
-        if parallel is not None:
-            # One knob for both symbolic engines: pooled image computation
-            # (repro.verification.parallel).  Results are pinned identical to
-            # the sequential fold, so this is purely a resource decision —
-            # and it rides DesignSpec into job workers unchanged.
-            self.symbolic_options = replace(self.symbolic_options, parallel=parallel)
-            self.symbolic_int_options = replace(self.symbolic_int_options, parallel=parallel)
         # Which engine CompiledProcess.step runs reactions on ("codegen" by
         # default, "interp" for the reference evaluator); None defers to the
         # REPRO_STEP_COMPILE environment knob.  Rides DesignSpec into job
-        # workers like the parallel knob does.
+        # workers.
         self.step_compile = step_compile
         self.polynomial_max_states = polynomial_max_states
         # Past this many *potential* ternary state valuations the explicit

@@ -142,17 +142,8 @@ def worker_main(worker: str, tasks: Any, results: Any, cache_spec: Optional[tupl
 
     configure_cache(store)
     results.put(WorkerReady(worker, os.getpid()))
-    try:
-        while True:
-            spec = tasks.get()
-            if spec is None:
-                break
-            _run_job(worker, spec, results, store, cancel_cell)
-    finally:
-        # A job whose symbolic options asked for pooled image computation
-        # spawned image workers *inside this worker*; the shared group is
-        # deliberately kept alive between jobs (pool reuse — rehydration is
-        # the expensive part), so it is torn down here, with the worker.
-        from ...verification.parallel import shutdown_shared_groups
-
-        shutdown_shared_groups()
+    while True:
+        spec = tasks.get()
+        if spec is None:
+            break
+        _run_job(worker, spec, results, store, cancel_cell)

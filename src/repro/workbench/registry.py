@@ -35,11 +35,7 @@ Every backend also reports engine statistics through
 pressure (peak/live nodes, dynamic reorders, transition-relation clusters)
 for the symbolic engines, state/transition counts for the explicit ones —
 which batch reports surface as
-:attr:`~repro.workbench.report.Report.engine_statistics`.  Both symbolic
-backends additionally honour ``Design(..., parallel=N | "auto")`` — pooled
-image computation (:mod:`repro.verification.parallel`) whose per-worker
-counters (``parallel_*`` keys) ride the same statistics channel into
-``Report.summary()``.
+:attr:`~repro.workbench.report.Report.engine_statistics`.
 
 Use :func:`register_backend` to add an engine globally, or
 ``Design(..., registry=...)`` / :meth:`BackendRegistry.copy` for a private

@@ -1,238 +1,288 @@
-"""Differential properties: the array BDD core against the object oracle.
+"""The BDD core against a brute-force truth-table oracle.
 
-The array core (complement edges, one ITE primitive, integer tables) must
-be observationally identical to the object core on every public operation.
-These tests build the same fixed-seed random functions on one manager of
-each core and pin model counts, satisfying-assignment sets, quantification,
-relational products, renames, preimages, reorder round-trips and dump/load
-payloads to each other — plus the canonicity invariants that only exist on
-the array core (no stored complemented high edge, O(1) involutive
-negation).
+Every test builds one fixed-seed random expression twice: as a BDD through
+the manager's public API, and as a truth table — a function over ``n <= 12``
+variables stored as a ``2**n``-bit integer whose bit ``i`` is the value
+under the assignment giving ``names[k]`` the ``k``-th bit of ``i``.  The
+table side shares no algorithm with the code under test: connectives are
+integer bit operations, and quantification, restriction and renaming
+enumerate assignments directly.  The tests pin model counts and sets,
+``exists``/``forall``, ``and_exists``, order-keeping and order-breaking
+``rename``, ``preimage``, ``restrict``, and round-trips through
+``reorder()`` and ``dump_nodes``/``load_nodes`` to the table — plus the
+canonicity invariants of the complement-edge store (no stored complemented
+high edge, O(1) involutive negation).
 """
 
 import random
 
 import pytest
 
-from repro.clocks.bdd import (
-    BDDManager,
-    dump_nodes,
-    load_nodes,
-    resolve_bdd_core,
-)
-from repro.clocks.bdd_array import ArrayBDDManager, ArrayBDDNode
+from repro.clocks.bdd import BDDManager, BDDNode, dump_nodes, load_nodes
 
 NAMES = [f"v{index}" for index in range(7)]
 
 
-def random_function(manager, names, rng, depth=4):
-    """The fixed-seed random BDD grammar shared with the reorder suite."""
+# -- the oracle -------------------------------------------------------------------
+
+
+def random_expression(names, rng, depth=4):
+    """A fixed-seed random expression tree over ``names``."""
     if depth == 0 or rng.random() < 0.3:
-        name = rng.choice(names)
-        return manager.var(name) if rng.random() < 0.5 else manager.nvar(name)
-    left = random_function(manager, names, rng, depth - 1)
-    right = random_function(manager, names, rng, depth - 1)
-    return rng.choice([manager.conj, manager.disj, manager.xor])(left, right)
+        return ("lit", rng.choice(names), rng.random() < 0.5)
+    roll = rng.random()
+    if roll < 0.1:
+        return ("not", random_expression(names, rng, depth - 1))
+    if roll < 0.25:
+        return (
+            "ite",
+            random_expression(names, rng, depth - 1),
+            random_expression(names, rng, depth - 1),
+            random_expression(names, rng, depth - 1),
+        )
+    op = rng.choice(["and", "or", "xor"])
+    return (op, random_expression(names, rng, depth - 1), random_expression(names, rng, depth - 1))
 
 
-def assignment_set(manager, node, names):
-    return {
-        tuple(sorted(model.items()))
-        for model in manager.satisfying_assignments(node, names)
-    }
+def build(manager, expression):
+    """The expression as a BDD of ``manager``."""
+    kind = expression[0]
+    if kind == "lit":
+        _, name, positive = expression
+        return manager.var(name) if positive else manager.nvar(name)
+    if kind == "not":
+        return manager.neg(build(manager, expression[1]))
+    if kind == "ite":
+        return manager.ite(*(build(manager, part) for part in expression[1:]))
+    left, right = build(manager, expression[1]), build(manager, expression[2])
+    return {"and": manager.conj, "or": manager.disj, "xor": manager.xor}[kind](left, right)
 
 
-def pair(names=NAMES):
-    """One manager of each core over the same declaration order."""
-    return BDDManager(names, core="object"), BDDManager(names, core="array")
+class Table:
+    """Truth tables over a fixed variable list (at most 12 variables)."""
+
+    def __init__(self, names):
+        assert len(names) <= 12
+        self.names = list(names)
+        self.size = 1 << len(names)
+        self.full = (1 << self.size) - 1
+
+    def literal(self, name):
+        k = self.names.index(name)
+        return sum(1 << i for i in range(self.size) if i >> k & 1)
+
+    def of(self, expression):
+        kind = expression[0]
+        if kind == "lit":
+            _, name, positive = expression
+            table = self.literal(name)
+            return table if positive else self.full ^ table
+        if kind == "not":
+            return self.full ^ self.of(expression[1])
+        if kind == "ite":
+            c, t, e = (self.of(part) for part in expression[1:])
+            return (c & t) | ((self.full ^ c) & e)
+        left, right = self.of(expression[1]), self.of(expression[2])
+        return {"and": left & right, "or": left | right, "xor": left ^ right}[kind]
+
+    def models(self, table):
+        return {i for i in range(self.size) if table >> i & 1}
+
+    def assignment(self, index):
+        return {name: bool(index >> k & 1) for k, name in enumerate(self.names)}
+
+    def index(self, assignment):
+        return sum(1 << k for k, name in enumerate(self.names) if assignment[name])
+
+    def where(self, predicate):
+        """The table of ``predicate(assignment)`` over every assignment."""
+        return sum(1 << i for i in range(self.size) if predicate(self.assignment(i)))
+
+    def value(self, table, assignment):
+        return bool(table >> self.index(assignment) & 1)
+
+    def quantify(self, table, variables, existential):
+        def holds(assignment):
+            values = []
+            for bits in range(1 << len(variables)):
+                flipped = dict(assignment)
+                for k, name in enumerate(variables):
+                    flipped[name] = bool(bits >> k & 1)
+                values.append(self.value(table, flipped))
+            return any(values) if existential else all(values)
+
+        return self.where(holds)
+
+    def restrict(self, table, fixed):
+        return self.where(lambda a: self.value(table, {**a, **fixed}))
+
+    def rename(self, table, mapping):
+        """``f[old := new]``: the result reads each ``old`` at ``new``."""
+
+        def renamed(assignment):
+            source = dict(assignment)
+            for old, new in mapping.items():
+                source[old] = assignment[new]
+            return self.value(table, source)
+
+        return self.where(renamed)
 
 
-def build_both(seed, depth=4, names=NAMES):
-    obj, arr = pair(names)
-    f_obj = random_function(obj, names, random.Random(seed), depth)
-    f_arr = random_function(arr, names, random.Random(seed), depth)
-    return obj, arr, f_obj, f_arr
+def assert_matches(manager, node, oracle, table):
+    """Model set and model count of ``node`` equal the truth table's."""
+    models = {oracle.index(model) for model in manager.satisfying_assignments(node, oracle.names)}
+    assert models == oracle.models(table)
+    assert manager.count_satisfying(node, oracle.names) == len(models)
 
 
-class TestCoreSelection:
-    def test_default_resolution_and_explicit_override(self):
-        assert resolve_bdd_core("array") == "array"
-        assert resolve_bdd_core("object") == "object"
-        with pytest.raises(ValueError):
-            resolve_bdd_core("simd")
+def built(seed, depth=4, names=NAMES):
+    """A fresh manager, one random function as BDD and table, and the oracle."""
+    manager = BDDManager(names)
+    oracle = Table(names)
+    expression = random_expression(names, random.Random(seed), depth)
+    return manager, oracle, build(manager, expression), oracle.of(expression)
 
-    def test_env_default_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BDD_CORE", "object")
-        assert BDDManager().core == "object"
-        monkeypatch.setenv("REPRO_BDD_CORE", "array")
-        assert isinstance(BDDManager(), ArrayBDDManager)
 
-    def test_explicit_core_beats_the_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BDD_CORE", "object")
-        assert BDDManager(core="array").core == "array"
-
-    def test_statistics_name_the_core(self):
-        obj, arr = pair()
-        assert obj.statistics()["core"] == "object"
-        assert arr.statistics()["core"] == "array"
+# -- the tests ----------------------------------------------------------------------
 
 
 class TestRandomBuildsAgree:
     @pytest.mark.parametrize("seed", range(10))
     def test_counts_and_assignment_sets(self, seed):
-        obj, arr, f_obj, f_arr = build_both(seed)
-        assert obj.count_satisfying(f_obj, NAMES) == arr.count_satisfying(f_arr, NAMES)
-        assert assignment_set(obj, f_obj, NAMES) == assignment_set(arr, f_arr, NAMES)
+        manager, oracle, f, table = built(seed)
+        assert_matches(manager, f, oracle, table)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_evaluate_agrees_on_every_assignment(self, seed):
-        obj, arr, f_obj, f_arr = build_both(seed, depth=3)
-        for bits in range(1 << len(NAMES)):
-            model = {name: bool(bits >> i & 1) for i, name in enumerate(NAMES)}
-            assert obj.evaluate(f_obj, model) == arr.evaluate(f_arr, model)
+        manager, oracle, f, table = built(seed, depth=3)
+        for index in range(oracle.size):
+            assert manager.evaluate(f, oracle.assignment(index)) == bool(table >> index & 1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_connective_identities(self, seed):
-        _, arr, _, f = build_both(seed)
-        g = random_function(arr, NAMES, random.Random(seed + 1000))
-        assert arr.equivalent(arr.diff(f, g), arr.conj(f, arr.neg(g)))
-        assert arr.equivalent(arr.implies(f, g), arr.disj(arr.neg(f), g))
-        assert arr.equivalent(arr.xor(f, g), arr.neg(arr.xor(f, arr.neg(g))))
+        manager, oracle, f, f_table = built(seed)
+        expression = random_expression(NAMES, random.Random(seed + 1000))
+        g, g_table = build(manager, expression), oracle.of(expression)
+        full = oracle.full
+        assert_matches(manager, manager.diff(f, g), oracle, f_table & (full ^ g_table))
+        assert_matches(manager, manager.implies(f, g), oracle, (full ^ f_table) | g_table)
+        assert_matches(manager, manager.neg(manager.xor(f, g)), oracle, full ^ (f_table ^ g_table))
+        assert manager.equivalent(manager.diff(f, g), manager.conj(f, manager.neg(g)))
+        assert manager.entails(manager.conj(f, g), f)
 
 
 class TestQuantificationAgrees:
     @pytest.mark.parametrize("seed", range(8))
     def test_exists_forall_and_relprod(self, seed):
-        obj, arr, f_obj, f_arr = build_both(seed)
+        manager, oracle, f, f_table = built(seed)
         rng = random.Random(seed + 500)
         quantified = rng.sample(NAMES, 3)
-        kept = [name for name in NAMES if name not in quantified]
-        for op in ("exists", "forall"):
-            r_obj = getattr(obj, op)(f_obj, quantified)
-            r_arr = getattr(arr, op)(f_arr, quantified)
-            assert assignment_set(obj, r_obj, kept) == assignment_set(arr, r_arr, kept)
-        g_obj = random_function(obj, NAMES, random.Random(seed + 900))
-        g_arr = random_function(arr, NAMES, random.Random(seed + 900))
-        ae_obj = obj.and_exists(f_obj, g_obj, quantified)
-        ae_arr = arr.and_exists(f_arr, g_arr, quantified)
-        assert assignment_set(obj, ae_obj, kept) == assignment_set(arr, ae_arr, kept)
-        # and_exists must equal its two-step definition on the array core.
-        assert ae_arr is arr.exists(arr.conj(f_arr, g_arr), quantified)
+        for op, existential in (("exists", True), ("forall", False)):
+            result = getattr(manager, op)(f, quantified)
+            assert_matches(manager, result, oracle, oracle.quantify(f_table, quantified, existential))
+        expression = random_expression(NAMES, random.Random(seed + 900))
+        g, g_table = build(manager, expression), oracle.of(expression)
+        product = manager.and_exists(f, g, quantified)
+        assert_matches(manager, product, oracle, oracle.quantify(f_table & g_table, quantified, True))
 
     def test_quantifying_unknown_variables_is_identity(self):
-        _, arr = pair()
-        f = arr.xor(arr.var("v0"), arr.var("v1"))
-        assert arr.exists(f, ["zz", "qq"]) is f
-        assert arr.forall(f, []) is f
+        manager = BDDManager(NAMES)
+        f = manager.xor(manager.var("v0"), manager.var("v1"))
+        assert manager.exists(f, ["zz", "qq"]) is f
+        assert manager.forall(f, []) is f
 
 
 class TestRenameAndPreimageAgree:
     @pytest.mark.parametrize("seed", range(6))
     def test_monotone_rename_matches_oracle(self, seed):
         """The prime/unprime shape: interleaved targets keep support order."""
-        names = [f"x{i}" for i in range(4)] + [f"x{i}'" for i in range(4)]
-        obj = BDDManager(names, core="object")
-        arr = BDDManager(names, core="array")
-        base = [f"x{i}" for i in range(4)]
-        mapping = {f"x{i}": f"x{i}'" for i in range(4)}
-        primed = list(mapping.values())
-        f_obj = random_function(obj, base, random.Random(seed), 3)
-        f_arr = random_function(arr, base, random.Random(seed), 3)
-        r_obj = obj.rename(f_obj, mapping)
-        r_arr = arr.rename(f_arr, mapping)
-        assert assignment_set(obj, r_obj, primed) == assignment_set(arr, r_arr, primed)
+        base = [f"x{i}" for i in range(6)]
+        primed = [f"x{i}'" for i in range(6)]
+        names = [name for pair in zip(base, primed) for name in pair]
+        manager, oracle = BDDManager(names), Table(names)
+        expression = random_expression(base, random.Random(seed), 4)
+        f, table = build(manager, expression), oracle.of(expression)
+        mapping = dict(zip(base, primed))
+        assert_matches(manager, manager.rename(f, mapping), oracle, oracle.rename(table, mapping))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_order_breaking_rename_matches_oracle(self, seed):
         """A swap map reverses support order: exercises the compose fallback."""
-        obj, arr, f_obj, f_arr = build_both(seed, depth=3)
+        manager, oracle, f, table = built(seed, depth=3)
         mapping = {"v0": "v6", "v6": "v0", "v1": "v5", "v5": "v1"}
-        r_obj = obj.rename(f_obj, mapping)
-        r_arr = arr.rename(f_arr, mapping)
-        assert assignment_set(obj, r_obj, NAMES) == assignment_set(arr, r_arr, NAMES)
+        assert_matches(manager, manager.rename(f, mapping), oracle, oracle.rename(table, mapping))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_preimage_matches_oracle(self, seed):
-        current = [f"s{i}" for i in range(3)]
-        primed = [f"s{i}'" for i in range(3)]
-        order = [name for pair_ in zip(current, primed) for name in pair_]
-        obj = BDDManager(order, core="object")
-        arr = BDDManager(order, core="array")
-        rel_obj = random_function(obj, order, random.Random(seed), 3)
-        rel_arr = random_function(arr, order, random.Random(seed), 3)
-        tgt_obj = random_function(obj, primed, random.Random(seed + 1), 2)
-        tgt_arr = random_function(arr, primed, random.Random(seed + 1), 2)
+        current = [f"s{i}" for i in range(4)]
+        primed = [f"s{i}'" for i in range(4)]
+        names = [name for pair in zip(current, primed) for name in pair]
+        manager, oracle = BDDManager(names), Table(names)
+        relation_expr = random_expression(names, random.Random(seed), 4)
+        target_expr = random_expression(current, random.Random(seed + 1), 3)
+        relation = build(manager, relation_expr)
+        target = build(manager, target_expr)
         mapping = dict(zip(current, primed))
-        p_obj = obj.preimage(rel_obj, tgt_obj, mapping, primed)
-        p_arr = arr.preimage(rel_arr, tgt_arr, mapping, primed)
-        assert assignment_set(obj, p_obj, current) == assignment_set(arr, p_arr, current)
+        result = manager.preimage(relation, target, mapping, primed)
+        expected = oracle.quantify(
+            oracle.of(relation_expr) & oracle.rename(oracle.of(target_expr), mapping), primed, True
+        )
+        assert_matches(manager, result, oracle, expected)
 
 
 class TestReorderRoundTrips:
     @pytest.mark.parametrize("seed", range(6))
-    def test_counts_and_models_survive_reorder_on_both_cores(self, seed):
-        obj, arr, f_obj, f_arr = build_both(seed)
-        obj.protect(f_obj)
-        arr.protect(f_arr)
-        before = assignment_set(arr, f_arr, NAMES)
-        assert before == assignment_set(obj, f_obj, NAMES)
-        obj.reorder()
-        arr.reorder()
-        arr.assert_canonical()
-        assert assignment_set(obj, f_obj, NAMES) == before
-        assert assignment_set(arr, f_arr, NAMES) == before
-        assert obj.count_satisfying(f_obj, NAMES) == arr.count_satisfying(f_arr, NAMES)
+    def test_counts_and_models_survive_reorder(self, seed):
+        manager, oracle, f, table = built(seed)
+        manager.protect(f)
+        manager.reorder()
+        manager.assert_canonical()
+        assert_matches(manager, f, oracle, table)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_operations_after_reorder_still_agree(self, seed):
-        obj, arr, f_obj, f_arr = build_both(seed)
-        obj.protect(f_obj)
-        arr.protect(f_arr)
-        obj.reorder()
-        arr.reorder()
-        g_obj = random_function(obj, NAMES, random.Random(seed + 77))
-        g_arr = random_function(arr, NAMES, random.Random(seed + 77))
-        h_obj = obj.exists(obj.conj(f_obj, g_obj), NAMES[:2])
-        h_arr = arr.exists(arr.conj(f_arr, g_arr), NAMES[:2])
-        kept = NAMES[2:]
-        assert assignment_set(obj, h_obj, kept) == assignment_set(arr, h_arr, kept)
+        manager, oracle, f, f_table = built(seed)
+        manager.protect(f)
+        manager.reorder()
+        expression = random_expression(NAMES, random.Random(seed + 77))
+        g, g_table = build(manager, expression), oracle.of(expression)
+        h = manager.exists(manager.conj(f, g), NAMES[:2])
+        assert_matches(manager, h, oracle, oracle.quantify(f_table & g_table, NAMES[:2], True))
 
 
-class TestDumpLoadCrossCore:
+class TestDumpLoadRoundTrips:
     @pytest.mark.parametrize("seed", range(6))
     def test_payloads_round_trip_in_both_directions(self, seed):
-        obj, arr, f_obj, f_arr = build_both(seed)
-        models = assignment_set(obj, f_obj, NAMES)
-        # array -> object
-        (restored_obj,) = load_nodes(obj, dump_nodes(arr, [f_arr]))
-        assert assignment_set(obj, restored_obj, NAMES) == models
-        # object -> array
-        (restored_arr,) = load_nodes(arr, dump_nodes(obj, [f_obj]))
-        assert assignment_set(arr, restored_arr, NAMES) == models
+        """Out into a manager of the reversed order, and back again."""
+        manager, oracle, f, table = built(seed)
+        reversed_manager = BDDManager(list(reversed(NAMES)))
+        (there,) = load_nodes(reversed_manager, dump_nodes(manager, [f]))
+        assert_matches(reversed_manager, there, oracle, table)
+        (back,) = load_nodes(manager, dump_nodes(reversed_manager, [there]))
         # reloading a function the manager already holds is hash-consed
-        assert restored_arr is f_arr
+        assert back is f
 
     def test_terminal_payload_roots(self):
-        _, arr = pair()
-        payload = dump_nodes(arr, [arr.true, arr.false])
+        manager = BDDManager(NAMES)
+        payload = dump_nodes(manager, [manager.true, manager.false])
         assert payload["roots"] == [1, 0]
         assert payload["nodes"] == []
-        obj, _ = pair()
-        t, f = load_nodes(obj, payload)
-        assert t is obj.true and f is obj.false
+        other = BDDManager()
+        t, f = load_nodes(other, payload)
+        assert t is other.true and f is other.false
 
-    def test_malformed_payloads_are_rejected_by_the_fast_loader(self):
-        _, arr = pair()
+    def test_malformed_payloads_are_rejected(self):
+        manager = BDDManager(NAMES)
         with pytest.raises(ValueError):
-            load_nodes(arr, {"format": 999, "order": [], "nodes": [], "roots": []})
+            load_nodes(manager, {"format": 999, "order": [], "nodes": [], "roots": []})
         with pytest.raises(ValueError):
             load_nodes(
-                arr,
+                manager,
                 {"format": 1, "order": ["a"], "nodes": [["a", 0, 9]], "roots": [2]},
             )
         with pytest.raises(ValueError):
             load_nodes(
-                arr,
+                manager,
                 {"format": 1, "order": ["a"], "nodes": [["a", 0, 1]], "roots": [7]},
             )
 
@@ -240,69 +290,63 @@ class TestDumpLoadCrossCore:
 class TestComplementEdgeInvariants:
     @pytest.mark.parametrize("seed", range(8))
     def test_canonicity_no_complemented_high_edges(self, seed):
-        _, arr, _, f = build_both(seed)
-        g = random_function(arr, NAMES, random.Random(seed + 31))
-        arr.exists(arr.conj(f, g), NAMES[:3])
-        arr.assert_canonical()
+        manager, _, f, _ = built(seed)
+        g = build(manager, random_expression(NAMES, random.Random(seed + 31)))
+        manager.exists(manager.conj(f, g), NAMES[:3])
+        manager.assert_canonical()
 
     def test_negation_is_involutive_and_free(self):
-        _, arr = pair()
-        f = arr.xor(arr.var("v0"), arr.conj(arr.var("v1"), arr.nvar("v2")))
-        assert arr.neg(arr.neg(f)) is f
-        assert arr.neg(arr.true) is arr.false
-        assert arr.neg(arr.false) is arr.true
+        manager = BDDManager(NAMES)
+        f = manager.xor(manager.var("v0"), manager.conj(manager.var("v1"), manager.nvar("v2")))
+        assert manager.neg(manager.neg(f)) is f
+        assert manager.neg(manager.true) is manager.false
+        assert manager.neg(manager.false) is manager.true
         # A negation shares every decision slot with the function itself.
-        created = arr.statistics()["nodes_created"]
-        g = arr.neg(f)
-        assert arr.statistics()["nodes_created"] == created
-        assert arr.size(g) == arr.size(f)
+        created = manager.statistics()["nodes_created"]
+        g = manager.neg(f)
+        assert manager.statistics()["nodes_created"] == created
+        assert manager.size(g) == manager.size(f)
 
     def test_handles_are_canonical_across_recreation(self):
-        _, arr = pair()
-        f = arr.conj(arr.var("v0"), arr.var("v1"))
-        again = arr.conj(arr.var("v0"), arr.var("v1"))
+        manager = BDDManager(NAMES)
+        f = manager.conj(manager.var("v0"), manager.var("v1"))
+        again = manager.conj(manager.var("v0"), manager.var("v1"))
         assert again is f
-        assert isinstance(f, ArrayBDDNode)
+        assert isinstance(f, BDDNode)
         assert f.variable == "v0" and f.high.variable == "v1"
-        assert f.low is arr.false and f.high.high is arr.true
+        assert f.low is manager.false and f.high.high is manager.true
 
     def test_restrict_and_cofactors_agree_with_oracle(self):
-        obj, arr = pair()
         for seed in range(3):
-            f_obj = random_function(obj, NAMES, random.Random(seed))
-            f_arr = random_function(arr, NAMES, random.Random(seed))
-            r_obj = obj.restrict(f_obj, {"v0": True, "v3": False})
-            r_arr = arr.restrict(f_arr, {"v0": True, "v3": False})
-            assert assignment_set(obj, r_obj, NAMES) == assignment_set(arr, r_arr, NAMES)
+            manager, oracle, f, table = built(seed)
+            fixed = {"v0": True, "v3": False}
+            assert_matches(manager, manager.restrict(f, fixed), oracle, oracle.restrict(table, fixed))
 
 
 class TestCacheAccounting:
     def test_hits_and_misses_are_counted(self):
-        _, arr = pair()
-        f = arr.xor(arr.var("v0"), arr.var("v1"))
-        g = arr.xor(arr.var("v0"), arr.var("v1"))
+        manager = BDDManager(NAMES)
+        f = manager.xor(manager.var("v0"), manager.var("v1"))
+        g = manager.xor(manager.var("v0"), manager.var("v1"))
         assert g is f
-        stats = arr.statistics()
+        stats = manager.statistics()
         assert stats["cache_misses"] > 0
         assert stats["cache_hits"] > 0  # the second xor replays the first
         assert set(stats) >= {"cache_hits", "cache_misses", "cache_clears", "cache_entries"}
 
     def test_gc_clears_the_computed_cache(self):
-        for core in ("object", "array"):
-            manager = BDDManager(NAMES, core=core)
-            kept = manager.protect(
-                random_function(manager, NAMES, random.Random(3))
-            )
-            manager.reorder()  # begin/end reorder each sweep dead nodes
-            stats = manager.statistics()
-            assert stats["cache_clears"] >= 1, core
-            assert manager.count_satisfying(kept, NAMES) == manager.count_satisfying(
-                kept, NAMES
-            )
+        manager, oracle, f, table = built(3)
+        manager.protect(f)
+        manager.reorder()  # begin/end reorder each sweep dead nodes
+        assert manager.statistics()["cache_clears"] >= 1
+        assert_matches(manager, f, oracle, table)
 
-    def test_object_core_cache_bound_triggers_clears(self):
-        manager = BDDManager(NAMES, core="object", cache_ratio=0.001)
-        manager._CACHE_FLOOR = 4  # force the bound low enough to trip
+    def test_cache_bound_triggers_clears(self):
+        manager = BDDManager(NAMES)
+        # Force the bound low enough to trip on a handful of small functions.
+        manager._CACHE_RATIO = 0.001
+        manager._MIN_CACHE = 4
+        manager._cache_limit = 4
         for seed in range(6):
-            random_function(manager, NAMES, random.Random(seed))
+            build(manager, random_expression(NAMES, random.Random(seed)))
         assert manager.statistics()["cache_clears"] >= 1

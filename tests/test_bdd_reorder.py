@@ -265,5 +265,4 @@ class TestStatistics:
             "reorders": 0,
             "cache_hits": 0,
             "cache_misses": 0,
-            "core_speedup": 0.0,
         }

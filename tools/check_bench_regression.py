@@ -19,12 +19,7 @@ times the (floored) baseline value.  Benchmarks present on only one side
 are reported but do not fail the gate — adding or retiring a benchmark is
 a deliberate act that lands together with a refreshed baseline.
 
-Schema ``bench-smoke/3`` additionally records the runner's ``cpu_count``
-and, per benchmark, the pooled-image ``workers`` count.  A benchmark that
-ran with more than one worker has wall-clock that *depends on available
-cores*: on a runner with fewer than :data:`MIN_SCALING_CPUS` cores its
-timing gate is skipped (with a note) rather than failed, because an
-oversubscribed pool legitimately runs slower than the baseline host.
+Schema ``bench-smoke/3`` additionally records the runner's ``cpu_count``.
 An unrecognised schema on either side is an error (exit 2) — the gate must
 never silently compare files it does not understand.
 """
@@ -42,12 +37,9 @@ SECONDS_FLOOR = 0.05
 PEAK_NODES_FLOOR = 2000
 
 #: Smoke-file schemas this gate knows how to compare.  ``bench-smoke/2``
-#: baselines stay valid (they just lack cpu/worker metadata); anything else
-#: is a hard error rather than a silent pass.
+#: baselines stay valid (they just lack cpu metadata); anything else is a
+#: hard error rather than a silent pass.
 SUPPORTED_SCHEMAS = ("bench-smoke/2", "bench-smoke/3")
-
-#: Minimum runner cores for the wall-clock gate on multi-worker benchmarks.
-MIN_SCALING_CPUS = 4
 
 
 def _validate_schema(payload: dict, role: str) -> str:
@@ -76,7 +68,6 @@ def check(current: dict, baseline: dict, factor: float) -> list[str]:
         )
     current_by_id = _index(current)
     baseline_by_id = _index(baseline)
-    cpu_count = int(current.get("cpu_count", 0) or 0)
 
     for missing in sorted(baseline_by_id.keys() - current_by_id.keys()):
         print(f"note: benchmark disappeared (baseline refresh needed?): {missing}")
@@ -85,22 +76,12 @@ def check(current: dict, baseline: dict, factor: float) -> list[str]:
 
     for nodeid in sorted(current_by_id.keys() & baseline_by_id.keys()):
         now, then = current_by_id[nodeid], baseline_by_id[nodeid]
-        workers = int(now.get("workers", 0) or 0)
-        if workers > 1 and 0 < cpu_count < MIN_SCALING_CPUS:
-            # Pooled-image timing only means something with enough cores to
-            # actually run the workers in parallel; an oversubscribed runner
-            # must not fail the gate on legitimately serialised wall-clock.
-            print(
-                f"note: skipping wall-clock gate for {nodeid} "
-                f"({workers} workers on a {cpu_count}-core runner)"
+        budget = factor * max(then.get("seconds", 0.0), SECONDS_FLOOR)
+        if now.get("seconds", 0.0) > budget:
+            failures.append(
+                f"{nodeid}: {now.get('seconds', 0.0):.3f}s exceeds {budget:.3f}s "
+                f"({factor}x the {then.get('seconds', 0.0):.3f}s baseline)"
             )
-        else:
-            budget = factor * max(then.get("seconds", 0.0), SECONDS_FLOOR)
-            if now.get("seconds", 0.0) > budget:
-                failures.append(
-                    f"{nodeid}: {now.get('seconds', 0.0):.3f}s exceeds {budget:.3f}s "
-                    f"({factor}x the {then.get('seconds', 0.0):.3f}s baseline)"
-                )
         if "peak_nodes" in now and "peak_nodes" in then:
             node_budget = factor * max(then["peak_nodes"], PEAK_NODES_FLOOR)
             if now["peak_nodes"] > node_budget:
