@@ -14,6 +14,9 @@
 #   make bench-check - gate: fail if any smoke benchmark regressed >3x against
 #                      the committed benchmarks/BENCH_BASELINE.json (seconds or
 #                      peak BDD nodes)
+#   make perfbench-smoke - every BENCHMARK.json workload for 3 s (perfbench/run.py
+#                      --trace 0); fails unless each run attempted operations
+#                      and none failed
 #   make bench       - the full pytest-benchmark campaign over benchmarks/
 
 PYTHON ?= python
@@ -21,7 +24,7 @@ PYTEST := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest
 COV_MIN ?= 85
 BENCH_FACTOR ?= 3.0
 
-.PHONY: test test-step cov lint bench-smoke bench-check bench
+.PHONY: test test-step cov lint bench-smoke bench-check perfbench-smoke bench
 
 test:
 	$(PYTEST) -x -q
@@ -41,6 +44,9 @@ bench-smoke:
 
 bench-check:
 	$(PYTHON) tools/check_bench_regression.py BENCH_SMOKE.json benchmarks/BENCH_BASELINE.json --factor $(BENCH_FACTOR)
+
+perfbench-smoke:
+	$(PYTHON) tools/perfbench_smoke.py
 
 bench:
 	$(PYTEST) -q -o python_files='bench_*.py' benchmarks

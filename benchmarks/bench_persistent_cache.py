@@ -24,7 +24,7 @@ import pytest
 from repro.signal.ast import compose
 from repro.signal.library import modulo_counter_process
 from repro.verification import ReactionPredicate
-from repro.verification.symbolic_int import SymbolicIntOptions
+from repro.verification.symbolic_int import SymbolicOptions
 from repro.workbench import Design, DiskArtifactStore
 
 P = ReactionPredicate
@@ -54,7 +54,7 @@ def bank_variant(index: int):
 def _design(index: int, store):
     return Design.from_process(
         bank_variant(index),
-        symbolic_int_options=SymbolicIntOptions(reorder="off"),
+        symbolic_options=SymbolicOptions(reorder="off"),
         cache=store,
     )
 

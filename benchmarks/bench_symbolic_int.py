@@ -6,9 +6,9 @@ is the integer analogue of the boolean shift register: the explicit explorer
 must enumerate every product state and hits its ``max_states`` bound almost
 immediately, while the finite-integer engine's fixpoint converges in a
 handful of BDD images whatever ``k`` is.  Before this engine existed these
-designs had *no* exhaustive backend at all — the Z/3Z symbolic engine
-refuses integer data outright (``EncodingError``), which is precisely the
-gap ``repro.verification.symbolic_int`` closes.
+designs had *no* exhaustive backend at all — integer data has no Z/3Z
+encoding (``encode_process`` raises ``EncodingError``), which is precisely
+the gap ``repro.verification.symbolic_int`` closes.
 """
 
 import pytest
@@ -64,9 +64,9 @@ def test_symbolic_int_completes_where_explicit_raises():
     """The headline claim: an integer state space only the new engine finishes.
 
     The 8^4 = 4096-state bank makes the explicit explorer raise
-    ``BoundReached`` at ``max_states=400``, and the Z/3Z symbolic engine
-    cannot even encode it; the finite-integer engine computes the exact
-    reachable set — more than 10x beyond the explicit bound.
+    ``BoundReached`` at ``max_states=400``, and it has no Z/3Z encoding
+    (``encode_process`` raises ``EncodingError``); the finite-integer engine
+    computes the exact reachable set — more than 10x beyond the explicit bound.
     """
     counters, modulo, bound = 4, 8, 400
     process = counter_bank(counters, modulo)

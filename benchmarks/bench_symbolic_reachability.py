@@ -15,7 +15,7 @@ from repro.verification import (
     ExplorationOptions,
     ReactionPredicate,
     explore,
-    symbolic_explore,
+    symbolic_int_explore,
 )
 
 
@@ -32,7 +32,7 @@ def test_bench_explicit_reachability(benchmark, depth):
 def test_bench_symbolic_reachability(benchmark, depth):
     """Symbolic fixpoint: cost tracks BDD sizes, not state counts."""
     process = boolean_shift_register_process(depth)
-    result = benchmark(lambda: symbolic_explore(process))
+    result = benchmark(lambda: symbolic_int_explore(process))
     assert result.complete
     assert result.state_count == 2 ** depth
 
@@ -48,7 +48,7 @@ def test_symbolic_completes_where_explicit_hits_its_bound():
     process = boolean_shift_register_process(depth)
     explicit = explore(process, ExplorationOptions(max_states=bound))
     assert explicit.bound_reached and not explicit.complete
-    symbolic = symbolic_explore(process)
+    symbolic = symbolic_int_explore(process)
     assert symbolic.complete
     assert symbolic.state_count == 2 ** depth
     assert symbolic.state_count >= 10 * bound
@@ -58,7 +58,7 @@ def test_symbolic_completes_where_explicit_hits_its_bound():
 def test_bench_symbolic_invariant_check(benchmark, depth):
     """Invariant checking on a 4096-state design is one BDD emptiness test."""
     process = boolean_shift_register_process(depth)
-    result = symbolic_explore(process)
+    result = symbolic_int_explore(process)
     predicate = ReactionPredicate.present(f"s{depth - 1}").implies(ReactionPredicate.present("x"))
     verdict = benchmark(lambda: result.check_invariant(predicate))
     assert verdict.holds

@@ -2,7 +2,7 @@
 
 Extracting a trace is a different workload from deciding a verdict: the
 explicit engine walks BFS parent pointers it already holds, while the
-symbolic engines walk the stored frontier rings backward — one pre-image
+symbolic engine walks the stored frontier rings backward — one pre-image
 relational product per ring, touching only the states on the path.  These
 benchmarks measure both, and assert the headline claim of the trace work:
 on a 2^14-state design whose explicit exploration is bound-truncated (and
@@ -19,7 +19,7 @@ from repro.verification import (
     ExplorationOptions,
     ReactionPredicate,
     explore,
-    symbolic_explore,
+    symbolic_int_explore,
 )
 
 
@@ -42,7 +42,7 @@ def test_bench_explicit_trace_extraction(benchmark, depth):
 def test_bench_symbolic_trace_extraction(benchmark, depth):
     """Symbolic ring walk: one pre-image product per step of the trace."""
     process = boolean_shift_register_process(depth)
-    result = symbolic_explore(process)
+    result = symbolic_int_explore(process)
     trace = benchmark(lambda: result.trace_to(_deep_predicate(depth)))
     assert trace is not None
     assert len(trace) == depth + 1
@@ -65,7 +65,7 @@ def test_symbolic_trace_extraction_past_the_explicit_bound():
     with pytest.raises(BoundReached):
         explore(process, ExplorationOptions(max_states=bound, on_bound="raise"))
 
-    symbolic = symbolic_explore(process)
+    symbolic = symbolic_int_explore(process)
     assert symbolic.complete
     assert symbolic.state_count == 2 ** depth
     trace = symbolic.trace_to(_deep_predicate(depth))

@@ -1,6 +1,6 @@
 """Adversarial equation orders: partitioned relations + sifting vs monolithic.
 
-The symbolic engines declare BDD variables in first-use/constraint-locality
+The symbolic engine declares BDD variables in first-use/constraint-locality
 order, which is excellent when the equations arrive in dataflow order — and
 terrible when they do not.  The design here is a plain ``depth``-stage shift
 register whose equations are *shuffled*: the declaration order scatters the
@@ -30,13 +30,14 @@ import pytest
 
 from repro.clocks.bdd import NodeBudgetExceeded
 from repro.signal.dsl import ProcessBuilder
-from repro.verification import SymbolicEngine, SymbolicOptions
+from repro.verification import IntSymbolicEngine, SymbolicOptions
 
 #: Shared unique-table budget of the headline comparison: the static
-#: monolithic encoding of the depth-12 shuffled register needs 33k+ nodes
-#: and dies here; the partitioned+sifted engine peaks far below half of it.
+#: monolithic encoding of the depth-18 shuffled register exhausts it; the
+#: partitioned+sifted engine peaks far below half of it.  (At depth 12 the
+#: bit-blasted monolithic relation still fits, at about 11k nodes.)
 NODE_BUDGET = 25000
-HEADLINE_DEPTH = 12
+HEADLINE_DEPTH = 18
 
 
 def shuffled_register(depth: int, seed: int = 11):
@@ -79,9 +80,9 @@ def test_partitioned_sifted_completes_where_monolithic_static_exhausts_budget():
     process = shuffled_register(HEADLINE_DEPTH)
 
     with pytest.raises(NodeBudgetExceeded):
-        SymbolicEngine(process, _options(False, "off", NODE_BUDGET)).reach()
+        IntSymbolicEngine(process, _options(False, "off", NODE_BUDGET)).reach()
 
-    engine = SymbolicEngine(process, _options(True, "auto", NODE_BUDGET))
+    engine = IntSymbolicEngine(process, _options(True, "auto", NODE_BUDGET))
     result = engine.reach()
     assert result.complete
     assert result.state_count == 2 ** HEADLINE_DEPTH
@@ -98,7 +99,7 @@ def test_partitioned_sifted_completes_where_monolithic_static_exhausts_budget():
 def test_bench_partitioned_sifted_reachability(benchmark, depth):
     """Partitioned + sifted fixpoint across scaled shuffled registers."""
     process = shuffled_register(depth)
-    result = benchmark(lambda: SymbolicEngine(process, _options(True, "auto")).reach())
+    result = benchmark(lambda: IntSymbolicEngine(process, _options(True, "auto")).reach())
     assert result.complete
     assert result.state_count == 2 ** depth
 
@@ -113,11 +114,11 @@ def test_bench_sifting_rescues_the_monolithic_encoding(benchmark, depth):
     partitioning out of the picture.
     """
     process = shuffled_register(depth)
-    static = SymbolicEngine(process, _options(False, "off"))
+    static = IntSymbolicEngine(process, _options(False, "off"))
     static.reach()
     static_peak = static.manager.peak_nodes
 
-    result = benchmark(lambda: SymbolicEngine(process, _options(False, "auto")).reach())
+    result = benchmark(lambda: IntSymbolicEngine(process, _options(False, "auto")).reach())
     assert result.complete
     stats = result.statistics()
     assert stats["reorders"] >= 1

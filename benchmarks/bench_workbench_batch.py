@@ -1,7 +1,7 @@
 """Batch property checking through the workbench vs. a naive per-property loop.
 
 The point of the Design facade is that k properties share one reachable set:
-``design.check_all`` pays for the Z/3Z encoding and the BDD fixpoint (or the
+``design.check_all`` pays for the relation build and the BDD fixpoint (or the
 explicit exploration) exactly once, then answers each property with a cheap
 query, whereas the pre-workbench idiom — a loop of ``invariant_holds`` calls,
 each against a freshly computed backend — pays the fixpoint k times.  These
@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.signal.library import boolean_shift_register_process
-from repro.verification import ReactionPredicate, invariant_holds, symbolic_explore
+from repro.verification import ReactionPredicate, invariant_holds, symbolic_int_explore
 from repro.workbench import Design
 
 
@@ -37,7 +37,7 @@ def test_bench_batch_check_all(benchmark, depth, k):
 
     def run():
         design = Design.from_process(process)
-        return design.check_all(invariants=properties, backend="symbolic")
+        return design.check_all(invariants=properties, backend="symbolic-int")
 
     report = benchmark(run)
     assert len(report) == k
@@ -52,7 +52,7 @@ def test_bench_naive_per_property_loop(benchmark, depth, k):
 
     def run():
         return [
-            invariant_holds(symbolic_explore(process), predicate, name)
+            invariant_holds(symbolic_int_explore(process), predicate, name)
             for name, predicate in properties.items()
         ]
 
@@ -74,15 +74,15 @@ def test_batch_beats_naive_loop():
 
     started = time.perf_counter()
     design = Design.from_process(process)
-    report = design.check_all(invariants=properties, backend="symbolic")
+    report = design.check_all(invariants=properties, backend="symbolic-int")
     batch_seconds = time.perf_counter() - started
     assert report.all_hold
-    assert design.artifact_counts["encoding"] == 1
-    assert design.artifact_counts["symbolic"] == 1
+    assert design.artifact_counts["symbolic_int_engine"] == 1
+    assert design.artifact_counts["symbolic_int"] == 1
 
     started = time.perf_counter()
     for name, predicate in properties.items():
-        assert invariant_holds(symbolic_explore(process), predicate, name).holds
+        assert invariant_holds(symbolic_int_explore(process), predicate, name).holds
     naive_seconds = time.perf_counter() - started
 
     assert batch_seconds < naive_seconds, (
@@ -106,15 +106,15 @@ def test_traces_off_by_default_keeps_batch_checking_lean():
     properties["fails"] = ReactionPredicate.absent(f"s{depth - 1}")
 
     design = Design.from_process(process)
-    report = design.check_all(invariants=properties, backend="symbolic")
+    report = design.check_all(invariants=properties, backend="symbolic-int")
     assert report["fails"].holds is False
     assert all(check.trace is None for check in report)
-    assert design.artifact_counts["symbolic"] == 1
+    assert design.artifact_counts["symbolic_int"] == 1
 
-    traced = design.check_all(invariants=properties, backend="symbolic", traces=True)
+    traced = design.check_all(invariants=properties, backend="symbolic-int", traces=True)
     assert traced["fails"].trace is not None
     assert all(check.trace is None for check in traced if check.holds is True)
-    assert design.artifact_counts["symbolic"] == 1
+    assert design.artifact_counts["symbolic_int"] == 1
 
 
 def test_auto_backend_serves_both_workload_shapes():
@@ -130,5 +130,5 @@ def test_auto_backend_serves_both_workload_shapes():
 
     huge_design = Design.from_process(boolean_shift_register_process(14))
     huge_report = huge_design.check_all(invariants=_invariants(14, 4))
-    assert huge_report.backend_name == "symbolic"
+    assert huge_report.backend_name == "symbolic-int"
     assert huge_report.state_count == 2 ** 14

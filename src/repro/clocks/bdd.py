@@ -10,7 +10,7 @@ satisfiability and model enumeration.
 The same engine is reused by the verification layer to represent state
 predicates symbolically: quantification, variable renaming and the combined
 relational product (``and_exists``) are the primitives the symbolic
-reachability engine of :mod:`repro.verification.symbolic` builds its image
+reachability engine of :mod:`repro.verification.relational` builds its image
 computation from.
 
 The diagram store lives in flat parallel lists:
@@ -50,7 +50,7 @@ growth when ``auto_reorder`` is on.  Every exchange rewrites the affected
 nodes in place — same slot, same identifier, same boolean function — so
 node references held by callers and name-based renaming maps stay valid
 across reorders.  :meth:`BDDManager.group_variables` pins variable tuples
-(the symbolic engines' prime/unprime pairs) adjacent through every reorder.
+(the symbolic engine's prime/unprime pairs) adjacent through every reorder.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ class BDDManager:
         """Pin ``names`` together as one reordering group.
 
         The variables must already sit contiguously in the current order (the
-        symbolic engines declare a state bit and its primed copy back to
+        symbolic engine declares a state bit and its primed copy back to
         back); sifting then moves the whole block as a unit, so prime/unprime
         pairs stay adjacent — the property that keeps renamed relation BDDs
         small — across every reorder.
@@ -870,7 +870,7 @@ class BDDManager:
         via ``prime_map``, conjoined with the transition relation, and the
         ``quantified`` variables (signal and primed state bits) are
         existentially eliminated in the same pass.  This is the primitive the
-        counterexample-trace extraction of the symbolic engines walks the
+        counterexample-trace extraction of the symbolic engine walks the
         per-iteration frontier rings back through.
         """
         return self.and_exists(relation, self.rename(states, prime_map), quantified)
@@ -1225,8 +1225,8 @@ class BDDManager:
     # -- bit-vector circuits ------------------------------------------------------------
     #
     # Unsigned bit-vectors are plain lists of BDD nodes, least significant bit
-    # first; a vector of width 0 denotes the constant 0.  The finite-integer
-    # symbolic engine (:mod:`repro.verification.symbolic_int`) compiles SIGNAL
+    # first; a vector of width 0 denotes the constant 0.  The symbolic engine
+    # (:mod:`repro.verification.symbolic_int`) compiles SIGNAL
     # arithmetic onto these circuits: addition is a ripple-carry adder,
     # comparisons are the classical LSB-to-MSB comparator chain, and selection
     # is a bitwise multiplexer.  Widths are the caller's business — every

@@ -24,7 +24,7 @@ The generated code reproduces the partial-knowledge semantics of
 ``ConsistencyError``/``UnresolvedError``/``EvaluationError`` is raised under
 exactly the same circumstances with exactly the same message as the
 interpreter.  The differential suite (``tests/test_step_codegen.py``) pins
-that equivalence over the same corpora the symbolic engines are checked
+that equivalence over the same corpora the symbolic engine is checked
 against; the interpreter stays available as the oracle via
 ``CompiledProcess(process, compile="interp")`` or ``REPRO_STEP_COMPILE=interp``.
 """

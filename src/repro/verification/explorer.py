@@ -9,12 +9,13 @@ checking and controller synthesis.
 
 This is the *explicit* half of the verification pipeline: Sigali performs the
 same construction symbolically, and so does our
-:mod:`repro.verification.symbolic` engine, which represents state sets as
-BDDs and scales far beyond the ``max_states`` bound of this module.  Explicit
-exploration remains the reference semantics (it handles integer data the
-boolean abstraction cannot) and the oracle the differential test suite
+:mod:`repro.verification.symbolic_int` engine, which represents state sets
+as BDDs over bit-blasted presence/value bits and scales far beyond the
+``max_states`` bound of this module.  Explicit exploration remains the
+reference semantics (it handles unbounded integer data, which no finite
+bit-blast can) and the oracle the differential test suite
 (``tests/test_symbolic_vs_explicit.py``) checks the symbolic engine against;
-prefer the symbolic engine for large boolean/event control skeletons.
+prefer the symbolic engine (``backend="symbolic-int"``) for large designs.
 
 Explorations that hit ``max_states`` are never silently truncated: the result
 carries ``bound_reached`` (and ``complete = False``), and
@@ -301,7 +302,7 @@ def _hit_bound(result: ExplorationResult, options: ExplorationOptions, name: str
     if options.on_bound == "raise":
         raise BoundReached(
             f"{name}: exploration truncated at max_states={options.max_states}; "
-            "raise the bound or switch to repro.verification.symbolic"
+            'raise the bound or switch to backend="symbolic-int"'
         )
 
 

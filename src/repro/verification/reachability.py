@@ -2,8 +2,9 @@
 
 The paper's tool-chain computes reachable state spaces in two ways: the
 explicit explorer (:mod:`repro.verification.explorer`) enumerates memory
-states one by one, and the Sigali-style symbolic engine
-(:mod:`repro.verification.symbolic`) manipulates whole state *sets* as BDDs.
+states one by one, and the symbolic engine
+(:mod:`repro.verification.symbolic_int`) manipulates whole state *sets* as
+BDDs over bit-blasted presence/value bits.
 Invariant checking and controller synthesis should not care which engine
 produced the state space, so both implement the :class:`Reachability`
 interface defined here, and properties are phrased in a small declarative
@@ -17,8 +18,9 @@ Backends:
   exploration of a compiled process;
 * :class:`~repro.verification.encoding.PolynomialReachability` — explicit
   enumeration over the Z/3Z polynomial dynamical system;
-* :class:`~repro.verification.symbolic.SymbolicReachability` — BDD fixpoint
-  over the boolean encoding of the same polynomial system.
+* :class:`~repro.verification.symbolic_int.IntSymbolicReachability` — BDD
+  fixpoint over the presence/value bits of booleans, events and finite
+  integers.
 """
 
 from __future__ import annotations
@@ -71,10 +73,11 @@ class ReactionPredicate:
 
         This is the escape hatch for properties over carried *data* (integer
         comparisons, set membership, ...) that the ternary abstraction cannot
-        express.  Only backends that evaluate predicates on concrete reactions
-        (the explicit engines, ``capabilities().integer_data``) can check
-        it; the symbolic engine rejects it, and the workbench auto-selection
-        policy routes such properties to a concrete backend.
+        express.  Only backends that see concrete values
+        (``capabilities().integer_data``: the explicit explorer and the
+        bit-blasted symbolic engine) can check it; the polynomial engine
+        cannot, and the workbench auto-selection policy routes such
+        properties to a concrete backend.
         """
         return cls("value", name, test)
 
@@ -125,7 +128,7 @@ class ReactionPredicate:
         """True when the predicate tests carried values (``value`` atoms).
 
         Such predicates need a backend that evaluates concrete reactions; the
-        workbench auto-selection policy uses this to rule out the symbolic
+        workbench auto-selection policy uses this to rule out the polynomial
         engine.
         """
         if self.kind == "value":
@@ -197,8 +200,8 @@ class TraceStep:
     ``ABSENT``, depending on the backend's decoding).  ``state`` is the
     *successor* state the reaction leads to, in the backend's own
     representation: a concrete memory dict for the explicit explorer, a
-    ternary valuation for the Z/3Z engines, a memory-slot valuation for the
-    finite-integer engine — state identities differ between backends, but
+    ternary valuation for the polynomial engine, a memory-slot valuation for
+    the bit-blasted symbolic engine — state identities differ between backends, but
     the reaction sequence is the shared currency the replay suite validates.
     ``None`` marks a successor the backend could not reconstruct (e.g. a
     violating reaction that overflows a declared integer range).
@@ -360,7 +363,7 @@ class Reachability(ABC):
         """Engine-level resource statistics, for reports and benchmarks.
 
         Backends override this with whatever measures their machinery: the
-        symbolic engines report BDD pressure (peak unique-table nodes, live
+        symbolic engine reports BDD pressure (peak unique-table nodes, live
         nodes, dynamic-reorder count, transition-relation cluster count,
         fixpoint iterations), the explicit engines their state and
         transition counts.  The workbench surfaces the dict per batch report

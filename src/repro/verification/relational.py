@@ -1,12 +1,12 @@
-"""The shared relational fixpoint core of the symbolic engines.
+"""The relational fixpoint core of the BDD engine.
 
-Both symbolic backends — the Z/3Z boolean engine
-(:mod:`repro.verification.symbolic`) and the finite-integer bit-blaster
-(:mod:`repro.verification.symbolic_int`) — compute reachability the same
-way: a least fixpoint of relational image computation over a transition
-relation ``T(state, signals, state')``, followed by witness extraction,
-frontier-ring counterexample traces and greatest-controllable-invariant
-synthesis over the result.  This module is that machinery, written once:
+The bit-blasted engine (:mod:`repro.verification.symbolic_int`) computes
+reachability as a least fixpoint of relational image computation over a
+transition relation ``T(state, signals, state')``, followed by witness
+extraction, frontier-ring counterexample traces and
+greatest-controllable-invariant synthesis over the result.  This module is
+that machinery, kept apart from the bit-vector circuit compilation that
+builds the relation:
 
 * :class:`PartitionedRelation` — the transition relation kept as a list of
   *conjunctive clusters* instead of one monolithic BDD.  Every equation (or
@@ -28,10 +28,9 @@ synthesis over the result.  This module is that machinery, written once:
 
 * :class:`RelationalReachability` — the result half: witness extraction,
   invariant / reachability checking, ring-walk counterexample traces and
-  supervisory-control synthesis, shared verbatim by both engines' result
-  types.
+  supervisory-control synthesis.
 
-The engines also cooperate with the BDD manager's dynamic variable
+The engine also cooperates with the BDD manager's dynamic variable
 reordering (:meth:`repro.clocks.bdd.BDDManager.reorder`): durable artifacts
 (clusters, frontier rings, reached sets) are *protected* so sifting
 minimises what actually matters, and prime/unprime bit pairs are declared as
@@ -65,48 +64,6 @@ def _value(name: str) -> str:
 
 def _primed(bit: str) -> str:
     return f"{bit}'"
-
-
-@dataclass
-class RelationalEngineOptions:
-    """The relational-core knobs shared by every symbolic options dataclass.
-
-    ``SymbolicOptions`` and ``SymbolicIntOptions`` inherit these, so the two
-    engines can never drift apart on partitioning/reordering behaviour.
-
-    Attributes:
-        partition: keep the transition relation conjunctively partitioned
-            (per-equation clusters with early quantification); ``False``
-            materialises the single monolithic relation BDD instead.
-        reorder: ``"auto"`` lets the BDD manager re-sift its variable order
-            when the unique table outgrows ``reorder_threshold``; ``"off"``
-            keeps the static constraint-locality declaration order.
-        cluster_size: node-count bound up to which adjacent partition
-            conjuncts are merged into one cluster.
-        reorder_threshold: unique-table population that arms the first
-            automatic reorder (doubling afterwards; clamped to half the
-            ``node_budget`` when one is set).
-        node_budget: hard cap on the unique table —
-            :class:`~repro.clocks.bdd.NodeBudgetExceeded` beyond it (None =
-            unbounded; benchmarks use this to bound adversarial orders).
-    """
-
-    partition: bool = True
-    reorder: str = "auto"
-    cluster_size: int = 600
-    reorder_threshold: int = 20000
-    node_budget: Optional[int] = None
-
-
-def manager_for_options(options: RelationalEngineOptions) -> BDDManager:
-    """A BDD manager configured from the shared relational knobs."""
-    if options.reorder not in ("auto", "off"):
-        raise ValueError(f"reorder must be 'auto' or 'off', not {options.reorder!r}")
-    return BDDManager(
-        auto_reorder=options.reorder == "auto",
-        reorder_threshold=options.reorder_threshold,
-        node_budget=options.node_budget,
-    )
 
 
 class PartitionedRelation:
@@ -205,16 +162,14 @@ class PartitionedRelation:
 
 
 class RelationalFixpointEngine:
-    """The image-fixpoint core shared by the symbolic engines.
+    """The image-fixpoint core of the BDD engine.
 
     Subclasses provide the relation itself — ``manager``, ``instantaneous``,
     the partitioned ``relation``, ``initial``, the ``signal_bits`` /
     ``state_bits`` / ``_unprime_map`` layout and ``decode_reaction`` /
     ``decode_state`` — and inherit image computation, the reachability
     fixpoint loop, state counting, reaction enumeration and the statistics
-    hook.  Both the Z/3Z boolean engine and the finite-integer engine run on
-    this exact loop, so a change to the fixpoint (e.g. keeping per-iteration
-    frontiers for counterexample paths) lands in both at once.
+    hook.
     """
 
     def _finalise_relation(
@@ -385,11 +340,9 @@ class RelationalFixpointEngine:
 class RelationalReachability(Reachability):
     """A symbolically computed reachable state set, behind the shared interface.
 
-    The common result type of both symbolic engines: everything here —
-    witness extraction, invariant/reachability checking, frontier-ring trace
-    extraction, controller synthesis — works purely through the
-    :class:`RelationalFixpointEngine` contract, so the boolean and
-    finite-integer results inherit one implementation.
+    Everything here — witness extraction, invariant/reachability checking,
+    frontier-ring trace extraction, controller synthesis — works purely
+    through the :class:`RelationalFixpointEngine` contract.
 
     ``frontiers`` keeps the per-iteration discovery rings of the fixpoint
     (``frontiers[0]`` = initial states): they cost nothing beyond a tuple of

@@ -1,23 +1,24 @@
-"""Finite-integer symbolic reachability: bit-blasted BDD model checking.
+"""Symbolic reachability: bit-blasted BDD model checking.
 
-The boolean symbolic engine (:mod:`repro.verification.symbolic`) covers the
-Z/3Z control skeleton only — a process whose equations carry integer data
-(the paper's ``Count``, accumulators, bounded channels) makes the Sigali
-encoding raise :class:`~repro.verification.encoding.EncodingError` and falls
-back to the bounded explicit explorer.  This module lifts that restriction
-for **finite** integer domains: every integer signal with a declared or
-inferred range ``[lo, hi]`` (see :mod:`repro.verification.ranges`) becomes
-``ceil(log2(hi - lo + 1))`` BDD variables holding ``value - lo`` in binary,
-next to the presence/value bits of the boolean and event signals.  SIGNAL
-arithmetic compiles onto the bit-vector circuits of
-:mod:`repro.clocks.bdd` — ripple-carry adders for ``+``/``-``, comparator
-chains for ``<``/``<=``/``=``, shift-and-add for ``*``, conditional
-subtraction for ``mod k`` — and the usual relational reading of the language
-turns every equation, clock constraint and stimulus domain into one BDD
-conjunct of the instantaneous relation.  Reachability, invariants and
-controller synthesis then reuse the exact image-fixpoint machinery of the
-boolean engine (this engine's result type *is* a
-:class:`~repro.verification.symbolic.SymbolicReachability`).
+This is the repository's one BDD engine.  Every boolean signal becomes two
+BDD variables, ``x.p`` (presence) and ``x.v`` (carried truth value); an
+event keeps only ``x.p``; and every integer signal with a declared or
+inferred finite range ``[lo, hi]`` (see :mod:`repro.verification.ranges`)
+becomes ``ceil(log2(hi - lo + 1))`` value bits holding ``value - lo`` in
+binary.  A boolean/event control skeleton — the fragment the paper's Sigali
+Z/3Z encoding (:mod:`repro.verification.encoding`) covers — is therefore the
+special case with no integer bits, and the three Z/3Z codes map onto the
+same presence/value bits (code 0 is ``¬x.p``, code 1 ``x.p ∧ x.v``, code 2
+``x.p ∧ ¬x.v``), which is how Sigali polynomial invariants are checked here
+(:meth:`IntSymbolicReachability.check_polynomial_invariant`).  SIGNAL
+arithmetic compiles onto the bit-vector circuits of :mod:`repro.clocks.bdd`
+— ripple-carry adders for ``+``/``-``, comparator chains for
+``<``/``<=``/``=``, shift-and-add for ``*``, conditional subtraction for
+``mod k`` — and the usual relational reading of the language turns every
+equation, clock constraint and stimulus domain into one BDD conjunct of the
+instantaneous relation.  Reachability, invariants, counterexample traces and
+controller synthesis run on the partitioned image fixpoint of
+:mod:`repro.verification.relational`.
 
 Soundness of declared capacities.  The operational semantics never clips a
 value, so a range declared too small could make the symbolic engine quietly
@@ -36,6 +37,7 @@ truncated explicit exploration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from ..clocks.bdd import BDDManager, BDDNode
@@ -56,18 +58,18 @@ from ..signal.ast import (
 )
 from ..simulation.compiler import CompiledProcess
 from .encoding import EncodingError
+from .explorer import ExplorationOptions
 from .invariants import CheckResult
 from .reachability import BackendCapabilities, BoundReached, ReactionPredicate
 from .ranges import RangeReport, infer_ranges, state_interval
 from .relational import (
-    RelationalEngineOptions,
     RelationalFixpointEngine,
+    RelationalReachability,
     _presence,
     _primed,
     _value,
-    manager_for_options,
 )
-from .symbolic import SymbolicReachability
+from .z3z import FIELD, Polynomial
 
 #: Hard cap on the width of any one bit-blasted integer signal.
 MAX_SIGNAL_BITS = 24
@@ -79,28 +81,58 @@ VALUE_ATOM_LIMIT = 1 << 16
 
 
 @dataclass
-class SymbolicIntOptions(RelationalEngineOptions):
-    """Parameters of a finite-integer symbolic exploration.
-
-    Inherits the partitioning/reordering knobs of
-    :class:`~repro.verification.relational.RelationalEngineOptions`
-    (``partition``, ``reorder``, ``cluster_size``, ``reorder_threshold``,
-    ``node_budget``) and adds:
+class SymbolicOptions:
+    """Parameters of a symbolic exploration.
 
     Attributes:
+        partition: keep the transition relation conjunctively partitioned
+            (per-equation clusters with early quantification); ``False``
+            materialises the single monolithic relation BDD instead.
+        reorder: ``"auto"`` lets the BDD manager re-sift its variable order
+            when the unique table outgrows ``reorder_threshold``; ``"off"``
+            keeps the static constraint-locality declaration order.
+        cluster_size: node-count bound up to which adjacent partition
+            conjuncts are merged into one cluster.
+        reorder_threshold: unique-table population that arms the first
+            automatic reorder (doubling afterwards; clamped to half the
+            ``node_budget`` when one is set).
+        node_budget: hard cap on the unique table —
+            :class:`~repro.clocks.bdd.NodeBudgetExceeded` beyond it (None =
+            unbounded; benchmarks use this to bound adversarial orders).
         max_iterations: bound on image-computation rounds (None = fixpoint).
-        integer_domain: stimulus values assumed for driven integer inputs —
-            keep equal to the explorer's ``ExplorationOptions.integer_domain``
-            when cross-checking engines.
+        integer_domain: stimulus values assumed for driven integer inputs;
+            None follows the explorer's ``ExplorationOptions.integer_domain``
+            (a :class:`~repro.workbench.Design`'s own, or the default).
         ranges: per-signal ``(lo, hi)`` overrides, taking precedence over
             declaration ``bounds`` and inference.
         max_bits: per-signal bit-width cap (wider ranges refuse to encode).
     """
 
+    partition: bool = True
+    reorder: str = "auto"
+    cluster_size: int = 600
+    reorder_threshold: int = 20000
+    node_budget: Optional[int] = None
     max_iterations: Optional[int] = None
-    integer_domain: Sequence[int] = (0, 1)
+    integer_domain: Optional[Sequence[int]] = None
     ranges: Mapping[str, tuple[int, int]] = field(default_factory=dict)
     max_bits: int = MAX_SIGNAL_BITS
+
+    def manager(self) -> BDDManager:
+        """A fresh BDD manager configured from the reordering knobs."""
+        if self.reorder not in ("auto", "off"):
+            raise ValueError(f"reorder must be 'auto' or 'off', not {self.reorder!r}")
+        return BDDManager(
+            auto_reorder=self.reorder == "auto",
+            reorder_threshold=self.reorder_threshold,
+            node_budget=self.node_budget,
+        )
+
+    def stimulus_domain(self) -> Sequence[int]:
+        """``integer_domain``, or the explorer's default when unset."""
+        if self.integer_domain is None:
+            return ExplorationOptions().integer_domain
+        return self.integer_domain
 
 
 # --------------------------------------------------------------------------- bit-vector values
@@ -154,15 +186,15 @@ class IntSymbolicEngine(RelationalFixpointEngine):
     def __init__(
         self,
         source: Union[ProcessDefinition, CompiledProcess],
-        options: Optional[SymbolicIntOptions] = None,
+        options: Optional[SymbolicOptions] = None,
         manager: Optional[BDDManager] = None,
         ranges: Optional[RangeReport] = None,
     ) -> None:
         self.compiled = source if isinstance(source, CompiledProcess) else CompiledProcess(source)
-        self.options = options or SymbolicIntOptions()
-        self.manager = manager if manager is not None else manager_for_options(self.options)
+        self.options = options or SymbolicOptions()
+        self.manager = manager if manager is not None else self.options.manager()
         self.ranges: RangeReport = ranges if ranges is not None else infer_ranges(
-            self.compiled, self.options.integer_domain, self.options.ranges
+            self.compiled, self.options.stimulus_domain(), self.options.ranges
         )
         self.signal_names: list[str] = list(self.compiled.signal_names)
         self._check_widths()
@@ -176,7 +208,7 @@ class IntSymbolicEngine(RelationalFixpointEngine):
     def rehydrated(
         cls,
         source: Union[ProcessDefinition, CompiledProcess],
-        options: Optional[SymbolicIntOptions] = None,
+        options: Optional[SymbolicOptions] = None,
         ranges: Optional[RangeReport] = None,
         payload: Optional[Mapping] = None,
     ) -> "IntSymbolicEngine":
@@ -191,10 +223,10 @@ class IntSymbolicEngine(RelationalFixpointEngine):
             raise ValueError("rehydrated() needs a snapshot_relation payload")
         engine = cls.__new__(cls)
         engine.compiled = source if isinstance(source, CompiledProcess) else CompiledProcess(source)
-        engine.options = options or SymbolicIntOptions()
-        engine.manager = manager_for_options(engine.options)
+        engine.options = options or SymbolicOptions()
+        engine.manager = engine.options.manager()
         engine.ranges = ranges if ranges is not None else infer_ranges(
-            engine.compiled, engine.options.integer_domain, engine.options.ranges
+            engine.compiled, engine.options.stimulus_domain(), engine.options.ranges
         )
         engine.signal_names = list(engine.compiled.signal_names)
         engine._check_widths()
@@ -335,9 +367,14 @@ class IntSymbolicEngine(RelationalFixpointEngine):
         return names
 
     def _declare_variables(self) -> None:
-        """Declare BDD bits in constraint-locality order (see the boolean engine):
-        each equation's target, operands and memory slots sit next to each
-        other, and a slot's primed bit directly below its unprimed one."""
+        """Declare BDD bits in constraint-locality order.
+
+        Each equation's target, operands and memory slots sit next to each
+        other, which keeps the relation small for pipelined designs such as
+        shift registers; a slot's primed bit sits directly below its
+        unprimed one, and the pair is declared as a reorder group so
+        dynamic sifting keeps them adjacent.
+        """
         manager = self.manager
         declared: set[str] = set()
 
@@ -940,8 +977,7 @@ class IntSymbolicEngine(RelationalFixpointEngine):
 
         ``value`` atoms are evaluated by enumerating the signal's (finite)
         representable domain and constraining the bit-vector to the values the
-        atom's Python callable accepts — the capability the boolean engine
-        lacks.
+        atom's Python callable accepts.
         """
         manager = self.manager
         kind = predicate.kind
@@ -972,6 +1008,40 @@ class IntSymbolicEngine(RelationalFixpointEngine):
         if kind == "true":
             return manager.conj(presence, value)
         return manager.conj(presence, manager.neg(value))
+
+    def polynomial_bdd(self, polynomial: Polynomial) -> BDDNode:
+        """BDD of the Sigali objective ``polynomial = 0`` over the signal bits.
+
+        Enumerates the ternary assignments of the polynomial's own support
+        (3^support cubes) with the Z/3Z codes read off the presence/value
+        bits: code 0 is ``¬x.p``, code 1 is ``x.p ∧ x.v`` (``x.p`` for an
+        event), code 2 is ``x.p ∧ ¬x.v`` (impossible for an event).
+
+        Raises:
+            KeyError: for a name that is no signal of the process.
+            ValueError: for an integer signal or a Z/3Z state variable
+                (``__stateN``), which have no code on these bits — check such
+                objectives on the encoding with
+                :meth:`~repro.verification.encoding.PolynomialDynamicalSystem.check_invariant`.
+        """
+        manager = self.manager
+        support = sorted(polynomial.variables())
+        for name in support:
+            signal_type = self.compiled.signal_types.get(name)
+            if signal_type == "integer" or (signal_type is None and name.startswith("__state")):
+                raise ValueError(
+                    f"{self.name}: polynomial invariant mentions {name!r}, which has no "
+                    "Z/3Z code on the presence/value bits; check it with "
+                    "PolynomialDynamicalSystem.check_invariant on the design's encoding"
+                )
+        # Z/3Z code c of a signal is the predicate atoms[c] on its bits.
+        atoms = (ReactionPredicate.absent, ReactionPredicate.true_of, ReactionPredicate.false_of)
+        codes = {name: [self.predicate_bdd(atom(name)) for atom in atoms] for name in support}
+        return manager.disj_all(
+            manager.conj_all(codes[name][code] for name, code in zip(support, values))
+            for values in product(FIELD, repeat=len(support))
+            if polynomial.evaluate(dict(zip(support, values))) == 0
+        )
 
     def _value_atom_bdd(self, name: str, test: Any, presence: BDDNode, signal_type: str) -> BDDNode:
         manager = self.manager
@@ -1072,13 +1142,14 @@ class IntSymbolicEngine(RelationalFixpointEngine):
 # --------------------------------------------------------------------------- the result
 
 @dataclass
-class IntSymbolicReachability(SymbolicReachability):
-    """A finite-integer symbolic reachable set, behind the shared interface.
+class IntSymbolicReachability(RelationalReachability):
+    """A bit-blasted symbolic reachable set, behind the shared interface.
 
     Inherits the witness extraction, predicate checking, ring-walk trace
-    extraction and symbolic controller synthesis of the boolean engine's
-    result — only the capability declaration and the completeness accounting
-    differ.
+    extraction and symbolic controller synthesis of
+    :class:`~repro.verification.relational.RelationalReachability`, and adds
+    the completeness accounting of the range-overflow audit and the
+    Sigali-style polynomial-invariant objective.
     """
 
     overflowed: tuple[str, ...] = ()
@@ -1111,16 +1182,21 @@ class IntSymbolicReachability(SymbolicReachability):
             )
         super()._require_complete(name)
 
-    def check_polynomial_invariant(self, invariant, name: str = "invariant") -> CheckResult:
-        raise TypeError(
-            "polynomial invariants are Z/3Z objects; the finite-integer engine "
-            "checks ReactionPredicate properties (including value atoms)"
+    def check_polynomial_invariant(self, invariant: Polynomial, name: str = "invariant") -> CheckResult:
+        """Sigali-style objective: ``invariant = 0`` on every reachable reaction.
+
+        The polynomial is lowered onto the presence/value bits of its
+        boolean/event signals (see :meth:`IntSymbolicEngine.polynomial_bdd`).
+        """
+        violating = self.engine.manager.neg(self.engine.polynomial_bdd(invariant))
+        return self._witness(
+            violating, name, found_holds=False, missing=lambda: f"{self.state_count} reachable states"
         )
 
 
 def symbolic_int_explore(
     source: Union[ProcessDefinition, CompiledProcess],
-    options: Optional[SymbolicIntOptions] = None,
+    options: Optional[SymbolicOptions] = None,
 ) -> IntSymbolicReachability:
     """Bit-blast ``source`` and compute its reachable state space symbolically."""
     return IntSymbolicEngine(source, options).reach()

@@ -16,7 +16,7 @@ declared :class:`~repro.verification.reachability.BackendCapabilities`.
         "output-needs-input": P.present("s13").implies(P.present("x")),
         "no-spontaneous-tail": P.absent("x").implies(P.absent("s0")),
     })
-    print(report.summary())   # backend: symbolic — one fixpoint, k queries
+    print(report.summary())   # backend: symbolic-int — one fixpoint, k queries
 
 Expensive artifacts can additionally be shared *across* designs (and across
 processes) through the content-addressed persistent cache of

@@ -299,11 +299,10 @@ ARTIFACT_FINGERPRINTS: dict[str, Callable[["Design"], Any]] = {
     "encoding": lambda design: (),
     "endochrony": lambda design: (),
     "ranges": lambda design: (
-        tuple(design.symbolic_int_options.integer_domain),
-        sorted(design.symbolic_int_options.ranges.items()),
+        tuple(design.integer_domain),
+        sorted(design.symbolic_options.ranges.items()),
     ),
-    "symbolic": lambda design: design.symbolic_options,
-    "symbolic_int": lambda design: design.symbolic_int_options,
+    "symbolic_int": lambda design: (design.symbolic_options, tuple(design.integer_domain)),
 }
 
 #: The artifacts ``Design._artifact`` consults a store for.

@@ -13,26 +13,22 @@ you have::
 
 Every derived artifact — the compiled process, the clock hierarchy and
 endochrony report, the Z/3Z Sigali encoding, the integer range inference,
-the explicit exploration, the polynomial enumeration, the symbolic BDD
-fixpoints (boolean and finite-integer), the simulator — is computed lazily
-and **memoised**, so repeated queries never recompute a fixpoint or
-re-encode; :attr:`artifact_counts` records how often each was actually built
-(the tests pin it to one).
+the explicit exploration, the polynomial enumeration, the bit-blasted BDD
+fixpoint, the simulator — is computed lazily and **memoised**, so repeated
+queries never recompute a fixpoint or re-encode; :attr:`artifact_counts`
+records how often each was actually built (the tests pin it to one).
 
 Verification queries go through the backend registry
-(:mod:`repro.workbench.registry`): name an engine (``backend="symbolic"``) or
-let ``backend="auto"`` pick one from declared capabilities.  Queries needing
-concrete data — integer-data processes (where the Z/3Z encoding raises
-:class:`~repro.verification.encoding.EncodingError`) and
-:meth:`~repro.verification.reachability.ReactionPredicate.value` properties —
-go explicit while the potential state space fits the explicit bound, and to
-the bit-blasted finite-integer engine (``symbolic-int``) once it outgrows it
-and the integer ranges are finite; pure boolean/event skeletons promote to
-the Z/3Z symbolic engine the same way.  The batch API — :meth:`check` /
-:meth:`check_all` — evaluates many properties against one shared reachable
-set and returns a structured :class:`~repro.workbench.report.Report`; with
-``traces=True`` every failed invariant / satisfied reachability property
-additionally carries a replay-valid counterexample/witness
+(:mod:`repro.workbench.registry`): name an engine (``backend="symbolic-int"``)
+or let ``backend="auto"`` pick one from declared capabilities.  Queries go
+explicit while the potential state space fits the explicit bound, and to the
+bit-blasted BDD engine (``symbolic-int``) once it outgrows it — boolean/event
+skeletons and integer designs with finite ranges alike.  The batch API —
+:meth:`check` / :meth:`check_all` — evaluates many properties against one
+shared reachable set and returns a structured
+:class:`~repro.workbench.report.Report`; with ``traces=True`` every failed
+invariant / satisfied reachability property additionally carries a
+replay-valid counterexample/witness
 :class:`~repro.verification.reachability.Trace` (extraction is lazy, so the
 default keeps batch throughput unchanged).
 """
@@ -66,11 +62,10 @@ from ..verification.reachability import (
     ReactionPredicate,
 )
 from ..verification.ranges import RangeReport, infer_ranges
-from ..verification.symbolic import SymbolicEngine, SymbolicOptions, SymbolicReachability
 from ..verification.symbolic_int import (
     IntSymbolicEngine,
     IntSymbolicReachability,
-    SymbolicIntOptions,
+    SymbolicOptions,
 )
 from .cache import (
     CACHEABLE_ARTIFACTS,
@@ -143,7 +138,6 @@ class Design:
         *,
         exploration_options: Optional[ExplorationOptions] = None,
         symbolic_options: Optional[SymbolicOptions] = None,
-        symbolic_int_options: Optional[SymbolicIntOptions] = None,
         polynomial_max_states: int = 5000,
         symbolic_state_threshold: Optional[int] = None,
         step_compile: Optional[str] = None,
@@ -169,12 +163,6 @@ class Design:
         self.process: ProcessDefinition = process
         self.exploration_options = exploration_options or ExplorationOptions()
         self.symbolic_options = symbolic_options or SymbolicOptions()
-        # The integer engine describes the same stimulus alphabet as the
-        # explorer unless explicitly overridden — the property the
-        # differential suite relies on.
-        self.symbolic_int_options = symbolic_int_options or SymbolicIntOptions(
-            integer_domain=self.exploration_options.integer_domain
-        )
         # Which engine CompiledProcess.step runs reactions on ("codegen" by
         # default, "interp" for the reference evaluator); None defers to the
         # REPRO_STEP_COMPILE environment knob.  Rides DesignSpec into job
@@ -315,7 +303,7 @@ class Design:
                 "free_clocks": tuple(value.free_clocks),
                 "issues": list(value.issues),
             }
-        if name in ("symbolic", "symbolic_int"):
+        if name == "symbolic_int":
             return value.snapshot()
         # encoding / ranges: plain picklable dataclasses, stored as-is.
         return value
@@ -324,19 +312,11 @@ class Design:
         """Rebuild an artifact from its persisted form (inverse of _to_payload)."""
         if name == "endochrony":
             return EndochronyReport(hierarchy=None, **payload)
-        if name == "symbolic":
-            engine = self._artifacts.get("symbolic_engine")
-            if not isinstance(engine, SymbolicEngine):
-                engine = SymbolicEngine.rehydrated(
-                    self.encoding, self.symbolic_options, payload["engine"]
-                )
-                self._artifacts["symbolic_engine"] = engine
-            return SymbolicReachability.from_snapshot(engine, payload)
         if name == "symbolic_int":
             engine = self._artifacts.get("symbolic_int_engine")
             if not isinstance(engine, IntSymbolicEngine):
                 engine = IntSymbolicEngine.rehydrated(
-                    self.compiled, self.symbolic_int_options, self.ranges, payload["engine"]
+                    self.compiled, self.symbolic_options, self.ranges, payload["engine"]
                 )
                 self._artifacts["symbolic_int_engine"] = engine
             return IntSymbolicReachability.from_snapshot(engine, payload)
@@ -347,26 +327,25 @@ class Design:
 
     #: Which artifacts are derived from which, so invalidation cascades —
     #: recomputing a dropped artifact must never rebuild on a stale upstream.
-    #: The finite-integer engine is built from the compiled process *and*
-    #: consults the (memoised) encodability probe during auto-routing, so a
-    #: refreshed ``encoding`` drops it too — routing and engine must never
-    #: disagree about whether the design has a boolean skeleton.
+    #: The BDD engine is built from the compiled process *and* consults the
+    #: (memoised) encodability probe during auto-routing, so a refreshed
+    #: ``encoding`` drops it too — routing and engine must never disagree
+    #: about whether the design has a boolean skeleton.
     _ARTIFACT_DEPENDENTS = {
         "compiled": ("exploration", "simulator", "ranges"),
         "hierarchy": ("endochrony",),
-        "encoding": ("polynomial", "symbolic_engine", "symbolic_int_engine"),
+        "encoding": ("polynomial", "symbolic_int_engine"),
         "ranges": ("symbolic_int_engine",),
         "symbolic_int_engine": ("symbolic_int",),
-        "symbolic_engine": ("symbolic",),
     }
 
     def invalidate(self, name: Optional[str] = None) -> None:
         """Drop a memoised artifact (or all of them) so it is recomputed.
 
         Dropping an artifact also drops everything derived from it (e.g.
-        ``encoding`` takes ``polynomial``, ``symbolic_engine`` and
-        ``symbolic`` with it), so changed options take effect through the
-        whole downstream chain.  The computation *counters* are deliberately
+        ``ranges`` takes ``symbolic_int_engine`` and ``symbolic_int`` with
+        it), so changed options take effect through the whole downstream
+        chain.  The computation *counters* are deliberately
         kept — they record work actually done over the design's lifetime.
         """
         if name is None:
@@ -451,18 +430,6 @@ class Design:
         )
 
     @property
-    def symbolic_engine(self) -> SymbolicEngine:
-        """The BDD transition-relation encoding, built on the shared Z/3Z system."""
-        return self._artifact(
-            "symbolic_engine", lambda: SymbolicEngine(self.encoding, self.symbolic_options)
-        )
-
-    @property
-    def symbolic(self) -> SymbolicReachability:
-        """The symbolic reachable set (BDD fixpoint, memoised)."""
-        return self._artifact("symbolic", lambda: self.symbolic_engine.reach())
-
-    @property
     def ranges(self) -> RangeReport:
         """Finite ranges of the integer signals (declared or inferred, memoised).
 
@@ -474,26 +441,34 @@ class Design:
         return self._artifact(
             "ranges",
             lambda: infer_ranges(
-                self.compiled,
-                self.symbolic_int_options.integer_domain,
-                self.symbolic_int_options.ranges,
+                self.compiled, self.integer_domain, self.symbolic_options.ranges
             ),
         )
 
     @property
+    def integer_domain(self) -> Sequence[int]:
+        """The stimulus values of driven integer inputs for the BDD engine.
+
+        ``symbolic_options.integer_domain``, or — when unset — the
+        explorer's ``exploration_options.integer_domain``, so both engines
+        describe the same stimulus alphabet (the property the differential
+        suites rely on).
+        """
+        domain = self.symbolic_options.integer_domain
+        return self.exploration_options.integer_domain if domain is None else domain
+
+    @property
     def symbolic_int_engine(self) -> IntSymbolicEngine:
-        """The bit-blasted finite-integer transition relation (memoised),
-        built over the shared compiled process and memoised range report."""
+        """The bit-blasted transition relation (memoised), built over the
+        shared compiled process and memoised range report."""
         return self._artifact(
             "symbolic_int_engine",
-            lambda: IntSymbolicEngine(
-                self.compiled, self.symbolic_int_options, ranges=self.ranges
-            ),
+            lambda: IntSymbolicEngine(self.compiled, self.symbolic_options, ranges=self.ranges),
         )
 
     @property
     def symbolic_int(self) -> IntSymbolicReachability:
-        """The finite-integer symbolic reachable set (BDD fixpoint, memoised)."""
+        """The symbolic reachable set (BDD fixpoint, memoised)."""
         return self._artifact("symbolic_int", lambda: self.symbolic_int_engine.reach())
 
     @property
@@ -588,7 +563,7 @@ class Design:
 
         The auto policy selects on cheap static facts (encodability probe,
         potential state bound); an engine may still refuse at construction —
-        e.g. the finite-integer engine on a range wider than ``max_bits`` or
+        e.g. the BDD engine on a range wider than ``max_bits`` or
         on an arithmetic fragment it cannot bit-blast.  Auto then falls back
         to the explicit reference engine instead of leaking the
         ``EncodingError`` out of a batch check; a backend named explicitly

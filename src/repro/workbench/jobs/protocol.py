@@ -26,8 +26,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 from ...signal.ast import ProcessDefinition
 from ...verification.explorer import ExplorationOptions
 from ...verification.reachability import ReactionPredicate
-from ...verification.symbolic import SymbolicOptions
-from ...verification.symbolic_int import SymbolicIntOptions
+from ...verification.symbolic_int import SymbolicOptions
 from ..report import Property, normalise_properties
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -132,7 +131,6 @@ class DesignSpec:
     source: Optional[str] = None
     exploration_options: Optional[ExplorationOptions] = None
     symbolic_options: Optional[SymbolicOptions] = None
-    symbolic_int_options: Optional[SymbolicIntOptions] = None
     polynomial_max_states: int = 5000
     symbolic_state_threshold: Optional[int] = None
     step_compile: Optional[str] = None
@@ -145,7 +143,6 @@ class DesignSpec:
             source=design.source,
             exploration_options=design.exploration_options,
             symbolic_options=design.symbolic_options,
-            symbolic_int_options=design.symbolic_int_options,
             polynomial_max_states=design.polynomial_max_states,
             symbolic_state_threshold=design.symbolic_state_threshold,
             step_compile=design.step_compile,
@@ -159,7 +156,6 @@ class DesignSpec:
             self.process,
             exploration_options=self.exploration_options,
             symbolic_options=self.symbolic_options,
-            symbolic_int_options=self.symbolic_int_options,
             polynomial_max_states=self.polynomial_max_states,
             symbolic_state_threshold=self.symbolic_state_threshold,
             step_compile=self.step_compile,

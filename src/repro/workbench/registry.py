@@ -9,7 +9,7 @@ registry filters the entries that can answer the query (integer data needed?
 synthesis needed?) and prefers an exhaustive engine when the design's
 potential state space outgrows the explicit bound.
 
-The default registry carries the paper tool-chain's four engines (every one
+The default registry carries the paper tool-chain's three engines (every one
 of which also extracts counterexample traces, ``traces=True``):
 
 ============ ============================================== =========================
@@ -20,20 +20,16 @@ explicit      :func:`repro.verification.explorer.explore`    integer data, bound
 polynomial    :class:`~repro.verification.encoding.PolynomialReachability`
               over the shared Z/3Z encoding                  boolean skeleton,
                                                              bounded, traces
-symbolic      :func:`repro.verification.symbolic.symbolic_explore`
-              BDD fixpoint over the same encoding            boolean skeleton,
-                                                             exhaustive, synthesis,
-                                                             traces
 symbolic-int  :func:`repro.verification.symbolic_int.symbolic_int_explore`
-              bit-blasted finite-integer BDD fixpoint        integer data,
-                                                             exhaustive, synthesis,
+              BDD fixpoint over the presence/value bits      integer data,
+              of booleans, events and finite integers        exhaustive, synthesis,
                                                              traces
 ============ ============================================== =========================
 
 Every backend also reports engine statistics through
 :meth:`~repro.verification.reachability.Reachability.statistics` — BDD
 pressure (peak/live nodes, dynamic reorders, transition-relation clusters)
-for the symbolic engines, state/transition counts for the explicit ones —
+for the BDD engine, state/transition counts for the explicit ones —
 which batch reports surface as
 :attr:`~repro.workbench.report.Report.engine_statistics`.
 
@@ -191,10 +187,6 @@ def _polynomial_factory(design: "Design") -> Reachability:
     return design.polynomial
 
 
-def _symbolic_factory(design: "Design") -> Reachability:
-    return design.symbolic
-
-
 def _symbolic_int_factory(design: "Design") -> Reachability:
     return design.symbolic_int
 
@@ -202,14 +194,12 @@ def _symbolic_int_factory(design: "Design") -> Reachability:
 def _default_entries() -> list[RegisteredBackend]:
     from ..verification.encoding import PolynomialReachability
     from ..verification.explorer import ExplorationResult
-    from ..verification.symbolic import SymbolicReachability
     from ..verification.symbolic_int import IntSymbolicReachability
 
     return [
         RegisteredBackend("explicit", _explicit_factory, ExplorationResult.capabilities(), 0),
         RegisteredBackend("polynomial", _polynomial_factory, PolynomialReachability.capabilities(), 1),
-        RegisteredBackend("symbolic", _symbolic_factory, SymbolicReachability.capabilities(), 2),
-        RegisteredBackend("symbolic-int", _symbolic_int_factory, IntSymbolicReachability.capabilities(), 3),
+        RegisteredBackend("symbolic-int", _symbolic_int_factory, IntSymbolicReachability.capabilities(), 2),
     ]
 
 

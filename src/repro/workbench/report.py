@@ -137,7 +137,7 @@ class Report:
     elapsed: float = 0.0
     artifact_seconds: dict[str, float] = field(default_factory=dict)
     #: Engine resource statistics (:meth:`Reachability.statistics`): for the
-    #: symbolic engines peak/live BDD node counts, dynamic-reorder count,
+    #: symbolic engine peak/live BDD node counts, dynamic-reorder count,
     #: transition-relation cluster count and fixpoint iterations; for the
     #: explicit engines state/transition counts.  Empty when the backend
     #: reports nothing.

@@ -217,7 +217,7 @@ class TestBudgetAndAutoTrigger:
         import random as _random
 
         from repro.signal.dsl import ProcessBuilder
-        from repro.verification import SymbolicEngine, SymbolicOptions
+        from repro.verification import SymbolicOptions, symbolic_int_explore
 
         order = list(range(12))
         _random.Random(11).shuffle(order)
@@ -228,10 +228,10 @@ class TestBudgetAndAutoTrigger:
             source = x if index == 0 else stages[index - 1]
             builder.define(stages[index], source.delayed(False))
         # node_budget=10000 < the default reorder_threshold of 20000.
-        result = SymbolicEngine(
+        result = symbolic_int_explore(
             builder.build(),
             SymbolicOptions(partition=True, reorder="auto", node_budget=10000),
-        ).reach()
+        )
         assert result.complete and result.state_count == 2 ** 12
         assert result.statistics()["reorders"] >= 1
 

@@ -256,3 +256,29 @@ class TestSmokeFileWriting:
         target.write_text('{"schema": "bench-smoke/3", "benchmarks": []}')
         conftest.pytest_sessionfinish(session, exitstatus=2)
         assert json.loads(target.read_text())["benchmarks"] == []
+
+
+_SMOKE_PATH = os.path.join(os.path.dirname(_TOOL_PATH), "perfbench_smoke.py")
+_smoke_spec = importlib.util.spec_from_file_location("perfbench_smoke", _SMOKE_PATH)
+perfbench_smoke = importlib.util.module_from_spec(_smoke_spec)
+_smoke_spec.loader.exec_module(perfbench_smoke)
+
+
+class TestPerfbenchSmokeGate:
+    """The benchmark runner exits 0 on failed operations; the gate must not."""
+
+    def test_clean_run_passes(self):
+        line = json.dumps({"correct": 5, "attempted": 5, "failed": 0, "metrics": {}})
+        assert perfbench_smoke.result_problem(line) is None
+
+    def test_failed_operations_fail(self):
+        line = json.dumps({"correct": 4, "attempted": 5, "failed": 1, "metrics": {}})
+        assert "1 of 5" in perfbench_smoke.result_problem(line)
+
+    def test_nothing_attempted_fails(self):
+        line = json.dumps({"correct": 0, "attempted": 0, "failed": 0, "metrics": {}})
+        assert "no operation attempted" in perfbench_smoke.result_problem(line)
+
+    @pytest.mark.parametrize("line", ["", "Traceback (most recent call last):", "[1, 2]"])
+    def test_non_result_lines_fail(self, line):
+        assert "not a JSON object" in perfbench_smoke.result_problem(line)

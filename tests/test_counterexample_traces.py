@@ -11,7 +11,7 @@ recorded input stimuli, and the final reaction — performed from the state the
 trace leads to, i.e. a state whose reaction alphabet contains it — must
 satisfy the traced predicate.  The corpora are the boolean + integer corpora
 of ``tests/test_symbolic_vs_explicit.py`` (library processes, observer
-compositions, fixed-seed random processes), so the four engines are
+compositions, fixed-seed random processes), so the three engines are
 cross-checked on the same designs whose verdicts they already agree on.
 
 The soundness contract is tested alongside: a truncated (``complete ==
@@ -42,8 +42,6 @@ from repro.verification import (
     BoundReached,
     ExplorationOptions,
     ReactionPredicate as P,
-    SymbolicEngine,
-    SymbolicIntOptions,
     SymbolicOptions,
     Trace,
     encode_process,
@@ -53,11 +51,11 @@ from repro.verification import (
 )
 from repro.verification.symbolic_int import IntSymbolicEngine
 
-ENGINE_NAMES = ("explicit", "polynomial", "symbolic", "symbolic-int")
+ENGINE_NAMES = ("explicit", "polynomial", "symbolic-int")
 
 #: Engines that decode reactions through the Z/3Z ternary abstraction, where
 #: an event carries the truth value True rather than the EVENT marker.
-ABSTRACT_ENGINES = {"polynomial", "symbolic"}
+ABSTRACT_ENGINES = {"polynomial"}
 
 
 def _normalise(value, abstract: bool):
@@ -103,7 +101,7 @@ def replay_trace(process, trace: Trace, predicate, abstract: bool) -> None:
 
 @pytest.mark.parametrize("label,factory", CORPUS, ids=[label for label, _ in CORPUS])
 def test_boolean_corpus_traces_replay(label, factory):
-    """All four engines: every extracted trace replays; unreachable → no trace."""
+    """All three engines: every extracted trace replays; unreachable → no trace."""
     process = factory()
     engines = dict(zip(ENGINE_NAMES, engines_for(process)))
     predicates = predicates_for(process)
@@ -129,7 +127,7 @@ def test_explicit_traces_are_shortest():
     # reaction; ``rings[k]`` holds exactly the states first reached after k
     # images, so this equality is contractual, not a coincidence — the
     # corpus-wide pins below assert it over every engine and property.
-    assert len(SymbolicEngine(process).reach().trace_to(predicate)) == depth + 1
+    assert len(symbolic_int_explore(process).trace_to(predicate)) == depth + 1
 
 
 # --------------------------------------------------------------------------- shortest-ness
@@ -151,13 +149,12 @@ def test_boolean_corpus_trace_lengths_match_explicit_bfs(label, factory):
         explicit_trace = engines["explicit"].trace_to(predicate)
         if explicit_trace is None:
             continue
-        for name in ("symbolic", "symbolic-int"):
-            trace = engines[name].trace_to(predicate)
-            assert trace is not None, (name, repr(predicate))
-            assert len(trace) == len(explicit_trace), (
-                f"{name} trace has {len(trace)} steps, explicit BFS distance "
-                f"is {len(explicit_trace) - 1} for {predicate!r}"
-            )
+        trace = engines["symbolic-int"].trace_to(predicate)
+        assert trace is not None, repr(predicate)
+        assert len(trace) == len(explicit_trace), (
+            f"symbolic-int trace has {len(trace)} steps, explicit BFS distance "
+            f"is {len(explicit_trace) - 1} for {predicate!r}"
+        )
 
 
 @pytest.mark.parametrize(
@@ -180,18 +177,19 @@ def test_integer_corpus_trace_lengths_match_explicit_bfs(label, factory, payload
 
 
 def test_trace_steps_carry_successor_states():
-    """Explicit steps carry concrete memories; symbolic steps decoded valuations."""
+    """Explicit steps carry concrete memories; the other engines decoded valuations."""
     process = boolean_shift_register_process(3)
     explicit_trace = explore(process).trace_to(P.true_of("s2"))
     for step in explicit_trace:
         assert isinstance(step.state, dict) and step.state
-    symbolic_trace = SymbolicEngine(process).reach().trace_to(P.true_of("s2"))
+    symbolic_trace = symbolic_int_explore(process).trace_to(P.true_of("s2"))
     for step in symbolic_trace:
         assert isinstance(step.state, dict) and step.state
-        assert all(code in (0, 1, 2) for code in step.state.values())
+        assert all(isinstance(value, bool) for value in step.state.values())
     polynomial_trace = encode_process(process).explore().trace_to(P.true_of("s2"))
     for step in polynomial_trace:
         assert isinstance(step.state, dict) and step.state
+        assert all(code in (0, 1, 2) for code in step.state.values())
 
 
 # --------------------------------------------------------------------------- integer corpus
@@ -229,7 +227,7 @@ def test_integer_trace_reaches_deep_counter_value():
 
 class TestTraceSoundness:
     def test_no_trace_on_complete_analysis_is_a_definite_answer(self):
-        """Complete engines answer "no trace" with None, for all four engines."""
+        """Complete engines answer "no trace" with None, for all three engines."""
         for engine in engines_for(alternator_process()):
             assert engine.complete
             assert engine.trace_to(P.never()) is None
@@ -262,7 +260,7 @@ class TestTraceSoundness:
 
     def test_truncated_symbolic_refuses_no_trace(self):
         process = boolean_shift_register_process(8)
-        truncated = SymbolicEngine(process, SymbolicOptions(max_iterations=1)).reach()
+        truncated = symbolic_int_explore(process, SymbolicOptions(max_iterations=1))
         assert not truncated.complete
         with pytest.raises(BoundReached):
             truncated.trace_to(P.true_of("s7"))
@@ -270,7 +268,7 @@ class TestTraceSoundness:
     def test_truncated_symbolic_int_refuses_no_trace(self):
         process = modulo_counter_process(6)
         truncated = IntSymbolicEngine(
-            process, SymbolicIntOptions(max_iterations=1)
+            process, SymbolicOptions(max_iterations=1)
         ).reach()
         assert not truncated.complete
         with pytest.raises(BoundReached):
@@ -281,7 +279,7 @@ class TestTraceSoundness:
         from repro.signal.library import count_process
 
         result = symbolic_int_explore(
-            count_process(), SymbolicIntOptions(ranges={"val": (0, 3)})
+            count_process(), SymbolicOptions(ranges={"val": (0, 3)})
         )
         assert result.overflowed == ("val",)
         with pytest.raises(BoundReached, match="val"):
@@ -289,11 +287,11 @@ class TestTraceSoundness:
 
     def test_hand_built_symbolic_result_refuses_traces(self):
         """A result without frontier rings cannot walk backward — explicit error."""
-        from repro.verification import SymbolicReachability
+        from repro.verification import IntSymbolicReachability
 
-        engine = SymbolicEngine(alternator_process())
+        engine = IntSymbolicEngine(alternator_process())
         computed = engine.reach()
-        stripped = SymbolicReachability(
+        stripped = IntSymbolicReachability(
             engine, computed.states, computed.iterations, computed.fixpoint
         )
         with pytest.raises(NotImplementedError):
@@ -324,11 +322,11 @@ class TestWorkbenchTraces:
         process = boolean_shift_register_process(5)
         design = Design.from_process(process)
         bad = P.absent("s4") | P.false_of("s4")
-        report = design.check_all(invariants={"never-true": bad}, traces=True, backend="symbolic")
+        report = design.check_all(invariants={"never-true": bad}, traces=True, backend="symbolic-int")
         check = report["never-true"]
         assert check.holds is False
         assert check.trace is not None
-        replay_trace(process, check.trace, ~bad, abstract=True)
+        replay_trace(process, check.trace, ~bad, abstract=False)
         summary = report.summary()
         for line in check.trace.render().splitlines():
             assert line in summary
@@ -355,11 +353,11 @@ class TestWorkbenchTraces:
 
         process = boolean_shift_register_process(4)
         bad = P.absent("s3") | P.false_of("s3")
-        for backend in ("explicit", "polynomial", "symbolic", "symbolic-int"):
+        for backend in ("explicit", "polynomial", "symbolic-int"):
             design = Design.from_process(process)
             report = design.check(("never-true", bad), backend=backend, traces=True)
             check = report["never-true"]
             assert check.holds is False, backend
             assert check.trace is not None, backend
-            abstract = backend in ("polynomial", "symbolic")
+            abstract = backend in ABSTRACT_ENGINES
             replay_trace(process, check.trace, ~bad, abstract=abstract)

@@ -26,7 +26,7 @@ from repro.signal.library import (
     saturating_accumulator_process,
 )
 from repro.verification.reachability import ReactionPredicate as P
-from repro.verification.symbolic_int import SymbolicIntOptions
+from repro.verification.symbolic_int import SymbolicOptions
 from repro.workbench import Design, Property, WorkerPool
 from repro.workbench.jobs import (
     Compare,
@@ -52,7 +52,7 @@ def slow_design() -> Design:
     """~1.5s of symbolic-int fixpoint: long enough to kill, time out, cancel."""
     return Design.from_process(
         modulo_counter_process(300),
-        symbolic_int_options=SymbolicIntOptions(reorder="off"),
+        symbolic_options=SymbolicOptions(reorder="off"),
         cache=None,
     )
 
@@ -188,7 +188,7 @@ class TestProtocol:
         assert spec.name == design.name
         rebuilt = pickle.loads(pickle.dumps(spec)).build(cache=None)
         assert rebuilt.name == design.name
-        assert rebuilt.symbolic_int_options.reorder == "off"
+        assert rebuilt.symbolic_options.reorder == "off"
         assert rebuilt.cache is None
 
 

@@ -43,9 +43,9 @@ def value(name, op, bound):
     return P.absent(name) | P.value(name, Compare(op, bound))
 
 
-#: (factory, invariants, reachables) — boolean designs routed to the Z/3Z
-#: symbolic engine by size or to explicit, integer designs to explicit or
-#: the bit-blasted engine; the pool must agree with whatever auto picks.
+#: (factory, invariants, reachables) — designs routed to the bit-blasted
+#: symbolic engine by size or to explicit; the pool must agree with whatever
+#: auto picks.
 CORPUS = {
     "alternator": (
         alternator_process,

@@ -27,7 +27,7 @@ from repro.verification import (
     BoundReached,
     EncodingError,
     ReactionPredicate as P,
-    SymbolicIntOptions,
+    SymbolicOptions,
     explore,
     infer_ranges,
     symbolic_int_explore,
@@ -210,7 +210,7 @@ class TestOverflowAudit:
         """Count genuinely overflows any declared window: the engine explores
         the window, reports what it found, and refuses universal verdicts."""
         result = symbolic_int_explore(
-            count_process(), SymbolicIntOptions(ranges={"val": (0, 7)})
+            count_process(), SymbolicOptions(ranges={"val": (0, 7)})
         )
         assert not result.complete
         assert result.overflowed == ("val",)
@@ -239,7 +239,7 @@ class TestOverflowAudit:
 
     def test_synthesis_refuses_on_overflow(self):
         result = symbolic_int_explore(
-            count_process(), SymbolicIntOptions(ranges={"val": (0, 3)})
+            count_process(), SymbolicOptions(ranges={"val": (0, 3)})
         )
         with pytest.raises(BoundReached):
             result.synthesise(P.always(), ["reset"])
@@ -269,7 +269,7 @@ class TestSoundnessRegressions:
         explicit = explore(
             process, ExplorationOptions(extra_driven=["val"], integer_domain=(0, 1))
         )
-        result = symbolic_int_explore(process, SymbolicIntOptions(integer_domain=(0, 1)))
+        result = symbolic_int_explore(process, SymbolicOptions(integer_domain=(0, 1)))
         assert explicit.complete and result.complete
         for predicate in (
             P.value("val", lambda v: v == 8),
@@ -327,7 +327,7 @@ class TestSoundnessRegressions:
         builder.synchronize(twin, tick)
         result = symbolic_int_explore(
             builder.build(),
-            SymbolicIntOptions(ranges={"val": (0, 7), "twin": (0, 7), "previous": (0, 7)}),
+            SymbolicOptions(ranges={"val": (0, 7), "twin": (0, 7), "previous": (0, 7)}),
         )
         assert not result.complete
         assert "val" in result.overflowed and "twin" in result.overflowed
@@ -437,7 +437,7 @@ class TestFragmentLimits:
 
     def test_max_iterations_flags_incomplete(self):
         result = symbolic_int_explore(
-            modulo_counter_process(6), SymbolicIntOptions(max_iterations=1)
+            modulo_counter_process(6), SymbolicOptions(max_iterations=1)
         )
         assert not result.complete
         with pytest.raises(BoundReached):
@@ -457,7 +457,7 @@ class TestMultiplication:
 
         domain = (0, 1, 2, 3)
         explicit = explore(process, ExplorationOptions(integer_domain=domain))
-        result = symbolic_int_explore(process, SymbolicIntOptions(integer_domain=domain))
+        result = symbolic_int_explore(process, SymbolicOptions(integer_domain=domain))
         for k in range(-1, 11):
             expected = explicit.check_reachable(P.value("p", lambda v, k=k: v == k)).holds
             assert result.check_reachable(P.value("p", lambda v, k=k: v == k)).holds == expected, k
@@ -509,7 +509,7 @@ class TestComparisonRefinementEdges:
         from repro.verification import ExplorationOptions
 
         explicit = explore(process, ExplorationOptions(integer_domain=domain))
-        result = symbolic_int_explore(process, SymbolicIntOptions(integer_domain=domain))
+        result = symbolic_int_explore(process, SymbolicOptions(integer_domain=domain))
         assert result.complete
         for k in range(-5, 4):
             predicate = P.value("y", lambda v, k=k: v == k)
@@ -533,10 +533,10 @@ class TestComparisonRefinementEdges:
         domain = (0, 1, 2, 3)
         report = infer_ranges(process, integer_domain=domain)
         assert report.range_of("y") == (2, 2)
-        engine_result = symbolic_int_explore(process, SymbolicIntOptions(integer_domain=domain))
+        engine_result = symbolic_int_explore(process, SymbolicOptions(integer_domain=domain))
         from repro.verification.symbolic_int import IntSymbolicEngine
 
-        engine = IntSymbolicEngine(process, SymbolicIntOptions(integer_domain=domain))
+        engine = IntSymbolicEngine(process, SymbolicOptions(integer_domain=domain))
         assert engine._signal_bit_names("y") == ["y.p"]  # presence only, zero value bits
         from repro.verification import ExplorationOptions
 
@@ -561,7 +561,7 @@ class TestComparisonRefinementEdges:
         from repro.verification import ExplorationOptions
 
         explicit = explore(process, ExplorationOptions(integer_domain=domain))
-        result = symbolic_int_explore(process, SymbolicIntOptions(integer_domain=domain))
+        result = symbolic_int_explore(process, SymbolicOptions(integer_domain=domain))
         assert result.complete
         for k in (0, 1, 2, 3, 6, 7):
             predicate = P.value("y", lambda v, k=k: v == k)
@@ -603,7 +603,7 @@ class TestBuildTimeReorders:
 
         for threshold in (64, 128, 300):
             result = symbolic_int_explore(
-                process, SymbolicIntOptions(reorder="auto", reorder_threshold=threshold)
+                process, SymbolicOptions(reorder="auto", reorder_threshold=threshold)
             )
             assert result.complete
             explicit = explore(process)
@@ -623,7 +623,7 @@ class TestBuildTimeReorders:
         memoised sub-circuits and the relaxed relation all survive."""
         process = saturating_accumulator_process(20)
         result = symbolic_int_explore(
-            process, SymbolicIntOptions(reorder="auto", reorder_threshold=200)
+            process, SymbolicOptions(reorder="auto", reorder_threshold=200)
         )
         assert result.complete
         explicit = explore(process)

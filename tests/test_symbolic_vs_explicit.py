@@ -1,6 +1,6 @@
 """Differential tests: symbolic BDD reachability vs. the explicit engines.
 
-Every process of the boolean corpus is pushed through four independent
+Every process of the boolean corpus is pushed through three independent
 implementations of the same state-space construction:
 
 * the explicit explorer (``repro.verification.explorer``), which enumerates
@@ -8,20 +8,20 @@ implementations of the same state-space construction:
 * the explicit polynomial enumerator
   (``repro.verification.encoding.PolynomialReachability``), which enumerates
   ternary valuations of the Sigali encoding;
-* the symbolic BDD engine (``repro.verification.symbolic``), which computes
-  the same set as a fixpoint of relational images over the Z/3Z bit-blast;
-* the finite-integer symbolic engine (``repro.verification.symbolic_int``),
-  which bit-blasts concrete value domains instead of the ternary abstraction.
+* the symbolic BDD engine (``repro.verification.symbolic_int``), which
+  computes the same set as a fixpoint of relational images over bit-blasted
+  presence/value bits.
 
-The four must agree exactly on reachable-state counts, on invariant
-verdicts, on reaction reachability, and on controller-synthesis outcomes.
+The three must agree exactly on reachable-state counts, on invariant
+verdicts, on Sigali polynomial invariants, on reaction reachability, and on
+controller-synthesis outcomes.
 An *integer* corpus (modulo counter, saturating accumulator, bounded
 producer/consumer channel) additionally cross-checks the finite-integer
 engine against the explicit explorer — the only other engine that sees
 concrete integer reactions — including the full projected reaction
 alphabets and ``ReactionPredicate.value`` verdicts.  Any divergence is a bug
 in (at least) one engine — this suite is the oracle that lets the symbolic
-engines replace the explicit one on large designs.
+engine replace the explicit one on large designs.
 """
 
 import random
@@ -41,15 +41,14 @@ from repro.signal.library import (
 from repro.signal.ast import compose
 from repro.verification import (
     ReactionPredicate as P,
-    SymbolicEngine,
     encode_process,
     explore,
     invariant_holds,
     reaction_reachable,
-    symbolic_explore,
     symbolic_int_explore,
     synthesise_with,
 )
+from repro.verification.z3z import is_false, is_true, presence
 
 
 # --------------------------------------------------------------------------- corpus
@@ -163,12 +162,14 @@ CORPUS = [
 ] + [(f"random-{seed}", lambda seed=seed: random_process(seed)) for seed in RANDOM_SEEDS]
 
 
+ENGINE_NAMES = ("explicit", "polynomial", "symbolic-int")
+
+
 def engines_for(process):
-    """The four backends under differential test."""
+    """The three backends under differential test."""
     return (
         explore(process),
         encode_process(process).explore(),
-        symbolic_explore(process),
         symbolic_int_explore(process),
     )
 
@@ -199,15 +200,13 @@ def predicates_for(process):
 class TestDifferential:
     def test_reachable_state_counts_agree(self, label, factory):
         process = factory()
-        explicit, polynomial, symbolic, symbolic_int = engines_for(process)
-        assert explicit.complete and polynomial.complete
-        assert symbolic.complete and symbolic_int.complete
+        explicit, polynomial, symbolic = engines_for(process)
+        assert explicit.complete and polynomial.complete and symbolic.complete
         assert symbolic.state_count == explicit.state_count == polynomial.state_count
-        assert symbolic_int.state_count == explicit.state_count
 
     def test_invariant_verdicts_agree(self, label, factory):
         process = factory()
-        engines = dict(zip(("explicit", "polynomial", "symbolic", "symbolic-int"), engines_for(process)))
+        engines = dict(zip(ENGINE_NAMES, engines_for(process)))
         for predicate in predicates_for(process):
             verdicts = {
                 name: invariant_holds(engine, predicate).holds for name, engine in engines.items()
@@ -216,7 +215,7 @@ class TestDifferential:
 
     def test_reachability_verdicts_agree(self, label, factory):
         process = factory()
-        engines = dict(zip(("explicit", "polynomial", "symbolic", "symbolic-int"), engines_for(process)))
+        engines = dict(zip(ENGINE_NAMES, engines_for(process)))
         for predicate in predicates_for(process):
             verdicts = {
                 name: reaction_reachable(engine, predicate).holds for name, engine in engines.items()
@@ -226,46 +225,53 @@ class TestDifferential:
     def test_reaction_alphabets_agree(self, label, factory):
         """The *full* decoded reaction sets must coincide, not just verdicts."""
         process = factory()
-        engine = SymbolicEngine(process)
-        symbolic = engine.reach()
-        symbolic_alphabet = {
-            frozenset(reaction.items()) for reaction in engine.reactions_of(symbolic.states)
-        }
         polynomial_alphabet = {
             frozenset(reaction.items())
             for reaction in encode_process(process).explore().reactions()
         }
-        assert symbolic_alphabet == polynomial_alphabet
-        symbolic_int = symbolic_int_explore(process)
-        int_alphabet = {
+        symbolic = symbolic_int_explore(process)
+        symbolic_alphabet = {
             frozenset(reaction.items())
-            for reaction in symbolic_int.engine.reactions_of(symbolic_int.states)
+            for reaction in symbolic.engine.reactions_of(symbolic.states)
         }
-        assert int_alphabet == polynomial_alphabet
+        assert symbolic_alphabet == polynomial_alphabet
+
+    def test_polynomial_invariant_verdicts_agree(self, label, factory):
+        """Sigali objectives lowered onto the shared bits match the Z/3Z
+        enumeration of the encoding itself."""
+        process = factory()
+        system = encode_process(process)
+        symbolic = symbolic_int_explore(process)
+        names = interface_signals(process)
+        objectives = [presence(name) for name in names]
+        objectives += [is_true(name) for name in names] + [is_false(name) for name in names]
+        objectives += [presence(left) - presence(right) for left, right in zip(names, names[1:])]
+        objectives += [is_true(left) * is_false(right) for left, right in zip(names, names[1:])]
+        for objective in objectives:
+            expected = system.check_invariant(objective)
+            assert symbolic.check_polynomial_invariant(objective).holds == expected, repr(objective)
 
 
 class TestDifferentialSynthesis:
     @pytest.mark.parametrize("controllable", [["tick"], []], ids=["controllable-tick", "uncontrollable"])
     def test_synthesis_verdicts_agree_on_alternator(self, controllable):
         process = alternator_process()
-        explicit, _, symbolic, symbolic_int = engines_for(process)
+        explicit, _, symbolic = engines_for(process)
         safe = ~P.false_of("flip")
         explicit_verdict = synthesise_with(explicit, safe, controllable)
-        for engine in (symbolic, symbolic_int):
-            verdict = synthesise_with(engine, safe, controllable)
-            assert explicit_verdict.success == verdict.success
-            assert explicit_verdict.kept_states == verdict.kept_states
+        verdict = synthesise_with(symbolic, safe, controllable)
+        assert explicit_verdict.success == verdict.success
+        assert explicit_verdict.kept_states == verdict.kept_states
 
     def test_synthesis_verdicts_agree_on_skewed_observer(self):
         process = desynchronised_observer_composition()
-        explicit, _, symbolic, symbolic_int = engines_for(process)
+        explicit, _, symbolic = engines_for(process)
         safe = ~P.false_of("ok")
         for controllable in (["tick"], []):
             explicit_verdict = synthesise_with(explicit, safe, controllable)
-            for engine in (symbolic, symbolic_int):
-                verdict = synthesise_with(engine, safe, controllable)
-                assert explicit_verdict.success == verdict.success, controllable
-                assert explicit_verdict.kept_states == verdict.kept_states, controllable
+            verdict = synthesise_with(symbolic, safe, controllable)
+            assert explicit_verdict.success == verdict.success, controllable
+            assert explicit_verdict.kept_states == verdict.kept_states, controllable
 
     def test_observer_invariant_ag_ok(self):
         """The paper's check: AG ok on the lock-step design, refuted on the skewed one."""
@@ -275,7 +281,7 @@ class TestDifferentialSynthesis:
             invariant_holds(engine, P.present("ok").implies(P.true_of("ok"))).holds
             for engine in engines_for(desynchronised_observer_composition())
         ]
-        assert verdicts == [False, False, False, False]
+        assert verdicts == [False, False, False]
 
 
 # --------------------------------------------------------------------------- integer corpus

@@ -38,7 +38,7 @@ from repro.verification import (
     quotient,
     reaction_reachable,
     safety_from_labels,
-    symbolic_explore,
+    symbolic_int_explore,
     synthesise,
     synthesise_with,
 )
@@ -350,20 +350,20 @@ class TestZ3Z:
 
 class TestSymbolic:
     def test_symbolic_matches_known_state_space(self):
-        result = symbolic_explore(alternator_process())
+        result = symbolic_int_explore(alternator_process())
         assert result.complete
         assert result.state_count == 2
         assert result.iterations == 2
 
     def test_iteration_bound_flags_incompleteness(self):
-        result = symbolic_explore(edge_detector_process(), SymbolicOptions(max_iterations=0))
+        result = symbolic_int_explore(edge_detector_process(), SymbolicOptions(max_iterations=0))
         assert not result.complete
         assert result.state_count == 1  # only the initial state
 
     def test_truncated_analyses_refuse_unsound_verdicts(self):
         # "Invariant holds" / "nothing reachable" from a truncated state space
         # would be unsound: every backend must refuse instead of certifying.
-        symbolic = symbolic_explore(edge_detector_process(), SymbolicOptions(max_iterations=0))
+        symbolic = symbolic_int_explore(edge_detector_process(), SymbolicOptions(max_iterations=0))
         with pytest.raises(BoundReached):
             symbolic.check_invariant(ReactionPredicate.always())
         # previous=true only happens after a step, i.e. beyond the truncation
@@ -389,7 +389,7 @@ class TestSymbolic:
             explicit.synthesise(ReactionPredicate.always(), ["tick"])
         # Unconverged symbolic fixpoints would treat unexplored states as
         # escapes and report "no controller" for a controllable plant.
-        symbolic = symbolic_explore(
+        symbolic = symbolic_int_explore(
             boolean_shift_register_process(3), SymbolicOptions(max_iterations=1)
         )
         assert not symbolic.complete
@@ -398,14 +398,14 @@ class TestSymbolic:
 
     def test_truncated_analyses_still_report_found_violations(self):
         # A violation (or witness) found below the bound is sound to report.
-        symbolic = symbolic_explore(alternator_process(), SymbolicOptions(max_iterations=1))
+        symbolic = symbolic_int_explore(alternator_process(), SymbolicOptions(max_iterations=1))
         assert not symbolic.complete
         verdict = symbolic.check_invariant(ReactionPredicate.never())
         assert not verdict.holds and "witness reaction" in verdict.details
         assert symbolic.check_reachable(ReactionPredicate.always()).holds
 
     def test_symbolic_invariants_and_witnesses(self):
-        result = symbolic_explore(alternator_process())
+        result = symbolic_int_explore(alternator_process())
         holds = result.check_invariant(ReactionPredicate.present("flip").implies(ReactionPredicate.present("tick")))
         assert holds.holds and "reachable states" in holds.details
         fails = result.check_invariant(~ReactionPredicate.false_of("flip"))
@@ -413,16 +413,28 @@ class TestSymbolic:
         assert result.check_reachable(ReactionPredicate.true_of("flip")).holds
 
     def test_symbolic_rejects_unknown_predicate_signal(self):
-        result = symbolic_explore(alternator_process())
+        result = symbolic_int_explore(alternator_process())
         with pytest.raises(KeyError):
             result.check_invariant(ReactionPredicate.present("ghost"))
 
     def test_symbolic_polynomial_invariant(self):
-        result = symbolic_explore(alternator_process())
+        result = symbolic_int_explore(alternator_process())
         assert result.check_polynomial_invariant(presence("flip") - presence("tick")).holds
         assert not result.check_polynomial_invariant(is_true("flip") - presence("tick")).holds
         with pytest.raises(KeyError):
             result.check_polynomial_invariant(presence("flpi"))
+
+    def test_polynomial_invariant_rejects_integer_signals(self):
+        result = symbolic_int_explore(modulo_counter_process(3))
+        with pytest.raises(ValueError, match="PolynomialDynamicalSystem.check_invariant"):
+            result.check_polynomial_invariant(presence("n"))
+
+    def test_polynomial_invariant_rejects_z3z_state_variables(self):
+        process = alternator_process()
+        state = next(iter(encode_process(process).state_variables))
+        result = symbolic_int_explore(process)
+        with pytest.raises(ValueError, match="PolynomialDynamicalSystem.check_invariant"):
+            result.check_polynomial_invariant(presence(state))
 
     def test_engine_agnostic_helpers_reject_non_backends(self):
         # A raw PolynomialDynamicalSystem has a check_invariant(polynomial,
@@ -440,7 +452,7 @@ class TestSymbolic:
         process = boolean_shift_register_process(12)
         explicit = explore(process, ExplorationOptions(max_states=64))
         assert explicit.bound_reached
-        symbolic = symbolic_explore(process)
+        symbolic = symbolic_int_explore(process)
         assert symbolic.complete
         assert symbolic.state_count == 2 ** 12
         assert symbolic.state_count > 10 * 64
@@ -448,7 +460,7 @@ class TestSymbolic:
     def test_engine_agnostic_helpers_accept_lts_and_engines(self):
         predicate = ReactionPredicate.present("flip").implies(ReactionPredicate.present("tick"))
         explicit = explore(alternator_process())
-        symbolic = symbolic_explore(alternator_process())
+        symbolic = symbolic_int_explore(alternator_process())
         assert invariant_holds(explicit.lts, predicate).holds
         assert invariant_holds(explicit, predicate).holds
         assert invariant_holds(symbolic, predicate).holds
@@ -458,7 +470,7 @@ class TestSymbolic:
     def test_synthesise_with_dispatch(self):
         safe = ~ReactionPredicate.false_of("flip")
         explicit = explore(alternator_process())
-        symbolic = symbolic_explore(alternator_process())
+        symbolic = symbolic_int_explore(alternator_process())
         for target in (explicit, explicit.lts, symbolic):
             verdict = synthesise_with(target, safe, ["tick"])
             assert not verdict.success  # flip must eventually go false

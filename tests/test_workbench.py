@@ -96,17 +96,17 @@ class TestMemoisation:
             f"stage-{i}": P.present(f"s{i}").implies(P.present("x")) for i in range(4)
         }
         report = design.check_all(
-            invariants=invariants, reachables={"tail": P.present("s5")}, backend="symbolic"
+            invariants=invariants, reachables={"tail": P.present("s5")}, backend="symbolic-int"
         )
         assert len(report) == 5
         assert report.all_hold
-        assert design.artifact_counts["encoding"] == 1
-        assert design.artifact_counts["symbolic_engine"] == 1
-        assert design.artifact_counts["symbolic"] == 1
+        assert design.artifact_counts["compiled"] == 1
+        assert design.artifact_counts["symbolic_int_engine"] == 1
+        assert design.artifact_counts["symbolic_int"] == 1
         # A second batch reuses everything.
-        again = design.check_all(invariants=invariants, backend="symbolic")
+        again = design.check_all(invariants=invariants, backend="symbolic-int")
         assert again.all_hold
-        assert design.artifact_counts["symbolic"] == 1
+        assert design.artifact_counts["symbolic_int"] == 1
 
     def test_trace_extraction_reuses_the_memoised_fixpoint(self):
         """Storing frontiers is free: a traces=True batch (and a repeat of it)
@@ -114,14 +114,14 @@ class TestMemoisation:
         walking never re-run the forward fixpoint."""
         design = Design.from_process(boolean_shift_register_process(5))
         properties = {"tail-fires": P.present("s4")}
-        report = design.check_all(reachables=properties, backend="symbolic", traces=True)
+        report = design.check_all(reachables=properties, backend="symbolic-int", traces=True)
         assert report["tail-fires"].trace is not None
-        assert design.artifact_counts["symbolic"] == 1
-        assert design.artifact_counts["symbolic_engine"] == 1
-        again = design.check_all(reachables=properties, backend="symbolic", traces=True)
+        assert design.artifact_counts["symbolic_int"] == 1
+        assert design.artifact_counts["symbolic_int_engine"] == 1
+        again = design.check_all(reachables=properties, backend="symbolic-int", traces=True)
         assert again["tail-fires"].trace is not None
-        assert design.artifact_counts["symbolic"] == 1
-        assert design.artifact_counts["encoding"] == 1
+        assert design.artifact_counts["symbolic_int"] == 1
+        assert design.artifact_counts["ranges"] == 1
 
     def test_explicit_backend_explores_once(self):
         design = Design.from_process(alternator_process())
@@ -167,33 +167,25 @@ class TestMemoisation:
         from repro.verification import SymbolicOptions
 
         design = Design.from_process(boolean_shift_register_process(5))
-        assert design.symbolic.complete
+        assert design.symbolic_int.complete
         design.symbolic_options = SymbolicOptions(max_iterations=1)
-        design.invalidate("symbolic_engine")
+        design.invalidate("symbolic_int_engine")
         # The fixpoint must rebuild on a fresh engine carrying the new options.
-        assert not design.symbolic.complete
+        assert not design.symbolic_int.complete
 
     def test_invalidate_cascade(self):
         """invalidate("encoding") must drop every verification artifact built
-        over it — including the finite-integer engine and fixpoint, which the
-        auto policy routes through the same encodability probe, and the
-        frontier rings the fixpoints store for trace extraction (they live on
-        the symbolic artifacts, so they go with them)."""
+        over it — including the BDD engine and fixpoint, which the auto
+        policy routes through the same encodability probe, and the frontier
+        rings the fixpoint stores for trace extraction (they live on the
+        symbolic artifact, so they go with it)."""
         design = Design.from_process(boolean_shift_register_process(5))
         design.encoding
         design.polynomial
-        rings = design.symbolic.frontiers
-        int_rings = design.symbolic_int.frontiers
-        assert rings and int_rings
+        rings = design.symbolic_int.frontiers
+        assert rings
         design.invalidate("encoding")
-        for artifact in (
-            "encoding",
-            "polynomial",
-            "symbolic_engine",
-            "symbolic",
-            "symbolic_int_engine",
-            "symbolic_int",
-        ):
+        for artifact in ("encoding", "polynomial", "symbolic_int_engine", "symbolic_int"):
             assert artifact not in design._artifacts
         # The compiled process and range report were not downstream of the
         # encoding; they survive.
@@ -201,8 +193,8 @@ class TestMemoisation:
         assert "ranges" in design._artifacts
         # A recomputed fixpoint carries fresh rings (the old ones were dropped
         # with their artifact), and the same number of onion layers.
-        assert design.symbolic.frontiers is not rings
-        assert len(design.symbolic.frontiers) == len(rings)
+        assert design.symbolic_int.frontiers is not rings
+        assert len(design.symbolic_int.frontiers) == len(rings)
 
     def test_invalidate_compiled_drops_trace_frontiers(self):
         """invalidate("compiled") takes the integer fixpoint — and with it the
@@ -215,11 +207,11 @@ class TestMemoisation:
         assert design.symbolic_int.frontiers is not rings
 
     def test_invalidate_compiled_cascades_to_integer_engine(self):
-        from repro.verification import SymbolicIntOptions
+        from repro.verification import SymbolicOptions
 
         design = Design.from_process(modulo_counter_process(4))
         assert design.symbolic_int.complete
-        design.symbolic_int_options = SymbolicIntOptions(max_iterations=1)
+        design.symbolic_options = SymbolicOptions(max_iterations=1)
         design.invalidate("compiled")
         for artifact in ("ranges", "symbolic_int_engine", "symbolic_int"):
             assert artifact not in design._artifacts
@@ -240,7 +232,7 @@ class TestAutoSelection:
         )
         assert report.backend_name == "explicit"
         assert report.all_hold
-        assert "symbolic" not in design.artifact_counts
+        assert "symbolic_int" not in design.artifact_counts
 
     def test_large_boolean_process_picks_symbolic(self):
         """2^14+ potential states: auto goes symbolic, never explores explicitly."""
@@ -248,10 +240,82 @@ class TestAutoSelection:
         report = design.check_all(
             invariants={"tail-needs-head": P.present("s13").implies(P.present("x"))}
         )
-        assert report.backend_name == "symbolic"
+        assert report.backend_name == "symbolic-int"
         assert report.state_count == 2 ** 14
         assert report.all_hold
         assert "exploration" not in design.artifact_counts
+
+    def test_deep_register_routes_to_the_bdd_engine(self):
+        """The routing bound is 3^(state variables) of the Z/3Z encoding."""
+        design = Design.from_process(boolean_shift_register_process(18), cache=None)
+        assert design.potential_state_bound == 3 ** 18
+        report = design.check_all(
+            invariants={"tail-needs-head": P.present("s17").implies(P.present("x"))},
+            reachables={"tail-rises": P.true_of("s17")},
+            traces=True,
+        )
+        assert report.backend_name == "symbolic-int"
+        assert report.state_count == 2 ** 18
+        assert report.all_hold
+        assert len(report["tail-rises"].trace) == 19
+
+    def test_removed_z3z_backend_name_is_unknown(self):
+        """The Z/3Z BDD engine was registered as "symbolic"; the name is gone."""
+        removed = "symbolic"
+        design = Design.from_process(alternator_process())
+        with pytest.raises(LookupError):
+            design.check(P.always(), backend=removed)
+
+    def test_symbolic_options_reach_the_engine_through_design(self):
+        """The sifting configuration: a low reorder threshold and a low
+        routing threshold send a shuffled depth-7 register to the BDD engine,
+        which sifts at that threshold (and not at the default one)."""
+        import random
+
+        from repro.verification import SymbolicOptions
+
+        order = list(range(7))
+        random.Random(5).shuffle(order)
+        builder = ProcessBuilder("Shuffled7")
+        x = builder.input("x", "boolean")
+        stages = [builder.output(f"s{index}", "boolean") for index in range(7)]
+        for index in order:
+            builder.define(stages[index], (x if index == 0 else stages[index - 1]).delayed(False))
+        process = builder.build()
+        properties = {"tail-needs-head": P.present("s6").implies(P.present("x"))}
+        reorders = {}
+        for threshold in (2000, None):
+            options = {} if threshold is None else {"reorder_threshold": threshold}
+            design = Design.from_process(
+                process,
+                symbolic_options=SymbolicOptions(**options),
+                symbolic_state_threshold=100,
+                cache=None,
+            )
+            report = design.check_all(invariants=properties, traces=True)
+            assert report.backend_name == "symbolic-int"
+            assert report.state_count == 2 ** 7 and report.all_hold
+            reorders[threshold] = report.engine_statistics["reorders"]
+        assert reorders[2000] >= 1
+        assert reorders[None] == 0
+
+    def test_unset_integer_domain_follows_the_explorer(self):
+        """An unset SymbolicOptions.integer_domain takes the explorer's."""
+        builder = ProcessBuilder("Adder")
+        x = builder.input("x", "integer")
+        builder.define(builder.output("y", "integer"), x + const(1))
+        design = Design.from_builder(
+            builder,
+            exploration_options=ExplorationOptions(integer_domain=(0, 1, 2)),
+            cache=None,
+        )
+        assert design.symbolic_options.integer_domain is None
+        assert tuple(design.integer_domain) == (0, 1, 2)
+        assert design.ranges.range_of("y") == (1, 3)
+        report = design.check_all(
+            reachables={"y-reaches-3": P.value("y", lambda v: v == 3)}, backend="symbolic-int"
+        )
+        assert report.all_hold
 
     def test_small_boolean_process_prefers_explicit_reference(self):
         design = Design.from_process(alternator_process())
@@ -260,8 +324,8 @@ class TestAutoSelection:
 
     def test_value_predicates_force_concrete_backend(self):
         """A value atom needs a concrete backend: explicit while the design is
-        small, the exhaustive finite-integer engine once it outgrows the
-        explicit bound (the Z/3Z symbolic engine can never answer it)."""
+        small, the exhaustive bit-blasted engine once it outgrows the
+        explicit bound."""
         small = Design.from_process(boolean_shift_register_process(4))
         assert small.backend_info(
             "auto", predicates=(P.value("x", lambda v: v is True),)
@@ -274,24 +338,24 @@ class TestAutoSelection:
     def test_synthesis_query_skips_backends_without_synthesis(self):
         registry = BackendRegistry()
         from repro.verification.encoding import PolynomialReachability
-        from repro.verification.symbolic import SymbolicReachability
+        from repro.verification.symbolic_int import IntSymbolicReachability
 
         registry.register_backend(
             "polynomial", lambda d: d.polynomial, PolynomialReachability.capabilities()
         )
         registry.register_backend(
-            "symbolic", lambda d: d.symbolic, SymbolicReachability.capabilities()
+            "symbolic-int", lambda d: d.symbolic_int, IntSymbolicReachability.capabilities()
         )
         design = Design.from_process(alternator_process(), registry=registry)
         entry = design.backend_info("auto", needs_synthesis=True)
-        assert entry.name == "symbolic"
+        assert entry.name == "symbolic-int"
 
     def test_auto_refuses_when_nothing_matches(self):
         registry = BackendRegistry()
-        from repro.verification.symbolic import SymbolicReachability
+        from repro.verification.encoding import PolynomialReachability
 
         registry.register_backend(
-            "symbolic", lambda d: d.symbolic, SymbolicReachability.capabilities()
+            "polynomial", lambda d: d.polynomial, PolynomialReachability.capabilities()
         )
         design = Design.from_process(count_process(), registry=registry)
         with pytest.raises(LookupError):
@@ -301,11 +365,10 @@ class TestAutoSelection:
 class TestRegistry:
     def test_default_registry_names_and_capabilities(self):
         registry = default_registry()
-        assert registry.names() == ["explicit", "polynomial", "symbolic", "symbolic-int"]
+        assert registry.names() == ["explicit", "polynomial", "symbolic-int"]
         assert registry.capabilities("explicit").integer_data
         assert registry.capabilities("explicit").synthesis
         assert not registry.capabilities("polynomial").synthesis
-        assert not registry.capabilities("symbolic").bounded
         assert registry.capabilities("symbolic-int").integer_data
         assert not registry.capabilities("symbolic-int").bounded
         assert registry.capabilities("symbolic-int").synthesis
@@ -370,16 +433,16 @@ class TestBatchAPI:
         assert "properties hold" in report.summary()
 
     def test_report_surfaces_engine_statistics(self):
-        """The statistics hook: BDD pressure for symbolic backends, state and
+        """The statistics hook: BDD pressure for the symbolic backend, state and
         transition counts for the explicit one, rendered in summary()."""
         design = Design.from_process(boolean_shift_register_process(4))
         symbolic = design.check(
-            ("ok", P.present("s3").implies(P.present("x"))), backend="symbolic"
+            ("ok", P.present("s3").implies(P.present("x"))), backend="symbolic-int"
         )
         stats = symbolic.engine_statistics
         assert stats["peak_nodes"] >= stats["live_nodes"] > 0
         assert stats["clusters"] >= 1
-        assert stats["iterations"] == len(design.symbolic.frontiers)
+        assert stats["iterations"] == len(design.symbolic_int.frontiers)
         assert "reorders" in stats
         assert "engine:" in symbolic.summary()
         assert f"clusters={stats['clusters']}" in symbolic.summary()
@@ -389,12 +452,6 @@ class TestBatchAPI:
         )
         assert explicit.engine_statistics["states"] == 16
         assert explicit.engine_statistics["transitions"] > 0
-
-        int_report = design.check(
-            ("ok", P.present("s3").implies(P.present("x"))), backend="symbolic-int"
-        )
-        assert int_report.engine_statistics["clusters"] >= 1
-        assert int_report.engine_statistics["peak_nodes"] > 0
 
     def test_check_auto_names_and_pairs(self):
         design = Design.from_process(alternator_process())
@@ -437,15 +494,15 @@ class TestBatchAPI:
         process = boolean_shift_register_process(5)
         design = Design.from_process(process)
         predicate = P.present("s4").implies(P.present("x"))
-        batch = design.check_all(invariants={"p": predicate}, backend="symbolic")
-        single = design.symbolic.check_invariant(predicate, "p")
+        batch = design.check_all(invariants={"p": predicate}, backend="symbolic-int")
+        single = design.symbolic_int.check_invariant(predicate, "p")
         assert batch["p"].holds == single.holds
 
     def test_synthesise_through_facade_symbolic_and_explicit(self):
         process = boolean_shift_register_process(10)
         design = Design.from_process(process)
         verdict = design.synthesise(P.absent("s9") | P.present("x"), ["x"])
-        assert design.backend_info("auto", needs_synthesis=True).name == "symbolic"
+        assert design.backend_info("auto", needs_synthesis=True).name == "symbolic-int"
         small = Design.from_process(boolean_shift_register_process(3))
         explicit = small.synthesise(P.absent("s2") | P.present("x"), ["x"], backend="explicit")
         assert verdict.success == explicit.success
@@ -457,7 +514,7 @@ class TestLegacyWrappers:
         verdict = invariant_holds(design, P.present("s11").implies(P.present("x")))
         assert verdict.holds
         # The wrapper rode the facade: symbolic artifacts, no explicit LTS.
-        assert "symbolic" in design.artifact_counts
+        assert "symbolic_int" in design.artifact_counts
         assert "exploration" not in design.artifact_counts
 
     def test_reaction_reachable_accepts_design(self):
@@ -465,14 +522,13 @@ class TestLegacyWrappers:
         assert reaction_reachable(design, P.present("flip")).holds
 
     def test_wrapper_routes_value_atoms_to_concrete_backend(self):
-        """A value atom on a large boolean design must skip the Z/3Z symbolic
-        engine (which rejects it) for a concrete one — now the exhaustive
-        finite-integer engine rather than a truncating explicit exploration."""
+        """A value atom on a large boolean design goes to a concrete engine —
+        the exhaustive bit-blasted one rather than a truncating explicit
+        exploration."""
         design = Design.from_process(boolean_shift_register_process(10))
         predicate = P.absent("x") | P.value("x", lambda v: isinstance(v, bool))
         assert invariant_holds(design, predicate).holds
         assert "symbolic_int" in design.artifact_counts
-        assert "symbolic" not in design.artifact_counts
         assert "exploration" not in design.artifact_counts
 
     def test_synthesise_with_accepts_design(self):
@@ -522,13 +578,6 @@ class TestValuePredicate:
         assert predicate.has_value_atoms()
         assert (~predicate).has_value_atoms()
         assert not P.present("load").has_value_atoms()
-
-    def test_symbolic_engine_rejects_value_atoms(self):
-        from repro.verification import SymbolicEncodingError, symbolic_explore
-
-        result = symbolic_explore(boolean_shift_register_process(3))
-        with pytest.raises(SymbolicEncodingError):
-            result.check_invariant(P.value("x", bool))
 
     def test_explicit_check_with_value_atom_through_facade(self):
         builder = ProcessBuilder("Adder")

@@ -28,8 +28,7 @@ from repro.verification import (
     ReactionPredicate,
 )
 from repro.clocks.bdd import NodeBudgetExceeded
-from repro.verification.symbolic import SymbolicOptions
-from repro.verification.symbolic_int import SymbolicIntOptions
+from repro.verification.symbolic_int import SymbolicOptions
 from repro.workbench import (
     Design,
     DiskArtifactStore,
@@ -219,9 +218,7 @@ class TestKeys:
     def test_options_change_the_fingerprint(self):
         design = Design.from_process(modulo_counter_process(5), cache=None)
         before = artifact_key(design, "symbolic_int")
-        design.symbolic_int_options = SymbolicIntOptions(
-            integer_domain=design.symbolic_int_options.integer_domain, cluster_size=7
-        )
+        design.symbolic_options = SymbolicOptions(cluster_size=7)
         assert artifact_key(design, "symbolic_int") != before
         # ...but the options do not touch the design identity itself.
         assert artifact_key(design, "encoding").startswith(design_key(design))
@@ -346,11 +343,11 @@ class TestFailureClassification:
             cache=store,
         )
         with pytest.raises(NodeBudgetExceeded):
-            design.symbolic
+            design.symbolic_int
         # The failure was neither memoised nor persisted as an error payload.
-        assert artifact_key(design, "symbolic") not in store
+        assert artifact_key(design, "symbolic_int") not in store
         design.symbolic_options.node_budget = None
-        result = design.symbolic  # no invalidate() in between
+        result = design.symbolic_int  # no invalidate() in between
         assert result.fixpoint
         assert result.state_count > 0
 
@@ -385,7 +382,7 @@ class TestConcurrency:
 
         def query():
             try:
-                report = design.check(("chain", predicate), backend="symbolic")
+                report = design.check(("chain", predicate), backend="symbolic-int")
                 assert report.all_hold
             except Exception as failure:  # pragma: no cover - failure path
                 errors.append(failure)
@@ -396,8 +393,8 @@ class TestConcurrency:
         for thread in threads:
             thread.join()
         assert errors == []
-        assert design.artifact_counts["symbolic"] == 1
-        assert design.artifact_counts["symbolic_engine"] == 1
+        assert design.artifact_counts["symbolic_int"] == 1
+        assert design.artifact_counts["symbolic_int_engine"] == 1
 
     def test_concurrent_disk_writes_leave_a_readable_entry(self, tmp_path):
         store = DiskArtifactStore(tmp_path)
@@ -445,13 +442,13 @@ class TestWarmDifferential:
         options = dict(symbolic_options=SymbolicOptions(reorder="off"))
 
         cold = Design.from_process(boolean_shift_register_process(4), cache=store, **options)
-        cold_report = cold.check(*properties, backend="symbolic", traces=True)
+        cold_report = cold.check(*properties, backend="symbolic-int", traces=True)
         assert cold.cache_stats["hits"] == 0
 
         warm = Design.from_process(boolean_shift_register_process(4), cache=store, **options)
-        warm_report = warm.check(*properties, backend="symbolic", traces=True)
+        warm_report = warm.check(*properties, backend="symbolic-int", traces=True)
         assert warm.cache_stats["hits"] > 0
-        assert "symbolic_engine" not in warm.artifact_counts  # rehydrated, not rebuilt
+        assert "symbolic_int_engine" not in warm.artifact_counts  # rehydrated, not rebuilt
 
         assert _verdict_table(warm_report) == _verdict_table(cold_report)
         assert warm_report.state_count == cold_report.state_count
@@ -466,7 +463,7 @@ class TestWarmDifferential:
             ("in-range", P.absent("n") | P.value("n", lambda v: 0 <= v <= 4)),
             ("never-wraps", P.absent("carry")),  # fails: counterexample trace
         ]
-        options = dict(symbolic_int_options=SymbolicIntOptions(reorder="off"))
+        options = dict(symbolic_options=SymbolicOptions(reorder="off"))
 
         cold = Design.from_process(modulo_counter_process(5), cache=store, **options)
         cold_report = cold.check(*properties, backend="symbolic-int", traces=True)
@@ -488,7 +485,7 @@ class TestWarmDifferential:
         """Reachability witnesses need the frontier rings: pin that the rings
         ride along in the snapshot and the warm witness is literally equal."""
         store = DiskArtifactStore(tmp_path)
-        options = dict(symbolic_int_options=SymbolicIntOptions(reorder="off"))
+        options = dict(symbolic_options=SymbolicOptions(reorder="off"))
         witness = ("can-wrap", P.true_of("carry"))
 
         cold = Design.from_process(modulo_counter_process(5), cache=store, **options)
@@ -509,9 +506,9 @@ class TestWarmDifferential:
         store = DiskArtifactStore(tmp_path)
         properties = [("chain-causality", P.present("s4").implies(P.present("x")))]
         cold = Design.from_process(boolean_shift_register_process(5), cache=store)
-        cold_report = cold.check(*properties, backend="symbolic")
+        cold_report = cold.check(*properties, backend="symbolic-int")
         warm = Design.from_process(boolean_shift_register_process(5), cache=store)
-        warm_report = warm.check(*properties, backend="symbolic")
+        warm_report = warm.check(*properties, backend="symbolic-int")
         assert _verdict_table(warm_report) == _verdict_table(cold_report)
         assert warm_report.state_count == cold_report.state_count
         assert warm_report.complete == cold_report.complete
