@@ -4,8 +4,9 @@
 #                      symbolic-vs-explicit suite and the benchmark smoke runs)
 #   make cov         - the tier-1 suite under coverage with the minimum gate
 #                      (CI runs this on the py3.12 leg only)
-#   make test-step   - the step-engine differential + explorer suites only
-#                      (CI runs them at REPRO_STEP_COMPILE=interp and codegen)
+#   make test-step   - the step-engine differential, explorer, symbolic-vs-
+#                      explicit and trace-replay suites only (CI runs them at
+#                      REPRO_STEP_COMPILE=interp and codegen)
 #   make lint        - ruff (high-signal core rules) + byte-compilation check
 #   make bench-smoke - only the benchmark smoke runs (every benchmarks/bench_*.py
 #                      main path at its smallest size); writes BENCH_SMOKE.json,
@@ -30,7 +31,8 @@ test:
 	$(PYTEST) -x -q
 
 test-step:
-	$(PYTEST) -x -q tests/test_step_codegen.py tests/test_simulation.py tests/test_verification.py
+	$(PYTEST) -x -q tests/test_step_codegen.py tests/test_simulation.py tests/test_verification.py \
+		tests/test_symbolic_vs_explicit.py tests/test_counterexample_traces.py
 
 cov:
 	$(PYTEST) -q --cov=repro --cov-report=term-missing:skip-covered --cov-fail-under=$(COV_MIN)

@@ -40,12 +40,16 @@ def job_corpus(count: int):
 
     Distinct process names give every job its own content identity, so no
     artifact cache could collapse the sweep — each job does real work.
+    Each job takes about 0.1-0.2 s in process (2-core host, py3.11), so a
+    fresh worker's start-up cost and the per-job dispatch and IPC stay a
+    small share of a sweep, which then measures verification rather than
+    pool overhead.
     """
     entries = []
     for index in range(count):
         kind = index % 3
         if kind == 0:
-            depth = 9 + index % 3  # large enough to route symbolic
+            depth = 30 + index % 3  # large enough to route symbolic
             design = Design.from_process(
                 boolean_shift_register_process(depth, f"Shift{index}"), cache=None
             )
@@ -53,7 +57,7 @@ def job_corpus(count: int):
                 "tail-needs-input": P.present(f"s{depth - 1}").implies(P.present("x"))
             }
         elif kind == 1:
-            modulo = 20 + index % 7
+            modulo = 4000 + index % 7
             design = Design.from_process(
                 modulo_counter_process(modulo, f"Counter{index}"), cache=None
             )
@@ -61,7 +65,7 @@ def job_corpus(count: int):
                 "bounded": P.absent("n") | P.value("n", Compare("<", modulo))
             }
         else:
-            cap = 6 + index % 5
+            cap = 1200 + index % 5
             design = Design.from_process(
                 saturating_accumulator_process(cap, f"Accumulator{index}"), cache=None
             )

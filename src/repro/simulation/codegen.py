@@ -4,36 +4,45 @@ The reference implementation of a reaction is ``_Evaluator`` in
 :mod:`repro.simulation.compiler`: a recursive AST walk with isinstance
 dispatch, re-run on every pass of every fixpoint.  That walk dominates the
 run time of explicit exploration, simulation and trace replay.  This module
-compiles an *expanded* process once, ahead of time, into four straight-line
-Python functions over slot-indexed status arrays:
+compiles an *expanded* process once, the first time a reaction needs it,
+into three straight-line Python functions over slot-indexed status arrays:
 
 * ``_pass`` — one full fixpoint pass: every equation evaluated and refined
   into the status arrays, every clock constraint propagated, events
   normalised; returns whether anything changed;
 * ``_verify`` — the final consistency pass over equations and constraints;
-* ``_instant`` — the resolved instant as a signal->value dict;
-* ``_update`` — the successor memory of the delay/cell operators.
+* ``_finish`` — the end of a converged reaction: unknown signals set absent,
+  ``_verify`` run, every present signal checked for a resolved value, and
+  the result returned as ``(next_state, values)`` — the successor memory of
+  the delay/cell operators in ``stateful_nodes()`` order and every signal's
+  value (``ABSENT`` when absent) in slot order.
 
 The arrays replace the dict of :class:`~repro.simulation.status.Status`:
 ``K`` holds one small-int kind per signal (0 unknown, 1 absent, 2 present,
 3 constant), ``V`` the value slots (``UNKNOWN_VALUE`` until computed) and
-``S`` the stateful memory in ``stateful_nodes()`` order.
+``S`` the stateful memory in ``stateful_nodes()`` order.  The explorer runs
+these tuples directly (:meth:`StepKernels.successor`); :meth:`StepKernels.step`
+adapts them to the dict contract of ``CompiledProcess.step``.
 
 The generated code reproduces the partial-knowledge semantics of
 ``_Evaluator`` branch for branch — including evaluation order, so every
 ``ConsistencyError``/``UnresolvedError``/``EvaluationError`` is raised under
 exactly the same circumstances with exactly the same message as the
-interpreter.  The differential suite (``tests/test_step_codegen.py``) pins
-that equivalence over the same corpora the symbolic engine is checked
-against; the interpreter stays available as the oracle via
-``CompiledProcess(process, compile="interp")`` or ``REPRO_STEP_COMPILE=interp``.
+interpreter.  Integer operators run inline when both operands are plain
+``int`` and fall back to the :data:`~repro.signal.operators.BINARY_OPERATORS`
+function otherwise, so booleans, events and other values take the
+interpreter's own conversion path.  The differential suite
+(``tests/test_step_codegen.py``) pins that equivalence over the same
+corpora the symbolic engine is checked against; the interpreter stays
+available as the oracle via ``CompiledProcess(process, compile="interp")``
+or ``REPRO_STEP_COMPILE=interp``.
 """
 
 from __future__ import annotations
 
 import os
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from ..core.values import ABSENT, EVENT
 from ..signal.ast import (
@@ -106,6 +115,22 @@ def record_step_speedup(ratio: float) -> None:
 
 
 # ------------------------------------------------------------------- lowering
+
+#: Operators emitted as bare Python comparisons, as their functions compute.
+_INLINE_EQUALITY = {"=": "==", "/=": "!="}
+
+#: Integer operators emitted inline behind a ``type(...) is int`` guard.
+_INLINE_INTEGER = {
+    "+": "+",
+    "-": "-",
+    "*": "*",
+    "mod": "%",
+    "<": "<",
+    "<=": "<=",
+    ">": ">",
+    ">=": ">=",
+}
+
 
 class _FunctionBuilder:
     """Emits the straight-line body of one generated function.
@@ -208,7 +233,7 @@ class _FunctionBuilder:
         stored = f"S[{index}]" if index is not None else "_UV"
         # The interpreter computes clock_true eagerly (truthy may raise on a
         # malformed clock value even when the operand decides the result).
-        self.emit(f"{truth} = ({kc} == 2 or {kc} == 3) and {vc} is not _UV and _truthy({vc})")
+        self.emit(f"{truth} = ({kc} == 2 or {kc} == 3) and {vc} is not _UV and {_truth(vc)}")
         self.emit(f"if {ka} == 2 or {ka} == 3:")
         self.emit(f"    {k} = 2; {v} = {va}")
         self.emit(f"elif {ka} == 0:")
@@ -235,7 +260,7 @@ class _FunctionBuilder:
         self.emit(f"    {k} = 0; {v} = _UV")
         self.emit(f"elif {vc} is _UV:")
         self.emit(f"    {k} = 0; {v} = _UV")
-        self.emit(f"elif not _truthy({vc}):")
+        self.emit(f"elif not {_truth(vc)}:")
         self.emit(f"    {k} = 1; {v} = _UV")
         self.emit(f"elif {ka} == 3:")
         self.emit(f"    {k} = 3 if {kc} == 3 else 2; {v} = {va}")
@@ -339,6 +364,12 @@ class _FunctionBuilder:
         return k, v
 
 
+def _truth(value: str) -> str:
+    """``_truthy(value)`` with booleans and events decided inline; any other
+    value still goes through ``truthy`` for its conversion or its error."""
+    return f"({value} is True or {value} is _EVENT or ({value} is not False and _truthy({value})))"
+
+
 def _simulation_error(message: str) -> Exception:
     from .compiler import SimulationError
 
@@ -389,7 +420,19 @@ class _ModuleBuilder:
         function = BINARY_OPERATORS.get(op)
         if function is None:
             return lambda vs: f"_apply_binary({op!r}, {vs[0]}, {vs[1]})"
+        if op in _INLINE_EQUALITY:
+            # The operator functions compare the raw values: no conversion.
+            symbol = _INLINE_EQUALITY[op]
+            return lambda vs: f"({vs[0]} {symbol} {vs[1]})"
         name = self._intern("f", function)
+        if op in _INLINE_INTEGER:
+            # Plain ints need no _as_int; anything else (bool, event, ...)
+            # takes the operator function for its conversion or its error.
+            symbol = _INLINE_INTEGER[op]
+            return lambda vs: (
+                f"(({vs[0]} {symbol} {vs[1]}) if type({vs[0]}) is int and type({vs[1]}) is int "
+                f"else {name}({vs[0]}, {vs[1]}))"
+            )
         return lambda vs: f"{name}({vs[0]}, {vs[1]})"
 
     def intrinsic_call(self, function: str):
@@ -403,8 +446,10 @@ class _ModuleBuilder:
 class StepKernels:
     """The compiled reaction engine of one :class:`CompiledProcess`.
 
-    Four generated functions — fixpoint pass, verification pass, instant
-    construction, memory update — make :meth:`step` a drop-in replacement
+    Three generated functions — fixpoint pass, verification pass, fused
+    finish — resolve a reaction from status arrays to the successor memory
+    and the resolved values.  :meth:`successor` runs them over state tuples
+    for the explorer; :meth:`step` adapts them into a drop-in replacement
     for the interpreter path of :meth:`CompiledProcess.step`: same results,
     same exceptions, same messages.
     """
@@ -421,7 +466,7 @@ class StepKernels:
             slots[signal] for signal in process.signal_names if signal in process.event_signals
         )
         stateful = process.stateful_nodes()
-        self.state_keys = tuple(key for key, _node in stateful)
+        self.state_keys = process.state_keys
         # Aliased nodes resolve to their last key, like the interpreter's map.
         state_index = {id(node): i for i, (_key, node) in enumerate(stateful)}
         module = _ModuleBuilder(slots, state_index)
@@ -429,19 +474,16 @@ class StepKernels:
         sources = [
             self._build_pass(module, process),
             self._build_verify(module, process),
-            self._build_instant(module, process),
-            self._build_update(module, stateful),
+            self._build_finish(module, process),
         ]
         source = "\n\n\n".join(sources) + "\n"
         code = compile(source, f"<repro-step-kernels:{name}>", "exec")
         exec(code, module.namespace)
         self.source = source
         self._pass = module.namespace["_pass"]
-        self._verify = module.namespace["_verify"]
-        self._instant = module.namespace["_instant"]
-        self._update = module.namespace["_update"]
+        self._finish = module.namespace["_finish"]
         # One logical kernel per equation, constraint operand and stateful
-        # operand — what the four fused functions are made of.
+        # operand — what the fused functions are made of.
         self.kernel_count = (
             len(process.definitions)
             + sum(len(c.operands) for c in process.constraints)
@@ -591,54 +633,51 @@ class StepKernels:
         fn.emit("return None")
         return fn.source()
 
-    def _build_instant(self, module: _ModuleBuilder, process: "CompiledProcess") -> str:
-        """The resolved instant: every signal mapped to a value or ABSENT."""
+    def _build_finish(self, module: _ModuleBuilder, process: "CompiledProcess") -> str:
+        """The end of a converged reaction: unknown signals set absent,
+        events normalised, the verification pass, then the resolved values
+        and the successor memory (delay windows shifted, cells latched)."""
         name = self.process_name
-        fn = _FunctionBuilder(module, "_instant", "K, V")
-        fn.emit("instant = {}")
-        for signal in process.signal_names:
-            slot = module.slots[signal]
-            m = module.message(
-                f"{name}: signal {signal!r} is present but its value could not be resolved"
+        fn = _FunctionBuilder(module, "_finish", "K, V, S")
+        slots = range(self.width)
+        for slot in slots:
+            fn.emit(f"if K[{slot}] == 0:")
+            fn.emit(f"    K[{slot}] = 1")
+        for slot in self.event_slots:
+            fn.emit(f"if K[{slot}] == 2 and V[{slot}] is _UV:")
+            fn.emit(f"    V[{slot}] = _EVENT")
+        fn.emit("_verify(K, V, S)")
+        for slot in slots:
+            fn.emit(f"x{slot} = V[{slot}] if K[{slot}] == 2 else _ABSENT")
+        fn.emit("values = (" + "".join(f"x{slot}, " for slot in slots) + ")")
+        if self.width:
+            # Only a present signal can hold _UV; the first one in slot
+            # order is the one the interpreter reports.
+            unresolved = module.constant(
+                tuple(
+                    f"{name}: signal {signal!r} is present but its value could not be resolved"
+                    for signal in process.signal_names
+                )
             )
-            fn.emit(f"if K[{slot}] == 2:")
-            fn.emit(f"    value = V[{slot}]")
-            fn.emit("    if value is _UV:")
-            fn.emit(f"        raise _UE({m})")
-            fn.emit(f"    instant[{signal!r}] = value")
-            fn.emit("else:")
-            fn.emit(f"    instant[{signal!r}] = _ABSENT")
-        fn.emit("return instant")
-        return fn.source()
-
-    def _build_update(self, module: _ModuleBuilder, stateful) -> str:
-        """The successor memory: delay windows shifted, cells latched."""
-        fn = _FunctionBuilder(module, "_update", "K, V, S, new_state")
-        for key, node in stateful:
+            fn.emit("if " + " or ".join(f"x{slot} is _UV" for slot in slots) + ":")
+            fn.emit("    for slot, value in enumerate(values):")
+            fn.emit("        if value is _UV:")
+            fn.emit(f"            raise _UE({unresolved}[slot])")
+        memory = []
+        for index, (key, node) in enumerate(process.stateful_nodes()):
             fn.emit(f"# {key}: {node!r}"[:100])
             k, v = fn.lower(node.operand)
-            fn.emit(f"if ({k} == 2 or {k} == 3) and {v} is not _UV:")
-            if isinstance(node, Delay):
-                fn.emit(f"    new_state[{key!r}] = new_state[{key!r}][1:] + ({v},)")
-            else:
-                fn.emit(f"    new_state[{key!r}] = {v}")
-        fn.emit("return None")
+            update = f"S[{index}][1:] + ({v},)" if isinstance(node, Delay) else v
+            fn.emit(f"n{index} = {update} if ({k} == 2 or {k} == 3) and {v} is not _UV else S[{index}]")
+            memory.append(f"n{index}, ")
+        fn.emit(f"return ({''.join(memory)}), values")
         return fn.source()
 
-    # -- one reaction ----------------------------------------------------------
+    # -- reactions -------------------------------------------------------------
 
-    def step(
-        self,
-        state: Mapping[str, Any],
-        driven: Mapping[str, Any],
-        bound: int,
-    ) -> tuple[dict[str, Any], dict[str, Any]]:
-        """Resolve one reaction on the generated kernels.
-
-        Mirrors the interpreter pass for pass; ``bound`` is the validated
-        fixpoint bound computed by :meth:`CompiledProcess.step`.
-        """
-        from .compiler import ConsistencyError, UnresolvedError
+    def _load(self, driven: Mapping[str, Any]) -> tuple[list, list]:
+        """The status arrays of a reaction's start: the driven directives."""
+        from .compiler import ConsistencyError
 
         UV = UNKNOWN_VALUE
         K = [0] * self.width
@@ -658,36 +697,55 @@ class StepKernels:
             else:
                 K[slot] = 2
                 V[slot] = directive
-        event_slots = self.event_slots
-        for slot in event_slots:
+        for slot in self.event_slots:
             if K[slot] == 2 and V[slot] is UV:
                 V[slot] = EVENT
+        return K, V
 
-        S = [state[key] for key in self.state_keys]
+    def _react(self, K: list, V: list, S: tuple, bound: int) -> tuple[tuple, tuple]:
+        """Run the fixpoint passes, then finish: ``(next_state, values)``."""
         run_pass = self._pass
-        converged = False
         for _ in range(bound):
             if not run_pass(K, V, S):
-                converged = True
-                break
-        if not converged:
-            raise UnresolvedError(
-                f"{self.process_name}: reaction did not converge within {bound} fixpoint passes"
-            )
+                return self._finish(K, V, S)
+        from .compiler import UnresolvedError
 
-        # Anything still unknown is absent at this instant.
-        for slot in range(self.width):
-            if K[slot] == 0:
-                K[slot] = 1
-        for slot in event_slots:
-            if K[slot] == 2 and V[slot] is UV:
-                V[slot] = EVENT
+        raise UnresolvedError(
+            f"{self.process_name}: reaction did not converge within {bound} fixpoint passes"
+        )
 
-        self._verify(K, V, S)
-        instant = self._instant(K, V)
+    def successor(self, stimuli: Sequence[Mapping[str, Any]], bound: int):
+        """``react(state, index)`` over state tuples (see ``CompiledProcess.successor``).
+
+        The status arrays of every stimulus are built once; each reaction
+        copies them.
+        """
+        loaded = [self._load(stimulus) for stimulus in stimuli]
+        run = self._react
+
+        def react(state: tuple, index: int) -> tuple[tuple, tuple]:
+            K, V = loaded[index]
+            return run(K.copy(), V.copy(), state, bound)
+
+        return react
+
+    def step(
+        self,
+        state: Mapping[str, Any],
+        driven: Mapping[str, Any],
+        bound: int,
+    ) -> tuple[dict[str, Any], dict[str, Any]]:
+        """Resolve one reaction on the generated kernels.
+
+        The dict adapter of :meth:`_react`; ``bound`` is the validated
+        fixpoint bound computed by :meth:`CompiledProcess.step`.
+        """
+        K, V = self._load(driven)
+        keys = self.state_keys
+        next_state, values = self._react(K, V, tuple(state[key] for key in keys), bound)
         new_state = dict(state)
-        self._update(K, V, S, new_state)
-        return new_state, instant
+        new_state.update(zip(keys, next_state))
+        return new_state, dict(zip(self.signal_names, values))
 
     # -- reporting -------------------------------------------------------------
 

@@ -13,7 +13,7 @@ by the model checker, or embedded in a GALS architecture model.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from ..core.values import ABSENT, EVENT
 from ..signal.ast import (
@@ -37,6 +37,9 @@ from ..signal.ast import (
 from ..signal.operators import apply_binary, apply_intrinsic, apply_unary, truthy
 from .status import PRESENT, Status, UNKNOWN_VALUE
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .codegen import StepKernels
+
 
 class SimulationError(Exception):
     """Base class of reaction-resolution errors."""
@@ -58,8 +61,13 @@ class CompiledProcess:
     the state space exploration of :mod:`repro.verification` straightforward.
     """
 
-    def __init__(self, definition: ProcessDefinition, compile: Optional[str] = None) -> None:
-        from .codegen import StepKernels, resolve_step_compile
+    def __init__(
+        self,
+        definition: ProcessDefinition,
+        compile: Optional[str] = None,
+        on_kernels: Optional[Callable[["StepKernels"], None]] = None,
+    ) -> None:
+        from .codegen import resolve_step_compile
 
         self.definition = expand(definition)
         self.name = definition.name
@@ -79,10 +87,18 @@ class CompiledProcess:
         self._stateful: list[tuple[str, Expression]] = []
         self._stateful_keys: dict[int, str] = {}
         self._index_stateful()
+        #: The memory keys, in ``stateful_nodes()`` order: the order of the
+        #: state tuples :meth:`successor` reacts on.
+        self.state_keys = tuple(key for key, _node in self._stateful)
+        self._default_passes = 2 * (len(self.definitions) + len(self.constraints)) + 4
         # Which engine resolves reactions: "codegen" runs generated kernels
         # (repro.simulation.codegen), "interp" the reference _Evaluator.
         self.step_compile = resolve_step_compile(compile)
-        self.kernels = StepKernels(self) if self.step_compile == "codegen" else None
+        # The kernels are generated the first time a reaction needs them, so
+        # a process only ever analysed symbolically never pays for them;
+        # ``on_kernels`` is told when they are.
+        self._kernels: Optional["StepKernels"] = None
+        self._on_kernels = on_kernels
 
     # -- construction helpers ---------------------------------------------------
 
@@ -116,6 +132,17 @@ class CompiledProcess:
     def stateful_nodes(self) -> tuple[tuple[str, Expression], ...]:
         """The (state-key, AST node) pairs of stateful operators."""
         return tuple(self._stateful)
+
+    @property
+    def kernels(self) -> Optional["StepKernels"]:
+        """The generated step kernels under codegen (built on first use), else None."""
+        if self._kernels is None and self.step_compile == "codegen":
+            from .codegen import StepKernels
+
+            self._kernels = StepKernels(self)
+            if self._on_kernels is not None:
+                self._on_kernels(self._kernels)
+        return self._kernels
 
     def step_engine_info(self) -> dict[str, Any]:
         """Which engine resolves reactions, plus kernel count/compile time."""
@@ -153,9 +180,10 @@ class CompiledProcess:
             raise ValueError(
                 f"{self.name}: max_passes must be a positive pass count, got {max_passes!r}"
             )
-        bound = max_passes if max_passes is not None else 2 * (len(self.definitions) + len(self.constraints)) + 4
-        if self.kernels is not None:
-            return self.kernels.step(state, driven, bound)
+        bound = max_passes if max_passes is not None else self._default_passes
+        kernels = self.kernels
+        if kernels is not None:
+            return kernels.step(state, driven, bound)
 
         env: dict[str, Status] = {name: Status.unknown() for name in self.signal_names}
         for name, directive in driven.items():
@@ -206,6 +234,35 @@ class CompiledProcess:
 
         new_state = evaluator.updated_state(env)
         return new_state, instant
+
+    def successor(self, stimuli: Sequence[Mapping[str, Any]]) -> Callable[[tuple, int], tuple[tuple, tuple]]:
+        """One reaction over state tuples, for a fixed list of stimuli.
+
+        Returns ``react(state, index)``, the reaction of memory ``state`` (a
+        tuple in :attr:`state_keys` order) to ``stimuli[index]``, as
+        ``(next_state, values)``: the successor memory in the same order and
+        every signal's value (``ABSENT`` when absent) in :attr:`signal_names`
+        order.  ``react`` raises what :meth:`step` raises.  Under codegen it
+        runs the generated kernels on status arrays built once per stimulus;
+        under interp it adapts :meth:`step`.
+
+        Raises:
+            ConsistencyError: at once, when a stimulus drives an unknown signal.
+        """
+        for stimulus in stimuli:
+            for name in stimulus:
+                if name not in self.signal_types:
+                    raise ConsistencyError(f"{self.name}: scenario drives unknown signal {name!r}")
+        kernels = self.kernels
+        if kernels is not None:
+            return kernels.successor(stimuli, self._default_passes)
+        keys, names, step = self.state_keys, self.signal_names, self.step
+
+        def react(state: tuple, index: int) -> tuple[tuple, tuple]:
+            new_state, instant = step(dict(zip(keys, state)), stimuli[index])
+            return tuple(new_state[key] for key in keys), tuple(instant[name] for name in names)
+
+        return react
 
     # -- internals ----------------------------------------------------------------------
 

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Hashable, Optional, Sequence
 
 from ..core.values import ABSENT, EVENT
 from ..signal.ast import ProcessDefinition
 from ..simulation.compiler import CompiledProcess, SimulationError
 from ..simulation.status import PRESENT
 from .invariants import CheckResult, check_invariant_labels, check_reaction_reachable
-from .lts import LTS, label_to_dict, make_label
+from .lts import LTS, label_to_dict
 from .reachability import (
     BackendCapabilities,
     BoundReached,
@@ -82,6 +83,12 @@ class ExplorationResult(Reachability):
     Implements the shared :class:`~repro.verification.reachability.Reachability`
     interface, so invariant checking and controller synthesis can be run
     against an explicit exploration and a symbolic one interchangeably.
+
+    Each LTS state's payload is its memory as a tuple in ``stateful_nodes()``
+    order (``CompiledProcess.state_keys``); a product state's payload is the
+    pair of both sides' tuples.  ``memories`` holds the same memory as a
+    dict per state (``{"left": ..., "right": ...}`` for a product), which is
+    what traces report.
     """
 
     lts: LTS
@@ -196,27 +203,45 @@ def _stimulus_domain(compiled: CompiledProcess, name: str, integers: Sequence[in
     return [ABSENT, *integers]
 
 
-def _freeze(memory: Mapping[str, Any]) -> tuple:
-    return tuple(sorted(memory.items()))
+def _picker(slots: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The observed values out of a values tuple, as a tuple."""
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda values: (values[slot],)
+    if not slots:
+        return lambda values: ()
+    return itemgetter(*slots)
 
 
 def _search(
     result: ExplorationResult,
     options: ExplorationOptions,
-    stimuli: Sequence[Mapping[str, Any]],
-    observed: Sequence[str],
-    step: Any,
+    react: Callable[[Hashable, int], tuple[Hashable, tuple]],
+    stimulus_count: int,
+    observed_slots: Sequence[int],
+    memory_of: Callable[[Hashable], dict[str, Any]],
     name: str,
 ) -> ExplorationResult:
     """The exploration loop shared by single and product exploration.
 
-    ``step(memory, stimulus)`` resolves one reaction, returning the record to
-    store for the successor state, its hashable payload, and the instant; it
-    raises SimulationError for inadmissible stimuli.  The frontier is a
-    stack, so traversal order is depth-first — the reachable *set* is the
-    same either way, but do not rely on shortest-path discovery order.
+    ``react(key, index)`` resolves the reaction of the state whose LTS
+    payload is ``key`` to stimulus ``index``, returning the successor's
+    payload and a values tuple; it raises SimulationError for inadmissible
+    stimuli.  ``observed_slots`` picks the observed values (in
+    ``result.observed`` order) out of that tuple, and ``memory_of`` turns a
+    new payload into the memory dict kept for traces.  Each distinct
+    observed reaction gets one shared label.  The frontier is a stack, so
+    traversal order is depth-first — the reachable *set* is the same either
+    way, but do not rely on shortest-path discovery order.
     """
     lts = result.lts
+    observed = result.observed
+    pick = _picker(observed_slots)
+    index_of, add_transition = lts.index_of, lts.add_transition
+    # Keyed by the values *and* their types: 1 == True, but a predicate
+    # must see the value the reaction carried.
+    labels: dict[tuple, frozenset] = {}
+    stimuli = range(stimulus_count)
     frontier = [lts.initial]
     pending = {lts.initial}
     explored: set[int] = set()
@@ -226,26 +251,35 @@ def _search(
         if state in explored:
             continue
         explored.add(state)
-        memory = result.memories[state]
-        for stimulus in stimuli:
+        key = lts.payload(state)
+        for index in stimuli:
             try:
-                record, payload, instant = step(memory, stimulus)
+                target_key, values = react(key, index)
             except SimulationError:
                 result.rejected_stimuli += 1
                 continue
-            existing = lts.index_of(payload)
+            existing = index_of(target_key)
             if existing is None:
                 if lts.state_count() >= options.max_states:
                     _hit_bound(result, options, name)
                     continue
-                existing = lts.add_state(payload)
-                result.memories[existing] = record
+                existing = lts.add_state(target_key)
+                result.memories[existing] = memory_of(target_key)
                 frontier.append(existing)
                 pending.add(existing)
             elif existing not in explored and existing not in pending:
                 frontier.append(existing)
                 pending.add(existing)
-            lts.add_transition(state, make_label(instant, observed), existing)
+            reaction = pick(values)
+            typed = (reaction, tuple(map(type, reaction)))
+            label = labels.get(typed)
+            if label is None:
+                label = labels[typed] = frozenset(
+                    (signal, value)
+                    for signal, value in zip(observed, reaction)
+                    if value is not ABSENT
+                )
+            add_transition(state, label, existing)
     return result
 
 
@@ -282,18 +316,25 @@ def explore(
             continue
         stimuli.append(stimulus)
 
+    react = compiled.successor(stimuli)
     lts = LTS(compiled.name)
     result = ExplorationResult(lts, observed=tuple(observed), step_engine=compiled.step_engine_info())
 
+    keys = compiled.state_keys
     initial_memory = compiled.initial_state()
-    initial = lts.add_state(_freeze(initial_memory), initial=True)
+    initial = lts.add_state(tuple(initial_memory[key] for key in keys), initial=True)
     result.memories[initial] = dict(initial_memory)
 
-    def step(memory: Mapping[str, Any], stimulus: Mapping[str, Any]):
-        new_memory, instant = compiled.step(memory, stimulus)
-        return dict(new_memory), _freeze(new_memory), instant
-
-    return _search(result, options, stimuli, observed, step, compiled.name)
+    slots = {signal: slot for slot, signal in enumerate(compiled.signal_names)}
+    return _search(
+        result,
+        options,
+        react,
+        len(stimuli),
+        [slots[signal] for signal in observed],
+        lambda key: dict(zip(keys, key)),
+        compiled.name,
+    )
 
 
 def _hit_bound(result: ExplorationResult, options: ExplorationOptions, name: str) -> None:
@@ -347,23 +388,34 @@ def explore_product(
             f"{left_compiled.name}×{right_compiled.name}: cannot observe unknown signals {unknown}"
         )
 
+    left_react = left_compiled.successor(stimuli)
+    right_react = right_compiled.successor(stimuli)
     lts = LTS(f"{left_compiled.name}×{right_compiled.name}")
     result = ExplorationResult(
         lts, observed=tuple(observed), step_engine=left_compiled.step_engine_info()
     )
-    initial_payload = (_freeze(left_compiled.initial_state()), _freeze(right_compiled.initial_state()))
+    left_keys, right_keys = left_compiled.state_keys, right_compiled.state_keys
+    left_memory, right_memory = left_compiled.initial_state(), right_compiled.initial_state()
+    initial_payload = (
+        tuple(left_memory[key] for key in left_keys),
+        tuple(right_memory[key] for key in right_keys),
+    )
     initial = lts.add_state(initial_payload, initial=True)
-    result.memories[initial] = {
-        "left": left_compiled.initial_state(),
-        "right": right_compiled.initial_state(),
-    }
+    result.memories[initial] = {"left": left_memory, "right": right_memory}
 
-    def step(memory: Mapping[str, Any], stimulus: Mapping[str, Any]):
-        left_memory, left_instant = left_compiled.step(memory["left"], stimulus)
-        right_memory, right_instant = right_compiled.step(memory["right"], stimulus)
-        instant = dict(right_instant)
-        instant.update(left_instant)
-        record = {"left": left_memory, "right": right_memory}
-        return record, (_freeze(left_memory), _freeze(right_memory)), instant
+    def react(key: tuple, index: int) -> tuple[tuple, tuple]:
+        left_state, left_values = left_react(key[0], index)
+        right_state, right_values = right_react(key[1], index)
+        return (left_state, right_state), left_values + right_values
 
-    return _search(result, options, stimuli, observed, step, lts.name)
+    # The product reaction is the right one overridden by the left one.
+    width = len(left_compiled.signal_names)
+    slots = {signal: width + slot for slot, signal in enumerate(right_compiled.signal_names)}
+    slots.update((signal, slot) for slot, signal in enumerate(left_compiled.signal_names))
+
+    def memory_of(key: tuple) -> dict[str, Any]:
+        return {"left": dict(zip(left_keys, key[0])), "right": dict(zip(right_keys, key[1]))}
+
+    return _search(
+        result, options, react, len(stimuli), [slots[signal] for signal in observed], memory_of, lts.name
+    )

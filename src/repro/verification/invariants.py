@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .lts import LTS, Label, Transition, label_to_dict
+from .lts import LTS, Transition, per_label
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .reachability import Trace
@@ -69,10 +69,11 @@ class CheckResult:
 def check_invariant_labels(lts: LTS, predicate: LabelPredicate, name: str = "invariant") -> CheckResult:
     """AG over reactions: every reachable transition label satisfies ``predicate``."""
     reachable = lts.reachable()
+    holds = per_label(predicate)
     for transition in lts.transitions():
         if transition.source not in reachable:
             continue
-        if not predicate(label_to_dict(transition.label)):
+        if not holds(transition.label):
             path = lts.path_to(lambda s: s == transition.source) or []
             return CheckResult(False, name, path + [transition], transition.target)
     return CheckResult(True, name, details=f"{len(reachable)} reachable states")
@@ -99,8 +100,9 @@ def check_reachable(lts: LTS, predicate: StatePredicate, name: str = "reachabili
 def check_reaction_reachable(lts: LTS, predicate: LabelPredicate, name: str = "reaction-reachability") -> CheckResult:
     """EF over reactions: some reachable transition label satisfies ``predicate``."""
     reachable = lts.reachable()
+    holds = per_label(predicate)
     for transition in lts.transitions():
-        if transition.source in reachable and predicate(label_to_dict(transition.label)):
+        if transition.source in reachable and holds(transition.label):
             path = lts.path_to(lambda s: s == transition.source) or []
             return CheckResult(True, name, path + [transition], transition.target, "witness reaction found")
     return CheckResult(False, name, details="no reachable reaction satisfies the predicate")

@@ -32,6 +32,25 @@ def label_to_dict(label: Label) -> dict[str, Any]:
     return {name: value for name, value in label}
 
 
+def per_label(predicate: Callable[[dict[str, Any]], bool]) -> Callable[[Label], bool]:
+    """``predicate`` over labels, evaluated once per distinct label object.
+
+    Keyed by identity, not equality: the explorer shares one label object
+    per distinct reaction, and equal labels carrying ``1`` and ``True`` must
+    still be evaluated apart.  The labels must outlive the returned function
+    (they do while their LTS does).
+    """
+    verdicts: dict[int, bool] = {}
+
+    def holds(label: Label) -> bool:
+        verdict = verdicts.get(id(label))
+        if verdict is None:
+            verdict = verdicts[id(label)] = bool(predicate(label_to_dict(label)))
+        return verdict
+
+    return holds
+
+
 @dataclass(frozen=True)
 class Transition:
     """One labelled transition ``source --label--> target``."""
@@ -182,6 +201,7 @@ class LTS:
         """
         if self.initial is None:
             return None
+        holds = per_label(predicate)
         parents: dict[int, Transition] = {}
         frontier = [self.initial]
         seen = {self.initial}
@@ -189,7 +209,7 @@ class LTS:
             next_frontier: list[int] = []
             for state in frontier:
                 for transition in self._transitions.get(state, []):
-                    if predicate(label_to_dict(transition.label)):
+                    if holds(transition.label):
                         path = [transition]
                         while path[0].source != self.initial:
                             path.insert(0, parents[path[0].source])

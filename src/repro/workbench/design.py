@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from ..clocks.bdd import NodeBudgetExceeded
 from ..clocks.endochrony import EndochronyReport, analyse_endochrony
@@ -78,6 +78,9 @@ from .cache import (
 )
 from .registry import BackendRegistry, RegisteredBackend, default_registry
 from .report import Property, PropertyCheck, Report, normalise_properties
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..simulation.codegen import StepKernels
 
 #: What ``check``/``check_all`` accept per property: a bare predicate
 #: (auto-named), a ``(name, predicate)`` pair, or a full Property.
@@ -373,12 +376,17 @@ class Design:
         return self._artifact("compiled", self._build_compiled)
 
     def _build_compiled(self) -> CompiledProcess:
-        compiled = CompiledProcess(self.process, compile=self.step_compile)
-        if compiled.kernels is not None:
-            # Surface the generated-kernel build alongside the other artifacts.
-            self.artifact_counts["step_kernels"] = compiled.kernels.kernel_count
-            self.artifact_seconds["step_kernels"] = compiled.kernels.compile_seconds
-        return compiled
+        # The step kernels are generated when a reaction first runs (an
+        # exploration or a simulation, never a BDD route); their build is
+        # surfaced alongside the other artifacts then.  The callback holds
+        # the two dicts, not the design, so it makes no reference cycle.
+        counts, seconds = self.artifact_counts, self.artifact_seconds
+
+        def record(kernels: StepKernels) -> None:
+            counts["step_kernels"] = kernels.kernel_count
+            seconds["step_kernels"] = kernels.compile_seconds
+
+        return CompiledProcess(self.process, compile=self.step_compile, on_kernels=record)
 
     @property
     def clock_hierarchy(self) -> ClockHierarchy:

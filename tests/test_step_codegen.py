@@ -9,22 +9,31 @@ scenarios.  This suite is the oracle for that claim: it replays both
 corpora of ``test_symbolic_vs_explicit`` step by step under both
 ``compile=`` modes over the full explorer stimulus alphabet, comparing
 every reachable reaction, plus a bespoke operator zoo (cell, clock
-algebra, intrinsics, deep delays, inclusion constraints) that the boolean
-corpus does not cover.  Knob plumbing — environment default, ``Design``
-ride-through, ``DesignSpec`` shipping, statistics surfacing — is pinned
-here too.
+algebra, intrinsics, deep delays, inclusion constraints, integer operators
+on booleans, events and a zero modulus) that the boolean corpus does not
+cover.  The explorer's successor path gets its own oracle: whole
+explorations under both modes must build the same LTS.  Knob plumbing —
+environment default, ``Design`` ride-through, kernels built on first use,
+``DesignSpec`` shipping, statistics surfacing — is pinned here too.
 """
 
 import itertools
 import pickle
+from collections import Counter
 
 import pytest
 
 from test_symbolic_vs_explicit import CORPUS, INTEGER_CORPUS
 
 from repro.core.values import ABSENT, EVENT
+from repro.signal.ast import BinaryOp
 from repro.signal.dsl import ProcessBuilder, call, const
-from repro.signal.library import alternator_process, modulo_counter_process
+from repro.signal.library import (
+    alternator_process,
+    boolean_shift_register_process,
+    modulo_counter_process,
+)
+from repro.signal.operators import EvaluationError
 from repro.simulation import (
     STEP_COMPILE_MODES,
     CompiledProcess,
@@ -34,7 +43,8 @@ from repro.simulation import (
     default_step_compile,
 )
 from repro.simulation.codegen import resolve_step_compile
-from repro.verification.explorer import _stimulus_domain, explore
+from repro.verification.explorer import ExplorationOptions, _stimulus_domain, explore, explore_product
+from repro.verification.reachability import ReactionPredicate
 from repro.workbench import Design
 from repro.workbench.jobs import DesignSpec
 
@@ -42,10 +52,14 @@ from repro.workbench.jobs import DesignSpec
 # --------------------------------------------------------------------------- lockstep driver
 
 def _outcome(compiled, state, stimulus):
-    """One reaction's observable behaviour: the result or the exact error."""
+    """One reaction's observable behaviour: the result or the exact error.
+
+    Besides the reaction errors, operator failures count: an
+    ``EvaluationError`` or ``ZeroDivisionError`` must surface identically.
+    """
     try:
         new_state, instant = compiled.step(state, stimulus)
-    except SimulationError as error:
+    except (SimulationError, EvaluationError, ZeroDivisionError) as error:
         return ("error", type(error).__name__, str(error))
     return ("ok", new_state, instant)
 
@@ -166,6 +180,34 @@ def constant_sampling_process():
     return builder.build()
 
 
+def boolean_arithmetic_process():
+    """Integer operators fed booleans: computed through ``_as_int``."""
+    builder = ProcessBuilder("BoolArith")
+    b = builder.input("b", "boolean")
+    c = builder.input("c", "boolean")
+    builder.define(builder.output("total", "integer"), b + c)
+    builder.define(builder.output("rest", "integer"), BinaryOp("mod", b, const(2)))
+    builder.define(builder.output("below", "boolean"), BinaryOp("<", b, c))
+    builder.synchronize(b, c)
+    return builder.build()
+
+
+def event_arithmetic_process():
+    """An event operand of ``+``: an EvaluationError in both engines."""
+    builder = ProcessBuilder("EventArith")
+    e = builder.input("e", "event")
+    builder.define(builder.output("y", "integer"), e + const(1))
+    return builder.build()
+
+
+def zero_modulus_process():
+    """``mod`` by a zero constant: the same ZeroDivisionError in both engines."""
+    builder = ProcessBuilder("ZeroModulus")
+    x = builder.input("x", "integer")
+    builder.define(builder.output("y", "integer"), BinaryOp("mod", x, const(0)))
+    return builder.build()
+
+
 ZOO = [
     ("cell", cell_process),
     ("clock-algebra", clock_algebra_process),
@@ -174,14 +216,121 @@ ZOO = [
     ("inclusion-lt", lambda: inclusion_constraint_process("<")),
     ("inclusion-gt", lambda: inclusion_constraint_process(">")),
     ("constant-sampling", constant_sampling_process),
+    ("boolean-arithmetic", boolean_arithmetic_process),
+    ("event-arithmetic", event_arithmetic_process),
+    ("zero-modulus", zero_modulus_process),
 ]
 
 
 @pytest.mark.parametrize("label,factory", ZOO, ids=[label for label, _ in ZOO])
 def test_operator_zoo_lockstep(label, factory):
     """Operators the boolean corpus misses: cell, clock algebra, intrinsics,
-    multi-depth delay, inclusion constraints, constant sampling."""
+    multi-depth delay, inclusion constraints, constant sampling, and the
+    fallback of the inlined integer operators."""
     lockstep_compare(factory(), integers=(0, 1, 5))
+
+
+@pytest.mark.parametrize("mode", STEP_COMPILE_MODES)
+def test_integer_operators_convert_booleans(mode):
+    """``True + True`` is 2 and ``True mod 2`` is 1, as ``_as_int`` computes."""
+    compiled = CompiledProcess(boolean_arithmetic_process(), compile=mode)
+    _, instant = compiled.step(compiled.initial_state(), {"b": True, "c": True})
+    assert (instant["total"], instant["rest"], instant["below"]) == (2, 1, False)
+    assert type(instant["total"]) is int
+
+
+@pytest.mark.parametrize(
+    "factory,stimulus,error,message",
+    [
+        (event_arithmetic_process, {"e": EVENT}, EvaluationError, "expected an integer value"),
+        (zero_modulus_process, {"x": 3}, ZeroDivisionError, "modulo by zero"),
+    ],
+    ids=["event-operand", "zero-modulus"],
+)
+def test_operator_failures_identical(factory, stimulus, error, message):
+    """Failing operators raise the same exception type and text in both modes."""
+    outcomes = []
+    for mode in STEP_COMPILE_MODES:
+        compiled = CompiledProcess(factory(), compile=mode)
+        with pytest.raises(error, match=message) as excinfo:
+            compiled.step(compiled.initial_state(), stimulus)
+        outcomes.append((type(excinfo.value), str(excinfo.value)))
+    assert outcomes[0] == outcomes[1]
+
+
+# --------------------------------------------------------------------------- explorer differential
+
+def _typed(label):
+    """A label with each value's type: 1 and True must not compare equal."""
+    return frozenset((name, type(value), value) for name, value in label)
+
+
+def _exploration_record(result):
+    """What two explorations must agree on, transition by transition."""
+    lts = result.lts
+    payloads = [lts.payload(state) for state in lts.states]
+    transitions = Counter(
+        (lts.payload(t.source), _typed(t.label), lts.payload(t.target)) for t in lts.transitions()
+    )
+    return {
+        "states": set(payloads),
+        "transitions": transitions,
+        "rejected": result.rejected_stimuli,
+        "memories": result.memories,
+        "bound_reached": result.bound_reached,
+    }
+
+
+def explorer_compare(explore_with):
+    """Run one exploration under both step engines and require the same LTS."""
+    records = {mode: _exploration_record(explore_with(mode)) for mode in STEP_COMPILE_MODES}
+    assert records["interp"] == records["codegen"]
+    assert records["codegen"]["transitions"]
+    return records["codegen"]
+
+
+#: The zoo entries whose every present stimulus fails get their own test.
+FAILING_ZOO = ("event-arithmetic", "zero-modulus")
+
+EXPLORER_CASES = (
+    [(label, factory, (0, 1)) for label, factory in CORPUS]
+    + [(entry[0], entry[1], (0, 1, 2)) for entry in INTEGER_CORPUS]
+    + [(label, factory, (0, 1, 5)) for label, factory in ZOO if label not in FAILING_ZOO]
+)
+
+
+@pytest.mark.parametrize(
+    "label,factory,integers", EXPLORER_CASES, ids=[case[0] for case in EXPLORER_CASES]
+)
+def test_explorer_engines_agree(label, factory, integers):
+    """``explore()`` reaches the same payloads, transitions, rejections and
+    memories whether reactions run on the interpreter or the kernels."""
+    options = ExplorationOptions(integer_domain=integers, max_states=400)
+    explorer_compare(
+        lambda mode: explore(CompiledProcess(factory(), compile=mode), options)
+    )
+
+
+def test_explorer_engines_agree_on_failing_operators():
+    """Stimuli whose operators fail abort the exploration identically."""
+    for factory in (event_arithmetic_process, zero_modulus_process):
+        outcomes = []
+        for mode in STEP_COMPILE_MODES:
+            with pytest.raises((EvaluationError, ZeroDivisionError)) as excinfo:
+                explore(CompiledProcess(factory(), compile=mode))
+            outcomes.append((type(excinfo.value), str(excinfo.value)))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_product_explorer_engines_agree():
+    """``explore_product`` agrees too, shared signals included."""
+    record = explorer_compare(
+        lambda mode: explore_product(
+            CompiledProcess(modulo_counter_process(3), compile=mode),
+            CompiledProcess(modulo_counter_process(4), compile=mode),
+        )
+    )
+    assert len(record["states"]) == 12
 
 
 # --------------------------------------------------------------------------- error parity
@@ -318,13 +467,42 @@ def test_explorer_statistics_surface_engine():
 
 
 def test_design_rides_the_knob():
+    """The knob reaches the compiled process; the kernels are generated when
+    the design first reacts (explores or simulates), not at ``compiled``."""
     design = Design(modulo_counter_process(3), step_compile="codegen")
     assert design.compiled.step_compile == "codegen"
+    assert "step_kernels" not in design.artifact_counts
+    design.exploration
     assert design.artifact_counts["step_kernels"] >= 1
     assert design.artifact_seconds["step_kernels"] >= 0.0
+    simulated = Design(modulo_counter_process(3), step_compile="codegen")
+    simulated.simulate([{"tick": EVENT}])
+    assert simulated.artifact_counts["step_kernels"] >= 1
     interp_design = Design(modulo_counter_process(3), step_compile="interp")
     assert interp_design.compiled.step_compile == "interp"
+    interp_design.exploration
     assert "step_kernels" not in interp_design.artifact_counts
+
+
+def test_symbolic_route_builds_no_kernels():
+    """A design routed to the BDD engine never generates step kernels."""
+    design = Design(boolean_shift_register_process(12), step_compile="codegen", cache=None)
+    tail = ReactionPredicate.present("s11").implies(ReactionPredicate.present("x"))
+    report = design.check_all({"tail-needs-input": tail}, traces=True)
+    assert report.backend_name == "symbolic-int"
+    assert "step_kernels" not in design.artifact_counts
+
+
+def test_explore_builds_and_reports_kernels():
+    """The explorer builds the kernels it needs and its statistics show them."""
+    built = []
+    compiled = CompiledProcess(alternator_process(), compile="codegen", on_kernels=built.append)
+    assert built == []
+    stats = explore(compiled).statistics()
+    assert len(built) == 1
+    assert stats["kernels"] == built[0].kernel_count >= 1
+    explore(compiled)
+    assert len(built) == 1
 
 
 def test_design_spec_ships_the_knob():

@@ -10,6 +10,7 @@ from repro.signal.library import (
     edge_detector_process,
     modulo_counter_process,
 )
+from repro.signal.dsl import ProcessBuilder, const
 from repro.simulation import Trace
 from repro.verification import (
     BoundReached,
@@ -146,6 +147,27 @@ class TestExplorer:
         options = ExplorationOptions(max_states=1, on_bound="raise")
         with pytest.raises(BoundReached):
             explore_product(modulo_counter_process(5), modulo_counter_process(7), options=options)
+
+    def test_payload_is_the_memory_tuple(self):
+        result = explore(modulo_counter_process(3))
+        payloads = {result.lts.payload(state) for state in result.lts.states}
+        assert payloads == {((0,),), ((1,),), ((2,),)}
+        for state, memory in result.memories.items():
+            assert result.lts.payload(state) == tuple(memory.values())
+
+    def test_labels_keep_value_types(self):
+        # 1 == True, yet each transition's label carries the value its own
+        # reaction produced, and predicates see that value.
+        builder = ProcessBuilder("Mixed")
+        b = builder.input("b", "boolean")
+        y = builder.output("y", "integer")
+        builder.define(y, const(1).when(b).default(const(True).when(~b)))
+        result = explore(builder.build(), ExplorationOptions(observed=["y"]))
+        carried = sorted(repr(dict(t.label)["y"]) for t in result.lts.transitions() if t.label)
+        assert carried == ["1", "True"]
+        is_bool = ReactionPredicate.value("y", lambda value: value is True)
+        assert result.check_reachable(is_bool).holds
+        assert not result.check_invariant(~is_bool).holds
 
     def test_product_driving_unknown_signal_rejected(self):
         # A typo here would otherwise reject every stimulus and produce an
