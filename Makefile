@@ -1,12 +1,10 @@
 # One entry point for the checks CI and local development share.
 #
 #   make test        - the tier-1 suite (tests/, includes the differential
-#                      symbolic-vs-explicit suite and the benchmark smoke runs)
+#                      symbolic-vs-explicit suite, the interp-vs-codegen step
+#                      engine differentials and the benchmark smoke runs)
 #   make cov         - the tier-1 suite under coverage with the minimum gate
 #                      (CI runs this on the py3.12 leg only)
-#   make test-step   - the step-engine differential, explorer, symbolic-vs-
-#                      explicit and trace-replay suites only (CI runs them at
-#                      REPRO_STEP_COMPILE=interp and codegen)
 #   make lint        - ruff (high-signal core rules) + byte-compilation check
 #   make bench-smoke - only the benchmark smoke runs (every benchmarks/bench_*.py
 #                      main path at its smallest size); writes BENCH_SMOKE.json,
@@ -25,14 +23,10 @@ PYTEST := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest
 COV_MIN ?= 85
 BENCH_FACTOR ?= 3.0
 
-.PHONY: test test-step cov lint bench-smoke bench-check perfbench-smoke bench
+.PHONY: test cov lint bench-smoke bench-check perfbench-smoke bench
 
 test:
 	$(PYTEST) -x -q
-
-test-step:
-	$(PYTEST) -x -q tests/test_step_codegen.py tests/test_simulation.py tests/test_verification.py \
-		tests/test_symbolic_vs_explicit.py tests/test_counterexample_traces.py
 
 cov:
 	$(PYTEST) -q --cov=repro --cov-report=term-missing:skip-covered --cov-fail-under=$(COV_MIN)

@@ -8,9 +8,9 @@ spend their time in.  The benchmark steps the same stimulus schedule
 through both engines from the same initial memory, asserts the instants
 agree reaction for reaction (the differential guard in miniature), times
 both loops, and asserts the throughput ratio.  The measured ratio is
-recorded into the bench-smoke trajectory via
-:func:`repro.simulation.codegen.record_step_speedup` so
-``BENCH_SMOKE.json`` carries the speedup next to the wall-clocks.
+recorded as the ``step_speedup`` test property (pytest's
+``record_property``), which the bench-smoke conftest copies into
+``BENCH_SMOKE.json`` next to the wall-clocks.
 """
 
 import time
@@ -20,7 +20,6 @@ import pytest
 from repro.core.values import ABSENT, EVENT
 from repro.signal.dsl import ProcessBuilder, const
 from repro.simulation import CompiledProcess
-from repro.simulation.codegen import record_step_speedup
 from repro.verification import explore
 
 #: Reactions per timed loop — enough to swamp per-call noise, small enough
@@ -75,7 +74,7 @@ def timed_replay(compiled, stimuli):
 
 
 @pytest.mark.parametrize("stages", [4, 8, 16])
-def test_bench_step_codegen_throughput(benchmark, stages):
+def test_bench_step_codegen_throughput(benchmark, record_property, stages):
     """Generated kernels beat the interpreter >=10x on step throughput."""
     process = pipeline_process(stages)
     interp = CompiledProcess(process, compile="interp")
@@ -99,7 +98,7 @@ def test_bench_step_codegen_throughput(benchmark, stages):
         interp_seconds = min(interp_seconds, timed_replay(interp, stimuli)[0])
 
     ratio = interp_seconds / codegen_seconds
-    record_step_speedup(round(ratio, 3))
+    record_property("step_speedup", round(ratio, 3))
     assert ratio >= SPEEDUP_FLOOR, (
         f"codegen step throughput only {ratio:.1f}x the interpreter "
         f"at {stages} stages (floor {SPEEDUP_FLOOR}x)"

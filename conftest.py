@@ -40,26 +40,6 @@ def _bdd_module():
     return bdd
 
 
-def _codegen_module():
-    try:
-        from repro.simulation import codegen
-    except ImportError:  # pragma: no cover - repro not importable (bad env)
-        return None
-    return codegen
-
-
-@pytest.fixture(scope="session")
-def step_compile_mode() -> str:
-    """The step engine this session runs reactions on.
-
-    CI's ``step-compile`` matrix leg exports ``REPRO_STEP_COMPILE``
-    (``interp``, ``codegen``) so the differential and explorer suites run
-    against both engines; everywhere else the default is the generated
-    kernels, with the interpreter kept as the oracle.
-    """
-    return os.environ.get("REPRO_STEP_COMPILE", "codegen")
-
-
 # --------------------------------------------------------------------- timeout guard
 
 @pytest.hookimpl(wrapper=True)
@@ -111,9 +91,6 @@ def pytest_runtest_setup(item):
         bdd = _bdd_module()
         if bdd is not None:
             bdd.reset_global_stats()
-        codegen = _codegen_module()
-        if codegen is not None:
-            codegen.reset_global_stats()
 
 
 def pytest_runtest_logreport(report):
@@ -128,14 +105,11 @@ def pytest_runtest_logreport(report):
                 "cache_hits": stats["cache_hits"],
                 "cache_misses": stats["cache_misses"],
             }
-        codegen = _codegen_module()
-        if codegen is not None:
-            # Codegen-vs-interp step throughput, recorded by the benchmark
-            # itself (bench_step_codegen.py); 0.0 everywhere else.
-            speedup = codegen.global_stats()["step_speedup"]
-            if speedup:
-                entry = _bdd_stats.setdefault(report.nodeid, {})
-                entry["step_speedup"] = speedup
+        # Codegen-vs-interp step throughput, recorded by the benchmark
+        # itself (bench_step_codegen.py) through ``record_property``.
+        speedup = dict(report.user_properties).get("step_speedup")
+        if speedup:
+            _bdd_stats.setdefault(report.nodeid, {})["step_speedup"] = speedup
 
 
 def _output_path(config) -> str | None:

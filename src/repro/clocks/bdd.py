@@ -10,8 +10,9 @@ satisfiability and model enumeration.
 The same engine is reused by the verification layer to represent state
 predicates symbolically: quantification, variable renaming and the combined
 relational product (``and_exists``) are the primitives the symbolic
-reachability engine of :mod:`repro.verification.relational` builds its image
-computation from.
+reachability engine of :mod:`repro.verification.symbolic_int` builds its
+image computation from, over the partitioned relation of
+:mod:`repro.verification.relational`.
 
 The diagram store lives in flat parallel lists:
 

@@ -1,7 +1,13 @@
 """Operational semantics of SIGNAL: compilation, scheduling and simulation."""
 
-from .codegen import STEP_COMPILE_MODES, StepKernels, default_step_compile
-from .compiler import CompiledProcess, ConsistencyError, SimulationError, UnresolvedError
+from .codegen import StepKernels
+from .compiler import (
+    STEP_COMPILE_MODES,
+    CompiledProcess,
+    ConsistencyError,
+    SimulationError,
+    UnresolvedError,
+)
 from .scheduler import (
     DependencyGraph,
     ScheduleReport,
@@ -33,7 +39,6 @@ __all__ = [
     "analyse",
     "behaviors_from_scenarios",
     "build_dependency_graph",
-    "default_step_compile",
     "evaluation_order",
     "find_cycles",
     "instantaneous_reads",

@@ -34,15 +34,13 @@ function otherwise, so booleans, events and other values take the
 interpreter's own conversion path.  The differential suite
 (``tests/test_step_codegen.py``) pins that equivalence over the same
 corpora the symbolic engine is checked against; the interpreter stays
-available as the oracle via ``CompiledProcess(process, compile="interp")``
-or ``REPRO_STEP_COMPILE=interp``.
+available as the oracle via ``CompiledProcess(process, compile="interp")``.
 """
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ..core.values import ABSENT, EVENT
 from ..signal.ast import (
@@ -71,47 +69,6 @@ from .status import PRESENT, UNKNOWN_VALUE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .compiler import CompiledProcess
-
-
-#: The step engines ``CompiledProcess`` can run reactions on.
-STEP_COMPILE_MODES = ("interp", "codegen")
-
-
-def default_step_compile() -> str:
-    """The session-wide step engine: ``REPRO_STEP_COMPILE`` or ``codegen``."""
-    return resolve_step_compile(None)
-
-
-def resolve_step_compile(mode: Optional[str]) -> str:
-    """Validate a ``compile=`` knob value, defaulting from the environment."""
-    if mode is None:
-        mode = os.environ.get("REPRO_STEP_COMPILE") or "codegen"
-    if mode not in STEP_COMPILE_MODES:
-        raise ValueError(f"step compile mode must be one of {STEP_COMPILE_MODES}, not {mode!r}")
-    return mode
-
-
-# ------------------------------------------------------------------- global stats
-
-# Process-wide counters the bench-smoke conftest folds into BENCH_SMOKE.json,
-# mirroring repro.clocks.bdd.
-_GLOBAL_STATS = {"kernels": 0, "step_speedup": 0.0}
-
-
-def reset_global_stats() -> None:
-    """Reset the process-wide codegen counters (bench-smoke bookkeeping)."""
-    _GLOBAL_STATS["kernels"] = 0
-    _GLOBAL_STATS["step_speedup"] = 0.0
-
-
-def global_stats() -> dict:
-    """Snapshot of the process-wide codegen counters."""
-    return dict(_GLOBAL_STATS)
-
-
-def record_step_speedup(ratio: float) -> None:
-    """Record a measured codegen-vs-interp step-throughput ratio."""
-    _GLOBAL_STATS["step_speedup"] = round(float(ratio), 3)
 
 
 # ------------------------------------------------------------------- lowering
@@ -490,7 +447,6 @@ class StepKernels:
             + len(stateful)
         )
         self.compile_seconds = perf_counter() - started
-        _GLOBAL_STATS["kernels"] += self.kernel_count
 
     # -- code generation -------------------------------------------------------
 

@@ -41,6 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .codegen import StepKernels
 
 
+#: The step engines ``CompiledProcess`` can run reactions on.
+STEP_COMPILE_MODES = ("interp", "codegen")
+
+
 class SimulationError(Exception):
     """Base class of reaction-resolution errors."""
 
@@ -64,11 +68,12 @@ class CompiledProcess:
     def __init__(
         self,
         definition: ProcessDefinition,
-        compile: Optional[str] = None,
-        on_kernels: Optional[Callable[["StepKernels"], None]] = None,
+        compile: str = "codegen",
     ) -> None:
-        from .codegen import resolve_step_compile
-
+        if compile not in STEP_COMPILE_MODES:
+            raise ValueError(
+                f"step compile mode must be one of {STEP_COMPILE_MODES}, not {compile!r}"
+            )
         self.definition = expand(definition)
         self.name = definition.name
         self.input_names = tuple(self.definition.input_names)
@@ -93,12 +98,12 @@ class CompiledProcess:
         self._default_passes = 2 * (len(self.definitions) + len(self.constraints)) + 4
         # Which engine resolves reactions: "codegen" runs generated kernels
         # (repro.simulation.codegen), "interp" the reference _Evaluator.
-        self.step_compile = resolve_step_compile(compile)
+        self.step_compile = compile
         # The kernels are generated the first time a reaction needs them, so
         # a process only ever analysed symbolically never pays for them;
-        # ``on_kernels`` is told when they are.
+        # the watchers of :meth:`watch_kernels` are told when they are.
         self._kernels: Optional["StepKernels"] = None
-        self._on_kernels = on_kernels
+        self._kernel_watchers: list[Callable[["StepKernels"], None]] = []
 
     # -- construction helpers ---------------------------------------------------
 
@@ -140,9 +145,20 @@ class CompiledProcess:
             from .codegen import StepKernels
 
             self._kernels = StepKernels(self)
-            if self._on_kernels is not None:
-                self._on_kernels(self._kernels)
+            for watcher in self._kernel_watchers:
+                watcher(self._kernels)
         return self._kernels
+
+    def watch_kernels(self, watcher: Callable[["StepKernels"], None]) -> None:
+        """Call ``watcher(kernels)`` once the step kernels exist.
+
+        At once if a reaction already built them, else when the first one
+        does.  The interpreter builds no kernels, so it never calls back.
+        """
+        if self._kernels is not None:
+            watcher(self._kernels)
+        else:
+            self._kernel_watchers.append(watcher)
 
     def step_engine_info(self) -> dict[str, Any]:
         """Which engine resolves reactions, plus kernel count/compile time."""

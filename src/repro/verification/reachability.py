@@ -335,8 +335,8 @@ class Reachability(ABC):
 
     The interface is deliberately phrased in terms of *reactions* (the labels
     of the paper's LTSs) rather than state payloads, because state identities
-    differ between backends (frozen memory dicts vs. ternary valuations vs.
-    BDD cubes) while the observable alphabet is shared.
+    differ between backends (memory tuples vs. ternary valuations vs. BDD
+    cubes) while the observable alphabet is shared.
     """
 
     @classmethod

@@ -17,8 +17,8 @@ arithmetic compiles onto the bit-vector circuits of :mod:`repro.clocks.bdd`
 ``mod k`` — and the usual relational reading of the language turns every
 equation, clock constraint and stimulus domain into one BDD conjunct of the
 instantaneous relation.  Reachability, invariants, counterexample traces and
-controller synthesis run on the partitioned image fixpoint of
-:mod:`repro.verification.relational`.
+controller synthesis run on the image fixpoint over the partitioned
+relation of :mod:`repro.verification.relational`.
 
 Soundness of declared capacities.  The operational semantics never clips a
 value, so a range declared too small could make the symbolic engine quietly
@@ -38,9 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Iterator, Mapping, Optional, Sequence, Union
 
-from ..clocks.bdd import BDDManager, BDDNode
+from ..clocks.bdd import BDDManager, BDDNode, dump_nodes, load_nodes
 from ..core.values import ABSENT, EVENT
 from ..signal.ast import (
     BinaryOp,
@@ -60,15 +60,17 @@ from ..simulation.compiler import CompiledProcess
 from .encoding import EncodingError
 from .explorer import ExplorationOptions
 from .invariants import CheckResult
-from .reachability import BackendCapabilities, BoundReached, ReactionPredicate
-from .ranges import RangeReport, infer_ranges, state_interval
-from .relational import (
-    RelationalFixpointEngine,
-    RelationalReachability,
-    _presence,
-    _primed,
-    _value,
+from .reachability import (
+    BackendCapabilities,
+    BoundReached,
+    ControlVerdict,
+    Reachability,
+    ReactionPredicate,
+    Trace,
+    TraceStep,
 )
+from .ranges import RangeReport, infer_ranges, state_interval
+from .relational import PartitionedRelation, _presence, _primed, _value
 from .z3z import FIELD, Polynomial
 
 #: Hard cap on the width of any one bit-blasted integer signal.
@@ -180,7 +182,7 @@ class _Sym:
 
 # --------------------------------------------------------------------------- the engine
 
-class IntSymbolicEngine(RelationalFixpointEngine):
+class IntSymbolicEngine:
     """BDD transition-relation encoding of a finite-integer SIGNAL process."""
 
     def __init__(
@@ -237,38 +239,54 @@ class IntSymbolicEngine(RelationalFixpointEngine):
         engine._restore_relation(payload)
         return engine
 
-    def _snapshot_extras(self) -> tuple[list["BDDNode"], dict]:
-        """Persist the audit machinery alongside the relation proper.
+    def snapshot_relation(self) -> dict:
+        """The engine's durable BDDs as one pure-data payload.
 
-        The relaxed relation and the clip conditions are consulted by the
-        overflow audit of every later :meth:`reach` run, so a rehydrated
-        engine without them would silently lose the range-soundness check.
+        One shared node table holds the instantaneous relation, the initial
+        state set, the transition clusters and the overflow audit's roots —
+        the relaxed relation and the equation and slot clip conditions, which
+        every later :meth:`reach` consults — so :meth:`rehydrated` rebuilds
+        the engine without redoing any BDD circuit work, and without losing
+        the range-soundness check.
         """
-        extras = [self._relaxed_relation]
-        extras.extend(clip for _name, clip in self._equation_clips)
-        extras.extend(clip for _key, clip in self._slot_clips)
-        metadata = {
+        roots = [
+            self.instantaneous,
+            self.initial,
+            *self.relation.clusters,
+            self._relaxed_relation,
+            *(clip for _name, clip in self._equation_clips),
+            *(clip for _key, clip in self._slot_clips),
+        ]
+        return {
+            "cluster_count": len(self.relation.clusters),
+            "dump": dump_nodes(self.manager, roots),
             "equation_clips": [name for name, _clip in self._equation_clips],
             "slot_clips": [key for key, _clip in self._slot_clips],
         }
-        return extras, metadata
 
-    def _restore_extras(self, extras: Sequence["BDDNode"], payload: Mapping) -> None:
+    def _restore_relation(self, payload: Mapping) -> None:
+        """Reinstall the roots of a :meth:`snapshot_relation` payload.
+
+        The variable layout must be declared first, so the manager knows the
+        reorder groups; the loaded diagrams themselves are order independent.
+        Every restored root is protected: a rehydrated engine must survive
+        its first garbage-collecting reorder exactly like a freshly built one.
+        """
         manager = self.manager
+        roots = [manager.protect(root) for root in load_nodes(manager, payload["dump"])]
+        cluster_count = payload["cluster_count"]
         equation_names = list(payload["equation_clips"])
         slot_keys = list(payload["slot_clips"])
-        if len(extras) != 1 + len(equation_names) + len(slot_keys):
-            raise ValueError("relation snapshot extras do not match their metadata")
-        self._relaxed_relation = manager.protect(extras[0])
-        cursor = 1
-        self._equation_clips = [
-            (name, manager.protect(clip))
-            for name, clip in zip(equation_names, extras[cursor : cursor + len(equation_names)])
-        ]
-        cursor += len(equation_names)
-        self._slot_clips = [
-            (key, manager.protect(clip)) for key, clip in zip(slot_keys, extras[cursor:])
-        ]
+        if len(roots) != 3 + cluster_count + len(equation_names) + len(slot_keys):
+            raise ValueError("relation snapshot roots do not match their metadata")
+        self.instantaneous, self.initial = roots[0], roots[1]
+        # cluster_size=0 keeps every restored cluster as its own cluster —
+        # re-merging would undo the clustering the snapshot was taken with.
+        self.relation = PartitionedRelation(manager, roots[2 : 2 + cluster_count], cluster_size=0)
+        audit = roots[2 + cluster_count :]
+        self._relaxed_relation = audit[0]
+        self._equation_clips = list(zip(equation_names, audit[1 : 1 + len(equation_names)]))
+        self._slot_clips = list(zip(slot_keys, audit[1 + len(equation_names) :]))
         # Build-time scratch lists; a rehydrated engine never re-runs the build.
         self._equation_constraints = []
         self._relaxed_constraints = []
@@ -863,7 +881,39 @@ class IntSymbolicEngine(RelationalFixpointEngine):
         for name, slot in self._slots.items():
             initial.update(self._slot_cube(slot, slot["init"]))
         self.initial = manager.cube(initial)
-        self._finalise_relation(parts, self.options.partition, self.options.cluster_size)
+        self._finalise_relation(parts)
+
+    def _finalise_relation(self, parts: Sequence[BDDNode]) -> None:
+        """Install the transition relation from its per-equation ``parts``.
+
+        ``partition=False`` in the options collapses everything into one
+        monolithic cluster (the pre-partitioning behaviour, kept as a
+        baseline and an escape hatch); either way the durable artifacts are
+        protected so dynamic reordering optimises for them.
+        :meth:`_build_relation` calls this *last*, with ``instantaneous`` and
+        ``initial`` already set and every other durable BDD (audit relation,
+        clip conditions) already protected — a reordering checkpoint
+        garbage-collects down to exactly that set.
+        """
+        manager = self.manager
+        # Entry checkpoint: the build loops leave construction garbage
+        # behind; collect it (and maybe re-sift) before the clustering /
+        # monolithic folds below add their own conjunctions.
+        manager.maybe_reorder((self.instantaneous, self.initial, *parts))
+        if not self.options.partition:
+            merged = manager.true
+            for part in parts:
+                merged = manager.conj(merged, part)
+                # The monolithic conjunction is where an adversarial static
+                # order blows up; give sifting a chance between conjuncts.
+                manager.maybe_reorder((merged, self.instantaneous, self.initial, *parts))
+            parts = [merged]
+        self.relation = PartitionedRelation(manager, parts, self.options.cluster_size)
+        for cluster in self.relation.clusters:
+            manager.protect(cluster)
+        manager.protect(self.instantaneous)
+        manager.protect(self.initial)
+        manager.maybe_reorder()
 
     def _clock_constraint(self, constraint) -> BDDNode:
         manager = self.manager
@@ -1073,6 +1123,61 @@ class IntSymbolicEngine(RelationalFixpointEngine):
 
     # -- image computation --------------------------------------------------------------
 
+    @property
+    def transition(self) -> BDDNode:
+        """The monolithic transition relation (materialised on demand only)."""
+        return self.relation.monolithic
+
+    def image(self, states: BDDNode) -> BDDNode:
+        """Successors of ``states`` under the transition relation, unprimed."""
+        successors = self.relation.product(states, self.signal_bits + self.state_bits)
+        return self.manager.rename(successors, self._unprime_map)
+
+    def preimage(self, states: BDDNode) -> BDDNode:
+        """Predecessors of ``states`` under the transition relation.
+
+        The backward counterpart of :meth:`image` — the target set is renamed
+        onto the primed variables and the signal and primed state bits are
+        eliminated cluster by cluster.  Trace extraction walks the stored
+        frontier rings back through it.
+        """
+        seed = self.manager.rename(states, self._prime_map)
+        return self.relation.product(seed, self.signal_bits + self.primed_bits)
+
+    def _reach_fixpoint(
+        self, max_iterations: Optional[int]
+    ) -> tuple[BDDNode, int, bool, list[BDDNode]]:
+        """Least fixpoint of image computation from the initial state.
+
+        Returns ``(reach, iterations, converged, rings)`` — ``converged`` is
+        False when ``max_iterations`` stopped the loop before the frontier
+        emptied, and ``rings`` are the per-iteration discovery frontiers
+        (``rings[0]`` is the initial state set, ``rings[k]`` the states first
+        reached after exactly k images): the onion rings counterexample
+        extraction walks backward through.  Keeping them is free — they are
+        exactly the frontier BDDs the loop already computes.
+        """
+        manager = self.manager
+        reach = self.initial
+        frontier = self.initial
+        rings = [self.initial]
+        iterations = 0
+        while frontier is not manager.false:
+            if max_iterations is not None and iterations >= max_iterations:
+                return manager.protect(reach), iterations, False, rings
+            successors = self.image(frontier)
+            frontier = manager.diff(successors, reach)
+            reach = manager.disj(reach, frontier)
+            if frontier is not manager.false:
+                rings.append(manager.protect(frontier))
+            iterations += 1
+            # Iteration boundary = reordering checkpoint: the rings are
+            # protected, the running reach is passed explicitly, every other
+            # intermediate of this iteration is dead — exactly the state a
+            # garbage-collecting reorder needs.
+            manager.maybe_reorder((reach,))
+        return manager.protect(reach), iterations, True, rings
+
     def reach(self) -> "IntSymbolicReachability":
         """Least fixpoint of image computation, plus the overflow audit."""
         reach, iterations, converged, rings = self._reach_fixpoint(self.options.max_iterations)
@@ -1138,20 +1243,51 @@ class IntSymbolicEngine(RelationalFixpointEngine):
                 state[name] = bool(assignment.get(slot["bits"][0], False))
         return state
 
+    def count_states(self, states: BDDNode) -> int:
+        """Number of state valuations in a state set (model counting)."""
+        return self.manager.count_satisfying(states, self.state_bits)
+
+    def reactions_of(self, states: BDDNode) -> Iterator[dict[str, Any]]:
+        """Enumerate decoded admissible reactions of a symbolic state set.
+
+        The state bits are quantified out first, so enumeration yields exactly
+        one model per distinct reaction however many states admit it.
+        """
+        admissible = self.manager.and_exists(states, self.instantaneous, self.state_bits)
+        for model in self.manager.satisfying_assignments(admissible, self.signal_bits):
+            yield self.decode_reaction(model)
+
+    def statistics(self) -> dict:
+        """BDD-level engine statistics (peak nodes, reorders, clusters, ...)."""
+        stats = self.manager.statistics()
+        stats["clusters"] = self.relation.cluster_count
+        return stats
+
 
 # --------------------------------------------------------------------------- the result
 
 @dataclass
-class IntSymbolicReachability(RelationalReachability):
+class IntSymbolicReachability(Reachability):
     """A bit-blasted symbolic reachable set, behind the shared interface.
 
-    Inherits the witness extraction, predicate checking, ring-walk trace
-    extraction and symbolic controller synthesis of
-    :class:`~repro.verification.relational.RelationalReachability`, and adds
-    the completeness accounting of the range-overflow audit and the
-    Sigali-style polynomial-invariant objective.
+    Witness extraction, invariant / reachability checking, ring-walk
+    counterexample traces and supervisory-control synthesis all run on the
+    engine's partitioned relation; completeness accounts for the
+    range-overflow audit, and Sigali-style polynomial invariants are lowered
+    onto the presence/value bits.
+
+    ``frontiers`` keeps the per-iteration discovery rings of the fixpoint
+    (``frontiers[0]`` = initial states): they cost nothing beyond a tuple of
+    references the loop computed anyway, and they are what lets
+    :meth:`trace_to` extract a concrete counterexample *path* by walking
+    backward ring by ring instead of re-running the forward search.
     """
 
+    engine: IntSymbolicEngine
+    states: BDDNode
+    iterations: int
+    fixpoint: bool = True
+    frontiers: tuple[BDDNode, ...] = ()
     overflowed: tuple[str, ...] = ()
 
     @classmethod
@@ -1162,17 +1298,67 @@ class IntSymbolicReachability(RelationalReachability):
         return BackendCapabilities(integer_data=True, bounded=False, synthesis=True, traces=True)
 
     @property
+    def state_count(self) -> int:
+        """Number of reachable state valuations (model counting, no enumeration)."""
+        return self.engine.count_states(self.states)
+
+    @property
     def complete(self) -> bool:
         """False when the fixpoint was truncated *or* a declared range
         demonstrably clipped a reachable reaction."""
         return self.fixpoint and not self.overflowed
 
-    def _snapshot_result_extras(self) -> dict:
-        return {"overflowed": list(self.overflowed)}
+    def statistics(self) -> dict:
+        """Engine statistics plus the fixpoint's own counters."""
+        stats = self.engine.statistics()
+        stats["iterations"] = self.iterations
+        stats["frontier_rings"] = len(self.frontiers)
+        return stats
+
+    # -- suspend / resume ------------------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """The reached set, frontier rings, overflow audit and engine relation
+        as pure data.
+
+        The payload is self-contained: ``engine`` holds the
+        :meth:`IntSymbolicEngine.snapshot_relation` dump, so a cold process
+        can rebuild both halves; a process that already holds the engine can
+        restore the result alone from the ``dump`` part.  The frontier rings
+        ride along so ring-walk trace extraction works on a warm-loaded
+        result exactly as on a freshly computed one.
+        """
+        return {
+            "engine": self.engine.snapshot_relation(),
+            "iterations": self.iterations,
+            "fixpoint": self.fixpoint,
+            "dump": dump_nodes(self.engine.manager, [self.states, *self.frontiers]),
+            "overflowed": list(self.overflowed),
+        }
 
     @classmethod
-    def _result_extras(cls, payload: Mapping) -> dict:
-        return {"overflowed": tuple(payload["overflowed"])}
+    def from_snapshot(cls, engine: IntSymbolicEngine, payload: Mapping) -> "IntSymbolicReachability":
+        """Rehydrate a result into ``engine`` from a :meth:`snapshot` payload.
+
+        ``engine`` is any live engine of the same design — typically one
+        restored through :meth:`IntSymbolicEngine.rehydrated` from the
+        payload's own ``engine`` part, but an already-built engine works too
+        (the loaded diagrams land in its manager under whatever variable
+        order it currently has).  The reached set and every ring are
+        protected so they survive later reorders.
+        """
+        manager = engine.manager
+        roots = load_nodes(manager, payload["dump"])
+        if not roots:
+            raise ValueError("result snapshot carries no reached set")
+        return cls(
+            engine=engine,
+            states=manager.protect(roots[0]),
+            iterations=payload["iterations"],
+            fixpoint=payload["fixpoint"],
+            frontiers=tuple(manager.protect(ring) for ring in roots[1:]),
+            overflowed=tuple(payload["overflowed"]),
+        )
 
     def _require_complete(self, name: str) -> None:
         if self.overflowed:
@@ -1181,6 +1367,203 @@ class IntSymbolicReachability(RelationalReachability):
                 f"{list(self.overflowed)}; widen the bounds for a sound verdict"
             )
         super()._require_complete(name)
+
+    def _witness(self, condition: BDDNode, name: str, found_holds: bool, missing) -> CheckResult:
+        manager = self.engine.manager
+        hit = manager.conj_all([self.states, self.engine.instantaneous, condition])
+        if manager.is_false(hit):
+            # "No reaction satisfies the condition" is only certain when the
+            # fixpoint actually converged.  ``missing`` is a thunk so the
+            # model count it typically reports is only paid on this branch.
+            self._require_complete(name)
+            return CheckResult(not found_holds, name, details=missing())
+        bits = self.engine.signal_bits + self.engine.state_bits
+        model = next(manager.satisfying_assignments(hit, bits))
+        reaction = {k: v for k, v in self.engine.decode_reaction(model).items() if v is not ABSENT}
+        return CheckResult(found_holds, name, details=f"witness reaction {reaction}")
+
+    def _validate_predicate(self, predicate: ReactionPredicate) -> None:
+        engine = self.engine
+        self._validate_signals(predicate.signals(), engine.signal_names, engine.name, "predicate")
+
+    def check_invariant(self, predicate: ReactionPredicate, name: str = "invariant") -> CheckResult:
+        """AG over reactions: no reachable reaction violates ``predicate``."""
+        self._validate_predicate(predicate)
+        violating = self.engine.manager.neg(self.engine.predicate_bdd(predicate))
+        return self._witness(
+            violating, name, found_holds=False, missing=lambda: f"{self.state_count} reachable states"
+        )
+
+    def check_reachable(self, predicate: ReactionPredicate, name: str = "reachability") -> CheckResult:
+        """EF over reactions: some reachable reaction satisfies ``predicate``."""
+        self._validate_predicate(predicate)
+        return self._witness(
+            self.engine.predicate_bdd(predicate),
+            name,
+            found_holds=True,
+            missing=lambda: "no reachable reaction satisfies the predicate",
+        )
+
+    def trace_to(self, predicate: ReactionPredicate, name: str = "trace") -> Optional[Trace]:
+        """A trace to a reaction satisfying ``predicate``, by backward ring walk.
+
+        Forward information is already there: the fixpoint stored one frontier
+        BDD per iteration (:attr:`frontiers`).  Extraction finds the earliest
+        ring admitting a satisfying reaction, picks one concrete (state,
+        reaction) model there with the witness-synthesis machinery, then walks
+        back ring by ring — each step one
+        :meth:`~IntSymbolicEngine.preimage` partitioned relational
+        product intersected with the previous ring, from which one concrete
+        predecessor state and one connecting reaction are extracted.  The
+        trace length equals the ring index plus one — the BFS distance, since
+        ``rings[k]`` holds exactly the states first reached after k images —
+        so symbolic traces are as short as the explicit engine's
+        parent-pointer BFS paths, and no state is ever enumerated outside the
+        path itself.
+        """
+        self._validate_predicate(predicate)
+        return self._extract_trace(self.engine.predicate_bdd(predicate), name)
+
+    def _extract_trace(self, condition: BDDNode, name: str) -> Optional[Trace]:
+        engine = self.engine
+        manager = engine.manager
+        hit = manager.conj_all([self.states, engine.instantaneous, condition])
+        if manager.is_false(hit):
+            self._require_complete(name)
+            return None
+        if not self.frontiers:
+            raise NotImplementedError(
+                f"{name}: this result carries no frontier rings (hand-built?); "
+                "recompute it via the engine's reach() to enable trace extraction"
+            )
+        ring_index = 0
+        ring_hit = manager.false
+        for index, ring in enumerate(self.frontiers):
+            ring_hit = manager.conj(ring, hit)
+            if not manager.is_false(ring_hit):
+                ring_index = index
+                break
+        bits = engine.signal_bits + engine.state_bits
+        model = next(manager.satisfying_assignments(ring_hit, bits))
+
+        # Walk the rings backward from the state the satisfying reaction fires
+        # in, extracting one concrete predecessor and connecting reaction per
+        # ring.  The steps come out in reverse order.
+        steps: list[TraceStep] = []
+        cursor = {bit: model[bit] for bit in engine.state_bits}
+        for index in range(ring_index, 0, -1):
+            cursor_cube = manager.cube(cursor)
+            predecessors = manager.conj(engine.preimage(cursor_cube), self.frontiers[index - 1])
+            previous = next(manager.satisfying_assignments(predecessors, engine.state_bits))
+            step_relation = engine.relation.product(
+                manager.conj(
+                    manager.cube(previous),
+                    manager.rename(cursor_cube, engine._prime_map),
+                ),
+                engine.primed_bits,
+            )
+            reaction_model = next(manager.satisfying_assignments(step_relation, bits))
+            steps.append(
+                TraceStep(engine.decode_reaction(reaction_model), engine.decode_state(cursor))
+            )
+            cursor = previous
+        steps.reverse()
+        steps.append(TraceStep(engine.decode_reaction(model), self._successor_of(model)))
+        return Trace(tuple(steps), name)
+
+    def _successor_of(self, model: Mapping[str, bool]) -> Optional[dict[str, Any]]:
+        """The decoded successor state of one concrete (state, reaction) model.
+
+        ``None`` when the transition relation admits no successor for the
+        model — a reaction clipping a declared range guards the memory
+        update.
+        """
+        engine = self.engine
+        manager = engine.manager
+        primed = engine.relation.product(
+            manager.cube(model), engine.signal_bits + engine.state_bits
+        )
+        if manager.is_false(primed):
+            return None
+        successor = manager.rename(primed, engine._unprime_map)
+        assignment = next(manager.satisfying_assignments(successor, engine.state_bits))
+        return engine.decode_state(assignment)
+
+    def synthesise(
+        self,
+        safe: ReactionPredicate,
+        controllable: Sequence[str],
+        ensure_nonblocking: bool = True,
+    ) -> ControlVerdict:
+        """Symbolic supervisory-control synthesis (greatest controllable invariant).
+
+        Mirrors the explicit construction of :mod:`.synthesis`: a state is
+        unsafe when it is the target of a reachable reaction violating
+        ``safe``; a reaction is uncontrollable when every ``controllable``
+        signal is absent; kept states must not let an uncontrollable reaction
+        escape and (optionally) must keep at least one allowed reaction.
+        Every image here is a partitioned relational product — the monolithic
+        transition relation is never materialised.
+
+        Raises:
+            BoundReached: when the reach fixpoint did not converge — the
+                greatest-controllable-invariant fixpoint would treat every
+                reachable-but-unexplored state as an escape target and could
+                report "no controller" for a controllable plant.
+        """
+        engine = self.engine
+        manager = engine.manager
+        self._validate_predicate(safe)
+        self._validate_signals(
+            controllable,
+            engine.signal_names,
+            engine.name,
+            "controllable set",
+            error=ValueError,
+        )
+        self._require_complete("synthesis")
+
+        quantified = engine.signal_bits + engine.state_bits
+        signal_primed = engine.signal_bits + engine.primed_bits
+        bad_reaction = manager.neg(engine.predicate_bdd(safe))
+        bad_targets = manager.rename(
+            engine.relation.product(manager.conj(self.states, bad_reaction), quantified),
+            engine._unprime_map,
+        )
+        kept = manager.diff(self.states, bad_targets)
+
+        uncontrollable = manager.conj_all(
+            manager.nvar(_presence(name)) for name in controllable
+        )
+        if ensure_nonblocking:
+            has_outgoing = engine.relation.product(self.states, signal_primed)
+
+        while True:
+            kept_primed = manager.rename(kept, engine._prime_map)
+            escape = engine.relation.product(
+                manager.conj_all([self.states, uncontrollable, manager.neg(kept_primed)]),
+                signal_primed,
+            )
+            refined = manager.diff(kept, escape)
+            if ensure_nonblocking:
+                alive = engine.relation.product(
+                    manager.conj(self.states, manager.rename(refined, engine._prime_map)),
+                    signal_primed,
+                )
+                refined = manager.conj(refined, manager.disj(alive, manager.neg(has_outgoing)))
+            if refined is kept:
+                break
+            kept = refined
+
+        success = not manager.is_false(self.states) and manager.entails(engine.initial, kept)
+        details = "" if success else "the initial state is outside the greatest controllable invariant set"
+        return ControlVerdict(
+            success=success,
+            kept_states=engine.count_states(kept),
+            total_states=self.state_count,
+            details=details,
+            backend=kept,
+        )
 
     def check_polynomial_invariant(self, invariant: Polynomial, name: str = "invariant") -> CheckResult:
         """Sigali-style objective: ``invariant = 0`` on every reachable reaction.

@@ -160,7 +160,7 @@ def synthesise_with(
     ``target`` may be a plain LTS or any backend of the shared Reachability
     interface; the objective is phrased once, as a reaction predicate plus the
     set of controllable signals, and dispatched to the explicit fixpoint below
-    or to the symbolic BDD fixpoint of :mod:`.relational`.
+    or to the symbolic BDD fixpoint of :mod:`.symbolic_int`.
     """
     if isinstance(target, LTS):
         objective = SynthesisObjective(

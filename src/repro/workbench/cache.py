@@ -22,7 +22,7 @@ Payloads.  Encodings and range reports are stored as the (picklable)
 objects themselves; endochrony reports as pure data (their clock-hierarchy
 back-reference holds BDDs and is dropped — recorded as ``hierarchy=None``
 on a warm load); reached sets as the two-part node-table dumps of
-:meth:`~repro.verification.relational.RelationalReachability.snapshot`,
+:meth:`~repro.verification.symbolic_int.IntSymbolicReachability.snapshot`,
 engine relation included, so a warm process re-runs neither the BDD circuit
 compilation nor the fixpoint.  Structural failures
 (:class:`~repro.verification.encoding.EncodingError`) are persisted as

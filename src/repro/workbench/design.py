@@ -143,7 +143,6 @@ class Design:
         symbolic_options: Optional[SymbolicOptions] = None,
         polynomial_max_states: int = 5000,
         symbolic_state_threshold: Optional[int] = None,
-        step_compile: Optional[str] = None,
         registry: Optional[BackendRegistry] = None,
         source: Optional[str] = None,
         translation: Optional[Any] = None,
@@ -162,15 +161,11 @@ class Design:
         self._lock = threading.RLock()
         if isinstance(process, CompiledProcess):
             self._artifacts["compiled"] = process
+            self._watch_kernels(process)
             process = process.definition
         self.process: ProcessDefinition = process
         self.exploration_options = exploration_options or ExplorationOptions()
         self.symbolic_options = symbolic_options or SymbolicOptions()
-        # Which engine CompiledProcess.step runs reactions on ("codegen" by
-        # default, "interp" for the reference evaluator); None defers to the
-        # REPRO_STEP_COMPILE environment knob.  Rides DesignSpec into job
-        # workers.
-        self.step_compile = step_compile
         self.polynomial_max_states = polynomial_max_states
         # Past this many *potential* ternary state valuations the explicit
         # engines would truncate (or crawl), so auto prefers exhaustive ones.
@@ -376,9 +371,14 @@ class Design:
         return self._artifact("compiled", self._build_compiled)
 
     def _build_compiled(self) -> CompiledProcess:
+        compiled = CompiledProcess(self.process)
+        self._watch_kernels(compiled)
+        return compiled
+
+    def _watch_kernels(self, compiled: CompiledProcess) -> None:
         # The step kernels are generated when a reaction first runs (an
         # exploration or a simulation, never a BDD route); their build is
-        # surfaced alongside the other artifacts then.  The callback holds
+        # surfaced alongside the other artifacts then.  The watcher holds
         # the two dicts, not the design, so it makes no reference cycle.
         counts, seconds = self.artifact_counts, self.artifact_seconds
 
@@ -386,7 +386,7 @@ class Design:
             counts["step_kernels"] = kernels.kernel_count
             seconds["step_kernels"] = kernels.compile_seconds
 
-        return CompiledProcess(self.process, compile=self.step_compile, on_kernels=record)
+        compiled.watch_kernels(record)
 
     @property
     def clock_hierarchy(self) -> ClockHierarchy:

@@ -133,7 +133,6 @@ class DesignSpec:
     symbolic_options: Optional[SymbolicOptions] = None
     polynomial_max_states: int = 5000
     symbolic_state_threshold: Optional[int] = None
-    step_compile: Optional[str] = None
 
     @classmethod
     def from_design(cls, design: "Design") -> "DesignSpec":
@@ -145,7 +144,6 @@ class DesignSpec:
             symbolic_options=design.symbolic_options,
             polynomial_max_states=design.polynomial_max_states,
             symbolic_state_threshold=design.symbolic_state_threshold,
-            step_compile=design.step_compile,
         )
 
     def build(self, cache: Optional["ArtifactStore"] = None) -> "Design":
@@ -158,7 +156,6 @@ class DesignSpec:
             symbolic_options=self.symbolic_options,
             polynomial_max_states=self.polynomial_max_states,
             symbolic_state_threshold=self.symbolic_state_threshold,
-            step_compile=self.step_compile,
             source=self.source,
             cache=cache,
         )

@@ -60,7 +60,7 @@ def test_benchmark_directory_is_nonempty():
 
 @pytest.mark.bench_smoke
 @pytest.mark.parametrize("path", BENCH_MODULES, ids=lambda p: p.stem)
-def test_benchmark_module_smoke(path):
+def test_benchmark_module_smoke(path, record_property):
     module = _load(path)
     executed = 0
     for name in sorted(dir(module)):
@@ -73,6 +73,9 @@ def test_benchmark_module_smoke(path):
         signature = inspect.signature(function)
         if "benchmark" in signature.parameters:
             arguments["benchmark"] = PassThroughBenchmark()
+        # Figures a benchmark records (e.g. its codegen speedup) land on
+        # this smoke test's report, where the conftest collects them.
+        arguments["record_property"] = record_property
         accepted = {key: value for key, value in arguments.items() if key in signature.parameters}
         missing = [p for p in signature.parameters if p not in accepted]
         assert not missing, f"{path.stem}.{name}: no smoke value for fixtures {missing}"

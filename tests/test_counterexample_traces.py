@@ -17,17 +17,19 @@ cross-checked on the same designs whose verdicts they already agree on.
 The soundness contract is tested alongside: a truncated (``complete ==
 False``) analysis refuses the "no trace exists" answer with ``BoundReached``
 exactly as it refuses "holds"/"unreachable" verdicts, while a trace to a
-violation already in hand still extracts under truncation.
+violation already in hand still extracts under truncation.  Every test that
+runs the explicit explorer runs it, and the replay, under both step engines:
+the generated kernels and the reference interpreter.
 """
 
 import pytest
 
 from test_symbolic_vs_explicit import (
-    CORPUS,
-    INTEGER_CORPUS,
     engines_for,
     integer_engines_for,
     integer_predicates_for,
+    over_corpus_and_engines,
+    over_integer_corpus_and_engines,
     predicates_for,
 )
 
@@ -37,7 +39,7 @@ from repro.signal.library import (
     boolean_shift_register_process,
     modulo_counter_process,
 )
-from repro.simulation.compiler import CompiledProcess
+from repro.simulation import STEP_COMPILE_MODES, CompiledProcess
 from repro.verification import (
     BoundReached,
     ExplorationOptions,
@@ -64,7 +66,7 @@ def _normalise(value, abstract: bool):
     return value
 
 
-def replay_trace(process, trace: Trace, predicate, abstract: bool) -> None:
+def replay_trace(process, trace: Trace, predicate, abstract: bool, compile="codegen") -> None:
     """Drive the simulator along the trace's reactions and cross-check each step.
 
     The stimulus of each step is the trace reaction projected on the process
@@ -74,7 +76,7 @@ def replay_trace(process, trace: Trace, predicate, abstract: bool) -> None:
     trace genuinely ends in a state whose reaction alphabet contains the
     violating/witnessing reaction.
     """
-    compiled = CompiledProcess(process)
+    compiled = CompiledProcess(process, compile=compile)
     memory = compiled.initial_state()
     instant = None
     for step in trace:
@@ -99,11 +101,11 @@ def replay_trace(process, trace: Trace, predicate, abstract: bool) -> None:
 
 # --------------------------------------------------------------------------- boolean corpus
 
-@pytest.mark.parametrize("label,factory", CORPUS, ids=[label for label, _ in CORPUS])
-def test_boolean_corpus_traces_replay(label, factory):
+@over_corpus_and_engines
+def test_boolean_corpus_traces_replay(label, factory, compile):
     """All three engines: every extracted trace replays; unreachable → no trace."""
     process = factory()
-    engines = dict(zip(ENGINE_NAMES, engines_for(process)))
+    engines = dict(zip(ENGINE_NAMES, engines_for(process, compile)))
     predicates = predicates_for(process)
     expected = [reaction_reachable(engines["explicit"], p).holds for p in predicates]
     for name, engine in engines.items():
@@ -112,7 +114,7 @@ def test_boolean_corpus_traces_replay(label, factory):
             trace = engine.trace_to(predicate)
             if reachable:
                 assert trace is not None and len(trace) >= 1, (name, repr(predicate))
-                replay_trace(process, trace, predicate, abstract)
+                replay_trace(process, trace, predicate, abstract, compile)
             else:
                 assert trace is None, (name, repr(predicate))
 
@@ -122,7 +124,9 @@ def test_explicit_traces_are_shortest():
     depth = 5
     process = boolean_shift_register_process(depth)
     predicate = P.true_of(f"s{depth - 1}")
-    assert len(explore(process).trace_to(predicate)) == depth + 1
+    for mode in STEP_COMPILE_MODES:
+        explicit = explore(CompiledProcess(process, compile=mode))
+        assert len(explicit.trace_to(predicate)) == depth + 1, mode
     # The symbolic ring walk starts from the earliest ring admitting the
     # reaction; ``rings[k]`` holds exactly the states first reached after k
     # images, so this equality is contractual, not a coincidence — the
@@ -140,11 +144,11 @@ def test_explicit_traces_are_shortest():
 # images.  These pins run the ring-indexed check over the full boolean and
 # integer corpora, for every reachable predicate of the differential battery.
 
-@pytest.mark.parametrize("label,factory", CORPUS, ids=[label for label, _ in CORPUS])
-def test_boolean_corpus_trace_lengths_match_explicit_bfs(label, factory):
+@over_corpus_and_engines
+def test_boolean_corpus_trace_lengths_match_explicit_bfs(label, factory, compile):
     """Symbolic ring-walk traces are exactly as short as explicit BFS traces."""
     process = factory()
-    engines = dict(zip(ENGINE_NAMES, engines_for(process)))
+    engines = dict(zip(ENGINE_NAMES, engines_for(process, compile)))
     for predicate in predicates_for(process):
         explicit_trace = engines["explicit"].trace_to(predicate)
         if explicit_trace is None:
@@ -157,13 +161,11 @@ def test_boolean_corpus_trace_lengths_match_explicit_bfs(label, factory):
         )
 
 
-@pytest.mark.parametrize(
-    "label,factory,payload,values", INTEGER_CORPUS, ids=[c[0] for c in INTEGER_CORPUS]
-)
-def test_integer_corpus_trace_lengths_match_explicit_bfs(label, factory, payload, values):
+@over_integer_corpus_and_engines
+def test_integer_corpus_trace_lengths_match_explicit_bfs(label, factory, payload, values, compile):
     """The finite-integer ring walk matches explicit BFS distances on data too."""
     process = factory()
-    explicit, symbolic_int = integer_engines_for(process)
+    explicit, symbolic_int = integer_engines_for(process, compile)
     for predicate in integer_predicates_for(process, payload, values):
         explicit_trace = explicit.trace_to(predicate)
         if explicit_trace is None:
@@ -179,9 +181,10 @@ def test_integer_corpus_trace_lengths_match_explicit_bfs(label, factory, payload
 def test_trace_steps_carry_successor_states():
     """Explicit steps carry concrete memories; the other engines decoded valuations."""
     process = boolean_shift_register_process(3)
-    explicit_trace = explore(process).trace_to(P.true_of("s2"))
-    for step in explicit_trace:
-        assert isinstance(step.state, dict) and step.state
+    for mode in STEP_COMPILE_MODES:
+        explicit_trace = explore(CompiledProcess(process, compile=mode)).trace_to(P.true_of("s2"))
+        for step in explicit_trace:
+            assert isinstance(step.state, dict) and step.state, mode
     symbolic_trace = symbolic_int_explore(process).trace_to(P.true_of("s2"))
     for step in symbolic_trace:
         assert isinstance(step.state, dict) and step.state
@@ -194,13 +197,11 @@ def test_trace_steps_carry_successor_states():
 
 # --------------------------------------------------------------------------- integer corpus
 
-@pytest.mark.parametrize(
-    "label,factory,payload,values", INTEGER_CORPUS, ids=[c[0] for c in INTEGER_CORPUS]
-)
-def test_integer_corpus_traces_replay(label, factory, payload, values):
+@over_integer_corpus_and_engines
+def test_integer_corpus_traces_replay(label, factory, payload, values, compile):
     """Explicit and finite-integer engines replay on concrete integer data."""
     process = factory()
-    explicit, symbolic_int = integer_engines_for(process)
+    explicit, symbolic_int = integer_engines_for(process, compile)
     predicates = integer_predicates_for(process, payload, values)
     expected = [reaction_reachable(explicit, p).holds for p in predicates]
     for name, engine in (("explicit", explicit), ("symbolic-int", symbolic_int)):
@@ -208,7 +209,7 @@ def test_integer_corpus_traces_replay(label, factory, payload, values):
             trace = engine.trace_to(predicate)
             if reachable:
                 assert trace is not None and len(trace) >= 1, (name, repr(predicate))
-                replay_trace(process, trace, predicate, abstract=False)
+                replay_trace(process, trace, predicate, abstract=False, compile=compile)
             else:
                 assert trace is None, (name, repr(predicate))
 
@@ -217,10 +218,11 @@ def test_integer_trace_reaches_deep_counter_value():
     """A value atom needing several ticks produces a multi-step replayable trace."""
     process = modulo_counter_process(5)
     deep = P.value("n", lambda v: v == 3)
-    for engine in integer_engines_for(process):
-        trace = engine.trace_to(deep)
-        assert trace is not None and len(trace) >= 4
-        replay_trace(process, trace, deep, abstract=False)
+    for mode in STEP_COMPILE_MODES:
+        for engine in integer_engines_for(process, mode):
+            trace = engine.trace_to(deep)
+            assert trace is not None and len(trace) >= 4, mode
+            replay_trace(process, trace, deep, abstract=False, compile=mode)
 
 
 # --------------------------------------------------------------------------- soundness
@@ -228,29 +230,34 @@ def test_integer_trace_reaches_deep_counter_value():
 class TestTraceSoundness:
     def test_no_trace_on_complete_analysis_is_a_definite_answer(self):
         """Complete engines answer "no trace" with None, for all three engines."""
-        for engine in engines_for(alternator_process()):
-            assert engine.complete
-            assert engine.trace_to(P.never()) is None
+        for mode in STEP_COMPILE_MODES:
+            for engine in engines_for(alternator_process(), mode):
+                assert engine.complete, mode
+                assert engine.trace_to(P.never()) is None, mode
 
     def test_truncated_explicit_refuses_no_trace(self):
-        truncated = explore(
-            boolean_shift_register_process(8), ExplorationOptions(max_states=10)
-        )
-        assert not truncated.complete
-        with pytest.raises(BoundReached):
-            truncated.trace_to(P.never())
-        # The same refusal for a predicate merely unreached below the bound.
-        with pytest.raises(BoundReached):
-            truncated.trace_to(P.true_of("s7"))
+        for mode in STEP_COMPILE_MODES:
+            truncated = explore(
+                CompiledProcess(boolean_shift_register_process(8), compile=mode),
+                ExplorationOptions(max_states=10),
+            )
+            assert not truncated.complete, mode
+            with pytest.raises(BoundReached):
+                truncated.trace_to(P.never())
+            # The same refusal for a predicate merely unreached below the bound.
+            with pytest.raises(BoundReached):
+                truncated.trace_to(P.true_of("s7"))
 
     def test_truncated_explicit_still_traces_found_violations(self):
         """A violation below the bound keeps its trace even under truncation."""
-        truncated = explore(
-            boolean_shift_register_process(8), ExplorationOptions(max_states=10)
-        )
-        trace = truncated.trace_to(P.present("x"))
-        assert trace is not None
-        assert trace.violation.get("x") is not ABSENT
+        for mode in STEP_COMPILE_MODES:
+            truncated = explore(
+                CompiledProcess(boolean_shift_register_process(8), compile=mode),
+                ExplorationOptions(max_states=10),
+            )
+            trace = truncated.trace_to(P.present("x"))
+            assert trace is not None, mode
+            assert trace.violation.get("x") is not ABSENT, mode
 
     def test_truncated_polynomial_refuses_no_trace(self):
         truncated = encode_process(boolean_shift_register_process(8)).explore(max_states=10)
@@ -335,17 +342,18 @@ class TestWorkbenchTraces:
         from repro.verification import ExplorationOptions
         from repro.workbench import Design
 
-        design = Design.from_process(
-            boolean_shift_register_process(8),
-            exploration_options=ExplorationOptions(max_states=10),
-        )
-        report = design.check_all(
-            invariants={"truncated": P.present("s7").implies(P.present("x"))},
-            backend="explicit",
-            traces=True,
-        )
-        assert report["truncated"].holds is None
-        assert report["truncated"].trace is None
+        for mode in STEP_COMPILE_MODES:
+            design = Design.from_process(
+                CompiledProcess(boolean_shift_register_process(8), compile=mode),
+                exploration_options=ExplorationOptions(max_states=10),
+            )
+            report = design.check_all(
+                invariants={"truncated": P.present("s7").implies(P.present("x"))},
+                backend="explicit",
+                traces=True,
+            )
+            assert report["truncated"].holds is None, mode
+            assert report["truncated"].trace is None, mode
 
     def test_traces_across_all_four_registered_backends(self):
         """design.check(..., traces=True) works whatever engine is named."""
@@ -353,11 +361,13 @@ class TestWorkbenchTraces:
 
         process = boolean_shift_register_process(4)
         bad = P.absent("s3") | P.false_of("s3")
-        for backend in ("explicit", "polynomial", "symbolic-int"):
-            design = Design.from_process(process)
+        backends = [(name, "codegen") for name in ("explicit", "polynomial", "symbolic-int")]
+        backends.append(("explicit", "interp"))
+        for backend, mode in backends:
+            design = Design.from_process(CompiledProcess(process, compile=mode))
             report = design.check(("never-true", bad), backend=backend, traces=True)
             check = report["never-true"]
-            assert check.holds is False, backend
-            assert check.trace is not None, backend
+            assert check.holds is False, (backend, mode)
+            assert check.trace is not None, (backend, mode)
             abstract = backend in ABSTRACT_ENGINES
-            replay_trace(process, check.trace, ~bad, abstract=abstract)
+            replay_trace(process, check.trace, ~bad, abstract=abstract, compile=mode)

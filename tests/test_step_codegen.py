@@ -12,13 +12,13 @@ every reachable reaction, plus a bespoke operator zoo (cell, clock
 algebra, intrinsics, deep delays, inclusion constraints, integer operators
 on booleans, events and a zero modulus) that the boolean corpus does not
 cover.  The explorer's successor path gets its own oracle: whole
-explorations under both modes must build the same LTS.  Knob plumbing —
-environment default, ``Design`` ride-through, kernels built on first use,
-``DesignSpec`` shipping, statistics surfacing — is pinned here too.
+explorations under both modes must build the same LTS.  The ``compile=``
+plumbing — the codegen default, kernels built on first use and reported by
+a ``Design`` wrapping the compiled process, statistics surfacing — is
+pinned here too.
 """
 
 import itertools
-import pickle
 from collections import Counter
 
 import pytest
@@ -40,13 +40,10 @@ from repro.simulation import (
     PRESENT,
     SimulationError,
     UnresolvedError,
-    default_step_compile,
 )
-from repro.simulation.codegen import resolve_step_compile
 from repro.verification.explorer import ExplorationOptions, _stimulus_domain, explore, explore_product
 from repro.verification.reachability import ReactionPredicate
 from repro.workbench import Design
-from repro.workbench.jobs import DesignSpec
 
 
 # --------------------------------------------------------------------------- lockstep driver
@@ -423,28 +420,12 @@ def test_non_convergence_message_parity():
     assert outcomes[0] == outcomes[1]
 
 
-# --------------------------------------------------------------------------- knob plumbing
+# --------------------------------------------------------------------------- compile= plumbing
 
 def test_mode_validation():
+    assert CompiledProcess(alternator_process()).step_compile == "codegen"
     with pytest.raises(ValueError, match="step compile mode must be one of"):
         CompiledProcess(alternator_process(), compile="bogus")
-    with pytest.raises(ValueError, match="step compile mode must be one of"):
-        resolve_step_compile("jit")
-
-
-def test_env_default(monkeypatch):
-    monkeypatch.delenv("REPRO_STEP_COMPILE", raising=False)
-    assert default_step_compile() == "codegen"
-    monkeypatch.setenv("REPRO_STEP_COMPILE", "interp")
-    assert default_step_compile() == "interp"
-    assert CompiledProcess(alternator_process()).step_compile == "interp"
-
-
-def test_session_mode_fixture(step_compile_mode):
-    """The CI matrix fixture and the compiled default agree."""
-    assert step_compile_mode in STEP_COMPILE_MODES
-    compiled = CompiledProcess(alternator_process())
-    assert compiled.step_compile == step_compile_mode
 
 
 def test_step_engine_info():
@@ -467,26 +448,45 @@ def test_explorer_statistics_surface_engine():
 
 
 def test_design_rides_the_knob():
-    """The knob reaches the compiled process; the kernels are generated when
-    the design first reacts (explores or simulates), not at ``compiled``."""
-    design = Design(modulo_counter_process(3), step_compile="codegen")
+    """A design wrapping a compiled process runs on its engine; the kernels
+    are generated when the design first reacts (explores or simulates), not
+    at ``compiled``, and the interpreter builds none."""
+    design = Design(CompiledProcess(modulo_counter_process(3), compile="codegen"))
     assert design.compiled.step_compile == "codegen"
     assert "step_kernels" not in design.artifact_counts
     design.exploration
     assert design.artifact_counts["step_kernels"] >= 1
     assert design.artifact_seconds["step_kernels"] >= 0.0
-    simulated = Design(modulo_counter_process(3), step_compile="codegen")
+    simulated = Design(CompiledProcess(modulo_counter_process(3), compile="codegen"))
     simulated.simulate([{"tick": EVENT}])
     assert simulated.artifact_counts["step_kernels"] >= 1
-    interp_design = Design(modulo_counter_process(3), step_compile="interp")
+    interp_design = Design(CompiledProcess(modulo_counter_process(3), compile="interp"))
     assert interp_design.compiled.step_compile == "interp"
     interp_design.exploration
     assert "step_kernels" not in interp_design.artifact_counts
 
 
+def test_design_from_compiled_process_reports_kernels():
+    """Wrapping a compiled process reports its kernels like building one does."""
+    from_definition = Design(modulo_counter_process(3), cache=None)
+    from_definition.exploration
+    from_compiled = Design(CompiledProcess(modulo_counter_process(3)), cache=None)
+    from_compiled.exploration
+    assert from_definition.artifact_counts["step_kernels"] == 6
+    assert from_compiled.artifact_counts["step_kernels"] == 6
+
+
+def test_design_reports_kernels_built_before_it():
+    """Kernels a reaction built before the design wrapped them still count."""
+    compiled = CompiledProcess(modulo_counter_process(3))
+    explore(compiled)
+    design = Design(compiled, cache=None)
+    assert design.artifact_counts["step_kernels"] == compiled.kernels.kernel_count
+
+
 def test_symbolic_route_builds_no_kernels():
     """A design routed to the BDD engine never generates step kernels."""
-    design = Design(boolean_shift_register_process(12), step_compile="codegen", cache=None)
+    design = Design(boolean_shift_register_process(12), cache=None)
     tail = ReactionPredicate.present("s11").implies(ReactionPredicate.present("x"))
     report = design.check_all({"tail-needs-input": tail}, traces=True)
     assert report.backend_name == "symbolic-int"
@@ -496,22 +496,14 @@ def test_symbolic_route_builds_no_kernels():
 def test_explore_builds_and_reports_kernels():
     """The explorer builds the kernels it needs and its statistics show them."""
     built = []
-    compiled = CompiledProcess(alternator_process(), compile="codegen", on_kernels=built.append)
+    compiled = CompiledProcess(alternator_process(), compile="codegen")
+    compiled.watch_kernels(built.append)
     assert built == []
     stats = explore(compiled).statistics()
     assert len(built) == 1
     assert stats["kernels"] == built[0].kernel_count >= 1
     explore(compiled)
     assert len(built) == 1
-
-
-def test_design_spec_ships_the_knob():
-    design = Design(modulo_counter_process(3), step_compile="interp")
-    spec = DesignSpec.from_design(design)
-    assert spec.step_compile == "interp"
-    rebuilt = pickle.loads(pickle.dumps(spec)).build()
-    assert rebuilt.step_compile == "interp"
-    assert rebuilt.compiled.step_compile == "interp"
 
 
 def test_engines_agree_through_design():

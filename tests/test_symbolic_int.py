@@ -26,12 +26,15 @@ from repro.signal.library import (
 from repro.verification import (
     BoundReached,
     EncodingError,
+    IntSymbolicEngine,
+    IntSymbolicReachability,
     ReactionPredicate as P,
     SymbolicOptions,
     explore,
     infer_ranges,
     symbolic_int_explore,
 )
+from repro.workbench import Design, DiskArtifactStore
 
 
 # --------------------------------------------------------------------------- bit-vector circuits
@@ -243,6 +246,37 @@ class TestOverflowAudit:
         )
         with pytest.raises(BoundReached):
             result.synthesise(P.always(), ["reset"])
+
+    # A suspended engine or result must carry the audit with it: one that
+    # lost its relaxed relation or clip conditions would certify the window.
+    TIGHT = SymbolicOptions(ranges={"val": (0, 7)}, reorder="off")
+    UNIVERSAL = P.absent("reset") | P.present("val")
+
+    def _assert_refused(self, result):
+        assert result.complete is False
+        assert result.overflowed == ("val",)
+        with pytest.raises(BoundReached, match="val"):
+            result.check_invariant(self.UNIVERSAL)
+
+    def test_rehydrated_engine_reruns_the_audit(self):
+        payload = IntSymbolicEngine(count_process(), self.TIGHT).snapshot_relation()
+        engine = IntSymbolicEngine.rehydrated(count_process(), self.TIGHT, payload=payload)
+        self._assert_refused(engine.reach())
+
+    def test_result_from_snapshot_keeps_the_audit(self):
+        payload = IntSymbolicEngine(count_process(), self.TIGHT).reach().snapshot()
+        engine = IntSymbolicEngine.rehydrated(count_process(), self.TIGHT, payload=payload["engine"])
+        self._assert_refused(IntSymbolicReachability.from_snapshot(engine, payload))
+
+    def test_warm_design_check_keeps_the_audit(self, tmp_path):
+        cold = Design(count_process(), symbolic_options=self.TIGHT, cache=DiskArtifactStore(str(tmp_path)))
+        assert cold.check(("universal", self.UNIVERSAL), backend="symbolic-int")["universal"].holds is None
+        warm = Design(count_process(), symbolic_options=self.TIGHT, cache=DiskArtifactStore(str(tmp_path)))
+        report = warm.check(("universal", self.UNIVERSAL), backend="symbolic-int")
+        assert "symbolic_int_engine" not in warm.artifact_counts  # rehydrated, not rebuilt
+        assert warm.cache_stats["hits"] >= 1
+        assert report["universal"].holds is None
+        self._assert_refused(warm.symbolic_int)
 
 
 # --------------------------------------------------------------------------- review regressions

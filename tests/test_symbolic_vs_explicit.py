@@ -14,7 +14,9 @@ implementations of the same state-space construction:
 
 The three must agree exactly on reachable-state counts, on invariant
 verdicts, on Sigali polynomial invariants, on reaction reachability, and on
-controller-synthesis outcomes.
+controller-synthesis outcomes.  Every test that runs the explicit explorer
+runs it under both step engines (:func:`over_step_engines`): the generated
+kernels and the reference interpreter.
 An *integer* corpus (modulo counter, saturating accumulator, bounded
 producer/consumer channel) additionally cross-checks the finite-integer
 engine against the explicit explorer — the only other engine that sees
@@ -39,6 +41,7 @@ from repro.signal.library import (
     saturating_accumulator_process,
 )
 from repro.signal.ast import compose
+from repro.simulation import STEP_COMPILE_MODES, CompiledProcess
 from repro.verification import (
     ReactionPredicate as P,
     encode_process,
@@ -165,10 +168,27 @@ CORPUS = [
 ENGINE_NAMES = ("explicit", "polynomial", "symbolic-int")
 
 
-def engines_for(process):
+def over_step_engines(argnames, cases, ids):
+    """Parametrize over ``cases`` × the step engines, as ``argnames,compile``.
+
+    The codegen runs keep the bare case ids; the interpreter runs append
+    ``-interp``.
+    """
+    return pytest.mark.parametrize(
+        f"{argnames},compile",
+        [(*case, mode) for mode in ("codegen", "interp") for case in cases],
+        ids=[*ids, *(f"{case_id}-interp" for case_id in ids)],
+    )
+
+
+over_corpus = pytest.mark.parametrize("label,factory", CORPUS, ids=[label for label, _ in CORPUS])
+over_corpus_and_engines = over_step_engines("label,factory", CORPUS, [label for label, _ in CORPUS])
+
+
+def engines_for(process, compile="codegen"):
     """The three backends under differential test."""
     return (
-        explore(process),
+        explore(CompiledProcess(process, compile=compile)),
         encode_process(process).explore(),
         symbolic_int_explore(process),
     )
@@ -196,32 +216,35 @@ def predicates_for(process):
 
 # --------------------------------------------------------------------------- tests
 
-@pytest.mark.parametrize("label,factory", CORPUS, ids=[label for label, _ in CORPUS])
 class TestDifferential:
-    def test_reachable_state_counts_agree(self, label, factory):
+    @over_corpus_and_engines
+    def test_reachable_state_counts_agree(self, label, factory, compile):
         process = factory()
-        explicit, polynomial, symbolic = engines_for(process)
+        explicit, polynomial, symbolic = engines_for(process, compile)
         assert explicit.complete and polynomial.complete and symbolic.complete
         assert symbolic.state_count == explicit.state_count == polynomial.state_count
 
-    def test_invariant_verdicts_agree(self, label, factory):
+    @over_corpus_and_engines
+    def test_invariant_verdicts_agree(self, label, factory, compile):
         process = factory()
-        engines = dict(zip(ENGINE_NAMES, engines_for(process)))
+        engines = dict(zip(ENGINE_NAMES, engines_for(process, compile)))
         for predicate in predicates_for(process):
             verdicts = {
                 name: invariant_holds(engine, predicate).holds for name, engine in engines.items()
             }
             assert len(set(verdicts.values())) == 1, f"{predicate!r}: {verdicts}"
 
-    def test_reachability_verdicts_agree(self, label, factory):
+    @over_corpus_and_engines
+    def test_reachability_verdicts_agree(self, label, factory, compile):
         process = factory()
-        engines = dict(zip(ENGINE_NAMES, engines_for(process)))
+        engines = dict(zip(ENGINE_NAMES, engines_for(process, compile)))
         for predicate in predicates_for(process):
             verdicts = {
                 name: reaction_reachable(engine, predicate).holds for name, engine in engines.items()
             }
             assert len(set(verdicts.values())) == 1, f"{predicate!r}: {verdicts}"
 
+    @over_corpus
     def test_reaction_alphabets_agree(self, label, factory):
         """The *full* decoded reaction sets must coincide, not just verdicts."""
         process = factory()
@@ -236,6 +259,7 @@ class TestDifferential:
         }
         assert symbolic_alphabet == polynomial_alphabet
 
+    @over_corpus
     def test_polynomial_invariant_verdicts_agree(self, label, factory):
         """Sigali objectives lowered onto the shared bits match the Z/3Z
         enumeration of the encoding itself."""
@@ -253,10 +277,10 @@ class TestDifferential:
 
 
 class TestDifferentialSynthesis:
-    @pytest.mark.parametrize("controllable", [["tick"], []], ids=["controllable-tick", "uncontrollable"])
-    def test_synthesis_verdicts_agree_on_alternator(self, controllable):
+    @over_step_engines("controllable", [(["tick"],), ([],)], ["controllable-tick", "uncontrollable"])
+    def test_synthesis_verdicts_agree_on_alternator(self, controllable, compile):
         process = alternator_process()
-        explicit, _, symbolic = engines_for(process)
+        explicit, _, symbolic = engines_for(process, compile)
         safe = ~P.false_of("flip")
         explicit_verdict = synthesise_with(explicit, safe, controllable)
         verdict = synthesise_with(symbolic, safe, controllable)
@@ -265,23 +289,26 @@ class TestDifferentialSynthesis:
 
     def test_synthesis_verdicts_agree_on_skewed_observer(self):
         process = desynchronised_observer_composition()
-        explicit, _, symbolic = engines_for(process)
         safe = ~P.false_of("ok")
-        for controllable in (["tick"], []):
-            explicit_verdict = synthesise_with(explicit, safe, controllable)
-            verdict = synthesise_with(symbolic, safe, controllable)
-            assert explicit_verdict.success == verdict.success, controllable
-            assert explicit_verdict.kept_states == verdict.kept_states, controllable
+        for mode in STEP_COMPILE_MODES:
+            explicit, _, symbolic = engines_for(process, mode)
+            for controllable in (["tick"], []):
+                explicit_verdict = synthesise_with(explicit, safe, controllable)
+                verdict = synthesise_with(symbolic, safe, controllable)
+                assert explicit_verdict.success == verdict.success, (mode, controllable)
+                assert explicit_verdict.kept_states == verdict.kept_states, (mode, controllable)
 
     def test_observer_invariant_ag_ok(self):
         """The paper's check: AG ok on the lock-step design, refuted on the skewed one."""
-        for engine in engines_for(observer_composition()):
-            assert invariant_holds(engine, P.present("ok").implies(P.true_of("ok"))).holds
-        verdicts = [
-            invariant_holds(engine, P.present("ok").implies(P.true_of("ok"))).holds
-            for engine in engines_for(desynchronised_observer_composition())
-        ]
-        assert verdicts == [False, False, False]
+        ok = P.present("ok").implies(P.true_of("ok"))
+        for mode in STEP_COMPILE_MODES:
+            for engine in engines_for(observer_composition(), mode):
+                assert invariant_holds(engine, ok).holds, mode
+            verdicts = [
+                invariant_holds(engine, ok).holds
+                for engine in engines_for(desynchronised_observer_composition(), mode)
+            ]
+            assert verdicts == [False, False, False], mode
 
 
 # --------------------------------------------------------------------------- integer corpus
@@ -293,10 +320,16 @@ INTEGER_CORPUS = [
 ]
 
 
-def integer_engines_for(process):
+def integer_engines_for(process, compile="codegen"):
     """Explicit explorer vs the finite-integer engine — the two backends that
     see concrete integer reactions."""
-    return explore(process), symbolic_int_explore(process)
+    return explore(CompiledProcess(process, compile=compile)), symbolic_int_explore(process)
+
+
+INTEGER_IDS = [case[0] for case in INTEGER_CORPUS]
+over_integer_corpus_and_engines = over_step_engines(
+    "label,factory,payload,values", INTEGER_CORPUS, INTEGER_IDS
+)
 
 
 def integer_predicates_for(process, payload, values):
@@ -308,25 +341,23 @@ def integer_predicates_for(process, payload, values):
     return predicates
 
 
-@pytest.mark.parametrize(
-    "label,factory,payload,values", INTEGER_CORPUS, ids=[c[0] for c in INTEGER_CORPUS]
-)
+@over_integer_corpus_and_engines
 class TestIntegerDifferential:
-    def test_state_counts_agree(self, label, factory, payload, values):
-        explicit, symbolic_int = integer_engines_for(factory())
+    def test_state_counts_agree(self, label, factory, payload, values, compile):
+        explicit, symbolic_int = integer_engines_for(factory(), compile)
         assert explicit.complete and symbolic_int.complete
         assert explicit.state_count == symbolic_int.state_count
 
-    def test_invariant_verdicts_agree(self, label, factory, payload, values):
+    def test_invariant_verdicts_agree(self, label, factory, payload, values, compile):
         process = factory()
-        explicit, symbolic_int = integer_engines_for(process)
+        explicit, symbolic_int = integer_engines_for(process, compile)
         for predicate in integer_predicates_for(process, payload, values):
             expected = invariant_holds(explicit, predicate).holds
             assert invariant_holds(symbolic_int, predicate).holds == expected, repr(predicate)
 
-    def test_reachability_verdicts_and_witnesses_agree(self, label, factory, payload, values):
+    def test_reachability_verdicts_and_witnesses_agree(self, label, factory, payload, values, compile):
         process = factory()
-        explicit, symbolic_int = integer_engines_for(process)
+        explicit, symbolic_int = integer_engines_for(process, compile)
         for predicate in integer_predicates_for(process, payload, values):
             expected = reaction_reachable(explicit, predicate)
             verdict = reaction_reachable(symbolic_int, predicate)
@@ -345,10 +376,10 @@ class TestIntegerDifferential:
                 )
                 assert predicate.evaluate(witness), (repr(predicate), witness)
 
-    def test_projected_reaction_alphabets_agree(self, label, factory, payload, values):
+    def test_projected_reaction_alphabets_agree(self, label, factory, payload, values, compile):
         """Every reachable reaction, projected on the interface, coincides."""
         process = factory()
-        explicit, symbolic_int = integer_engines_for(process)
+        explicit, symbolic_int = integer_engines_for(process, compile)
         interface = set(process.input_names) | set(process.output_names)
         symbolic_alphabet = {
             frozenset(
