@@ -7,13 +7,18 @@ relational product per ring, touching only the states on the path.  These
 benchmarks measure both, and assert the headline claim of the trace work:
 on a 2^14-state design whose explicit exploration is bound-truncated (and
 therefore refuses the deep trace), the symbolic ring walk extracts a full
-replay-valid 15-step counterexample in well under a second.
+replay-valid 15-step counterexample in well under a second.  A bank of five
+modulo counters is the other shape: short walks over wide states, where
+each step's cubes and model reads span all 35 state bits.  Its smoke run
+records ``bank_trace_nodes``, the nodes its two traces create, in
+``BENCH_SMOKE.json``.
 """
 
 import pytest
 
 from repro.core.values import ABSENT
-from repro.signal.library import boolean_shift_register_process
+from repro.signal.ast import compose
+from repro.signal.library import boolean_shift_register_process, modulo_counter_process
 from repro.verification import (
     BoundReached,
     ExplorationOptions,
@@ -47,6 +52,36 @@ def test_bench_symbolic_trace_extraction(benchmark, depth):
     assert trace is not None
     assert len(trace) == depth + 1
     assert trace.violation[f"s{depth - 1}"] is not ABSENT
+
+
+def _counter_bank(moduli):
+    """Independent modulo counters side by side: ``prod(moduli)`` states."""
+    return compose(
+        "Bank",
+        *(
+            modulo_counter_process(modulo, f"C{index}").renamed(
+                {"tick": f"tick{index}", "n": f"n{index}", "carry": f"carry{index}",
+                 "previous": f"previous{index}"}
+            )
+            for index, modulo in enumerate(moduli)
+        ),
+    )
+
+
+@pytest.mark.parametrize("moduli", [(7, 7, 7, 7, 7), (8, 8, 8, 8, 8)])
+def test_bench_symbolic_bank_trace_extraction(benchmark, record_property, moduli):
+    """The counterexample and witness traces of perfbench's 5-counter banks."""
+    result = symbolic_int_explore(_counter_bank(moduli))
+    predicates = (
+        ReactionPredicate.present("carry0") & ReactionPredicate.present("carry1"),
+        ReactionPredicate.value("n0", lambda value: value == moduli[0] - 1),
+    )
+    manager = result.engine.manager
+    before = manager.statistics()["nodes_created"]
+    first = [result.trace_to(predicate) for predicate in predicates]
+    record_property("bank_trace_nodes", manager.statistics()["nodes_created"] - before)
+    traces = benchmark(lambda: [result.trace_to(predicate) for predicate in predicates])
+    assert [len(trace) for trace in traces] == [len(trace) for trace in first] == [1, moduli[0]]
 
 
 def test_symbolic_trace_extraction_past_the_explicit_bound():

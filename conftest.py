@@ -105,11 +105,11 @@ def pytest_runtest_logreport(report):
                 "cache_hits": stats["cache_hits"],
                 "cache_misses": stats["cache_misses"],
             }
-        # Codegen-vs-interp step throughput, recorded by the benchmark
-        # itself (bench_step_codegen.py) through ``record_property``.
-        speedup = dict(report.user_properties).get("step_speedup")
-        if speedup:
-            _bdd_stats.setdefault(report.nodeid, {})["step_speedup"] = speedup
+        # Figures a benchmark records itself through ``record_property``:
+        # bench_step_codegen's ``step_speedup``, bench_trace_extraction's
+        # ``bank_trace_nodes``.
+        if report.user_properties:
+            _bdd_stats.setdefault(report.nodeid, {}).update(report.user_properties)
 
 
 def _output_path(config) -> str | None:

@@ -136,29 +136,27 @@ def dump_nodes(manager: "BDDManager", roots: Sequence["BDDNode"]) -> dict:
     bottom-up with ``ite``, which re-canonicalises under whatever order the
     target manager currently has.
     """
-    index: dict[int, int] = {manager.false.identifier: 0, manager.true.identifier: 1}
+    V, L, H, name_of = manager._var, manager._lo, manager._hi, manager._name_of
+    index: dict[int, int] = {1: 0, 0: 1}  # edge -> table index; FALSE, TRUE
     nodes: list[list] = []
     for root in roots:
-        if root.identifier in index:
-            continue
-        stack: list[tuple[BDDNode, bool]] = [(root, False)]
+        stack = [(root._edge, False)]
         while stack:
-            node, expanded = stack.pop()
-            if node.identifier in index:
+            e, expanded = stack.pop()
+            if e in index:
                 continue
+            n, c = e >> 1, e & 1  # push the complement into the children
             if expanded:
-                nodes.append([node.variable, index[node.low.identifier], index[node.high.identifier]])
-                index[node.identifier] = len(nodes) + 1
+                nodes.append([name_of[V[n]], index[L[n] ^ c], index[H[n] ^ c]])
+                index[e] = len(nodes) + 1
             else:
-                stack.append((node, True))
-                stack.append((node.high, False))
-                stack.append((node.low, False))
+                stack += ((e, True), (H[n] ^ c, False), (L[n] ^ c, False))
     used = {entry[0] for entry in nodes}
     return {
         "format": DUMP_FORMAT,
         "order": [name for name in manager.variables if name in used],
         "nodes": nodes,
-        "roots": [index[root.identifier] for root in roots],
+        "roots": [index[root._edge] for root in roots],
     }
 
 
@@ -637,11 +635,16 @@ class BDDManager:
         return result
 
     def cube(self, assignment: Mapping[str, bool]) -> BDDNode:
-        """The conjunction of literals described by ``assignment``."""
-        result = self.true
-        for name, value in assignment.items():
-            result = self.conj(result, self.var(name) if value else self.nvar(name))
-        return result
+        """The conjunction of literals in ``assignment``, built bottom-up in
+        current level order whatever the mapping's order: one ``_mk`` (at
+        most one new node) per literal, no ``ite`` call."""
+        for name in assignment:
+            self.declare(name)
+        e = 0
+        for name in sorted(assignment, key=self._rank.__getitem__, reverse=True):
+            vid = self._varids[name]
+            e = self._mk(vid, 1, e) if assignment[name] else self._mk(vid, e, 1)
+        return self._handle(e)
 
     # -- quantification and relational operations ---------------------------------------
 
@@ -815,7 +818,7 @@ class BDDManager:
         varids = self._varids
         vmap = {varids[old]: varids[new] for old, new in relevant.items()}
         LEV = self._level_of
-        ordered = sorted(self._support_vids(node._edge), key=LEV.__getitem__)
+        ordered = sorted({self._var[n] for n in self._reachable([node._edge])}, key=LEV.__getitem__)
         mapped = [LEV[vmap.get(v, v)] for v in ordered]
         memo: dict[int, int] = {}
         if all(x < y for x, y in zip(mapped, mapped[1:])):
@@ -1194,18 +1197,9 @@ class BDDManager:
     def _live_counts(self, roots: Sequence[BDDNode]) -> dict[str, int]:
         """Per-variable node counts of the diagrams reachable from ``roots``."""
         counts = {name: 0 for name in self._order}
-        V, L, H = self._var, self._lo, self._hi
-        name_of = self._name_of
-        seen: set[int] = set()
-        stack = [handle._edge >> 1 for handle in roots]
-        while stack:
-            n = stack.pop()
-            if n == 0 or n in seen:
-                continue
-            seen.add(n)
+        V, name_of = self._var, self._name_of
+        for n in self._reachable(handle._edge for handle in roots):
             counts[name_of[V[n]]] += 1
-            stack.append(L[n] >> 1)
-            stack.append(H[n] >> 1)
         return counts
 
     def statistics(self) -> dict:
@@ -1325,38 +1319,43 @@ class BDDManager:
         return node is self.true
 
     def restrict(self, node: BDDNode, assignment: dict[str, bool]) -> BDDNode:
-        """Cofactor ``node`` by a partial assignment."""
-        if node.is_terminal:
-            return node
-        low = self.restrict(node.low, assignment)
-        high = self.restrict(node.high, assignment)
-        if node.variable in assignment:
-            return high if assignment[node.variable] else low
-        return self._node(node.variable, low, high)
-
-    def _node(self, variable: str, low: BDDNode, high: BDDNode) -> BDDNode:
-        self.declare(variable)
-        return self._handle(self._mk(self._varids[variable], low._edge, high._edge))
-
-    def _support_vids(self, e: int) -> set[int]:
+        """Cofactor ``node`` by a partial assignment: one memoised pass over
+        the slots (cofactoring commutes with negation), linear in the diagram."""
+        varids = self._varids
+        fixed = {varids[name]: value for name, value in assignment.items() if name in varids}
         V, L, H = self._var, self._lo, self._hi
+        memo = {0: 0}
+
+        def walk(e: int) -> int:
+            n = e >> 1
+            if n not in memo:
+                vid = V[n]
+                if vid in fixed:
+                    memo[n] = walk(H[n] if fixed[vid] else L[n])
+                else:
+                    memo[n] = self._mk(vid, walk(L[n]), walk(H[n]))
+            return memo[n] ^ (e & 1)
+
+        return self._handle(walk(node._edge))
+
+    def _reachable(self, edges: Iterable[int]) -> set[int]:
+        """The internal slots of the diagrams of ``edges``."""
+        L, H = self._lo, self._hi
         seen: set[int] = set()
-        vids: set[int] = set()
-        stack = [e >> 1]
+        stack = [e >> 1 for e in edges]
         while stack:
             n = stack.pop()
             if n == 0 or n in seen:
                 continue
             seen.add(n)
-            vids.add(V[n])
             stack.append(L[n] >> 1)
             stack.append(H[n] >> 1)
-        return vids
+        return seen
 
     def support(self, node: BDDNode) -> set[str]:
         """Variables the function actually depends on."""
-        name_of = self._name_of
-        return {name_of[v] for v in self._support_vids(node._edge)}
+        V, name_of = self._var, self._name_of
+        return {name_of[V[n]] for n in self._reachable([node._edge])}
 
     def size(self, node: BDDNode) -> int:
         """Number of distinct decision slots of the diagram.
@@ -1365,24 +1364,7 @@ class BDDManager:
         so this can be smaller than the plain (complement-free) diagram —
         it is the number the sifting metric and ``table_nodes`` count in.
         """
-        V, L, H = self._var, self._lo, self._hi
-        seen: set[int] = set()
-        stack = [node._edge >> 1]
-        count = 0
-        while stack:
-            n = stack.pop()
-            if n == 0 or n in seen:
-                continue
-            seen.add(n)
-            count += 1
-            stack.append(L[n] >> 1)
-            stack.append(H[n] >> 1)
-        return count
-
-    def _cofactors(self, node: BDDNode, variable: str) -> tuple[BDDNode, BDDNode]:
-        if node.is_terminal or node.variable != variable:
-            return node, node
-        return node.low, node.high
+        return len(self._reachable([node._edge]))
 
     def _counting_order(self, node: BDDNode, variables: Optional[list[str]]) -> list[str]:
         """Normalise a variable list to diagram order (undeclared names are
@@ -1399,24 +1381,37 @@ class BDDManager:
         return sorted(names, key=lambda v: self._rank[v])
 
     def satisfying_assignments(self, node: BDDNode, variables: Optional[list[str]] = None) -> Iterator[dict[str, bool]]:
-        """Enumerate total satisfying assignments over ``variables``."""
+        """Enumerate total satisfying assignments over ``variables``.
+
+        Models come in lexicographic order over the variables sorted by
+        current rank, ``False`` before ``True``, each dict keyed in that
+        order.  The walk is depth-first over edges with an explicit stack
+        and never enters a false branch, so a model costs O(len(variables)).
+        A list omitting a support variable raises ``ValueError``.
+        """
         names = self._counting_order(node, variables)
-
-        def recurse(index: int, current: BDDNode, assignment: dict[str, bool]) -> Iterator[dict[str, bool]]:
-            if index == len(names):
-                if current is self.true:
-                    yield dict(assignment)
-                return
-            variable = names[index]
-            low, high = self._cofactors(current, variable)
-            for value, branch in ((False, low), (True, high)):
-                if branch is self.false:
-                    continue
-                assignment[variable] = value
-                yield from recurse(index + 1, branch, assignment)
-                del assignment[variable]
-
-        yield from recurse(0, node, {})
+        vids = [self._varids[name] for name in names]
+        V, L, H = self._var, self._lo, self._hi
+        values = [False] * len(names)
+        # Pending branches ``(depth, value, edge)``: variable ``depth - 1``
+        # takes ``value`` and the walk goes on at ``edge``.
+        stack = [(0, False, node._edge)] if node._edge != 1 else []
+        while stack:
+            depth, value, e = stack.pop()
+            if depth:
+                values[depth - 1] = value
+            if depth == len(names):
+                yield dict(zip(names, values))
+                continue
+            n = e >> 1
+            if n and V[n] == vids[depth]:
+                lo, hi = L[n] ^ (e & 1), H[n] ^ (e & 1)
+            else:
+                lo = hi = e
+            if hi != 1:
+                stack.append((depth + 1, True, hi))
+            if lo != 1:  # pushed last: False pops first
+                stack.append((depth + 1, False, lo))
 
     def count_satisfying(self, node: BDDNode, variables: Optional[list[str]] = None) -> int:
         """Number of satisfying assignments over ``variables``.

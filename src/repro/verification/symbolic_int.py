@@ -1425,6 +1425,12 @@ class IntSymbolicReachability(Reachability):
         return self._extract_trace(self.engine.predicate_bdd(predicate), name)
 
     def _extract_trace(self, condition: BDDNode, name: str) -> Optional[Trace]:
+        """The ring walk behind :meth:`trace_to`, from a condition BDD.
+
+        Each step back costs one pre-image and one relational product; the
+        cubes and models around them (two of each per step) are linear in
+        the state and signal bits, so those products dominate.
+        """
         engine = self.engine
         manager = engine.manager
         hit = manager.conj_all([self.states, engine.instantaneous, condition])
@@ -1532,9 +1538,7 @@ class IntSymbolicReachability(Reachability):
         )
         kept = manager.diff(self.states, bad_targets)
 
-        uncontrollable = manager.conj_all(
-            manager.nvar(_presence(name)) for name in controllable
-        )
+        uncontrollable = manager.cube({_presence(name): False for name in controllable})
         if ensure_nonblocking:
             has_outgoing = engine.relation.product(self.states, signal_primed)
 

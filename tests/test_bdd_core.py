@@ -11,10 +11,14 @@ enumerate assignments directly.  The tests pin model counts and sets,
 ``rename``, ``preimage``, ``restrict``, and round-trips through
 ``reorder()`` and ``dump_nodes``/``load_nodes`` to the table — plus the
 canonicity invariants of the complement-edge store (no stored complemented
-high edge, O(1) involutive negation).
+high edge, O(1) involutive negation).  ``cube`` and the model walk are also
+pinned after sifting has moved the levels, together with their cost
+contracts: one node per cube literal, a ``restrict`` linear in the diagram,
+and no recursion-depth limit at 2,000 variables.
 """
 
 import random
+from time import perf_counter
 
 import pytest
 
@@ -350,3 +354,108 @@ class TestCacheAccounting:
         for seed in range(6):
             build(manager, random_expression(NAMES, random.Random(seed)))
         assert manager.statistics()["cache_clears"] >= 1
+
+
+def reordered(seed):
+    """``built(seed)`` after a ``reorder()`` that moved the level order."""
+    manager, oracle, f, table = built(seed)
+    manager.protect(f)
+    manager.reorder()
+    assert manager.variables != tuple(NAMES)  # the seeds below all move
+    return manager, oracle, f, table
+
+
+def shuffled(mapping, rng):
+    """``mapping`` with its items in a shuffled insertion order."""
+    items = list(mapping.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+class TestCubesAndModelWalks:
+    @pytest.mark.parametrize("seed", [2, 6, 7, 9])
+    def test_models_come_out_in_rank_order_after_reorder(self, seed):
+        manager, oracle, f, table = reordered(seed)
+        ranked = list(manager.variables)
+        models = list(manager.satisfying_assignments(f, list(reversed(NAMES))))
+        expected = sorted(
+            (oracle.assignment(index) for index in oracle.models(table)),
+            key=lambda model: [model[name] for name in ranked],
+        )
+        assert models == expected
+        assert all(list(model) == ranked for model in models)
+        with pytest.raises(ValueError, match="omits support variables"):
+            next(manager.satisfying_assignments(f, sorted(manager.support(f))[1:]))
+
+    @pytest.mark.parametrize("seed", [2, 6, 7, 9])
+    def test_cubes_of_shuffled_literals_after_reorder(self, seed):
+        manager, oracle, _, _ = reordered(seed)
+        rng = random.Random(seed + 300)
+        for size in (1, 3, len(NAMES)):
+            literals = shuffled({name: rng.random() < 0.5 for name in rng.sample(NAMES, size)}, rng)
+            cube = manager.cube(literals)
+            expected = oracle.where(lambda a: all(a[name] == value for name, value in literals.items()))
+            assert_matches(manager, cube, oracle, expected)
+            assert cube is manager.conj_all(
+                manager.var(name) if value else manager.nvar(name) for name, value in literals.items()
+            )
+        manager.assert_canonical()
+
+    def test_a_fresh_cube_costs_one_node_per_literal(self):
+        names = [f"c{index}" for index in range(40)]
+        manager = BDDManager(names)
+        rng = random.Random(40)
+        literals = shuffled({name: rng.random() < 0.5 for name in names}, rng)
+        before = manager.statistics()
+        cube = manager.cube(literals)
+        after = manager.statistics()
+        assert after["nodes_created"] - before["nodes_created"] <= len(names)
+        assert after["cache_misses"] == before["cache_misses"]
+        assert manager.size(cube) == len(names)
+
+    @pytest.mark.timeout(20)
+    def test_wide_cubes_and_model_walks_do_not_recurse(self):
+        """2,000 literals: past the interpreter's recursion limit."""
+        names = [f"w{index}" for index in range(2000)]
+        manager = BDDManager(names)
+        rng = random.Random(2000)
+        literals = {name: rng.random() < 0.5 for name in names}
+        cube = manager.cube(shuffled(literals, rng))
+        assert manager.size(cube) == len(names)
+        assert manager.evaluate(cube, literals)
+        (model,) = manager.satisfying_assignments(cube, names)
+        assert model == literals and list(model) == names
+        # One variable left free: two models, its False branch first.
+        free = names[1000]
+        partial = manager.cube({name: value for name, value in literals.items() if name != free})
+        first, second = manager.satisfying_assignments(partial, names)
+        assert (first[free], second[free]) == (False, True)
+        assert {**first, free: literals[free]} == literals
+
+    @pytest.mark.timeout(10)
+    def test_restrict_is_linear_on_a_wide_xor_chain(self):
+        """An n-variable xor chain has n slots but 2^n paths."""
+        names = [f"x{index}" for index in range(64)]
+        manager = BDDManager(names)
+        chain = manager.false
+        for name in names:
+            chain = manager.xor(chain, manager.var(name))
+        assert manager.size(chain) == len(names)
+        rng = random.Random(64)
+        free = sorted(rng.sample(names, 12), key=names.index)
+        fixed = {name: rng.random() < 0.5 for name in names if name not in free}
+        started = perf_counter()
+        restricted = manager.restrict(chain, fixed)
+        first_fixed = manager.restrict(chain, {"x0": True})
+        assert perf_counter() - started < 0.5
+        oracle = Table(free)
+        parity = oracle.full if sum(fixed.values()) % 2 else 0
+        expected = oracle.of(("lit", free[0], True))
+        for name in free[1:]:
+            expected ^= oracle.of(("lit", name, True))
+        assert_matches(manager, restricted, oracle, expected ^ parity)
+        rest = manager.false
+        for name in names[1:]:
+            rest = manager.xor(rest, manager.var(name))
+        assert first_fixed is manager.neg(rest)
+        assert manager.restrict(chain, {"unknown": True}) is chain

@@ -34,6 +34,7 @@ from test_symbolic_vs_explicit import (
 )
 
 from repro.core.values import ABSENT, EVENT
+from repro.signal.ast import compose
 from repro.signal.library import (
     alternator_process,
     boolean_shift_register_process,
@@ -223,6 +224,42 @@ def test_integer_trace_reaches_deep_counter_value():
             trace = engine.trace_to(deep)
             assert trace is not None and len(trace) >= 4, mode
             replay_trace(process, trace, deep, abstract=False, compile=mode)
+
+
+def counter_bank(moduli):
+    """Independent modulo counters side by side: ``prod(moduli)`` states."""
+    return compose(
+        "Bank",
+        *(
+            modulo_counter_process(modulo, f"C{index}").renamed(
+                {"tick": f"tick{index}", "n": f"n{index}", "carry": f"carry{index}",
+                 "previous": f"previous{index}"}
+            )
+            for index, modulo in enumerate(moduli)
+        ),
+    )
+
+
+def test_counter_bank_traces_create_few_nodes():
+    """Ring-walk traces on a 7^5-state bank stay a few hundred nodes each.
+
+    Every step of a symbolic trace turns models of 35 state bits (and the
+    signal bits) into cubes and reads models back out.  Folding each cube
+    one ``ite`` per literal cost about 2,400 nodes per trace here; built
+    bottom-up, one node per literal, a trace costs 300-450.
+    """
+    process = counter_bank((7, 7, 7, 7, 7))
+    result = symbolic_int_explore(process)
+    manager = result.engine.manager
+    both_carries = P.present("carry0") & P.present("carry1")
+    top_value = P.value("n0", lambda v: v == 6)
+    for predicate, length in ((both_carries, 1), (top_value, 7)):
+        before = manager.statistics()["nodes_created"]
+        trace = result.trace_to(predicate)
+        created = manager.statistics()["nodes_created"] - before
+        assert trace is not None and len(trace) == length, repr(predicate)
+        assert created <= 800, (repr(predicate), created)
+        replay_trace(process, trace, predicate, abstract=False)
 
 
 # --------------------------------------------------------------------------- soundness
