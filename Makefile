@@ -14,8 +14,8 @@
 #                      the committed benchmarks/BENCH_BASELINE.json (seconds or
 #                      peak BDD nodes)
 #   make perfbench-smoke - every BENCHMARK.json workload for 3 s (perfbench/run.py
-#                      --trace 0); fails unless each run attempted operations
-#                      and none failed
+#                      --trace 0), plus the symbolic one with --trace 1; fails
+#                      unless each run attempted operations and none failed
 #   make bench       - the full pytest-benchmark campaign over benchmarks/
 
 PYTHON ?= python

@@ -20,7 +20,7 @@ Sub-packages:
 * :mod:`repro.gals` — buffers, channels, desynchronisation, architectures.
 * :mod:`repro.epc` — the even-parity-checker case study and refinement chain.
 * :mod:`repro.workbench` — the :class:`~repro.workbench.design.Design` facade
-  over the whole pipeline, with the verification backend registry and the
+  over the whole pipeline, with its ``backend="auto"`` route and the
   shared-artifact batch-checking API (the recommended entry point).
 """
 

@@ -1320,23 +1320,40 @@ class BDDManager:
 
     def restrict(self, node: BDDNode, assignment: dict[str, bool]) -> BDDNode:
         """Cofactor ``node`` by a partial assignment: one memoised pass over
-        the slots (cofactoring commutes with negation), linear in the diagram."""
+        the slots (cofactoring commutes with negation), linear in the diagram.
+
+        The pass is post-order with an explicit stack — low subtree, high
+        subtree, then the slot — so a diagram deeper than the interpreter's
+        recursion limit restricts like any other.
+        """
         varids = self._varids
         fixed = {varids[name]: value for name, value in assignment.items() if name in varids}
         V, L, H = self._var, self._lo, self._hi
-        memo = {0: 0}
-
-        def walk(e: int) -> int:
-            n = e >> 1
-            if n not in memo:
-                vid = V[n]
-                if vid in fixed:
-                    memo[n] = walk(H[n] if fixed[vid] else L[n])
-                else:
-                    memo[n] = self._mk(vid, walk(L[n]), walk(H[n]))
-            return memo[n] ^ (e & 1)
-
-        return self._handle(walk(node._edge))
+        memo = {0: 0}  # slot -> cofactored edge of its regular function
+        stack = [node._edge >> 1]
+        while stack:
+            n = stack[-1]
+            if n in memo:
+                stack.pop()
+                continue
+            vid = V[n]
+            if vid in fixed:
+                child = H[n] if fixed[vid] else L[n]
+                if child >> 1 not in memo:
+                    stack.append(child >> 1)
+                    continue
+                memo[n] = memo[child >> 1] ^ (child & 1)
+            else:
+                lo, hi = L[n], H[n]
+                if lo >> 1 not in memo:
+                    stack.append(lo >> 1)
+                    continue
+                if hi >> 1 not in memo:
+                    stack.append(hi >> 1)
+                    continue
+                memo[n] = self._mk(vid, memo[lo >> 1] ^ (lo & 1), memo[hi >> 1] ^ (hi & 1))
+            stack.pop()
+        return self._handle(memo[node._edge >> 1] ^ (node._edge & 1))
 
     def _reachable(self, edges: Iterable[int]) -> set[int]:
         """The internal slots of the diagrams of ``edges``."""
@@ -1419,30 +1436,46 @@ class BDDManager:
         Edge-level dynamic programming: one memo entry per regular slot and
         the complement handled arithmetically (``|¬f| = 2^k − |f|``), so
         counting a huge reached set walks integers instead of materialising
-        a weakref handle per visited node.
+        a weakref handle per visited node.  Slots are filled children first
+        from an explicit stack, so diagram depth is not bounded by the
+        interpreter's recursion limit.
         """
         names = self._counting_order(node, variables)
         width = len(names)
         LEV = self._level_of
         position = {LEV[self._varids[name]]: index for index, name in enumerate(names)}
         V, L, H = self._var, self._lo, self._hi
+        # slot -> models of its regular function over ``names[p:]``, with
+        # ``p`` the slot's position; the terminal slot never enters.
         memo: dict[int, int] = {}
 
         def count(e: int, index: int) -> int:
-            # models of edge ``e`` over ``names[index:]``
+            # models of edge ``e`` over ``names[index:]`` (its slot is memoised)
             n = e >> 1
             if n == 0:
                 return 0 if e & 1 else 1 << (width - index)
             p = position[LEV[V[n]]]
-            sub = memo.get(n)
-            if sub is None:
-                # models of the regular function at ``n`` over ``names[p:]``
-                sub = count(L[n], p + 1) + count(H[n], p + 1)
-                memo[n] = sub
+            sub = memo[n]
             if e & 1:
                 sub = (1 << (width - p)) - sub
             return sub << (p - index)
 
+        stack = [node._edge >> 1]
+        while stack:
+            n = stack[-1]
+            if n == 0 or n in memo:
+                stack.pop()
+                continue
+            lo, hi = L[n] >> 1, H[n] >> 1
+            if lo and lo not in memo:
+                stack.append(lo)
+                continue
+            if hi and hi not in memo:
+                stack.append(hi)
+                continue
+            p = position[LEV[V[n]]] + 1
+            memo[n] = count(L[n], p) + count(H[n], p)
+            stack.pop()
         return count(node._edge, 0)
 
     def evaluate(self, node: BDDNode, assignment: dict[str, bool]) -> bool:

@@ -149,7 +149,7 @@ class ProcessBuilder:
         """Build the process and wrap it in a workbench :class:`Design` facade.
 
         Keyword arguments are forwarded to the Design constructor
-        (``exploration_options``, ``symbolic_options``, ``registry``, ...).
+        (``exploration_options``, ``symbolic_options``, ``symbolic_state_threshold``, ...).
         """
         from ..workbench import Design
 

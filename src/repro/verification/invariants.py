@@ -108,12 +108,7 @@ def check_reaction_reachable(lts: LTS, predicate: LabelPredicate, name: str = "r
     return CheckResult(False, name, details="no reachable reaction satisfies the predicate")
 
 
-def _as_reachability(
-    target: Any,
-    caller: str,
-    needs_synthesis: bool = False,
-    predicates: tuple = (),
-) -> Any:
+def _as_reachability(target: Any, caller: str) -> Any:
     # Late import: reachability imports CheckResult from this module.  The
     # isinstance check matters — bare duck-typing would silently match e.g.
     # PolynomialDynamicalSystem.check_invariant(polynomial, max_states) and
@@ -122,18 +117,10 @@ def _as_reachability(
 
     if isinstance(target, Reachability):
         return target
-    # A workbench Design resolves to whatever backend its registry's auto
-    # policy picks, so the legacy entry points ride the facade's memoised
-    # artifacts for free; the query's predicates are forwarded so value
-    # atoms route to a concrete backend exactly as in the batch API.  Late
-    # import: workbench sits above verification.
-    from ..workbench import Design
-
-    if isinstance(target, Design):
-        return target.backend(predicates=predicates, needs_synthesis=needs_synthesis)
     raise TypeError(
-        f"{caller} expects an LTS, a Reachability backend or a workbench Design, not "
-        f"{type(target).__name__} (for a PolynomialDynamicalSystem, call .explore() first)"
+        f"{caller} expects an LTS or a Reachability backend, not "
+        f"{type(target).__name__} (for a PolynomialDynamicalSystem, call .explore() "
+        f"first; for a workbench Design, pass design.backend())"
     )
 
 
@@ -146,7 +133,7 @@ def invariant_holds(target: Any, predicate: LabelPredicate, name: str = "invaria
     """
     if isinstance(target, LTS):
         return check_invariant_labels(target, predicate, name)
-    backend = _as_reachability(target, "invariant_holds", predicates=(predicate,))
+    backend = _as_reachability(target, "invariant_holds")
     return backend.check_invariant(predicate, name)
 
 
@@ -154,7 +141,7 @@ def reaction_reachable(target: Any, predicate: LabelPredicate, name: str = "reac
     """Engine-agnostic EF over reactions (see :func:`invariant_holds`)."""
     if isinstance(target, LTS):
         return check_reaction_reachable(target, predicate, name)
-    backend = _as_reachability(target, "reaction_reachable", predicates=(predicate,))
+    backend = _as_reachability(target, "reaction_reachable")
     return backend.check_reachable(predicate, name)
 
 

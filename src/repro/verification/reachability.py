@@ -265,8 +265,9 @@ class Trace:
 class BackendCapabilities:
     """Static description of what a Reachability backend can do.
 
-    The workbench registry (:mod:`repro.workbench.registry`) matches these
-    against a query's needs when ``backend="auto"`` has to pick an engine.
+    Each engine class declares its own; workbench reports
+    (:attr:`~repro.workbench.report.Report.capabilities`) print them.  The
+    ``backend="auto"`` route does not read them: it is a state-bound test.
 
     Attributes:
         integer_data: evaluates predicates on *concrete* reactions — required

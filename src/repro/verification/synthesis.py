@@ -176,9 +176,7 @@ def synthesise_with(
             details=result.details,
             backend=result,
         )
-    backend = _as_reachability(
-        target, "synthesise_with", needs_synthesis=True, predicates=(safe,)
-    )
+    backend = _as_reachability(target, "synthesise_with")
     return backend.synthesise(safe, controllable, ensure_nonblocking)
 
 

@@ -4,9 +4,10 @@
 construct it from SIGNAL source, a process definition, a DSL builder or a
 SpecC behavior; read its memoised artifacts (compiled process, clock
 hierarchy, endochrony report, Z/3Z encoding, explicit / polynomial / symbolic
-reachable sets, simulator); and run batched verification queries through the
-:class:`BackendRegistry`, letting ``backend="auto"`` pick an engine from
-declared :class:`~repro.verification.reachability.BackendCapabilities`.
+reachable sets, simulator); and run batched verification queries on a named
+engine or on ``backend="auto"``, which picks the bit-blasted BDD engine when
+the design's potential state bound exceeds ``symbolic_state_threshold`` and
+the explicit engine otherwise.
 
     from repro.workbench import Design, Property
     from repro.verification import ReactionPredicate as P
@@ -29,8 +30,9 @@ runs ``submit``/``map_designs``/``design.check_async`` jobs against a shared
 :class:`DiskArtifactStore`, with priorities, per-job timeouts, cooperative
 cancellation and crash retry — answered as :class:`JobHandle` futures.
 
-The legacy module-level entry points (``explore``, ``invariant_holds``,
-``synthesise_with``, ...) remain available and now also accept a Design.
+The module-level entry points of :mod:`repro.verification` (``explore``,
+``invariant_holds``, ``synthesise_with``, ...) take an LTS or an engine;
+``design.backend(...)`` hands them the one the facade routes to.
 """
 
 from .cache import (
@@ -41,13 +43,6 @@ from .cache import (
     default_cache,
 )
 from .design import CheckCancelled, Design
-from .registry import (
-    BackendFactory,
-    BackendRegistry,
-    RegisteredBackend,
-    default_registry,
-    register_backend,
-)
 from .report import Property, PropertyCheck, Report
 
 # .jobs imports .design; keep it after the facade so the cycle stays one-way.
@@ -68,8 +63,6 @@ from .jobs import (
 
 __all__ = [
     "ArtifactStore",
-    "BackendFactory",
-    "BackendRegistry",
     "CheckCancelled",
     "Compare",
     "Design",
@@ -84,7 +77,6 @@ __all__ = [
     "MemoryArtifactStore",
     "Property",
     "PropertyCheck",
-    "RegisteredBackend",
     "Report",
     "WorkerCrashed",
     "WorkerPool",
@@ -92,6 +84,4 @@ __all__ = [
     "configure_pool",
     "default_cache",
     "default_pool",
-    "default_registry",
-    "register_backend",
 ]

@@ -18,12 +18,12 @@ fixpoint, the simulator — is computed lazily and **memoised**, so repeated
 queries never recompute a fixpoint or re-encode; :attr:`artifact_counts`
 records how often each was actually built (the tests pin it to one).
 
-Verification queries go through the backend registry
-(:mod:`repro.workbench.registry`): name an engine (``backend="symbolic-int"``)
-or let ``backend="auto"`` pick one from declared capabilities.  Queries go
-explicit while the potential state space fits the explicit bound, and to the
-bit-blasted BDD engine (``symbolic-int``) once it outgrows it — boolean/event
-skeletons and integer designs with finite ranges alike.  The batch API —
+Verification queries name an engine (``backend="explicit"``,
+``"polynomial"`` or ``"symbolic-int"``) or let ``backend="auto"`` route on
+one bound test: the bit-blasted BDD engine (``symbolic-int``) when
+:attr:`Design.potential_state_bound` exceeds ``symbolic_state_threshold``,
+the explicit engine otherwise — boolean/event skeletons and integer designs
+with finite ranges alike.  The batch API —
 :meth:`check` / :meth:`check_all` — evaluates many properties against one
 shared reachable set and returns a structured
 :class:`~repro.workbench.report.Report`; with ``traces=True`` every failed
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from ..clocks.bdd import NodeBudgetExceeded
 from ..clocks.endochrony import EndochronyReport, analyse_endochrony
@@ -56,6 +56,7 @@ from ..verification.encoding import (
 )
 from ..verification.explorer import ExplorationOptions, ExplorationResult, explore
 from ..verification.reachability import (
+    BackendCapabilities,
     BoundReached,
     ControlVerdict,
     Reachability,
@@ -76,7 +77,6 @@ from .cache import (
     error_payload,
     payload_error,
 )
-from .registry import BackendRegistry, RegisteredBackend, default_registry
 from .report import Property, PropertyCheck, Report, normalise_properties
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,6 +89,22 @@ PropertyLike = Union[Property, ReactionPredicate, tuple[str, ReactionPredicate]]
 #: A collection of named properties: mapping name -> predicate, or a sequence
 #: of PropertyLike.
 PropertiesLike = Union[Mapping[str, ReactionPredicate], Sequence[PropertyLike]]
+
+
+#: The engine each backend name resolves to: the memoised artifact that
+#: builds it, and its class (whose declared capabilities reports print).
+_BACKENDS: dict[str, tuple[str, type[Reachability]]] = {
+    "explicit": ("exploration", ExplorationResult),
+    "polynomial": ("polynomial", PolynomialReachability),
+    "symbolic-int": ("symbolic_int", IntSymbolicReachability),
+}
+
+
+class BackendInfo(NamedTuple):
+    """What :meth:`Design.backend_info` resolves a backend name to."""
+
+    name: str
+    capabilities: BackendCapabilities
 
 
 class CheckCancelled(RuntimeError):
@@ -131,8 +147,6 @@ class Design:
             when the design came through :meth:`from_specc`, else None.
         artifact_counts: how many times each artifact was actually computed —
             the memoisation counter the batch-API tests assert on.
-        registry: the :class:`~repro.workbench.registry.BackendRegistry`
-            answering backend lookups for this design.
     """
 
     def __init__(
@@ -141,9 +155,7 @@ class Design:
         *,
         exploration_options: Optional[ExplorationOptions] = None,
         symbolic_options: Optional[SymbolicOptions] = None,
-        polynomial_max_states: int = 5000,
         symbolic_state_threshold: Optional[int] = None,
-        registry: Optional[BackendRegistry] = None,
         source: Optional[str] = None,
         translation: Optional[Any] = None,
         cache: Any = USE_DEFAULT_CACHE,
@@ -166,18 +178,15 @@ class Design:
         self.process: ProcessDefinition = process
         self.exploration_options = exploration_options or ExplorationOptions()
         self.symbolic_options = symbolic_options or SymbolicOptions()
-        self.polynomial_max_states = polynomial_max_states
-        # Past this many *potential* ternary state valuations the explicit
-        # engines would truncate (or crawl), so auto prefers exhaustive ones.
+        # Past this many *potential* state valuations the explicit engines
+        # would truncate (or crawl), so auto routes to the BDD engine.
         self.symbolic_state_threshold = (
             symbolic_state_threshold
             if symbolic_state_threshold is not None
             else self.exploration_options.max_states
         )
-        self.registry = registry if registry is not None else default_registry()
         self.source = source
         self.translation = translation
-        self._backends: dict[str, Reachability] = {}
 
     # -- constructors ------------------------------------------------------------------
 
@@ -348,15 +357,12 @@ class Design:
         """
         if name is None:
             self._artifacts.clear()
-            self._backends.clear()
             return
         frontier = [name]
         while frontier:
             artifact = frontier.pop()
             self._artifacts.pop(artifact, None)
             frontier.extend(self._ARTIFACT_DEPENDENTS.get(artifact, ()))
-        # Backend instances wrap artifacts; drop any that may hold stale ones.
-        self._backends.clear()
 
     # -- the artifact graph ---------------------------------------------------------------
 
@@ -432,10 +438,7 @@ class Design:
     @property
     def polynomial(self) -> PolynomialReachability:
         """Explicit enumeration over the shared Z/3Z encoding (memoised)."""
-        return self._artifact(
-            "polynomial",
-            lambda: PolynomialReachability(self.encoding, self.polynomial_max_states),
-        )
+        return self._artifact("polynomial", lambda: PolynomialReachability(self.encoding))
 
     @property
     def ranges(self) -> RangeReport:
@@ -519,79 +522,56 @@ class Design:
                 return None
         return 3 ** len(encoding.state_variables)
 
-    def _query_needs(
-        self,
-        predicates: Iterable[ReactionPredicate] = (),
-        needs_synthesis: bool = False,
-    ) -> tuple[bool, bool, bool]:
-        needs_integer = not self.encodable or any(
-            isinstance(p, ReactionPredicate) and p.has_value_atoms() for p in predicates
-        )
-        bound = self.potential_state_bound
-        large = bound is not None and bound > self.symbolic_state_threshold
-        return needs_integer, needs_synthesis, large
+    def _route(self, backend: str) -> str:
+        """The backend name a query runs on: ``"auto"`` is the bound test."""
+        if backend == "auto":
+            bound = self.potential_state_bound
+            large = bound is not None and bound > self.symbolic_state_threshold
+            return "symbolic-int" if large else "explicit"
+        if backend not in _BACKENDS:
+            raise LookupError(f"no backend named {backend!r} (known: {list(_BACKENDS)})")
+        return backend
 
     def backend_info(
         self,
         backend: str = "auto",
         *,
         predicates: Iterable[ReactionPredicate] = (),
-        needs_synthesis: bool = False,
-    ) -> RegisteredBackend:
-        """Resolve a backend name (or ``"auto"``) to its registry entry.
+    ) -> BackendInfo:
+        """Resolve a backend name (or ``"auto"``) to its name and capabilities.
 
-        Pure capability matching — no artifact is computed beyond the (cheap,
-        memoised) encoding probe the auto policy needs.
+        ``"auto"`` is ``"symbolic-int"`` when :attr:`potential_state_bound`
+        exceeds ``symbolic_state_threshold`` and ``"explicit"`` otherwise;
+        no artifact is computed beyond the (memoised) encoding and range
+        probes of that bound.  ``predicates`` does not influence the route —
+        both routed engines evaluate value atoms — and is accepted only
+        because callers pass a query's predicates (``perfbench/drive.py``
+        does).
         """
-        if backend != "auto":
-            return self.registry.entry(backend)
-        needs_integer, needs_synthesis, large = self._query_needs(predicates, needs_synthesis)
-        return self.registry.select(needs_integer, needs_synthesis, large)
+        name = self._route(backend)
+        return BackendInfo(name, _BACKENDS[name][1].capabilities())
 
-    def backend(
-        self,
-        backend: str = "auto",
-        *,
-        predicates: Iterable[ReactionPredicate] = (),
-        needs_synthesis: bool = False,
-    ) -> Reachability:
-        """The ready-to-query engine for ``backend`` (instances are memoised)."""
-        _entry, engine = self._resolve_backend(
-            backend, predicates=predicates, needs_synthesis=needs_synthesis
-        )
-        return engine
+    def backend(self, backend: str = "auto") -> Reachability:
+        """The ready-to-query engine for ``backend`` (a memoised artifact)."""
+        return self._resolve_backend(backend)[1]
 
-    def _resolve_backend(
-        self,
-        backend: str,
-        predicates: Iterable[ReactionPredicate] = (),
-        needs_synthesis: bool = False,
-    ) -> tuple[RegisteredBackend, Reachability]:
+    def _resolve_backend(self, backend: str) -> tuple[str, Reachability]:
         """Resolve and *build* the backend, with the auto fallback.
 
-        The auto policy selects on cheap static facts (encodability probe,
-        potential state bound); an engine may still refuse at construction —
-        e.g. the BDD engine on a range wider than ``max_bits`` or
-        on an arithmetic fragment it cannot bit-blast.  Auto then falls back
-        to the explicit reference engine instead of leaking the
-        ``EncodingError`` out of a batch check; a backend named explicitly
-        still raises.
+        The auto route reads cheap static facts (the potential state bound);
+        an engine may still refuse at construction — e.g. the BDD engine on
+        a range wider than ``max_bits`` or on an arithmetic fragment it
+        cannot bit-blast.  Auto then falls back to the explicit reference
+        engine instead of leaking the ``EncodingError`` out of a batch
+        check; a backend named explicitly still raises.
         """
-        entry = self.backend_info(backend, predicates=predicates, needs_synthesis=needs_synthesis)
-        if entry.name in self._backends:
-            return entry, self._backends[entry.name]
+        name = self._route(backend)
         try:
-            engine = entry.factory(self)
+            return name, getattr(self, _BACKENDS[name][0])
         except EncodingError:
-            fallback = self.registry.entry("explicit", default=None) if backend == "auto" else None
-            if fallback is None or fallback.name == entry.name:
+            if backend != "auto" or name == "explicit":
                 raise
-            entry = fallback
-            if entry.name not in self._backends:
-                self._backends[entry.name] = entry.factory(self)
-            return entry, self._backends[entry.name]
-        self._backends[entry.name] = engine
-        return entry, engine
+        return "explicit", self.exploration
 
     # -- the batch verification API ---------------------------------------------------------
 
@@ -681,8 +661,7 @@ class Design:
         backend: str = "auto",
     ) -> ControlVerdict:
         """Controller synthesis through a synthesis-capable backend."""
-        engine = self.backend(backend, predicates=(safe,), needs_synthesis=True)
-        return engine.synthesise(safe, controllable, ensure_nonblocking)
+        return self.backend(backend).synthesise(safe, controllable, ensure_nonblocking)
 
     # -- internals ----------------------------------------------------------------------------
 
@@ -704,10 +683,10 @@ class Design:
         should_cancel: Optional[Callable[[], bool]] = None,
     ) -> Report:
         started = perf_counter()
-        predicates = [spec.predicate for spec in specs]
-        entry, engine = self._resolve_backend(backend, predicates=predicates)
+        name, engine = self._resolve_backend(backend)
+        capabilities = engine.capabilities()
         if progress is not None:
-            progress("backend", {"backend": entry.name, "state_count": engine.state_count})
+            progress("backend", {"backend": name, "state_count": engine.state_count})
         checks: list[PropertyCheck] = []
         for index, spec in enumerate(specs):
             if should_cancel is not None and should_cancel():
@@ -721,7 +700,7 @@ class Design:
                     result = engine.check_invariant(spec.predicate, spec.name)
                 else:
                     result = engine.check_reachable(spec.predicate, spec.name)
-                if traces and entry.capabilities.traces:
+                if traces and capabilities.traces:
                     result.trace = self._extract_trace(engine, spec, result)
                 check = PropertyCheck(spec.name, spec.kind, result)
             except BoundReached as refusal:
@@ -737,8 +716,8 @@ class Design:
                 )
         return Report(
             design_name=self.name,
-            backend_name=entry.name,
-            capabilities=entry.capabilities,
+            backend_name=name,
+            capabilities=capabilities,
             state_count=engine.state_count,
             complete=engine.complete,
             checks=checks,

@@ -62,6 +62,10 @@ QUEUED, RUNNING, DONE, FAILED, CANCELLED, TIMEOUT = (
 )
 _TERMINAL = (DONE, FAILED, CANCELLED, TIMEOUT)
 
+#: Service-loop heartbeat in seconds: bounds timeout/crash detection
+#: latency, not job latency (completions wake the loop).
+_POLL_INTERVAL_S = 0.05
+
 
 class JobHandle:
     """An async future for one submitted job.
@@ -184,8 +188,6 @@ class WorkerPool:
             when a submission does not set its own; None = no timeout.
         retries: default retry budget per job for crashes and requeues.
         name: prefix of the worker process names (shows up in reports).
-        poll_interval: service-loop heartbeat; bounds timeout/crash
-            detection latency, not job latency (completions wake the loop).
     """
 
     def __init__(
@@ -196,7 +198,6 @@ class WorkerPool:
         job_timeout: Optional[float] = None,
         retries: int = 1,
         name: str = "pool",
-        poll_interval: float = 0.05,
     ) -> None:
         if workers is None:
             workers = max(1, min(4, _available_cores()))
@@ -206,7 +207,6 @@ class WorkerPool:
         self.workers = workers
         self.job_timeout = job_timeout
         self.retries = retries
-        self.poll_interval = poll_interval
         self._cache_spec = _cache_spec(cache)
         self._context = multiprocessing.get_context("spawn")
         self._results = self._context.Queue()
@@ -458,7 +458,7 @@ class WorkerPool:
     def _service_loop(self) -> None:
         while True:
             try:
-                message = self._results.get(timeout=self.poll_interval)
+                message = self._results.get(timeout=_POLL_INTERVAL_S)
             except (queue_module.Empty, OSError, EOFError):
                 message = None
             with self._lock:

@@ -122,16 +122,15 @@ class DesignSpec:
     artifacts, so the worker-side rebuild computes exactly what the
     submitting design would have — same artifact cache keys included, which
     is what lets a shared :class:`~repro.workbench.cache.DiskArtifactStore`
-    serve warm encodings and reached sets across the pool.  A custom
-    :class:`~repro.workbench.registry.BackendRegistry` does **not** travel:
-    workers resolve backends against the default registry.
+    serve warm encodings and reached sets across the pool.  The worker-side
+    design routes ``backend="auto"`` exactly as the submitting one: the
+    route reads only the process and ``symbolic_state_threshold``.
     """
 
     process: ProcessDefinition
     source: Optional[str] = None
     exploration_options: Optional[ExplorationOptions] = None
     symbolic_options: Optional[SymbolicOptions] = None
-    polynomial_max_states: int = 5000
     symbolic_state_threshold: Optional[int] = None
 
     @classmethod
@@ -142,7 +141,6 @@ class DesignSpec:
             source=design.source,
             exploration_options=design.exploration_options,
             symbolic_options=design.symbolic_options,
-            polynomial_max_states=design.polynomial_max_states,
             symbolic_state_threshold=design.symbolic_state_threshold,
         )
 
@@ -154,7 +152,6 @@ class DesignSpec:
             self.process,
             exploration_options=self.exploration_options,
             symbolic_options=self.symbolic_options,
-            polynomial_max_states=self.polynomial_max_states,
             symbolic_state_threshold=self.symbolic_state_threshold,
             source=self.source,
             cache=cache,

@@ -431,6 +431,17 @@ class TestCubesAndModelWalks:
         first, second = manager.satisfying_assignments(partial, names)
         assert (first[free], second[free]) == (False, True)
         assert {**first, free: literals[free]} == literals
+        # Model counting and cofactoring walk the same 2,000 levels.
+        assert manager.count_satisfying(cube, names) == 1
+        assert manager.count_satisfying(partial, names) == 2
+        assert manager.count_satisfying(manager.neg(cube), names) == (1 << len(names)) - 1
+        pinned = names[1500]
+        restricted = manager.restrict(cube, {pinned: literals[pinned]})
+        assert manager.size(restricted) == len(names) - 1
+        assert manager.evaluate(restricted, literals)
+        flipped = {**literals, names[0]: not literals[names[0]]}
+        assert not manager.evaluate(restricted, flipped)
+        assert manager.restrict(cube, {pinned: not literals[pinned]}) is manager.false
 
     @pytest.mark.timeout(10)
     def test_restrict_is_linear_on_a_wide_xor_chain(self):

@@ -1,5 +1,5 @@
 """Tests for the workbench layer: the Design facade, artifact memoisation,
-the backend registry with auto-selection, and the batch-checking API."""
+the ``backend="auto"`` route, and the batch-checking API."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.signal.library import (
 )
 from repro.simulation import PRESENT
 from repro.verification import (
-    BackendCapabilities,
     BoundReached,
     EncodingError,
     ExplorationOptions,
@@ -22,7 +21,10 @@ from repro.verification import (
     reaction_reachable,
     synthesise_with,
 )
-from repro.workbench import BackendRegistry, Design, Property, Report, default_registry
+from repro.verification.encoding import PolynomialReachability
+from repro.verification.explorer import ExplorationResult
+from repro.verification.symbolic_int import IntSymbolicReachability
+from repro.workbench import Design, Property, Report
 
 P = ReactionPredicate
 
@@ -335,77 +337,57 @@ class TestAutoSelection:
             "auto", predicates=(P.value("x", lambda v: v is True),)
         ).name == "symbolic-int"
 
-    def test_synthesis_query_skips_backends_without_synthesis(self):
-        registry = BackendRegistry()
-        from repro.verification.encoding import PolynomialReachability
-        from repro.verification.symbolic_int import IntSymbolicReachability
 
-        registry.register_backend(
-            "polynomial", lambda d: d.polynomial, PolynomialReachability.capabilities()
-        )
-        registry.register_backend(
-            "symbolic-int", lambda d: d.symbolic_int, IntSymbolicReachability.capabilities()
-        )
-        design = Design.from_process(alternator_process(), registry=registry)
-        entry = design.backend_info("auto", needs_synthesis=True)
-        assert entry.name == "symbolic-int"
+#: Library designs routed below: a builder and a signal for the value atom.
+ROUTED_DESIGNS = {
+    "shift-3": (lambda: boolean_shift_register_process(3), "x"),
+    "shift-12": (lambda: boolean_shift_register_process(12), "x"),
+    "modcounter-3": (lambda: modulo_counter_process(3), "n"),
+    "modcounter-40": (lambda: modulo_counter_process(40), "n"),
+    "count-unbounded": (count_process, "val"),
+}
 
-    def test_auto_refuses_when_nothing_matches(self):
-        registry = BackendRegistry()
-        from repro.verification.encoding import PolynomialReachability
 
-        registry.register_backend(
-            "polynomial", lambda d: d.polynomial, PolynomialReachability.capabilities()
-        )
-        design = Design.from_process(count_process(), registry=registry)
-        with pytest.raises(LookupError):
-            design.check(P.always())
+@pytest.mark.parametrize("value_atom", [False, True], ids=["skeleton", "value-atom"])
+@pytest.mark.parametrize("threshold", [None, 10, 100_000], ids=["default", "10", "100000"])
+@pytest.mark.parametrize("design_name", list(ROUTED_DESIGNS))
+def test_auto_route_is_the_state_bound_rule(design_name, threshold, value_atom):
+    """``backend="auto"`` is symbolic-int exactly when the potential state
+    bound exceeds the threshold, explicit otherwise — value atoms or not."""
+    build, signal = ROUTED_DESIGNS[design_name]
+    design = Design.from_process(build(), symbolic_state_threshold=threshold, cache=None)
+    predicate = (
+        P.absent(signal) | P.value(signal, lambda value: value is not None)
+        if value_atom
+        else P.always()
+    )
+    bound = design.potential_state_bound
+    large = bound is not None and bound > design.symbolic_state_threshold
+    expected = "symbolic-int" if large else "explicit"
+    assert design.backend_info("auto", predicates=(predicate,)).name == expected
+    assert design.check_all(invariants={"p": predicate}).backend_name == expected
 
 
 class TestRegistry:
+    """The fixed table of backend names and the engines behind them."""
+
     def test_default_registry_names_and_capabilities(self):
-        registry = default_registry()
-        assert registry.names() == ["explicit", "polynomial", "symbolic-int"]
-        assert registry.capabilities("explicit").integer_data
-        assert registry.capabilities("explicit").synthesis
-        assert not registry.capabilities("polynomial").synthesis
-        assert registry.capabilities("symbolic-int").integer_data
-        assert not registry.capabilities("symbolic-int").bounded
-        assert registry.capabilities("symbolic-int").synthesis
-
-    def test_register_custom_backend(self):
-        registry = default_registry().copy()
-        built = []
-
-        def factory(design):
-            built.append(design.name)
-            return design.polynomial
-
-        registry.register_backend(
-            "custom", factory, BackendCapabilities(integer_data=False, bounded=True), priority=-1
-        )
-        design = Design.from_process(alternator_process(), registry=registry)
-        report = design.check(P.always())
-        assert report.backend_name == "custom"
-        # The instance is memoised: a second query does not rebuild it.
-        design.check(P.always())
-        assert built == ["Alternator"]
-
-    def test_duplicate_registration_needs_replace(self):
-        registry = default_registry().copy()
-        with pytest.raises(ValueError):
-            registry.register_backend(
-                "explicit", lambda d: d.exploration, BackendCapabilities()
-            )
-        registry.register_backend(
-            "explicit", lambda d: d.exploration, BackendCapabilities(), replace=True
-        )
-        assert registry.capabilities("explicit") == BackendCapabilities()
-
-    def test_auto_is_reserved(self):
-        registry = BackendRegistry()
-        with pytest.raises(ValueError):
-            registry.register_backend("auto", lambda d: d.exploration, BackendCapabilities())
+        """The three engine classes behind the backend names declare the
+        capabilities reports print."""
+        design = Design.from_process(alternator_process())
+        engines = {
+            "explicit": ExplorationResult,
+            "polynomial": PolynomialReachability,
+            "symbolic-int": IntSymbolicReachability,
+        }
+        for name, engine in engines.items():
+            assert design.backend_info(name) == (name, engine.capabilities())
+        assert ExplorationResult.capabilities().integer_data
+        assert ExplorationResult.capabilities().synthesis
+        assert not PolynomialReachability.capabilities().synthesis
+        assert IntSymbolicReachability.capabilities().integer_data
+        assert not IntSymbolicReachability.capabilities().bounded
+        assert IntSymbolicReachability.capabilities().synthesis
 
     def test_unknown_backend_lookup(self):
         design = Design.from_process(alternator_process())
@@ -502,43 +484,35 @@ class TestBatchAPI:
         process = boolean_shift_register_process(10)
         design = Design.from_process(process)
         verdict = design.synthesise(P.absent("s9") | P.present("x"), ["x"])
-        assert design.backend_info("auto", needs_synthesis=True).name == "symbolic-int"
+        assert design.backend_info("auto").name == "symbolic-int"
         small = Design.from_process(boolean_shift_register_process(3))
         explicit = small.synthesise(P.absent("s2") | P.present("x"), ["x"], backend="explicit")
         assert verdict.success == explicit.success
 
 
 class TestLegacyWrappers:
-    def test_invariant_holds_accepts_design(self):
-        design = Design.from_process(boolean_shift_register_process(12))
-        verdict = invariant_holds(design, P.present("s11").implies(P.present("x")))
-        assert verdict.holds
-        # The wrapper rode the facade: symbolic artifacts, no explicit LTS.
-        assert "symbolic_int" in design.artifact_counts
-        assert "exploration" not in design.artifact_counts
-
-    def test_reaction_reachable_accepts_design(self):
-        design = Design.from_process(alternator_process())
-        assert reaction_reachable(design, P.present("flip")).holds
-
     def test_wrapper_routes_value_atoms_to_concrete_backend(self):
         """A value atom on a large boolean design goes to a concrete engine —
         the exhaustive bit-blasted one rather than a truncating explicit
-        exploration."""
+        exploration — and the wrapper checks on the engine it is handed."""
         design = Design.from_process(boolean_shift_register_process(10))
         predicate = P.absent("x") | P.value("x", lambda v: isinstance(v, bool))
-        assert invariant_holds(design, predicate).holds
+        assert invariant_holds(design.backend(), predicate).holds
         assert "symbolic_int" in design.artifact_counts
         assert "exploration" not in design.artifact_counts
-
-    def test_synthesise_with_accepts_design(self):
-        design = Design.from_process(boolean_shift_register_process(3))
-        verdict = synthesise_with(design, P.always(), ["x"])
-        assert verdict.success
 
     def test_non_backend_target_still_rejected(self):
         with pytest.raises(TypeError):
             invariant_holds(42, P.always())
+        design = Design.from_process(alternator_process())
+        for wrapper, arguments in (
+            (invariant_holds, (P.always(),)),
+            (reaction_reachable, (P.present("flip"),)),
+            (synthesise_with, (P.always(), ["tick"])),
+        ):
+            with pytest.raises(TypeError):
+                wrapper(design, *arguments)
+        assert reaction_reachable(design.backend(), P.present("flip")).holds
 
 
 class TestSimulationFacade:

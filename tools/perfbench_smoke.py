@@ -5,11 +5,13 @@ Run from anywhere (CI runs it as ``make perfbench-smoke``)::
     python tools/perfbench_smoke.py
 
 The workloads and the command come from ``BENCHMARK.json``.  Each workload
-runs once for ``SECONDS`` seconds at seed ``SEED`` with ``--trace 0``; the
-gate fails unless the JSON object on the last line of its output reports at
-least one attempted operation and no failed one.  The benchmark runner exits
-0 even when operations fail, so its exit status alone does not show that the
-API path it drives still works.
+runs once for ``SECONDS`` seconds at seed ``SEED`` with ``--trace 0``, and
+the ``TRACED`` workloads once more with ``--trace 1`` (the per-layer path,
+which routes through ``Design.backend_info``); the gate fails unless the
+JSON object on the last line of each run's output reports at least one
+attempted operation and no failed one.  The benchmark runner exits 0 even
+when operations fail, so its exit status alone does not show that the API
+path it drives still works.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Measured seconds per workload, and the seed every run uses.
 SECONDS = 3
 SEED = 1
+#: Workloads also run traced: the symbolic one covers the routed BDD layers.
+TRACED = ("symbolic",)
 #: Seconds one workload's run may take, set-up included, before it fails.
 RUN_TIMEOUT_S = 600
 
@@ -45,9 +49,11 @@ def result_problem(last_line: str) -> Optional[str]:
     return None
 
 
-def run_workload(command: list[str], workload: str) -> Optional[str]:
+def run_workload(command: list[str], workload: str, trace: int = 0) -> Optional[str]:
     """Run one workload; return why it fails the gate, or None."""
-    arguments = ["--workload", workload, "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
+    arguments = [
+        "--workload", workload, "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace),
+    ]
     # The declared command names ``python3``; run it on this interpreter.
     if command and Path(command[0]).name.startswith("python"):
         command = [sys.executable, *command[1:]]
@@ -67,9 +73,12 @@ def run_workload(command: list[str], workload: str) -> Optional[str]:
 def main() -> int:
     declaration = json.loads((ROOT / "BENCHMARK.json").read_text())
     failures = 0
-    for workload in (entry["name"] for entry in declaration["workloads"]):
-        problem = run_workload(declaration["command"], workload)
-        print(f"perfbench {workload}: {'ok' if problem is None else 'FAILED: ' + problem}", flush=True)
+    workloads = [entry["name"] for entry in declaration["workloads"]]
+    runs = [(name, 0) for name in workloads] + [(name, 1) for name in TRACED if name in workloads]
+    for workload, trace in runs:
+        problem = run_workload(declaration["command"], workload, trace)
+        label = f"{workload} (traced)" if trace else workload
+        print(f"perfbench {label}: {'ok' if problem is None else 'FAILED: ' + problem}", flush=True)
         failures += problem is not None
     return 1 if failures else 0
 
