@@ -66,7 +66,7 @@ class NodeBudgetExceeded(RuntimeError):
     is left consistent; benchmarking uses this to demonstrate orderings a
     static encoding cannot survive.  The budget is not enforced *during* a
     reorder (an exception mid-exchange would corrupt the diagram) — growth
-    there is bounded instead by the sifting ``max_growth`` abort factor,
+    there is bounded instead by the sifting ``MAX_GROWTH`` abort factor,
     and auto-reorder checkpoints arm early (at half the budget) so sifting
     gets a chance to shrink the table before the budget can fire.
     """
@@ -270,6 +270,10 @@ class BDDManager:
     _CACHE_RATIO = 4.0
 
     _MIN_CACHE = 1 << 12
+
+    #: Sifting abandons a sweep direction once the live node count exceeds
+    #: this factor times the best count seen.
+    MAX_GROWTH = 1.4
 
     def __init__(
         self,
@@ -909,9 +913,7 @@ class BDDManager:
         self.reorder_threshold = max(self.reorder_threshold, 2 * self._population())
         return True
 
-    def reorder(
-        self, roots: Optional[Iterable[BDDNode]] = None, max_growth: float = 1.4
-    ) -> int:
+    def reorder(self, roots: Optional[Iterable[BDDNode]] = None) -> int:
         """One pass of group-aware Rudell sifting over the live diagrams.
 
         The unique table is first garbage-collected down to the nodes
@@ -922,7 +924,7 @@ class BDDManager:
         singletons) is moved through the order by adjacent level exchanges —
         largest population first — and parked where the total live node
         count is smallest; a sweep direction is abandoned once the count
-        exceeds ``max_growth`` times the best seen.  Live nodes are mutated
+        exceeds :attr:`MAX_GROWTH` times the best seen.  Live nodes are mutated
         in place — same handle, same identifier, same function — so
         references *into the root diagrams* and name-based renaming maps all
         survive.  Returns the live node count after the pass.
@@ -941,7 +943,7 @@ class BDDManager:
             counts = self._live_counts(root_nodes)
             population = {group: sum(counts[name] for name in group) for group in groups}
             for group in sorted(groups, key=lambda g: population[g], reverse=True):
-                self._sift_group(groups, group, max_growth)
+                self._sift_group(groups, group)
             total = self._population()
             self._collect([handle._edge for handle in root_nodes])
         finally:
@@ -976,12 +978,7 @@ class BDDManager:
                 self._swap_adjacent(position)
         groups[index], groups[index + 1] = below, above
 
-    def _sift_group(
-        self,
-        groups: list[tuple[str, ...]],
-        group: tuple[str, ...],
-        max_growth: float,
-    ) -> None:
+    def _sift_group(self, groups: list[tuple[str, ...]], group: tuple[str, ...]) -> None:
         """Sift one group to the position minimising the live table size."""
         position = groups.index(group)
         best_total, best_index = self._population(), position
@@ -991,7 +988,7 @@ class BDDManager:
             total = self._population()
             if total < best_total:
                 best_total, best_index = total, position
-            if total > max_growth * best_total:
+            if total > self.MAX_GROWTH * best_total:
                 break
         while position > 0:  # sweep up, through the start position
             self._swap_groups(groups, position - 1)
@@ -999,7 +996,7 @@ class BDDManager:
             total = self._population()
             if total < best_total:
                 best_total, best_index = total, position
-            if total > max_growth * best_total and position <= best_index:
+            if total > self.MAX_GROWTH * best_total and position <= best_index:
                 break
         while position < best_index:  # park at the best position seen
             self._swap_groups(groups, position)

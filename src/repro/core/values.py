@@ -14,7 +14,7 @@ which is the single value carried by signals of type ``event`` in SIGNAL
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 
 class _Absent:
@@ -115,11 +115,6 @@ def check_value(v: Any) -> Any:
     if not is_value(v):
         raise TypeError(f"not a signal value: {v!r}")
     return v
-
-
-def check_values(values: Iterable[Any]) -> list:
-    """Validate an iterable of values, returning them as a list."""
-    return [check_value(v) for v in values]
 
 
 def render_value(v: Any) -> str:

@@ -17,12 +17,6 @@ from .ast import ProcessDefinition
 from .dsl import ProcessBuilder, const, sig, synchro
 
 
-def _maybe_rename(process: ProcessDefinition, name: Optional[str]) -> ProcessDefinition:
-    if name is None or name == process.name:
-        return process
-    return process.renamed({}, name)
-
-
 def count_process(name: str = "Count") -> ProcessDefinition:
     """The ``Count`` process of Section 2 of the paper.
 

@@ -156,12 +156,3 @@ class Status:
         if self.provides_value and self.value != driven:
             raise ValueError(f"scenario value {driven!r} conflicts with computed value {self.value!r}")
         return Status.present(driven)
-
-
-def status_to_scenario_value(status: Status) -> Any:
-    """Convert a resolved status into the value recorded in traces."""
-    if status.is_present and status.value is not UNKNOWN_VALUE:
-        return status.value
-    if status.is_present:
-        raise ValueError("present signal with unresolved value at end of instant")
-    return ABSENT

@@ -57,7 +57,6 @@ class ExplorationOptions:
         extra_driven: additional signals to drive (e.g. free-clock outputs).
         observed: signals recorded in the transition labels (default: interface).
         max_states: exploration bound (states beyond the bound are not expanded).
-        allow_silent: whether the all-absent stimulus is part of the alphabet.
         on_bound: what to do when ``max_states`` is hit — ``"flag"`` records
             ``bound_reached`` on the result, ``"raise"`` raises
             :class:`BoundReached`.
@@ -68,7 +67,6 @@ class ExplorationOptions:
     extra_driven: Sequence[str] = ()
     observed: Optional[Sequence[str]] = None
     max_states: int = 10000
-    allow_silent: bool = True
     on_bound: str = "flag"
 
     def __post_init__(self) -> None:
@@ -309,12 +307,7 @@ def explore(
         raise ValueError(f"{compiled.name}: cannot observe unknown signals {unknown}")
 
     domains = [_stimulus_domain(compiled, name, options.integer_domain) for name in driven]
-    stimuli: list[dict[str, Any]] = []
-    for combination in product(*domains) if driven else [()]:
-        stimulus = dict(zip(driven, combination))
-        if not options.allow_silent and all(v is ABSENT for v in stimulus.values()):
-            continue
-        stimuli.append(stimulus)
+    stimuli = [dict(zip(driven, combination)) for combination in product(*domains)]
 
     react = compiled.successor(stimuli)
     lts = LTS(compiled.name)
@@ -377,7 +370,7 @@ def explore_product(
     known = set(left_compiled.signal_names) | set(right_compiled.signal_names)
 
     domains = [_stimulus_domain(left_compiled, name, options.integer_domain) for name in driven]
-    stimuli = [dict(zip(driven, combination)) for combination in product(*domains)] if driven else [{}]
+    stimuli = [dict(zip(driven, combination)) for combination in product(*domains)]
 
     observed = list(options.observed) if options.observed is not None else sorted(
         set(left_compiled.output_names) | set(right_compiled.output_names) | set(driven)

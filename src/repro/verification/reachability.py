@@ -76,8 +76,7 @@ class ReactionPredicate:
         express.  Only backends that see concrete values
         (``capabilities().integer_data``: the explicit explorer and the
         bit-blasted symbolic engine) can check it; the polynomial engine
-        cannot, and the workbench auto-selection policy routes such
-        properties to a concrete backend.
+        cannot.  ``backend="auto"`` only ever picks one of the former two.
         """
         return cls("value", name, test)
 
@@ -123,19 +122,6 @@ class ReactionPredicate:
         for operand in self.operands:
             result |= operand.signals()
         return result
-
-    def has_value_atoms(self) -> bool:
-        """True when the predicate tests carried values (``value`` atoms).
-
-        Such predicates need a backend that evaluates concrete reactions; the
-        workbench auto-selection policy uses this to rule out the polynomial
-        engine.
-        """
-        if self.kind == "value":
-            return True
-        if self.kind in ("present", "true", "false", "const"):
-            return False
-        return any(operand.has_value_atoms() for operand in self.operands)
 
     def evaluate(self, reaction: Mapping[str, Any]) -> bool:
         """Interpret the predicate on a concrete reaction."""

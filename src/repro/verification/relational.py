@@ -14,11 +14,12 @@ fragment) contributes its own conjunct; clusters are formed greedily up to
 a node-size bound, and every relational product runs an
 **early-quantification** schedule: a variable is existentially eliminated at
 the last cluster whose support mentions it, so intermediate products never
-carry bits no later conjunct cares about.  The monolithic relation of an
-adversarially ordered design can be exponentially larger than the sum of
-its conjuncts (``benchmarks/bench_variable_ordering.py`` measures exactly
-that), which is why it is never materialised unless explicitly asked for
-(:attr:`PartitionedRelation.monolithic`).
+carry bits no later conjunct cares about.  The relation is never conjoined
+into one BDD: under an adversarial variable order the conjunction itself can
+stay small (3,320 nodes for the depth-18 shuffled register of
+``benchmarks/bench_variable_ordering.py``), but the fold that builds it, one
+conjunct at a time, passes through intermediate products that blow a
+25,000-node budget.
 """
 
 from __future__ import annotations
@@ -40,19 +41,22 @@ def _primed(bit: str) -> str:
     return f"{bit}'"
 
 
+#: Node-count bound up to which adjacent conjuncts are merged into one cluster.
+CLUSTER_SIZE = 600
+
+
 class PartitionedRelation:
     """A conjunctively partitioned relation with early-quantification products.
 
     ``parts`` are the per-equation conjuncts; they are greedily merged into
-    clusters whose BDDs stay below ``cluster_size`` nodes (one monolithic
-    cluster when the caller passes a single pre-conjoined part).  The
-    clusters' supports are computed once; each distinct quantification set
-    gets a cached schedule assigning every quantified variable to the last
-    cluster that mentions it.
+    clusters whose BDDs stay below ``cluster_size`` nodes (``0`` keeps every
+    part its own cluster).  The clusters' supports are computed once; each
+    distinct quantification set gets a cached schedule assigning every
+    quantified variable to the last cluster that mentions it.
     """
 
     def __init__(
-        self, manager: BDDManager, parts: Sequence[BDDNode], cluster_size: int = 600
+        self, manager: BDDManager, parts: Sequence[BDDNode], cluster_size: int = CLUSTER_SIZE
     ) -> None:
         self.manager = manager
         self.clusters: list[BDDNode] = self._cluster(list(parts), cluster_size)
@@ -60,7 +64,6 @@ class PartitionedRelation:
             frozenset(manager.support(cluster)) for cluster in self.clusters
         ]
         self._schedules: dict[frozenset, tuple[frozenset, list[frozenset]]] = {}
-        self._monolithic: Optional[BDDNode] = None
 
     def _cluster(self, parts: list[BDDNode], cluster_size: int) -> list[BDDNode]:
         manager = self.manager
@@ -90,18 +93,6 @@ class PartitionedRelation:
         """Number of conjunctive clusters the relation is kept as."""
         return len(self.clusters)
 
-    @property
-    def monolithic(self) -> BDDNode:
-        """The full conjunction, materialised on first access only.
-
-        Nothing in the pipeline needs it; it exists for callers that want to
-        *measure* the monolithic relation (benchmarks) or feed it to foreign
-        tooling.
-        """
-        if self._monolithic is None:
-            self._monolithic = self.manager.protect(self.manager.conj_all(self.clusters))
-        return self._monolithic
-
     def _schedule(self, quantified: frozenset) -> tuple[frozenset, list[frozenset]]:
         cached = self._schedules.get(quantified)
         if cached is not None:
@@ -125,7 +116,7 @@ class PartitionedRelation:
         quantified variable at the *last* cluster whose support mentions it
         (variables no cluster mentions are quantified out of ``seed`` up
         front) — the early-quantification schedule that keeps intermediate
-        products small where the monolithic conjunction blows up.
+        products small where a conjunct-by-conjunct fold blows up.
         """
         manager = self.manager
         immediate, per_cluster = self._schedule(frozenset(quantified))

@@ -16,9 +16,14 @@ arithmetic compiles onto the bit-vector circuits of :mod:`repro.clocks.bdd`
 ``<``/``<=``/``=``, shift-and-add for ``*``, conditional subtraction for
 ``mod k`` — and the usual relational reading of the language turns every
 equation, clock constraint and stimulus domain into one BDD conjunct of the
-instantaneous relation.  Reachability, invariants, counterexample traces and
-controller synthesis run on the image fixpoint over the partitioned
-relation of :mod:`repro.verification.relational`.
+instantaneous relation.  The stimulus domain — the values driven integer
+inputs take — has one home, the range report's ``integer_domain``: a
+:class:`~repro.workbench.Design` infers its ranges from its
+``ExplorationOptions.integer_domain``, so both engines share one alphabet,
+and a standalone engine built without ``ranges=`` assumes ``(0, 1)``.
+Reachability, invariants, counterexample traces and controller synthesis
+run on the image fixpoint over the partitioned relation of
+:mod:`repro.verification.relational`.
 
 Soundness of declared capacities.  The operational semantics never clips a
 value, so a range declared too small could make the symbolic engine quietly
@@ -58,7 +63,6 @@ from ..signal.ast import (
 )
 from ..simulation.compiler import CompiledProcess
 from .encoding import EncodingError
-from .explorer import ExplorationOptions
 from .invariants import CheckResult
 from .reachability import (
     BackendCapabilities,
@@ -86,15 +90,13 @@ VALUE_ATOM_LIMIT = 1 << 16
 class SymbolicOptions:
     """Parameters of a symbolic exploration.
 
+    The stimulus alphabet of driven integer inputs is not an option here: it
+    travels with the range report (see the module docstring).
+
     Attributes:
-        partition: keep the transition relation conjunctively partitioned
-            (per-equation clusters with early quantification); ``False``
-            materialises the single monolithic relation BDD instead.
         reorder: ``"auto"`` lets the BDD manager re-sift its variable order
             when the unique table outgrows ``reorder_threshold``; ``"off"``
             keeps the static constraint-locality declaration order.
-        cluster_size: node-count bound up to which adjacent partition
-            conjuncts are merged into one cluster.
         reorder_threshold: unique-table population that arms the first
             automatic reorder (doubling afterwards; clamped to half the
             ``node_budget`` when one is set).
@@ -102,21 +104,15 @@ class SymbolicOptions:
             :class:`~repro.clocks.bdd.NodeBudgetExceeded` beyond it (None =
             unbounded; benchmarks use this to bound adversarial orders).
         max_iterations: bound on image-computation rounds (None = fixpoint).
-        integer_domain: stimulus values assumed for driven integer inputs;
-            None follows the explorer's ``ExplorationOptions.integer_domain``
-            (a :class:`~repro.workbench.Design`'s own, or the default).
         ranges: per-signal ``(lo, hi)`` overrides, taking precedence over
             declaration ``bounds`` and inference.
         max_bits: per-signal bit-width cap (wider ranges refuse to encode).
     """
 
-    partition: bool = True
     reorder: str = "auto"
-    cluster_size: int = 600
     reorder_threshold: int = 20000
     node_budget: Optional[int] = None
     max_iterations: Optional[int] = None
-    integer_domain: Optional[Sequence[int]] = None
     ranges: Mapping[str, tuple[int, int]] = field(default_factory=dict)
     max_bits: int = MAX_SIGNAL_BITS
 
@@ -129,12 +125,6 @@ class SymbolicOptions:
             reorder_threshold=self.reorder_threshold,
             node_budget=self.node_budget,
         )
-
-    def stimulus_domain(self) -> Sequence[int]:
-        """``integer_domain``, or the explorer's default when unset."""
-        if self.integer_domain is None:
-            return ExplorationOptions().integer_domain
-        return self.integer_domain
 
 
 # --------------------------------------------------------------------------- bit-vector values
@@ -189,21 +179,9 @@ class IntSymbolicEngine:
         self,
         source: Union[ProcessDefinition, CompiledProcess],
         options: Optional[SymbolicOptions] = None,
-        manager: Optional[BDDManager] = None,
         ranges: Optional[RangeReport] = None,
     ) -> None:
-        self.compiled = source if isinstance(source, CompiledProcess) else CompiledProcess(source)
-        self.options = options or SymbolicOptions()
-        self.manager = manager if manager is not None else self.options.manager()
-        self.ranges: RangeReport = ranges if ranges is not None else infer_ranges(
-            self.compiled, self.options.stimulus_domain(), self.options.ranges
-        )
-        self.signal_names: list[str] = list(self.compiled.signal_names)
-        self._check_widths()
-        self._slot_keys = {id(node): key for key, node in self.compiled.stateful_nodes()}
-        self._slots: dict[str, dict[str, Any]] = {}  # slot name -> layout record
-        self._memo: dict[int, _Sym] = {}
-        self._declare_variables()
+        self._lay_out(source, options, ranges)
         self._build_relation()
 
     @classmethod
@@ -224,20 +202,34 @@ class IntSymbolicEngine:
         if payload is None:
             raise ValueError("rehydrated() needs a snapshot_relation payload")
         engine = cls.__new__(cls)
-        engine.compiled = source if isinstance(source, CompiledProcess) else CompiledProcess(source)
-        engine.options = options or SymbolicOptions()
-        engine.manager = engine.options.manager()
-        engine.ranges = ranges if ranges is not None else infer_ranges(
-            engine.compiled, engine.options.stimulus_domain(), engine.options.ranges
-        )
-        engine.signal_names = list(engine.compiled.signal_names)
-        engine._check_widths()
-        engine._slot_keys = {id(node): key for key, node in engine.compiled.stateful_nodes()}
-        engine._slots = {}
-        engine._memo = {}
-        engine._declare_variables()
+        engine._lay_out(source, options, ranges)
         engine._restore_relation(payload)
         return engine
+
+    def _lay_out(
+        self,
+        source: Union[ProcessDefinition, CompiledProcess],
+        options: Optional[SymbolicOptions],
+        ranges: Optional[RangeReport],
+    ) -> None:
+        """Everything before the relation: process, ranges and bit layout.
+
+        Without ``ranges``, driven integer inputs take
+        :func:`~repro.verification.ranges.infer_ranges`' default stimulus
+        alphabet ``(0, 1)``.
+        """
+        self.compiled = source if isinstance(source, CompiledProcess) else CompiledProcess(source)
+        self.options = options or SymbolicOptions()
+        self.manager = self.options.manager()
+        self.ranges: RangeReport = ranges if ranges is not None else infer_ranges(
+            self.compiled, declared=self.options.ranges
+        )
+        self.signal_names: list[str] = list(self.compiled.signal_names)
+        self._check_widths()
+        self._slot_keys = {id(node): key for key, node in self.compiled.stateful_nodes()}
+        self._slots: dict[str, dict[str, Any]] = {}  # slot name -> layout record
+        self._memo: dict[int, _Sym] = {}
+        self._declare_variables()
 
     def snapshot_relation(self) -> dict:
         """The engine's durable BDDs as one pure-data payload.
@@ -884,31 +876,21 @@ class IntSymbolicEngine:
         self._finalise_relation(parts)
 
     def _finalise_relation(self, parts: Sequence[BDDNode]) -> None:
-        """Install the transition relation from its per-equation ``parts``.
+        """Install the partitioned transition relation from its ``parts``.
 
-        ``partition=False`` in the options collapses everything into one
-        monolithic cluster (the pre-partitioning behaviour, kept as a
-        baseline and an escape hatch); either way the durable artifacts are
-        protected so dynamic reordering optimises for them.
-        :meth:`_build_relation` calls this *last*, with ``instantaneous`` and
-        ``initial`` already set and every other durable BDD (audit relation,
-        clip conditions) already protected — a reordering checkpoint
-        garbage-collects down to exactly that set.
+        The clusters, ``instantaneous`` and ``initial`` are protected so
+        dynamic reordering optimises for them.  :meth:`_build_relation`
+        calls this *last*, with ``instantaneous`` and ``initial`` already set
+        and every other durable BDD (audit relation, clip conditions) already
+        protected — a reordering checkpoint garbage-collects down to exactly
+        that set.
         """
         manager = self.manager
         # Entry checkpoint: the build loops leave construction garbage
-        # behind; collect it (and maybe re-sift) before the clustering /
-        # monolithic folds below add their own conjunctions.
+        # behind; collect it (and maybe re-sift) before clustering adds its
+        # own conjunctions.
         manager.maybe_reorder((self.instantaneous, self.initial, *parts))
-        if not self.options.partition:
-            merged = manager.true
-            for part in parts:
-                merged = manager.conj(merged, part)
-                # The monolithic conjunction is where an adversarial static
-                # order blows up; give sifting a chance between conjuncts.
-                manager.maybe_reorder((merged, self.instantaneous, self.initial, *parts))
-            parts = [merged]
-        self.relation = PartitionedRelation(manager, parts, self.options.cluster_size)
+        self.relation = PartitionedRelation(manager, parts)
         for cluster in self.relation.clusters:
             manager.protect(cluster)
         manager.protect(self.instantaneous)
@@ -1122,11 +1104,6 @@ class IntSymbolicEngine:
         return manager.conj(presence, accepted)
 
     # -- image computation --------------------------------------------------------------
-
-    @property
-    def transition(self) -> BDDNode:
-        """The monolithic transition relation (materialised on demand only)."""
-        return self.relation.monolithic
 
     def image(self, states: BDDNode) -> BDDNode:
         """Successors of ``states`` under the transition relation, unprimed."""

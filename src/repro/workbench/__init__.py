@@ -25,10 +25,11 @@ processes) through the content-addressed persistent cache of
 process-wide default with :func:`configure_cache`.
 
 Verification scales past one interpreter through the job layer
-(:mod:`repro.workbench.jobs`): a :class:`WorkerPool` of spawned OS processes
-runs ``submit``/``map_designs``/``design.check_async`` jobs against a shared
-:class:`DiskArtifactStore`, with priorities, per-job timeouts, cooperative
-cancellation and crash retry — answered as :class:`JobHandle` futures.
+(:mod:`repro.workbench.jobs`): a :class:`WorkerPool` of spawned OS processes,
+created and shut down by its caller, runs ``submit``-ted batch checks
+against a shared :class:`DiskArtifactStore`, with priorities, per-job
+timeouts, cooperative cancellation and crash retry — answered as
+:class:`JobHandle` futures.
 
 The module-level entry points of :mod:`repro.verification` (``explore``,
 ``invariant_holds``, ``synthesise_with``, ...) take an LTS or an engine;
@@ -57,8 +58,6 @@ from .jobs import (
     JobTimeout,
     WorkerCrashed,
     WorkerPool,
-    configure_pool,
-    default_pool,
 )
 
 __all__ = [
@@ -81,7 +80,5 @@ __all__ = [
     "WorkerCrashed",
     "WorkerPool",
     "configure_cache",
-    "configure_pool",
     "default_cache",
-    "default_pool",
 ]

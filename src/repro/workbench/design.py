@@ -458,15 +458,14 @@ class Design:
 
     @property
     def integer_domain(self) -> Sequence[int]:
-        """The stimulus values of driven integer inputs for the BDD engine.
+        """The stimulus values of driven integer inputs, for every engine.
 
-        ``symbolic_options.integer_domain``, or — when unset — the
-        explorer's ``exploration_options.integer_domain``, so both engines
-        describe the same stimulus alphabet (the property the differential
-        suites rely on).
+        The explorer's ``exploration_options.integer_domain``; the BDD
+        engine receives it through :attr:`ranges`, so both engines describe
+        the same stimulus alphabet (the property the differential suites
+        rely on).
         """
-        domain = self.symbolic_options.integer_domain
-        return self.exploration_options.integer_domain if domain is None else domain
+        return self.exploration_options.integer_domain
 
     @property
     def symbolic_int_engine(self) -> IntSymbolicEngine:
@@ -627,32 +626,6 @@ class Design:
             raise ValueError("check_all needs at least one invariant or reachable property")
         return self._run_checks(specs, backend, traces, progress=progress, should_cancel=should_cancel)
 
-    def check_async(
-        self,
-        *properties: PropertyLike,
-        invariants: Optional[PropertiesLike] = None,
-        reachables: Optional[PropertiesLike] = None,
-        pool: Optional[Any] = None,
-        **options: Any,
-    ) -> Any:
-        """Submit this design's check to a worker pool; returns a JobHandle.
-
-        The job runs in a separate OS process (rebuilt from a picklable
-        :class:`~repro.workbench.jobs.protocol.DesignSpec`), so predicates
-        must be picklable — use :class:`~repro.workbench.jobs.Compare` for
-        value atoms instead of lambdas.  ``pool`` defaults to the
-        process-wide :func:`~repro.workbench.jobs.default_pool`; ``options``
-        pass through to :meth:`~repro.workbench.jobs.WorkerPool.submit`
-        (``backend``, ``traces``, ``priority``, ``timeout``, ...).
-        """
-        if pool is None:
-            from .jobs import default_pool
-
-            pool = default_pool()
-        return pool.submit(
-            self, *properties, invariants=invariants, reachables=reachables, **options
-        )
-
     def synthesise(
         self,
         safe: ReactionPredicate,
@@ -667,12 +640,6 @@ class Design:
 
     def _normalise(self, properties: Optional[PropertiesLike], kind: str) -> list[Property]:
         return normalise_properties(properties, kind)
-
-    def to_spec(self) -> Any:
-        """This design's picklable rebuild recipe (for the job layer)."""
-        from .jobs import DesignSpec
-
-        return DesignSpec.from_design(self)
 
     def _run_checks(
         self,

@@ -19,7 +19,7 @@ Quickstart::
         report = handle.result()
 """
 
-from .pool import JobHandle, WorkerPool, configure_pool, default_pool
+from .pool import JobHandle, WorkerPool
 from .protocol import (
     Compare,
     DesignSpec,
@@ -53,7 +53,5 @@ __all__ = [
     "WorkerCrashed",
     "WorkerPool",
     "WorkerReady",
-    "configure_pool",
-    "default_pool",
     "ensure_picklable",
 ]

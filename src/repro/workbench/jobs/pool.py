@@ -10,9 +10,8 @@ worker-side :class:`~repro.workbench.report.Report`.
 The failure taxonomy the pool owns:
 
 * **per-job timeouts** — the run clock starts at the worker's ``started``
-  message; on expiry the worker is killed and respawned, and the job either
-  fails with :class:`~repro.workbench.jobs.protocol.JobTimeout` or requeues
-  (``on_timeout="requeue"``) while its retry budget lasts;
+  message; on expiry the worker is killed and respawned, and the job fails
+  with :class:`~repro.workbench.jobs.protocol.JobTimeout`;
 * **worker crashes** — a dead worker process with a job in flight retries
   the job on a fresh worker up to ``retries`` times, then fails it with
   :class:`~repro.workbench.jobs.protocol.WorkerCrashed`;
@@ -29,14 +28,13 @@ counters come back in each report instead of reading 0 in the parent.
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import multiprocessing
 import os
 import queue as queue_module
 import threading
 import time
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional
 
 from ..report import Report
 from .protocol import (
@@ -49,7 +47,6 @@ from .protocol import (
     JobTimeout,
     WorkerCrashed,
     WorkerReady,
-    as_design_spec,
     ensure_picklable,
     make_check_job,
 )
@@ -71,11 +68,9 @@ class JobHandle:
     """An async future for one submitted job.
 
     ``result()`` blocks for and returns the worker-side
-    :class:`~repro.workbench.report.Report` (or
-    :class:`~repro.verification.reachability.ControlVerdict` for synthesis
-    jobs), re-raising the job's failure otherwise.  ``events`` is the
-    accumulated progress/status stream — the pool also attaches it to the
-    returned report (``report.events``).
+    :class:`~repro.workbench.report.Report`, re-raising the job's failure
+    otherwise.  ``events`` is the accumulated progress/status stream — the
+    pool also attaches it to the returned report (``report.events``).
     """
 
     def __init__(self, spec: JobSpec, pool: "WorkerPool") -> None:
@@ -118,7 +113,7 @@ class JobHandle:
         return self._started.wait(timeout)
 
     def result(self, timeout: Optional[float] = None) -> Any:
-        """The job's report/verdict; raises its failure; raises TimeoutError
+        """The job's report; raises its failure; raises TimeoutError
         when the job is still unfinished after ``timeout`` seconds."""
         if not self._completed.wait(timeout):
             raise TimeoutError(f"job {self.job_id!r} not finished (state: {self._state})")
@@ -186,7 +181,7 @@ class WorkerPool:
             boundary and are rejected.
         job_timeout: default per-job timeout (seconds of run time) applied
             when a submission does not set its own; None = no timeout.
-        retries: default retry budget per job for crashes and requeues.
+        retries: default retry budget per job for worker crashes.
         name: prefix of the worker process names (shows up in reports).
     """
 
@@ -327,7 +322,6 @@ class WorkerPool:
         traces: bool = False,
         priority: int = 0,
         timeout: Optional[float] = None,
-        on_timeout: str = "fail",
         retries: Optional[int] = None,
         job_id: Optional[str] = None,
     ) -> JobHandle:
@@ -336,8 +330,8 @@ class WorkerPool:
         ``design`` is a Design, a DesignSpec or a bare ProcessDefinition;
         properties follow the ``Design.check``/``check_all`` forms.  Higher
         ``priority`` runs first.  ``timeout`` (default: the pool's
-        ``job_timeout``) kills the worker on expiry, after which
-        ``on_timeout`` picks between failing and requeueing.
+        ``job_timeout``) kills the worker on expiry and fails the job with
+        :class:`~repro.workbench.jobs.protocol.JobTimeout`.
         """
         seq = next(self._seq)
         spec = make_check_job(
@@ -351,38 +345,6 @@ class WorkerPool:
             traces=traces,
             priority=priority,
             timeout=timeout if timeout is not None else self.job_timeout,
-            on_timeout=on_timeout,
-            retries=self.retries if retries is None else retries,
-        )
-        return self._submit_spec(spec)
-
-    def submit_synthesis(
-        self,
-        design: Any,
-        safe: Any,
-        controllable: Sequence[str],
-        ensure_nonblocking: bool = True,
-        backend: str = "auto",
-        priority: int = 0,
-        timeout: Optional[float] = None,
-        on_timeout: str = "fail",
-        retries: Optional[int] = None,
-        job_id: Optional[str] = None,
-    ) -> JobHandle:
-        """Queue a controller-synthesis job (result: a ControlVerdict)."""
-        seq = next(self._seq)
-        spec = JobSpec(
-            seq=seq,
-            job_id=job_id or f"job-{seq}",
-            design=as_design_spec(design),
-            kind="synthesise",
-            safe=safe,
-            controllable=tuple(controllable),
-            ensure_nonblocking=ensure_nonblocking,
-            backend=backend,
-            priority=priority,
-            timeout=timeout if timeout is not None else self.job_timeout,
-            on_timeout=on_timeout,
             retries=self.retries if retries is None else retries,
         )
         return self._submit_spec(spec)
@@ -399,39 +361,6 @@ class WorkerPool:
             self._queue.push(spec)
             self._dispatch()
         return handle
-
-    def map_designs(
-        self,
-        designs: Iterable[Any],
-        *properties: Any,
-        invariants: Any = None,
-        reachables: Any = None,
-        backend: str = "auto",
-        traces: bool = False,
-        priority: int = 0,
-        timeout: Optional[float] = None,
-        result_timeout: Optional[float] = None,
-    ) -> list[Any]:
-        """Run the same query over many designs; reports in submission order.
-
-        The whole fan-out is queued up front, so k designs share the pool's
-        full width; failures propagate when the corresponding result is
-        collected.
-        """
-        handles = [
-            self.submit(
-                design,
-                *properties,
-                invariants=invariants,
-                reachables=reachables,
-                backend=backend,
-                traces=traces,
-                priority=priority,
-                timeout=timeout,
-            )
-            for design in designs
-        ]
-        return [handle.result(result_timeout) for handle in handles]
 
     # -- cancellation -----------------------------------------------------------------
 
@@ -501,8 +430,8 @@ class WorkerPool:
                 slot.deadline = None
             if handle.state in _TERMINAL:
                 return
-            # A late result racing a timeout-requeue is still a valid
-            # answer: accept it and drop the queued retry.
+            # A late result racing a crash retry is still a valid answer:
+            # accept it and drop the queued retry.
             self._queue.cancel(message.seq)
             self.stats["cache_hits"] += message.cache_hits
             self.stats["cache_misses"] += message.cache_misses
@@ -545,20 +474,14 @@ class WorkerPool:
                 self._slots[index] = self._spawn_slot(index, slot)
             if handle is None or handle.state in _TERMINAL:
                 continue
-            if job.on_timeout == "requeue" and job.retries > 0:
-                self.stats["retries"] += 1
-                handle._event("timeout", action="requeued", retries_left=job.retries - 1)
-                handle._mark_requeued()
-                self._queue.push(job.requeued())
-            else:
-                handle._event("timeout", action="failed")
-                handle._finish(
-                    TIMEOUT,
-                    error=JobTimeout(
-                        f"job {job.job_id} exceeded its {job.timeout:.3g}s timeout "
-                        f"(worker {slot.name} killed)"
-                    ),
-                )
+            handle._event("timeout", action="failed")
+            handle._finish(
+                TIMEOUT,
+                error=JobTimeout(
+                    f"job {job.job_id} exceeded its {job.timeout:.3g}s timeout "
+                    f"(worker {slot.name} killed)"
+                ),
+            )
 
     def _reap_workers(self) -> None:
         if self._stopping:
@@ -660,42 +583,3 @@ def _stop_process(process: Any) -> None:
         process.kill()
         process.join(1.0)
 
-
-# --------------------------------------------------------------------------- the process default
-
-_default_pool: Optional[WorkerPool] = None
-_atexit_registered = False
-
-
-def default_pool() -> WorkerPool:
-    """The lazily created process-wide pool ``Design.check_async`` uses.
-
-    Sized to the schedulable cores (capped at 4) and shut down at
-    interpreter exit; replace it with :func:`configure_pool`.
-    """
-    global _default_pool, _atexit_registered
-    if _default_pool is None or _default_pool.closed:
-        _default_pool = WorkerPool(name="default")
-        if not _atexit_registered:
-            atexit.register(_shutdown_default_pool)
-            _atexit_registered = True
-    return _default_pool
-
-
-def configure_pool(pool: Optional[WorkerPool]) -> Optional[WorkerPool]:
-    """Install (or, with None, clear) the process-wide default pool.
-
-    Returns the previously installed pool — the caller decides whether to
-    shut it down.
-    """
-    global _default_pool
-    previous = _default_pool
-    _default_pool = pool
-    return previous
-
-
-def _shutdown_default_pool() -> None:
-    global _default_pool
-    if _default_pool is not None and not _default_pool.closed:
-        _default_pool.shutdown(wait=False)
-    _default_pool = None

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from ...signal.ast import ProcessDefinition
 from ...verification.explorer import ExplorationOptions
-from ...verification.reachability import ReactionPredicate
 from ...verification.symbolic_int import SymbolicOptions
 from ..report import Property, normalise_properties
 
@@ -180,54 +179,38 @@ def as_design_spec(design: Any) -> DesignSpec:
 
 # --------------------------------------------------------------------------- job specs
 
-#: What a timed-out job does after its worker is killed.
-TIMEOUT_POLICIES = ("fail", "requeue")
-
-
 @dataclass
 class JobSpec:
     """One verification job, as shipped to a worker.
 
-    ``kind`` is ``"check"`` (batch invariants/reachables through
-    ``Design.check_all``) or ``"synthesise"``.  ``priority`` is
-    higher-runs-first; ``timeout`` is wall-clock seconds of *run* time
-    before the worker is killed, with ``on_timeout`` deciding between
-    failing the job (:class:`JobTimeout`) and requeueing it while
-    ``retries`` last.  ``retries`` is also the budget for worker crashes.
+    The job is a batch check of invariants/reachables through
+    ``Design.check_all``.  ``priority`` is higher-runs-first; ``timeout`` is
+    wall-clock seconds of *run* time before the worker is killed and the job
+    fails with :class:`JobTimeout`; ``retries`` is the budget for re-running
+    the job after a worker crash.
     """
 
     seq: int
     job_id: str
     design: DesignSpec
-    kind: str = "check"
     invariants: tuple[Property, ...] = ()
     reachables: tuple[Property, ...] = ()
     backend: str = "auto"
     traces: bool = False
-    safe: Optional[ReactionPredicate] = None
-    controllable: tuple[str, ...] = ()
-    ensure_nonblocking: bool = True
     priority: int = 0
     timeout: Optional[float] = None
-    on_timeout: str = "fail"
     retries: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("check", "synthesise"):
-            raise ValueError(f"job kind must be 'check' or 'synthesise', not {self.kind!r}")
-        if self.on_timeout not in TIMEOUT_POLICIES:
-            raise ValueError(f"on_timeout must be one of {TIMEOUT_POLICIES}, not {self.on_timeout!r}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, not {self.timeout!r}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, not {self.retries!r}")
-        if self.kind == "check" and not (self.invariants or self.reachables):
+        if not (self.invariants or self.reachables):
             raise ValueError("a check job needs at least one invariant or reachable property")
-        if self.kind == "synthesise" and self.safe is None:
-            raise ValueError("a synthesise job needs a safe predicate")
 
     def requeued(self) -> "JobSpec":
-        """A copy with one retry spent (for requeue-after-timeout/crash)."""
+        """A copy with one retry spent (for a retry after a worker crash)."""
         return replace(self, retries=self.retries - 1)
 
 
@@ -248,7 +231,6 @@ def make_check_job(
         seq=seq,
         job_id=job_id,
         design=as_design_spec(design),
-        kind="check",
         invariants=specs_invariants,
         reachables=specs_reachables,
         **options,

@@ -5,9 +5,9 @@ that have been submitted but not yet dispatched to a worker.  Ordering is
 **higher priority first**, submission order within a priority (a heap over
 ``(-priority, seq)``).  Cancellation is lazy: :meth:`cancel` marks the
 sequence number and :meth:`pop` silently drops marked entries — removing
-from the middle of a heap would cost a rebuild, and requeued jobs (timeout /
-crash retries) re-enter with their original sequence number, so the mark
-also covers a cancel racing a retry.
+from the middle of a heap would cost a rebuild, and requeued jobs (crash
+retries) re-enter with their original sequence number, so the mark also
+covers a cancel racing a retry.
 
 The queue is thread-safe (pool callers: the submitting thread, the service
 thread, and ``cancel`` from any thread) but deliberately in-process only —

@@ -11,7 +11,7 @@ pool process.  A worker:
 * rebuilds a fresh :class:`~repro.workbench.design.Design` per job from the
   pickled :class:`~repro.workbench.jobs.protocol.DesignSpec`, runs the
   query through the **same** facade code the in-process path uses
-  (``check_all`` / ``synthesise``), and streams progress events back;
+  (``check_all``), and streams progress events back;
 * polls the shared cancel cell between properties — the cooperative
   cancellation point — and reports ``status="cancelled"`` when it fires;
 * converts any worker-side exception into a ``status="failed"`` message
@@ -70,27 +70,14 @@ def _run_job(
         if cancelled():
             raise CheckCancelled(f"job {spec.job_id} cancelled before it started")
         design = spec.design.build(cache=store)
-        if spec.kind == "synthesise":
-            verdict = design.synthesise(
-                spec.safe,
-                list(spec.controllable),
-                ensure_nonblocking=spec.ensure_nonblocking,
-                backend=spec.backend,
-            )
-            # The backend field carries live engine artifacts (BDD roots,
-            # synthesis LTSs) that must not cross the process boundary.
-            verdict.backend = None
-            emit("synthesis", {"success": verdict.success, "kept": verdict.kept_states})
-            result = verdict
-        else:
-            result = design.check_all(
-                invariants=list(spec.invariants) or None,
-                reachables=list(spec.reachables) or None,
-                backend=spec.backend,
-                traces=spec.traces,
-                progress=emit,
-                should_cancel=cancelled,
-            )
+        result = design.check_all(
+            invariants=list(spec.invariants) or None,
+            reachables=list(spec.reachables) or None,
+            backend=spec.backend,
+            traces=spec.traces,
+            progress=emit,
+            should_cancel=cancelled,
+        )
         hits, misses = design.cache_stats["hits"], design.cache_stats["misses"]
     except CheckCancelled as interruption:
         status, error_message = "cancelled", str(interruption)

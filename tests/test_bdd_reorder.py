@@ -230,7 +230,7 @@ class TestBudgetAndAutoTrigger:
         # node_budget=10000 < the default reorder_threshold of 20000.
         result = symbolic_int_explore(
             builder.build(),
-            SymbolicOptions(partition=True, reorder="auto", node_budget=10000),
+            SymbolicOptions(reorder="auto", node_budget=10000),
         )
         assert result.complete and result.state_count == 2 ** 12
         assert result.statistics()["reorders"] >= 1

@@ -3,7 +3,7 @@
 The :class:`WorkerPool` tests run real spawned worker processes, so every
 pool-touching test carries the ``timeout`` guard marker — a regressed queue
 or service loop must *fail* in CI, not hang it.  The failure-taxonomy tests
-(worker killed mid-fixpoint, job timeout with fail/requeue policies,
+(worker killed mid-fixpoint, job timeout,
 cancellation before and after start) each use a small dedicated pool whose
 single worker they are allowed to break; the happy-path tests share one
 module-scoped pool wired to a :class:`DiskArtifactStore`, which also pins
@@ -21,7 +21,6 @@ import pytest
 
 from repro.signal.library import (
     alternator_process,
-    boolean_shift_register_process,
     modulo_counter_process,
     saturating_accumulator_process,
 )
@@ -155,17 +154,11 @@ class TestProtocol:
         design = DesignSpec(process=alternator_process())
         prop = (Property.invariant("t", P.always()),)
         with pytest.raises(ValueError):
-            JobSpec(seq=0, job_id="j", design=design, kind="mystery", invariants=prop)
-        with pytest.raises(ValueError):
-            JobSpec(seq=0, job_id="j", design=design, invariants=prop, on_timeout="retry")
-        with pytest.raises(ValueError):
             JobSpec(seq=0, job_id="j", design=design, invariants=prop, timeout=0)
         with pytest.raises(ValueError):
             JobSpec(seq=0, job_id="j", design=design, invariants=prop, retries=-1)
         with pytest.raises(ValueError):
             JobSpec(seq=0, job_id="j", design=design)  # a check needs properties
-        with pytest.raises(ValueError):
-            JobSpec(seq=0, job_id="j", design=design, kind="synthesise")  # needs safe
 
     def test_requeued_spends_one_retry(self):
         job = make_job(0)
@@ -227,37 +220,12 @@ class TestWorkerPool:
             assert expected in kinds, kinds
         assert "events:" in report.summary()
 
-    def test_map_designs_keeps_order(self, pool):
-        designs = [
-            Design.from_process(boolean_shift_register_process(3), cache=None),
-            counter_design(),
-        ]
-        reports = pool.map_designs(designs, P.always(), result_timeout=90)
-        assert [r.design_name for r in reports] == [d.name for d in designs]
-        assert all(r.all_hold for r in reports)
-
-    def test_check_async_facade(self, pool):
-        handle = counter_design().check_async(
-            P.absent("n") | P.value("n", Compare("<=", 4)), pool=pool
-        )
-        assert handle.result(90).all_hold
-
     def test_worker_errors_propagate(self, pool):
         handle = pool.submit(counter_design(), P.present("no_such_signal"))
         with pytest.raises(JobFailed, match="no_such_signal"):
             handle.result(90)
         assert handle.state == "failed"
         assert handle.exception().error_type == "KeyError"
-
-    def test_synthesis_job(self, pool):
-        design = Design.from_process(boolean_shift_register_process(5), cache=None)
-        safe = P.absent("s4") | P.present("x")
-        verdict = pool.submit_synthesis(design, safe, ["x"]).result(90)
-        local = Design.from_process(boolean_shift_register_process(5), cache=None).synthesise(
-            safe, ["x"]
-        )
-        assert verdict.success == local.success
-        assert verdict.backend is None  # live engine artifacts must not cross
 
     def test_cache_counters_aggregate_into_report(self, pool):
         # Fresh Design objects, same content: the second job must be served
@@ -309,20 +277,6 @@ class TestFailureTaxonomy:
             # The replacement worker keeps the pool serviceable.
             assert small.submit(counter_design(), P.always()).result(90).all_hold
             assert small.statistics()["timeouts"] == 1
-
-    def test_timeout_requeue_spends_retries_then_fails(self, tmp_path):
-        with WorkerPool(1, name="rq", cache=str(tmp_path)) as small:
-            handle = small.submit(
-                slow_design(), *SLOW_PROPS, backend=SLOW_BACKEND,
-                timeout=0.4, on_timeout="requeue", retries=1,
-            )
-            with pytest.raises(JobTimeout):
-                handle.result(120)
-            statistics = small.statistics()
-            assert statistics["timeouts"] == 2  # the original run and the retry
-            assert statistics["retries"] == 1
-            kinds = [event["kind"] for event in handle.events]
-            assert kinds.count("timeout") == 2
 
     def test_worker_killed_mid_fixpoint_retries_and_succeeds(self, tmp_path):
         # The satellite pin: a SIGKILL mid-fixpoint over a shared disk store

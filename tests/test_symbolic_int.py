@@ -303,7 +303,9 @@ class TestSoundnessRegressions:
         explicit = explore(
             process, ExplorationOptions(extra_driven=["val"], integer_domain=(0, 1))
         )
-        result = symbolic_int_explore(process, SymbolicOptions(integer_domain=(0, 1)))
+        result = IntSymbolicEngine(
+            process, ranges=infer_ranges(process, integer_domain=(0, 1))
+        ).reach()
         assert explicit.complete and result.complete
         for predicate in (
             P.value("val", lambda v: v == 8),
@@ -491,7 +493,9 @@ class TestMultiplication:
 
         domain = (0, 1, 2, 3)
         explicit = explore(process, ExplorationOptions(integer_domain=domain))
-        result = symbolic_int_explore(process, SymbolicOptions(integer_domain=domain))
+        result = IntSymbolicEngine(
+            process, ranges=infer_ranges(process, integer_domain=domain)
+        ).reach()
         for k in range(-1, 11):
             expected = explicit.check_reachable(P.value("p", lambda v, k=k: v == k)).holds
             assert result.check_reachable(P.value("p", lambda v, k=k: v == k)).holds == expected, k
@@ -543,7 +547,7 @@ class TestComparisonRefinementEdges:
         from repro.verification import ExplorationOptions
 
         explicit = explore(process, ExplorationOptions(integer_domain=domain))
-        result = symbolic_int_explore(process, SymbolicOptions(integer_domain=domain))
+        result = IntSymbolicEngine(process, ranges=report).reach()
         assert result.complete
         for k in range(-5, 4):
             predicate = P.value("y", lambda v, k=k: v == k)
@@ -567,10 +571,8 @@ class TestComparisonRefinementEdges:
         domain = (0, 1, 2, 3)
         report = infer_ranges(process, integer_domain=domain)
         assert report.range_of("y") == (2, 2)
-        engine_result = symbolic_int_explore(process, SymbolicOptions(integer_domain=domain))
-        from repro.verification.symbolic_int import IntSymbolicEngine
-
-        engine = IntSymbolicEngine(process, SymbolicOptions(integer_domain=domain))
+        engine = IntSymbolicEngine(process, ranges=report)
+        engine_result = engine.reach()
         assert engine._signal_bit_names("y") == ["y.p"]  # presence only, zero value bits
         from repro.verification import ExplorationOptions
 
@@ -595,7 +597,7 @@ class TestComparisonRefinementEdges:
         from repro.verification import ExplorationOptions
 
         explicit = explore(process, ExplorationOptions(integer_domain=domain))
-        result = symbolic_int_explore(process, SymbolicOptions(integer_domain=domain))
+        result = IntSymbolicEngine(process, ranges=report).reach()
         assert result.complete
         for k in (0, 1, 2, 3, 6, 7):
             predicate = P.value("y", lambda v, k=k: v == k)

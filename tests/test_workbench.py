@@ -301,8 +301,10 @@ class TestAutoSelection:
         assert reorders[2000] >= 1
         assert reorders[None] == 0
 
-    def test_unset_integer_domain_follows_the_explorer(self):
-        """An unset SymbolicOptions.integer_domain takes the explorer's."""
+    def test_one_integer_domain_for_both_engines(self):
+        """``ExplorationOptions.integer_domain`` is the one stimulus alphabet:
+        the BDD engine takes it through the design's range report, so
+        ``explicit`` and ``symbolic-int`` agree on it."""
         builder = ProcessBuilder("Adder")
         x = builder.input("x", "integer")
         builder.define(builder.output("y", "integer"), x + const(1))
@@ -311,13 +313,25 @@ class TestAutoSelection:
             exploration_options=ExplorationOptions(integer_domain=(0, 1, 2)),
             cache=None,
         )
-        assert design.symbolic_options.integer_domain is None
         assert tuple(design.integer_domain) == (0, 1, 2)
+        assert design.ranges.integer_domain == (0, 1, 2)
+        assert design.symbolic_int_engine.ranges is design.ranges
         assert design.ranges.range_of("y") == (1, 3)
-        report = design.check_all(
-            reachables={"y-reaches-3": P.value("y", lambda v: v == 3)}, backend="symbolic-int"
-        )
-        assert report.all_hold
+        reachables = {
+            f"y-reaches-{k}": P.value("y", lambda v, k=k: v == k) for k in range(5)
+        }
+        verdicts = {
+            backend: {
+                check.name: check.result.holds
+                for check in design.check_all(reachables=reachables, backend=backend).checks
+            }
+            for backend in ("explicit", "symbolic-int")
+        }
+        assert verdicts["explicit"] == verdicts["symbolic-int"]
+        assert verdicts["explicit"] == {
+            "y-reaches-0": False, "y-reaches-1": True, "y-reaches-2": True,
+            "y-reaches-3": True, "y-reaches-4": False,
+        }
 
     def test_small_boolean_process_prefers_explicit_reference(self):
         design = Design.from_process(alternator_process())
@@ -549,9 +563,6 @@ class TestValuePredicate:
         assert not predicate.evaluate({"load": 3})
         assert not predicate.evaluate({})
         assert predicate.signals() == {"load"}
-        assert predicate.has_value_atoms()
-        assert (~predicate).has_value_atoms()
-        assert not P.present("load").has_value_atoms()
 
     def test_explicit_check_with_value_atom_through_facade(self):
         builder = ProcessBuilder("Adder")

@@ -218,7 +218,7 @@ class TestKeys:
     def test_options_change_the_fingerprint(self):
         design = Design.from_process(modulo_counter_process(5), cache=None)
         before = artifact_key(design, "symbolic_int")
-        design.symbolic_options = SymbolicOptions(cluster_size=7)
+        design.symbolic_options = SymbolicOptions(reorder_threshold=7)
         assert artifact_key(design, "symbolic_int") != before
         # ...but the options do not touch the design identity itself.
         assert artifact_key(design, "encoding").startswith(design_key(design))
