@@ -63,15 +63,18 @@ def test_bench_symbolic_int_reachability(benchmark, counters, modulo):
 def test_symbolic_int_completes_where_explicit_raises():
     """The headline claim: an integer state space only the new engine finishes.
 
-    The 8^4 = 4096-state bank makes the explicit explorer raise
-    ``BoundReached`` at ``max_states=400``, and it has no Z/3Z encoding
+    The 8^4 = 4096-state bank truncates the explicit explorer at
+    ``max_states=400`` (its verdicts then refuse with ``BoundReached``), and
+    it has no Z/3Z encoding
     (``encode_process`` raises ``EncodingError``); the finite-integer engine
     computes the exact reachable set — more than 10x beyond the explicit bound.
     """
     counters, modulo, bound = 4, 8, 400
     process = counter_bank(counters, modulo)
+    explicit = explore(process, ExplorationOptions(max_states=bound))
+    assert not explicit.complete
     with pytest.raises(BoundReached):
-        explore(process, ExplorationOptions(max_states=bound, on_bound="raise"))
+        explicit.check_invariant(ReactionPredicate.always())
     with pytest.raises(EncodingError):
         encode_process(process)  # integer data: no Z/3Z encoding exists
     result = symbolic_int_explore(process)

@@ -20,7 +20,6 @@ from repro.core.values import ABSENT
 from repro.signal.ast import compose
 from repro.signal.library import boolean_shift_register_process, modulo_counter_process
 from repro.verification import (
-    BoundReached,
     ExplorationOptions,
     ReactionPredicate,
     explore,
@@ -88,17 +87,18 @@ def test_symbolic_trace_extraction_past_the_explicit_bound():
     """The headline claim: full traces on a design the explicit engine cannot finish.
 
     With ``max_states=1000`` the explicit explorer cannot construct the
-    16384-state register's state space at all (``on_bound="raise"`` turns
-    the truncation into BoundReached — any answer off a truncated LTS is
-    about a different plant), while the symbolic engine both completes the
+    16384-state register's state space at all (the exploration is flagged
+    incomplete, and its "no trace" answers refuse with BoundReached — any
+    such answer off a truncated LTS is about a different plant), while the
+    symbolic engine both completes the
     reachable set and, from the frontier rings its fixpoint stored anyway,
     walks out a full 15-step counterexample trace.
     """
     depth, bound = 14, 1000
     process = boolean_shift_register_process(depth)
 
-    with pytest.raises(BoundReached):
-        explore(process, ExplorationOptions(max_states=bound, on_bound="raise"))
+    explicit = explore(process, ExplorationOptions(max_states=bound))
+    assert not explicit.complete
 
     symbolic = symbolic_int_explore(process)
     assert symbolic.complete

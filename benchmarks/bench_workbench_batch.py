@@ -3,8 +3,8 @@
 The point of the Design facade is that k properties share one reachable set:
 ``design.check_all`` pays for the relation build and the BDD fixpoint (or the
 explicit exploration) exactly once, then answers each property with a cheap
-query, whereas the pre-workbench idiom — a loop of ``invariant_holds`` calls,
-each against a freshly computed backend — pays the fixpoint k times.  These
+query, whereas the pre-workbench idiom — a loop of ``check_invariant`` calls,
+each against a freshly computed engine — pays the fixpoint k times.  These
 benchmarks measure both sides of that trade on scaled boolean shift registers
 and assert the crossover directly.
 """
@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.signal.library import boolean_shift_register_process
-from repro.verification import ReactionPredicate, invariant_holds, symbolic_int_explore
+from repro.verification import ReactionPredicate, symbolic_int_explore
 from repro.workbench import Design
 
 
@@ -52,7 +52,7 @@ def test_bench_naive_per_property_loop(benchmark, depth, k):
 
     def run():
         return [
-            invariant_holds(symbolic_int_explore(process), predicate, name)
+            symbolic_int_explore(process).check_invariant(predicate, name)
             for name, predicate in properties.items()
         ]
 
@@ -82,7 +82,7 @@ def test_batch_beats_naive_loop():
 
     started = time.perf_counter()
     for name, predicate in properties.items():
-        assert invariant_holds(symbolic_int_explore(process), predicate, name).holds
+        assert symbolic_int_explore(process).check_invariant(predicate, name).holds
     naive_seconds = time.perf_counter() - started
 
     assert batch_seconds < naive_seconds, (

@@ -75,14 +75,17 @@ def test_bench_sigali_encoding_and_invariant(benchmark):
 
     system, holds = benchmark(run)
     assert holds
-    assert len(system.reachable_states()) == 2
+    explored = system.explore()
+    assert explored.complete
+    assert explored.state_count == 2
 
 
 def test_bench_sigali_reachability(benchmark):
     """Reachable ternary state space of the edge detector."""
     system = encode_process(edge_detector_process())
-    states = benchmark(lambda: system.reachable_states())
-    assert 1 <= len(states) <= 3
+    explored = benchmark(lambda: system.explore())
+    assert explored.complete
+    assert 1 <= explored.state_count <= 3
 
 
 def test_sigali_detects_violated_invariant():

@@ -19,7 +19,7 @@ Run with:  python examples/controller_synthesis.py
 """
 
 from repro.signal.dsl import ProcessBuilder, const
-from repro.verification import ExplorationOptions, ReactionPredicate, check_invariant_labels
+from repro.verification import ExplorationOptions, ReactionPredicate
 from repro.workbench import Design
 
 
@@ -57,8 +57,8 @@ def main() -> None:
     report = design.check_all(
         invariants={f"load <= {capacity}": within_capacity}, traces=True
     )
-    lts = design.exploration.lts
-    print(f"explored plant: {lts.state_count()} states, {lts.transition_count()} transitions")
+    plant = design.exploration
+    print(f"explored plant: {plant.state_count} states, {plant.transition_count} transitions")
     print(f"model checking the free system ({report.backend_name} backend):")
     print(report.summary())
     print()
@@ -74,9 +74,11 @@ def main() -> None:
     print(f"controller synthesis: {verdict.explain()}")
 
     synthesis = verdict.backend  # the explicit SynthesisResult artefact
-    closed_loop = synthesis.controller.restrict(lts)
-    verdict_closed = check_invariant_labels(
-        closed_loop, within_capacity, f"load <= {capacity} (closed loop)"
+    # The closed loop is an exploration like the plant (complete, same
+    # alphabet), so checking it is one more engine call.
+    closed_loop = synthesis.controller.restrict(plant)
+    verdict_closed = closed_loop.check_invariant(
+        within_capacity, f"load <= {capacity} (closed loop)"
     )
     print(f"model checking the controlled system: {verdict_closed.explain()}")
     print()

@@ -27,6 +27,7 @@ from ..simulation.traces import Trace
 from ..verification.bisimulation import BisimulationResult, check_bisimulation
 from ..verification.explorer import ExplorationOptions, explore
 from ..verification.observer import FlowObserver, ObserverVerdict
+from ..verification.reachability import BoundReached
 from .architecture_level import ArchitectureRun, run_architecture, run_gals_architecture
 from .communication_level import CommunicationRun, run_communication
 from .rtl_level import RtlRun, rtl_ones_process, run_rtl
@@ -238,6 +239,10 @@ def check_rtl_bisimulation(
     reachable, observation-projected systems is the paper's RTL-level
     obligation; passing ``implementation`` lets the tests and benchmarks
     substitute a mutated FSM and watch the check fail.
+
+    Raises:
+        BoundReached: when either exploration is truncated at ``max_states``
+            — a verdict on truncated systems would be about other systems.
     """
     from .rtl_level import rtl_reference_process
 
@@ -248,9 +253,17 @@ def check_rtl_bisimulation(
         observed=["outport", "done", "ack_istart"],
         max_states=max_states,
     )
-    implementation_lts = explore(implementation or rtl_ones_process(), options).lts
-    reference_lts = explore(rtl_reference_process(), options).lts
-    return check_bisimulation(implementation_lts, reference_lts, observed=["outport", "done", "ack_istart"])
+    implementation_run = explore(implementation or rtl_ones_process(), options)
+    reference_run = explore(rtl_reference_process(), options)
+    truncated = [run.lts.name for run in (implementation_run, reference_run) if not run.complete]
+    if truncated:
+        raise BoundReached(
+            f"RTL bisimulation: exploration of {truncated} truncated at "
+            f"max_states={max_states}; raise the bound"
+        )
+    return check_bisimulation(
+        implementation_run.lts, reference_run.lts, observed=["outport", "done", "ack_istart"]
+    )
 
 
 def ablation_drop_handshake(

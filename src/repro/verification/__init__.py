@@ -1,7 +1,12 @@
 """The Sigali-like verification substrate: explicit and symbolic (bit-blasted
-BDD) state-space exploration behind one Reachability interface, invariant and
-reachability checking, bisimulation, observer-based flow-equivalence
-checking, controller synthesis and the Z/3Z polynomial encoding."""
+BDD) state-space exploration behind one Reachability interface, bisimulation,
+observer-based flow-equivalence checking and the Z/3Z polynomial encoding.
+
+Invariant, reachability, trace and controller-synthesis verdicts come only
+from the engines' own methods (``check_invariant``, ``check_reachable``,
+``trace_to``, ``synthesise``), which refuse with :class:`BoundReached` when
+the analysis was truncated; no module-level function answers them on a bare
+:class:`LTS`."""
 
 from .bisimulation import BisimulationResult, check_bisimulation, quotient
 from .encoding import (
@@ -11,24 +16,11 @@ from .encoding import (
     SigaliEncoder,
     encode_process,
 )
-from .explorer import BoundReached, ExplorationOptions, ExplorationResult, explore, explore_product
-from .invariants import (
-    CheckResult,
-    always_eventually,
-    invariant_holds,
-    reaction_reachable,
-    check_invariant_labels,
-    check_invariant_states,
-    check_reachable,
-    check_reaction_reachable,
-    deadlock_free,
-    states_satisfying_af,
-    states_satisfying_ag,
-    states_satisfying_ef,
-)
+from .explorer import ExplorationOptions, ExplorationResult, explore, explore_product
 from .lts import LTS, Label, Transition, label_to_dict, make_label
 from .reachability import (
-    BackendCapabilities,
+    BoundReached,
+    CheckResult,
     ControlVerdict,
     Reachability,
     ReactionPredicate,
@@ -52,15 +44,7 @@ from .symbolic_int import (
     SymbolicOptions,
     symbolic_int_explore,
 )
-from .synthesis import (
-    Controller,
-    SynthesisObjective,
-    SynthesisResult,
-    controllable_by_signals,
-    safety_from_labels,
-    synthesise,
-    synthesise_with,
-)
+from .synthesis import Controller, SynthesisResult
 from .z3z import (
     ABSENT_CODE,
     FALSE_CODE,
@@ -83,7 +67,6 @@ from .z3z import (
 
 __all__ = [
     "ABSENT_CODE",
-    "BackendCapabilities",
     "BisimulationResult",
     "BoundReached",
     "CheckResult",
@@ -110,32 +93,23 @@ __all__ = [
     "RangeReport",
     "SigaliEncoder",
     "SymbolicOptions",
-    "SynthesisObjective",
     "SynthesisResult",
     "TRUE_CODE",
     "Trace",
     "TraceStep",
     "Transition",
     "absence",
-    "always_eventually",
     "and_constraint",
     "buffered_observer",
     "check_bisimulation",
-    "check_invariant_labels",
-    "check_invariant_states",
-    "check_reachable",
-    "check_reaction_reachable",
     "compare_processes",
     "compare_traces",
-    "controllable_by_signals",
-    "deadlock_free",
     "default_constraint",
     "encode_process",
     "explore",
     "explore_product",
     "from_code",
     "infer_ranges",
-    "invariant_holds",
     "is_false",
     "is_true",
     "label_to_dict",
@@ -145,15 +119,8 @@ __all__ = [
     "or_constraint",
     "presence",
     "quotient",
-    "reaction_reachable",
-    "safety_from_labels",
-    "states_satisfying_af",
-    "states_satisfying_ag",
-    "states_satisfying_ef",
     "symbolic_int_explore",
     "synchronous_constraint",
-    "synthesise",
-    "synthesise_with",
     "to_code",
     "when_constraint",
 ]

@@ -33,10 +33,9 @@ from ..signal.ast import (
     expand,
 )
 from ..core.values import EVENT
-from .invariants import CheckResult
 from .reachability import (
-    BackendCapabilities,
     BoundReached,
+    CheckResult,
     Reachability,
     ReactionPredicate,
     Trace,
@@ -160,22 +159,21 @@ class PolynomialDynamicalSystem:
                     frontier.append(successor)
         return seen, complete
 
-    def reachable_states(self, max_states: int = 5000) -> set[tuple[tuple[str, int], ...]]:
-        """Reachable state valuations (frozen as sorted tuples).
-
-        Truncated silently at ``max_states``; use :meth:`explore` for a
-        completeness-aware handle.
-        """
-        seen, _ = self._explore(max_states)
-        return seen
-
     def check_invariant(self, invariant: Polynomial, max_states: int = 5000) -> bool:
         """True when ``invariant = 0`` holds for every reachable reaction.
 
         Raises:
+            TypeError: when handed a :class:`ReactionPredicate`, which
+                ``evaluate`` would silently misread as a polynomial; reaction
+                predicates are checked by the engine, ``self.explore()``.
             BoundReached: when no violation was found but the search was
                 truncated at ``max_states`` — a ``True`` would be unsound.
         """
+        if isinstance(invariant, ReactionPredicate):
+            raise TypeError(
+                "PolynomialDynamicalSystem.check_invariant takes a Polynomial; "
+                "check a ReactionPredicate with .explore().check_invariant(predicate)"
+            )
         violated = []
 
         def visit(state: dict[str, int], reaction: dict[str, int]) -> Optional[bool]:
@@ -235,13 +233,6 @@ class PolynomialReachability(Reachability):
         self._reactions = [
             (frozen, system.decode_reaction(dict(frozen))) for frozen in sorted(sites)
         ]
-
-    @classmethod
-    def capabilities(cls) -> BackendCapabilities:
-        """Explicit enumeration of the ternary abstraction: boolean/event
-        skeleton only, bounded by ``max_states``, no synthesis, with traces
-        from the construction BFS's parent pointers."""
-        return BackendCapabilities(integer_data=False, bounded=True, synthesis=False, traces=True)
 
     @property
     def state_count(self) -> int:

@@ -18,9 +18,11 @@ bit-blast can) and the oracle the differential test suite
 prefer the symbolic engine (``backend="symbolic-int"``) for large designs.
 
 Explorations that hit ``max_states`` are never silently truncated: the result
-carries ``bound_reached`` (and ``complete = False``), and
-``ExplorationOptions(on_bound="raise")`` turns the truncation into a
-:class:`BoundReached` exception.
+carries ``complete = False``, and every verdict method of
+:class:`ExplorationResult` that only a complete exploration can support —
+"holds", "unreachable", "no trace", any synthesis verdict — raises
+:class:`BoundReached` instead of certifying.  Those methods are the only way
+to a verdict: the LTS-level checks below are private to them.
 """
 
 from __future__ import annotations
@@ -34,17 +36,16 @@ from ..core.values import ABSENT, EVENT
 from ..signal.ast import ProcessDefinition
 from ..simulation.compiler import CompiledProcess, SimulationError
 from ..simulation.status import PRESENT
-from .invariants import CheckResult, check_invariant_labels, check_reaction_reachable
-from .lts import LTS, label_to_dict
+from .lts import LTS, label_to_dict, per_label
 from .reachability import (
-    BackendCapabilities,
-    BoundReached,
+    CheckResult,
     ControlVerdict,
     Reachability,
     ReactionPredicate,
     Trace,
     TraceStep,
 )
+from .synthesis import _synthesise
 
 
 @dataclass
@@ -56,10 +57,8 @@ class ExplorationOptions:
         driven_signals: signals driven by the environment (default: declared inputs).
         extra_driven: additional signals to drive (e.g. free-clock outputs).
         observed: signals recorded in the transition labels (default: interface).
-        max_states: exploration bound (states beyond the bound are not expanded).
-        on_bound: what to do when ``max_states`` is hit — ``"flag"`` records
-            ``bound_reached`` on the result, ``"raise"`` raises
-            :class:`BoundReached`.
+        max_states: exploration bound (states beyond the bound are not
+            expanded, and the result is flagged ``complete = False``).
     """
 
     integer_domain: Sequence[int] = (0, 1)
@@ -67,11 +66,6 @@ class ExplorationOptions:
     extra_driven: Sequence[str] = ()
     observed: Optional[Sequence[str]] = None
     max_states: int = 10000
-    on_bound: str = "flag"
-
-    def __post_init__(self) -> None:
-        if self.on_bound not in ("flag", "raise"):
-            raise ValueError(f"on_bound must be 'flag' or 'raise', not {self.on_bound!r}")
 
 
 @dataclass
@@ -92,7 +86,6 @@ class ExplorationResult(Reachability):
     lts: LTS
     memories: dict[int, dict[str, Any]] = field(default_factory=dict)
     complete: bool = True
-    bound_reached: bool = False
     rejected_stimuli: int = 0
     observed: Optional[tuple[str, ...]] = None
     #: Which engine resolved the reactions (``CompiledProcess.step_engine_info()``):
@@ -113,20 +106,13 @@ class ExplorationResult(Reachability):
     # Labels only carry the observed alphabet (None on hand-built results):
     # that is the universe predicates are validated against.
 
-    @classmethod
-    def capabilities(cls) -> BackendCapabilities:
-        """The reference semantics: concrete reactions (integer data included),
-        bounded by ``max_states``, with explicit supervisory synthesis and
-        shortest counterexample traces (BFS parent pointers)."""
-        return BackendCapabilities(integer_data=True, bounded=True, synthesis=True, traces=True)
-
     def statistics(self) -> dict:
         """Explicit-engine statistics: explored states, transitions, rejections."""
         stats = {
             "states": self.state_count,
             "transitions": self.transition_count,
             "rejected_stimuli": self.rejected_stimuli,
-            "bound_reached": self.bound_reached,
+            "bound_reached": not self.complete,
         }
         if self.step_engine is not None:
             stats.update(self.step_engine)
@@ -135,7 +121,7 @@ class ExplorationResult(Reachability):
     def check_invariant(self, predicate: ReactionPredicate, name: str = "invariant") -> CheckResult:
         """AG over reactions, on the explored LTS."""
         self._validate_signals(predicate.signals(), self.observed, self.lts.name, "predicate")
-        result = check_invariant_labels(self.lts, predicate, name)
+        result = _check_invariant_labels(self.lts, predicate, name)
         if result.holds:
             self._require_complete(name)
         return result
@@ -143,7 +129,7 @@ class ExplorationResult(Reachability):
     def check_reachable(self, predicate: ReactionPredicate, name: str = "reachability") -> CheckResult:
         """EF over reactions, on the explored LTS."""
         self._validate_signals(predicate.signals(), self.observed, self.lts.name, "predicate")
-        result = check_reaction_reachable(self.lts, predicate, name)
+        result = _check_reaction_reachable(self.lts, predicate, name)
         if not result.holds:
             self._require_complete(name)
         return result
@@ -187,9 +173,35 @@ class ExplorationResult(Reachability):
             controllable, self.observed, self.lts.name, "controllable set", error=ValueError
         )
         self._require_complete("synthesis")
-        from .synthesis import synthesise_with
+        return _synthesise(self.lts, safe, controllable, ensure_nonblocking)
 
-        return synthesise_with(self.lts, safe, controllable, ensure_nonblocking)
+
+def _check_invariant_labels(
+    lts: LTS, predicate: Callable[[dict[str, Any]], bool], name: str = "invariant"
+) -> CheckResult:
+    """AG over reactions: every reachable transition label satisfies ``predicate``."""
+    reachable = lts.reachable()
+    holds = per_label(predicate)
+    for transition in lts.transitions():
+        if transition.source not in reachable:
+            continue
+        if not holds(transition.label):
+            path = lts.path_to(lambda s: s == transition.source) or []
+            return CheckResult(False, name, path + [transition], transition.target)
+    return CheckResult(True, name, details=f"{len(reachable)} reachable states")
+
+
+def _check_reaction_reachable(
+    lts: LTS, predicate: Callable[[dict[str, Any]], bool], name: str = "reaction-reachability"
+) -> CheckResult:
+    """EF over reactions: some reachable transition label satisfies ``predicate``."""
+    reachable = lts.reachable()
+    holds = per_label(predicate)
+    for transition in lts.transitions():
+        if transition.source in reachable and holds(transition.label):
+            path = lts.path_to(lambda s: s == transition.source) or []
+            return CheckResult(True, name, path + [transition], transition.target, "witness reaction found")
+    return CheckResult(False, name, details="no reachable reaction satisfies the predicate")
 
 
 def _stimulus_domain(compiled: CompiledProcess, name: str, integers: Sequence[int]) -> list[Any]:
@@ -213,12 +225,11 @@ def _picker(slots: Sequence[int]) -> Callable[[tuple], tuple]:
 
 def _search(
     result: ExplorationResult,
-    options: ExplorationOptions,
+    max_states: int,
     react: Callable[[Hashable, int], tuple[Hashable, tuple]],
     stimulus_count: int,
     observed_slots: Sequence[int],
     memory_of: Callable[[Hashable], dict[str, Any]],
-    name: str,
 ) -> ExplorationResult:
     """The exploration loop shared by single and product exploration.
 
@@ -258,8 +269,8 @@ def _search(
                 continue
             existing = index_of(target_key)
             if existing is None:
-                if lts.state_count() >= options.max_states:
-                    _hit_bound(result, options, name)
+                if lts.state_count() >= max_states:
+                    result.complete = False
                     continue
                 existing = lts.add_state(target_key)
                 result.memories[existing] = memory_of(target_key)
@@ -321,23 +332,12 @@ def explore(
     slots = {signal: slot for slot, signal in enumerate(compiled.signal_names)}
     return _search(
         result,
-        options,
+        options.max_states,
         react,
         len(stimuli),
         [slots[signal] for signal in observed],
         lambda key: dict(zip(keys, key)),
-        compiled.name,
     )
-
-
-def _hit_bound(result: ExplorationResult, options: ExplorationOptions, name: str) -> None:
-    result.complete = False
-    result.bound_reached = True
-    if options.on_bound == "raise":
-        raise BoundReached(
-            f"{name}: exploration truncated at max_states={options.max_states}; "
-            'raise the bound or switch to backend="symbolic-int"'
-        )
 
 
 def explore_product(
@@ -410,5 +410,5 @@ def explore_product(
         return {"left": dict(zip(left_keys, key[0])), "right": dict(zip(right_keys, key[1]))}
 
     return _search(
-        result, options, react, len(stimuli), [slots[signal] for signal in observed], memory_of, lts.name
+        result, options.max_states, react, len(stimuli), [slots[signal] for signal in observed], memory_of
     )

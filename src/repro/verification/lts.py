@@ -2,8 +2,8 @@
 
 The explorer turns compiled SIGNAL processes (or SpecC designs) into finite
 LTSs whose transition labels are *reactions* — the set of signals present at
-an instant together with their values.  Model checking, bisimulation checking
-and controller synthesis all operate on this structure.
+an instant together with their values.  The explorer's verdict methods,
+bisimulation checking and controller synthesis all operate on this structure.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class LTS:
         self._index: dict[Hashable, int] = {}
         self._transitions: dict[int, list[Transition]] = {}
         self.initial: Optional[int] = None
-        self.state_annotations: dict[int, dict[str, Any]] = {}
 
     # -- construction --------------------------------------------------------------
 
@@ -92,10 +91,6 @@ class LTS:
         transition = Transition(source, label, target)
         self._transitions[source].append(transition)
         return transition
-
-    def annotate(self, state: int, **annotations: Any) -> None:
-        """Attach free-form annotations to a state (used by synthesis reports)."""
-        self.state_annotations.setdefault(state, {}).update(annotations)
 
     # -- observations ----------------------------------------------------------------
 
@@ -140,10 +135,6 @@ class LTS:
     def alphabet(self) -> set[Label]:
         """The set of labels used by the transitions."""
         return {t.label for t in self.transitions()}
-
-    def deadlocks(self) -> set[int]:
-        """Reachable states with no outgoing transition."""
-        return {state for state in self.reachable() if not self._transitions.get(state)}
 
     # -- traversals --------------------------------------------------------------------
 
@@ -231,7 +222,6 @@ class LTS:
         copy.initial = self.initial
         for transition in self.transitions():
             copy.add_transition(transition.source, transform(transition.label), transition.target)
-        copy.state_annotations = {s: dict(a) for s, a in self.state_annotations.items()}
         return copy
 
     def project_labels(self, observed: Iterable[str]) -> "LTS":

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 from ..core.values import ABSENT, EVENT
-from .invariants import CheckResult
+from .lts import Transition
 
 
 # --------------------------------------------------------------------------- predicates
@@ -73,10 +73,10 @@ class ReactionPredicate:
 
         This is the escape hatch for properties over carried *data* (integer
         comparisons, set membership, ...) that the ternary abstraction cannot
-        express.  Only backends that see concrete values
-        (``capabilities().integer_data``: the explicit explorer and the
-        bit-blasted symbolic engine) can check it; the polynomial engine
-        cannot.  ``backend="auto"`` only ever picks one of the former two.
+        express.  Only backends that see concrete values (the explicit
+        explorer and the bit-blasted symbolic engine) can check it; the
+        polynomial engine cannot.  ``backend="auto"`` only ever picks one of
+        the former two.
         """
         return cls("value", name, test)
 
@@ -164,14 +164,14 @@ class ReactionPredicate:
 class BoundReached(RuntimeError):
     """A bounded analysis cannot stand behind the requested verdict.
 
-    Raised by the explicit explorer when ``max_states`` is hit with
-    ``on_bound="raise"``, and by every Reachability backend when a truncated
-    (``complete = False``) analysis is asked to certify a universally
-    quantified answer — "the invariant holds", "nothing satisfies the
-    predicate", or "no trace leads to the predicate" — that only a complete
-    exploration can support.  Negative existential answers stay available
-    through the legacy per-LTS checkers, which document their bounded
-    semantics.
+    Raised by every Reachability backend when a truncated (``complete =
+    False``) analysis is asked to certify an answer only a complete
+    exploration can support: "the invariant holds", "nothing satisfies the
+    predicate", "no trace leads to the predicate", or any synthesis verdict;
+    likewise by :meth:`PolynomialDynamicalSystem.check_invariant
+    <repro.verification.encoding.PolynomialDynamicalSystem.check_invariant>`
+    and :func:`repro.epc.check_rtl_bisimulation`.  Explorations never raise
+    it themselves — they flag truncation, and the verdicts refuse.
     """
 
 
@@ -209,9 +209,8 @@ class Trace:
     step fires from the previous step's successor state; the *last* step's
     reaction is the violating (for a failed invariant) or witnessing (for a
     satisfied reachability property) reaction itself.  Produced by
-    :meth:`Reachability.trace_to` and attached to
-    :class:`~repro.verification.invariants.CheckResult.trace` when the
-    workbench is asked for traces (``design.check(..., traces=True)``).
+    :meth:`Reachability.trace_to` and attached to :attr:`CheckResult.trace`
+    when the workbench is asked for traces (``design.check(..., traces=True)``).
     """
 
     steps: tuple[TraceStep, ...]
@@ -245,48 +244,40 @@ class Trace:
         return "\n".join(lines)
 
 
-# --------------------------------------------------------------------------- capabilities
+# --------------------------------------------------------------------------- verdicts
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """Static description of what a Reachability backend can do.
+@dataclass
+class CheckResult:
+    """Outcome of an invariant / reachability check.
 
-    Each engine class declares its own; workbench reports
-    (:attr:`~repro.workbench.report.Report.capabilities`) print them.  The
-    ``backend="auto"`` route does not read them: it is a state-bound test.
-
-    Attributes:
-        integer_data: evaluates predicates on *concrete* reactions — required
-            for processes whose control skeleton carries integer data (the
-            Z/3Z encoding raises :class:`~repro.verification.encoding.EncodingError`
-            on those) and for :meth:`ReactionPredicate.value` atoms.
-        bounded: the analysis may truncate at a state/iteration bound, i.e.
-            is not exhaustive past it (truncation is always *reported*, never
-            silent — see the soundness rule in ROADMAP.md).
-        synthesis: implements :meth:`Reachability.synthesise`.
-        traces: implements :meth:`Reachability.trace_to` — counterexample /
-            witness *paths*, not just single violating reactions.
+    ``trace`` is the engine-independent counterexample/witness path
+    (:class:`Trace`) when the caller asked for one — the workbench attaches
+    it on ``design.check(..., traces=True)``; it stays ``None`` by default so
+    batch checking never pays for extraction.
     """
 
-    integer_data: bool = False
-    bounded: bool = True
-    synthesis: bool = False
-    traces: bool = False
+    holds: bool
+    property_name: str
+    counterexample: Optional[list[Transition]] = None
+    witness_state: Optional[int] = None
+    details: str = ""
+    trace: Optional[Trace] = None
 
-    def describe(self) -> str:
-        """Short human-readable capability summary (used in reports)."""
-        facets = [
-            "integer data" if self.integer_data else "boolean/event skeleton",
-            "bounded" if self.bounded else "exhaustive",
-        ]
-        if self.synthesis:
-            facets.append("synthesis")
-        if self.traces:
-            facets.append("traces")
-        return ", ".join(facets)
+    def __bool__(self) -> bool:
+        return self.holds
 
+    def explain(self) -> str:
+        """Readable verdict, including the length of a counterexample if any."""
+        verdict = "holds" if self.holds else "FAILS"
+        text = f"{self.property_name}: {verdict}"
+        if self.trace is not None:
+            text += f" (trace of {len(self.trace)} steps)"
+        elif self.counterexample is not None:
+            text += f" (counterexample of length {len(self.counterexample)})"
+        if self.details:
+            text += f" — {self.details}"
+        return text
 
-# --------------------------------------------------------------------------- verdicts
 
 @dataclass
 class ControlVerdict:
@@ -325,16 +316,6 @@ class Reachability(ABC):
     differ between backends (memory tuples vs. ternary valuations vs. BDD
     cubes) while the observable alphabet is shared.
     """
-
-    @classmethod
-    def capabilities(cls) -> BackendCapabilities:
-        """Declared capabilities of this backend class.
-
-        Cheap and static — no artifact is computed.  The conservative default
-        claims nothing beyond bounded boolean checking; concrete backends
-        override it.
-        """
-        return BackendCapabilities()
 
     @property
     @abstractmethod
@@ -416,8 +397,7 @@ class Reachability(ABC):
         satisfies the predicate — a *universally* quantified answer, so a
         truncated analysis refuses it exactly as it refuses "holds" /
         "unreachable" verdicts.  Backends that do not support trace
-        extraction (``capabilities().traces`` is False) keep this default,
-        which refuses.
+        extraction keep this default, which refuses.
 
         Raises:
             BoundReached: when the analysis is incomplete and no satisfying

@@ -63,10 +63,9 @@ from ..signal.ast import (
 )
 from ..simulation.compiler import CompiledProcess
 from .encoding import EncodingError
-from .invariants import CheckResult
 from .reachability import (
-    BackendCapabilities,
     BoundReached,
+    CheckResult,
     ControlVerdict,
     Reachability,
     ReactionPredicate,
@@ -1266,13 +1265,6 @@ class IntSymbolicReachability(Reachability):
     fixpoint: bool = True
     frontiers: tuple[BDDNode, ...] = ()
     overflowed: tuple[str, ...] = ()
-
-    @classmethod
-    def capabilities(cls) -> BackendCapabilities:
-        """Bit-blasted finite-integer fixpoint: concrete integer reactions,
-        exhaustive over the declared/inferred ranges, with synthesis and
-        ring-walk counterexample traces."""
-        return BackendCapabilities(integer_data=True, bounded=False, synthesis=True, traces=True)
 
     @property
     def state_count(self) -> int:

@@ -7,45 +7,36 @@ objective and to automatically generate a coercive process that wraps the
 initial specification so as to guarantee that the objective is an invariant."
 
 This module implements the classical supervisory-control construction on a
-finite LTS (the approach of Marchand et al., reference [10] of the paper):
+finite LTS (the approach of Marchand et al., reference [10] of the paper)
+behind :meth:`ExplorationResult.synthesise
+<repro.verification.explorer.ExplorationResult.synthesise>`, which refuses a
+truncated exploration before it gets here:
 
-* the transition alphabet is split into *controllable* reactions (those the
-  wrapper may inhibit — typically reactions that drive controllable input
-  signals) and *uncontrollable* ones;
-* the greatest controllable invariant subset of the safe states is computed by
-  a fixed point: a state is kept as long as every uncontrollable transition
-  leaving it stays in the kept set (and, optionally, at least one transition
-  remains, to avoid introducing deadlocks);
-* the synthesised controller maps every kept state to the set of transitions
-  it allows; wrapping the original system with it makes the objective an
-  invariant by construction.
+* the transition alphabet is split into *controllable* reactions (those that
+  make one of the designated signals present — the wrapper may inhibit them)
+  and *uncontrollable* ones;
+* a state is unsafe when it is the target of a reaction violating the safety
+  predicate, and the greatest controllable invariant subset of the safe
+  states is computed by a fixed point: a state is kept as long as every
+  uncontrollable transition leaving it stays in the kept set (and,
+  optionally, at least one transition remains, to avoid introducing
+  deadlocks);
+* the synthesised :class:`Controller` maps every kept state to the
+  transitions it allows; :meth:`Controller.restrict` wraps the plant with
+  it, and the closed loop is an exploration whose checks refuse on
+  truncation like every other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Sequence
 
-from .invariants import _as_reachability
 from .lts import LTS, Label, Transition, label_to_dict
 from .reachability import ControlVerdict, ReactionPredicate
 
-
-@dataclass
-class SynthesisObjective:
-    """A control objective: keep the system inside ``safe_states`` forever.
-
-    Attributes:
-        safe_states: predicate over state indices (True = allowed).
-        controllable: predicate over transition labels (as dicts) deciding
-            whether the wrapper may disable that reaction.
-        ensure_nonblocking: also require every kept state to retain at least
-            one allowed transition.
-    """
-
-    safe_states: Callable[[int], bool]
-    controllable: Callable[[dict[str, Any]], bool]
-    ensure_nonblocking: bool = True
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .explorer import ExplorationResult
 
 
 @dataclass
@@ -63,19 +54,27 @@ class Controller:
         """The reactions allowed from ``state``."""
         return {t.label for t in self.allowed.get(state, [])}
 
-    def restrict(self, lts: LTS) -> LTS:
-        """The closed-loop system: the plant restricted to allowed transitions."""
+    def restrict(self, plant: "ExplorationResult") -> "ExplorationResult":
+        """The closed-loop system: the plant restricted to allowed transitions.
+
+        The closed loop keeps the plant's observed alphabet and completeness,
+        so checking it is a ``check_invariant`` call that refuses on a
+        truncated plant exactly as the plant's own checks do.
+        """
+        lts = plant.lts
         closed = LTS(f"{lts.name}/controlled")
         mapping: dict[int, int] = {}
-        for state in sorted(self.kept_states):
+        for state in sorted(self.kept_states.intersection(lts.states)):
             mapping[state] = closed.add_state(lts.payload(state))
-        if lts.initial in self.kept_states:
+        if lts.initial in mapping:
             closed.initial = mapping[lts.initial]
-        for state, transitions in self.allowed.items():
-            for transition in transitions:
-                if transition.target in self.kept_states:
+        for state in mapping:
+            allowed = set(self.allowed.get(state, ()))
+            for transition in lts.transitions_from(state):
+                if transition in allowed and transition.target in mapping:
                     closed.add_transition(mapping[state], transition.label, mapping[transition.target])
-        return closed
+        memories = {mapping[state]: plant.memories[state] for state in mapping if state in plant.memories}
+        return replace(plant, lts=closed, memories=memories)
 
 
 @dataclass
@@ -102,13 +101,30 @@ class SynthesisResult:
         )
 
 
-def synthesise(lts: LTS, objective: SynthesisObjective) -> SynthesisResult:
-    """Compute the maximally permissive controller enforcing the objective.
+def _synthesise(
+    lts: LTS,
+    safe: ReactionPredicate,
+    controllable: Sequence[str],
+    ensure_nonblocking: bool,
+) -> ControlVerdict:
+    """The maximally permissive controller of a complete explored ``lts``.
 
-    Returns a failed result (``success = False``) when the initial state
-    cannot be kept — i.e. no wrapper can make the objective invariant.
+    The implementation of :meth:`ExplorationResult.synthesise
+    <repro.verification.explorer.ExplorationResult.synthesise>`, which
+    refuses truncated explorations first.  The verdict fails
+    (``success = False``) when the initial state cannot be kept — i.e. no
+    wrapper can make the objective invariant; ``backend`` carries the
+    :class:`SynthesisResult`.
     """
-    kept = {state for state in lts.states if objective.safe_states(state)}
+    names = set(controllable)
+    # "The bad thing has just happened": a state is unsafe when it is the
+    # target of some violating reaction.
+    bad_targets = {
+        transition.target
+        for transition in lts.transitions()
+        if not safe(label_to_dict(transition.label))
+    }
+    kept = {state for state in lts.states if state not in bad_targets}
     iterations = 0
     changed = True
     while changed:
@@ -123,12 +139,12 @@ def synthesise(lts: LTS, objective: SynthesisObjective) -> SynthesisResult:
                 if target_ok:
                     allowed_count += 1
                     continue
-                if not objective.controllable(label_to_dict(transition.label)):
+                if not any(name in names for name in label_to_dict(transition.label)):
                     # An uncontrollable reaction escapes the safe set: the state
                     # itself must be abandoned.
                     must_leave = True
                     break
-            if must_leave or (objective.ensure_nonblocking and outgoing and allowed_count == 0):
+            if must_leave or (ensure_nonblocking and outgoing and allowed_count == 0):
                 kept.discard(state)
                 changed = True
 
@@ -146,62 +162,11 @@ def synthesise(lts: LTS, objective: SynthesisObjective) -> SynthesisResult:
     success = lts.initial is not None and lts.initial in kept
     removed = set(lts.states) - kept
     details = "" if success else "the initial state is outside the greatest controllable invariant set"
-    return SynthesisResult(success, controller, lts, removed, disabled, iterations, details)
-
-
-def synthesise_with(
-    target: Any,
-    safe: ReactionPredicate,
-    controllable: Sequence[str],
-    ensure_nonblocking: bool = True,
-) -> ControlVerdict:
-    """Engine-agnostic controller synthesis.
-
-    ``target`` may be a plain LTS or any backend of the shared Reachability
-    interface; the objective is phrased once, as a reaction predicate plus the
-    set of controllable signals, and dispatched to the explicit fixpoint below
-    or to the symbolic BDD fixpoint of :mod:`.symbolic_int`.
-    """
-    if isinstance(target, LTS):
-        objective = SynthesisObjective(
-            safe_states=safety_from_labels(target, safe),
-            controllable=controllable_by_signals(controllable),
-            ensure_nonblocking=ensure_nonblocking,
-        )
-        result = synthesise(target, objective)
-        return ControlVerdict(
-            success=result.success,
-            kept_states=len(result.controller.kept_states),
-            total_states=target.state_count(),
-            details=result.details,
-            backend=result,
-        )
-    backend = _as_reachability(target, "synthesise_with")
-    return backend.synthesise(safe, controllable, ensure_nonblocking)
-
-
-def controllable_by_signals(signals: Iterable[str]) -> Callable[[dict[str, Any]], bool]:
-    """Controllability predicate: a reaction is controllable when it involves one of ``signals``.
-
-    This matches the usual modelling where the wrapper may delay or inhibit
-    the occurrences of designated (input) events but cannot prevent the
-    environment's other reactions.
-    """
-    names = set(signals)
-    return lambda reaction: any(name in names for name in reaction)
-
-
-def safety_from_labels(lts: LTS, predicate: Callable[[dict[str, Any]], bool]) -> Callable[[int], bool]:
-    """Lift a reaction predicate to a state predicate.
-
-    A state is declared unsafe when *every* path into it uses a reaction that
-    violates the predicate is too strong a reading; instead we mark a state
-    unsafe when it is the target of some violating transition — the usual
-    encoding of "the bad thing has just happened".
-    """
-    bad_targets = {
-        transition.target
-        for transition in lts.transitions()
-        if not predicate(label_to_dict(transition.label))
-    }
-    return lambda state: state not in bad_targets
+    result = SynthesisResult(success, controller, lts, removed, disabled, iterations, details)
+    return ControlVerdict(
+        success=success,
+        kept_states=len(kept),
+        total_states=lts.state_count(),
+        details=details,
+        backend=result,
+    )

@@ -31,9 +31,11 @@ against a shared :class:`DiskArtifactStore`, with priorities, per-job
 timeouts, cooperative cancellation and crash retry — answered as
 :class:`JobHandle` futures.
 
-The module-level entry points of :mod:`repro.verification` (``explore``,
-``invariant_holds``, ``synthesise_with``, ...) take an LTS or an engine;
-``design.backend(...)`` hands them the one the facade routes to.
+Verdicts outside a batch come from the engine itself: ``design.backend(...)``
+hands out the one the facade routes to, and its ``check_invariant`` /
+``check_reachable`` / ``trace_to`` / ``synthesise`` methods refuse with
+:class:`~repro.verification.reachability.BoundReached` when its analysis was
+truncated.
 """
 
 from .cache import (

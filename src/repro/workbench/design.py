@@ -56,7 +56,6 @@ from ..verification.encoding import (
 )
 from ..verification.explorer import ExplorationOptions, ExplorationResult, explore
 from ..verification.reachability import (
-    BackendCapabilities,
     BoundReached,
     ControlVerdict,
     Reachability,
@@ -91,12 +90,11 @@ PropertyLike = Union[Property, ReactionPredicate, tuple[str, ReactionPredicate]]
 PropertiesLike = Union[Mapping[str, ReactionPredicate], Sequence[PropertyLike]]
 
 
-#: The engine each backend name resolves to: the memoised artifact that
-#: builds it, and its class (whose declared capabilities reports print).
-_BACKENDS: dict[str, tuple[str, type[Reachability]]] = {
-    "explicit": ("exploration", ExplorationResult),
-    "polynomial": ("polynomial", PolynomialReachability),
-    "symbolic-int": ("symbolic_int", IntSymbolicReachability),
+#: The memoised artifact each backend name resolves to.
+_BACKENDS: dict[str, str] = {
+    "explicit": "exploration",
+    "polynomial": "polynomial",
+    "symbolic-int": "symbolic_int",
 }
 
 
@@ -104,7 +102,6 @@ class BackendInfo(NamedTuple):
     """What :meth:`Design.backend_info` resolves a backend name to."""
 
     name: str
-    capabilities: BackendCapabilities
 
 
 class CheckCancelled(RuntimeError):
@@ -135,7 +132,12 @@ USE_DEFAULT_CACHE = object()
 #: being memoised — and never persisted, where they would poison every later
 #: process that shares the store.  Structural failures (``EncodingError``)
 #: stay memoised and persisted: they are properties of the design itself.
-_TRANSIENT_FAILURES = (NodeBudgetExceeded, BoundReached)
+_TRANSIENT_FAILURES = (NodeBudgetExceeded,)
+
+#: The artifacts built from ``Design.exploration_options``: the exploration
+#: itself, and the integer ranges (over its ``integer_domain``) with the
+#: bit-blasted engine built on them.
+_OPTION_ARTIFACTS = ("exploration", "ranges", "symbolic_int_engine", "symbolic_int")
 
 
 class Design:
@@ -187,6 +189,23 @@ class Design:
         )
         self.source = source
         self.translation = translation
+
+    @property
+    def exploration_options(self) -> ExplorationOptions:
+        """The explorer's options; also the stimulus domain of every engine.
+
+        Assigning new options drops the memoised artifacts built from the
+        old ones, so a check refused on a truncated exploration can be
+        retried after raising ``max_states``.
+        """
+        return self._exploration_options
+
+    @exploration_options.setter
+    def exploration_options(self, options: ExplorationOptions) -> None:
+        with self._lock:
+            self._exploration_options = options
+            for name in _OPTION_ARTIFACTS:
+                self._artifacts.pop(name, None)
 
     # -- constructors ------------------------------------------------------------------
 
@@ -537,7 +556,7 @@ class Design:
         *,
         predicates: Iterable[ReactionPredicate] = (),
     ) -> BackendInfo:
-        """Resolve a backend name (or ``"auto"``) to its name and capabilities.
+        """Resolve a backend name (or ``"auto"``) to the engine it routes to.
 
         ``"auto"`` is ``"symbolic-int"`` when :attr:`potential_state_bound`
         exceeds ``symbolic_state_threshold`` and ``"explicit"`` otherwise;
@@ -548,7 +567,7 @@ class Design:
         does).
         """
         name = self._route(backend)
-        return BackendInfo(name, _BACKENDS[name][1].capabilities())
+        return BackendInfo(name)
 
     def backend(self, backend: str = "auto") -> Reachability:
         """The ready-to-query engine for ``backend`` (a memoised artifact)."""
@@ -566,7 +585,7 @@ class Design:
         """
         name = self._route(backend)
         try:
-            return name, getattr(self, _BACKENDS[name][0])
+            return name, getattr(self, _BACKENDS[name])
         except EncodingError:
             if backend != "auto" or name == "explicit":
                 raise
@@ -651,7 +670,6 @@ class Design:
     ) -> Report:
         started = perf_counter()
         name, engine = self._resolve_backend(backend)
-        capabilities = engine.capabilities()
         if progress is not None:
             progress("backend", {"backend": name, "state_count": engine.state_count})
         checks: list[PropertyCheck] = []
@@ -667,7 +685,7 @@ class Design:
                     result = engine.check_invariant(spec.predicate, spec.name)
                 else:
                     result = engine.check_reachable(spec.predicate, spec.name)
-                if traces and capabilities.traces:
+                if traces:
                     result.trace = self._extract_trace(engine, spec, result)
                 check = PropertyCheck(spec.name, spec.kind, result)
             except BoundReached as refusal:
@@ -684,7 +702,6 @@ class Design:
         return Report(
             design_name=self.name,
             backend_name=name,
-            capabilities=capabilities,
             state_count=engine.state_count,
             complete=engine.complete,
             checks=checks,

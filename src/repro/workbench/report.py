@@ -3,10 +3,10 @@
 A :meth:`Design.check_all <repro.workbench.design.Design.check_all>` call
 evaluates many properties against one shared reachable set; the
 :class:`Report` it returns records, per property, the underlying
-:class:`~repro.verification.invariants.CheckResult` (or the refusal of a
-truncated backend), and globally the backend that was chosen, its declared
-capabilities, the state count, completeness, and wall-clock timings — both
-per property and for the artifacts the design had to compute to answer.
+:class:`~repro.verification.reachability.CheckResult` (or the refusal of a
+truncated backend), and globally the backend that was chosen, the state
+count, completeness, and wall-clock timings — both per property and for the
+artifacts the design had to compute to answer.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Optional, Sequence, Union
 
-from ..verification.invariants import CheckResult
-from ..verification.reachability import BackendCapabilities, ReactionPredicate
+from ..verification.reachability import CheckResult, ReactionPredicate
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,6 @@ class Report:
 
     design_name: str
     backend_name: str
-    capabilities: BackendCapabilities
     state_count: int
     complete: bool
     checks: list[PropertyCheck] = field(default_factory=list)
@@ -205,7 +203,7 @@ class Report:
         lines = [
             f"{self.design_name}: {len(self.passed)}/{len(self.checks)} properties hold "
             f"({len(self.failed)} fail, {len(self.refused)} refused)",
-            f"  backend: {self.backend_name} ({self.capabilities.describe()}) — "
+            f"  backend: {self.backend_name} — "
             f"{self.state_count} states, {status}, {self.elapsed:.3f}s",
         ]
         if self.engine_statistics:

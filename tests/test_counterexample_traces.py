@@ -49,7 +49,6 @@ from repro.verification import (
     Trace,
     encode_process,
     explore,
-    reaction_reachable,
     symbolic_int_explore,
 )
 from repro.verification.symbolic_int import IntSymbolicEngine
@@ -108,7 +107,7 @@ def test_boolean_corpus_traces_replay(label, factory, compile):
     process = factory()
     engines = dict(zip(ENGINE_NAMES, engines_for(process, compile)))
     predicates = predicates_for(process)
-    expected = [reaction_reachable(engines["explicit"], p).holds for p in predicates]
+    expected = [engines["explicit"].check_reachable(p).holds for p in predicates]
     for name, engine in engines.items():
         abstract = name in ABSTRACT_ENGINES
         for predicate, reachable in zip(predicates, expected):
@@ -204,7 +203,7 @@ def test_integer_corpus_traces_replay(label, factory, payload, values, compile):
     process = factory()
     explicit, symbolic_int = integer_engines_for(process, compile)
     predicates = integer_predicates_for(process, payload, values)
-    expected = [reaction_reachable(explicit, p).holds for p in predicates]
+    expected = [explicit.check_reachable(p).holds for p in predicates]
     for name, engine in (("explicit", explicit), ("symbolic-int", symbolic_int)):
         for predicate, reachable in zip(predicates, expected):
             trace = engine.trace_to(predicate)

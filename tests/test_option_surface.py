@@ -3,12 +3,16 @@
 Every option here is a knob users can set and the code has to honour, so a
 new one should be a deliberate decision.  These tests name each field and
 keyword parameter: adding, renaming or removing one fails them until the pin
-is edited in the same change, where a reviewer sees it.
+is edited in the same change, where a reviewer sees it.  The public names of
+:mod:`repro.verification` are pinned the same way, so a new module-level
+verdict entry point (one that could answer on a truncated LTS without the
+engines' refusal rule) shows in the diff too.
 """
 
 import inspect
 from dataclasses import fields
 
+import repro.verification
 from repro.verification import ExplorationOptions, SymbolicOptions
 from repro.workbench import Design, WorkerPool
 from repro.workbench.jobs import JobSpec
@@ -44,7 +48,6 @@ def test_exploration_options_fields():
         "extra_driven",
         "observed",
         "max_states",
-        "on_bound",
     ]
 
 
@@ -96,4 +99,66 @@ def test_worker_pool_submit_parameters():
         "timeout",
         "retries",
         "job_id",
+    ]
+
+
+def test_verification_public_names():
+    assert sorted(repro.verification.__all__) == [
+        "ABSENT_CODE",
+        "BisimulationResult",
+        "BoundReached",
+        "CheckResult",
+        "ControlVerdict",
+        "Controller",
+        "EncodingError",
+        "ExplorationOptions",
+        "ExplorationResult",
+        "FALSE_CODE",
+        "FlowObserver",
+        "IntSymbolicEngine",
+        "IntSymbolicReachability",
+        "LTS",
+        "Label",
+        "Mismatch",
+        "ObserverVerdict",
+        "PartitionedRelation",
+        "Polynomial",
+        "PolynomialDynamicalSystem",
+        "PolynomialReachability",
+        "PolynomialSystem",
+        "RangeReport",
+        "Reachability",
+        "ReactionPredicate",
+        "SigaliEncoder",
+        "SymbolicOptions",
+        "SynthesisResult",
+        "TRUE_CODE",
+        "Trace",
+        "TraceStep",
+        "Transition",
+        "absence",
+        "and_constraint",
+        "buffered_observer",
+        "check_bisimulation",
+        "compare_processes",
+        "compare_traces",
+        "default_constraint",
+        "encode_process",
+        "explore",
+        "explore_product",
+        "from_code",
+        "infer_ranges",
+        "is_false",
+        "is_true",
+        "label_to_dict",
+        "make_label",
+        "not_constraint",
+        "observer_process",
+        "or_constraint",
+        "presence",
+        "quotient",
+        "symbolic_int_explore",
+        "synchronous_constraint",
+        "to_code",
+        "when_constraint",
     ]

@@ -274,7 +274,7 @@ def _exploration_record(result):
         "transitions": transitions,
         "rejected": result.rejected_stimuli,
         "memories": result.memories,
-        "bound_reached": result.bound_reached,
+        "complete": result.complete,
     }
 
 

@@ -46,10 +46,7 @@ from repro.verification import (
     ReactionPredicate as P,
     encode_process,
     explore,
-    invariant_holds,
-    reaction_reachable,
     symbolic_int_explore,
-    synthesise_with,
 )
 from repro.verification.z3z import is_false, is_true, presence
 
@@ -230,7 +227,7 @@ class TestDifferential:
         engines = dict(zip(ENGINE_NAMES, engines_for(process, compile)))
         for predicate in predicates_for(process):
             verdicts = {
-                name: invariant_holds(engine, predicate).holds for name, engine in engines.items()
+                name: engine.check_invariant(predicate).holds for name, engine in engines.items()
             }
             assert len(set(verdicts.values())) == 1, f"{predicate!r}: {verdicts}"
 
@@ -240,7 +237,7 @@ class TestDifferential:
         engines = dict(zip(ENGINE_NAMES, engines_for(process, compile)))
         for predicate in predicates_for(process):
             verdicts = {
-                name: reaction_reachable(engine, predicate).holds for name, engine in engines.items()
+                name: engine.check_reachable(predicate).holds for name, engine in engines.items()
             }
             assert len(set(verdicts.values())) == 1, f"{predicate!r}: {verdicts}"
 
@@ -282,8 +279,8 @@ class TestDifferentialSynthesis:
         process = alternator_process()
         explicit, _, symbolic = engines_for(process, compile)
         safe = ~P.false_of("flip")
-        explicit_verdict = synthesise_with(explicit, safe, controllable)
-        verdict = synthesise_with(symbolic, safe, controllable)
+        explicit_verdict = explicit.synthesise(safe, controllable)
+        verdict = symbolic.synthesise(safe, controllable)
         assert explicit_verdict.success == verdict.success
         assert explicit_verdict.kept_states == verdict.kept_states
 
@@ -293,8 +290,8 @@ class TestDifferentialSynthesis:
         for mode in STEP_COMPILE_MODES:
             explicit, _, symbolic = engines_for(process, mode)
             for controllable in (["tick"], []):
-                explicit_verdict = synthesise_with(explicit, safe, controllable)
-                verdict = synthesise_with(symbolic, safe, controllable)
+                explicit_verdict = explicit.synthesise(safe, controllable)
+                verdict = symbolic.synthesise(safe, controllable)
                 assert explicit_verdict.success == verdict.success, (mode, controllable)
                 assert explicit_verdict.kept_states == verdict.kept_states, (mode, controllable)
 
@@ -303,9 +300,9 @@ class TestDifferentialSynthesis:
         ok = P.present("ok").implies(P.true_of("ok"))
         for mode in STEP_COMPILE_MODES:
             for engine in engines_for(observer_composition(), mode):
-                assert invariant_holds(engine, ok).holds, mode
+                assert engine.check_invariant(ok).holds, mode
             verdicts = [
-                invariant_holds(engine, ok).holds
+                engine.check_invariant(ok).holds
                 for engine in engines_for(desynchronised_observer_composition(), mode)
             ]
             assert verdicts == [False, False, False], mode
@@ -352,15 +349,15 @@ class TestIntegerDifferential:
         process = factory()
         explicit, symbolic_int = integer_engines_for(process, compile)
         for predicate in integer_predicates_for(process, payload, values):
-            expected = invariant_holds(explicit, predicate).holds
-            assert invariant_holds(symbolic_int, predicate).holds == expected, repr(predicate)
+            expected = explicit.check_invariant(predicate).holds
+            assert symbolic_int.check_invariant(predicate).holds == expected, repr(predicate)
 
     def test_reachability_verdicts_and_witnesses_agree(self, label, factory, payload, values, compile):
         process = factory()
         explicit, symbolic_int = integer_engines_for(process, compile)
         for predicate in integer_predicates_for(process, payload, values):
-            expected = reaction_reachable(explicit, predicate)
-            verdict = reaction_reachable(symbolic_int, predicate)
+            expected = explicit.check_reachable(predicate)
+            verdict = symbolic_int.check_reachable(predicate)
             assert verdict.holds == expected.holds, repr(predicate)
             if verdict.holds:
                 # The engine's witness must be a genuinely admissible reaction

@@ -18,31 +18,20 @@ from repro.verification import (
     FlowObserver,
     LTS,
     PolynomialSystem,
+    Controller,
     ReactionPredicate,
     SymbolicOptions,
-    SynthesisObjective,
-    always_eventually,
     check_bisimulation,
-    check_invariant_labels,
-    check_invariant_states,
-    check_reachable,
-    check_reaction_reachable,
     compare_traces,
-    controllable_by_signals,
-    deadlock_free,
     encode_process,
     explore,
     explore_product,
-    invariant_holds,
     label_to_dict,
     make_label,
     quotient,
-    reaction_reachable,
-    safety_from_labels,
     symbolic_int_explore,
-    synthesise,
-    synthesise_with,
 )
+from repro.epc import check_rtl_bisimulation
 from repro.verification.z3z import (
     Polynomial,
     and_constraint,
@@ -79,7 +68,7 @@ class TestLTS:
         lts.add_transition(b, {"stop": EVENT}, c)
         path = lts.path_to(lambda s: s == c)
         assert [t.target for t in path] == [b, c]
-        assert lts.deadlocks() == {c}
+        assert lts.successors(c) == set()
 
     def test_label_projection_and_rendering(self):
         lts = LTS("demo")
@@ -110,21 +99,26 @@ class TestExplorer:
     def test_max_states_bound_is_flagged(self):
         result = explore(modulo_counter_process(9), ExplorationOptions(max_states=3))
         assert not result.complete
-        assert result.bound_reached
         assert result.lts.state_count() <= 3
 
     def test_max_states_bound_can_raise(self):
-        with pytest.raises(BoundReached, match="max_states=3"):
-            explore(modulo_counter_process(9), ExplorationOptions(max_states=3, on_bound="raise"))
+        # The explorer only flags the bound; a verdict over the truncated
+        # result raises it when the answer needs the whole state space.
+        result = explore(modulo_counter_process(9), ExplorationOptions(max_states=3))
+        assert result.check_reachable(ReactionPredicate.value("n", lambda n: n == 1)).holds
+        with pytest.raises(BoundReached, match="truncated"):
+            result.check_invariant(ReactionPredicate.always())
 
     def test_unbounded_exploration_is_not_flagged(self):
         result = explore(modulo_counter_process(3))
         assert result.complete
-        assert not result.bound_reached
 
     def test_invalid_on_bound_rejected(self):
-        with pytest.raises(ValueError):
-            ExplorationOptions(on_bound="ignore")
+        # The on_bound knob is gone: a caller still asking for the old
+        # raising explorer fails loudly instead of silently getting a
+        # flagged result.
+        with pytest.raises(TypeError, match="on_bound"):
+            ExplorationOptions(on_bound="raise")
 
     def test_observing_unknown_signal_rejected(self):
         # A typo here would otherwise make the signal silently always-absent
@@ -144,9 +138,10 @@ class TestExplorer:
         assert result.complete
 
     def test_product_exploration_bound(self):
-        options = ExplorationOptions(max_states=1, on_bound="raise")
-        with pytest.raises(BoundReached):
-            explore_product(modulo_counter_process(5), modulo_counter_process(7), options=options)
+        options = ExplorationOptions(max_states=1)
+        result = explore_product(modulo_counter_process(5), modulo_counter_process(7), options=options)
+        assert not result.complete
+        assert result.state_count == 1
 
     def test_payload_is_the_memory_tuple(self):
         result = explore(modulo_counter_process(3))
@@ -186,33 +181,38 @@ class TestExplorer:
 
 
 class TestInvariants:
-    def _counter_lts(self, modulo=3):
-        return explore(modulo_counter_process(modulo)).lts
+    def _counter(self, modulo=3):
+        return explore(modulo_counter_process(modulo))
 
     def test_invariant_holds(self):
-        lts = self._counter_lts()
-        verdict = check_invariant_labels(lts, lambda r: r.get("n", 0) is ABSENT or r.get("n", 0) < 3)
+        counter = self._counter()
+        below = ReactionPredicate.absent("n") | ReactionPredicate.value("n", lambda n: n < 3)
+        verdict = counter.check_invariant(below)
         assert verdict.holds and "holds" in verdict.explain()
 
     def test_invariant_violation_yields_counterexample(self):
-        lts = self._counter_lts()
-        verdict = check_invariant_labels(lts, lambda r: r.get("n", ABSENT) in (ABSENT, 0, 1))
+        counter = self._counter()
+        low = ReactionPredicate.absent("n") | ReactionPredicate.value("n", lambda n: n in (0, 1))
+        verdict = counter.check_invariant(low)
         assert not verdict.holds
         assert verdict.counterexample
 
     def test_reachability(self):
-        lts = self._counter_lts()
-        hit = check_reaction_reachable(lts, lambda r: "carry" in r)
+        counter = self._counter()
+        hit = counter.check_reachable(ReactionPredicate.present("carry"))
         assert hit.holds
-        miss = check_reaction_reachable(lts, lambda r: r.get("n") == 99)
+        miss = counter.check_reachable(ReactionPredicate.value("n", lambda n: n == 99))
         assert not miss.holds
 
     def test_state_reachability_and_af(self):
-        lts = self._counter_lts()
-        assert check_reachable(lts, lambda s: s == max(lts.states)).holds
-        assert check_invariant_states(lts, lambda s: True).holds
-        assert always_eventually(lts, lambda s: s == lts.initial).holds
-        assert deadlock_free(lts).holds
+        # Every counter state is reached by a shortest engine trace, and the
+        # last one is the initial memory again: the cycle closes.
+        counter = self._counter()
+        for value in range(3):
+            trace = counter.trace_to(ReactionPredicate.value("n", lambda n, v=value: n == v))
+            assert len(trace) == value + 1
+            assert trace[-1].state == {"delay0": (value,)}
+        assert trace[-1].state == counter.memories[counter.lts.initial]
 
 
 class TestBisimulation:
@@ -274,24 +274,19 @@ class TestObserver:
 
 class TestSynthesis:
     def test_synthesis_on_counter(self):
-        lts = explore(modulo_counter_process(4)).lts
-        objective = SynthesisObjective(
-            safe_states=safety_from_labels(lts, lambda r: "carry" not in r),
-            controllable=controllable_by_signals(["tick"]),
-        )
-        result = synthesise(lts, objective)
+        plant = explore(modulo_counter_process(4))
+        no_carry = ReactionPredicate.absent("carry")
+        result = plant.synthesise(no_carry, ["tick"]).backend
         assert result.success
-        closed = result.controller.restrict(lts)
-        assert check_invariant_labels(closed, lambda r: "carry" not in r).holds
+        closed = result.controller.restrict(plant)
+        assert closed.complete and closed.observed == plant.observed
+        assert closed.check_invariant(no_carry).holds
         assert result.disabled_transitions >= 1
 
     def test_synthesis_failure_when_uncontrollable(self):
-        lts = explore(modulo_counter_process(2)).lts
-        objective = SynthesisObjective(
-            safe_states=safety_from_labels(lts, lambda r: "carry" not in r),
-            controllable=controllable_by_signals([]),  # nothing can be disabled
-        )
-        result = synthesise(lts, objective)
+        plant = explore(modulo_counter_process(2))
+        # nothing can be disabled
+        result = plant.synthesise(ReactionPredicate.absent("carry"), []).backend
         assert not result.success
         assert "NO controller" in result.explain()
 
@@ -336,7 +331,9 @@ class TestZ3Z:
         system = encode_process(alternator_process())
         assert system.check_invariant(presence("flip") - presence("tick"))
         assert not system.check_invariant(is_true("flip") - presence("tick"))
-        assert len(system.reachable_states()) == 2
+        explored = system.explore()
+        assert explored.complete
+        assert explored.state_count == 2
 
     def test_encode_rejects_integer_signals(self):
         from repro.signal.library import count_process
@@ -346,19 +343,18 @@ class TestZ3Z:
             encode_process(count_process())
 
     def test_edge_detector_encoding_matches_simulation(self):
-        system = encode_process(edge_detector_process())
+        explored = encode_process(edge_detector_process()).explore()
+        assert explored.complete
         # In every admissible reaction, rise present implies level present-true.
-        for state in system.reachable_states():
-            for reaction in system.admissible_reactions(dict(state)):
-                decoded = system.decode_reaction(reaction)
-                if decoded["rise"] is not ABSENT:
-                    assert decoded["level"] is True
+        for decoded in explored.reactions():
+            if decoded["rise"] is not ABSENT:
+                assert decoded["level"] is True
 
     def test_event_signals_never_carry_false(self):
-        system = encode_process(alternator_process())
-        for state in system.reachable_states():
-            for reaction in system.admissible_reactions(dict(state)):
-                assert system.decode_reaction(reaction)["tick"] in (ABSENT, True)
+        explored = encode_process(alternator_process()).explore()
+        assert explored.complete
+        for decoded in explored.reactions():
+            assert decoded["tick"] in (ABSENT, True)
 
     def test_polynomial_reachability_interface(self):
         engine = encode_process(alternator_process()).explore()
@@ -403,6 +399,39 @@ class TestSymbolic:
             encode_process(alternator_process()).check_invariant(
                 presence("flip") - presence("tick"), max_states=1
             )
+        # Every verdict entry point of a truncated exploration refuses:
+        # 5 of the 50 counter states, with n = 30 beyond the bound.
+        counter = explore(modulo_counter_process(50), ExplorationOptions(max_states=5))
+        assert counter.state_count == 5 and not counter.complete
+        safe = ReactionPredicate.absent("n") | ReactionPredicate.value("n", lambda n: n != 30)
+        thirty = ReactionPredicate.value("n", lambda n: n == 30)
+        for verdict in (
+            lambda: counter.check_invariant(safe),
+            lambda: counter.check_reachable(thirty),
+            lambda: counter.trace_to(thirty),
+            lambda: counter.synthesise(safe, ["tick"]),
+        ):
+            with pytest.raises(BoundReached):
+                verdict()
+        # So does the closed loop of a truncated plant, even under a
+        # controller that allows every explored transition.
+        everything = Controller(
+            allowed={state: counter.lts.transitions_from(state) for state in counter.lts.states},
+            kept_states=set(counter.lts.states),
+        )
+        closed = everything.restrict(counter)
+        assert closed.state_count == 5 and not closed.complete
+        with pytest.raises(BoundReached):
+            closed.check_invariant(safe)
+        # A controller synthesised on the complete plant, applied to the
+        # truncated one, gives a closed loop that refuses all the same.
+        controller = explore(modulo_counter_process(50)).synthesise(safe, ["tick"]).backend.controller
+        with pytest.raises(BoundReached):
+            controller.restrict(counter).check_invariant(safe)
+        # The RTL obligation refuses below its reachable count (78 states of
+        # the implementation at width 2) instead of comparing truncated LTSs.
+        with pytest.raises(BoundReached, match="max_states=50"):
+            check_rtl_bisimulation(width=2, max_states=50)
 
     def test_truncated_exploration_refuses_synthesis(self):
         explicit = explore(modulo_counter_process(9), ExplorationOptions(max_states=3))
@@ -460,20 +489,18 @@ class TestSymbolic:
 
     def test_engine_agnostic_helpers_reject_non_backends(self):
         # A raw PolynomialDynamicalSystem has a check_invariant(polynomial,
-        # max_states) method that duck-typing would silently misinterpret.
+        # max_states) method that would silently misread a ReactionPredicate
+        # meant for the engine's check_invariant.
         system = encode_process(alternator_process())
-        predicate = ReactionPredicate.present("flip")
+        predicate = ReactionPredicate.present("flip") | ReactionPredicate.absent("flip")
         with pytest.raises(TypeError, match="explore"):
-            invariant_holds(system, predicate)
-        with pytest.raises(TypeError, match="explore"):
-            reaction_reachable(system, predicate)
-        with pytest.raises(TypeError, match="explore"):
-            synthesise_with(system, predicate, [])
+            system.check_invariant(predicate)
+        assert system.explore().check_invariant(predicate).holds
 
     def test_symbolic_scales_past_the_explicit_bound(self):
         process = boolean_shift_register_process(12)
         explicit = explore(process, ExplorationOptions(max_states=64))
-        assert explicit.bound_reached
+        assert not explicit.complete
         symbolic = symbolic_int_explore(process)
         assert symbolic.complete
         assert symbolic.state_count == 2 ** 12
@@ -483,18 +510,17 @@ class TestSymbolic:
         predicate = ReactionPredicate.present("flip").implies(ReactionPredicate.present("tick"))
         explicit = explore(alternator_process())
         symbolic = symbolic_int_explore(alternator_process())
-        assert invariant_holds(explicit.lts, predicate).holds
-        assert invariant_holds(explicit, predicate).holds
-        assert invariant_holds(symbolic, predicate).holds
-        assert reaction_reachable(explicit.lts, ReactionPredicate.true_of("flip")).holds
-        assert reaction_reachable(symbolic, ReactionPredicate.true_of("flip")).holds
+        assert explicit.check_invariant(predicate).holds
+        assert symbolic.check_invariant(predicate).holds
+        assert explicit.check_reachable(ReactionPredicate.true_of("flip")).holds
+        assert symbolic.check_reachable(ReactionPredicate.true_of("flip")).holds
 
     def test_synthesise_with_dispatch(self):
         safe = ~ReactionPredicate.false_of("flip")
         explicit = explore(alternator_process())
         symbolic = symbolic_int_explore(alternator_process())
-        for target in (explicit, explicit.lts, symbolic):
-            verdict = synthesise_with(target, safe, ["tick"])
+        for target in (explicit, symbolic):
+            verdict = target.synthesise(safe, ["tick"])
             assert not verdict.success  # flip must eventually go false
             assert "kept" in verdict.explain()
         with pytest.raises(ValueError):

@@ -13,13 +13,9 @@ from repro.signal.library import (
 )
 from repro.simulation import PRESENT
 from repro.verification import (
-    BoundReached,
     EncodingError,
     ExplorationOptions,
     ReactionPredicate,
-    invariant_holds,
-    reaction_reachable,
-    synthesise_with,
 )
 from repro.verification.encoding import PolynomialReachability
 from repro.verification.explorer import ExplorationResult
@@ -385,9 +381,8 @@ def test_auto_route_is_the_state_bound_rule(design_name, threshold, value_atom):
 class TestRegistry:
     """The fixed table of backend names and the engines behind them."""
 
-    def test_default_registry_names_and_capabilities(self):
-        """The three engine classes behind the backend names declare the
-        capabilities reports print."""
+    def test_default_registry_names_and_engines(self):
+        """Each backend name resolves to itself and builds its engine class."""
         design = Design.from_process(alternator_process())
         engines = {
             "explicit": ExplorationResult,
@@ -395,13 +390,8 @@ class TestRegistry:
             "symbolic-int": IntSymbolicReachability,
         }
         for name, engine in engines.items():
-            assert design.backend_info(name) == (name, engine.capabilities())
-        assert ExplorationResult.capabilities().integer_data
-        assert ExplorationResult.capabilities().synthesis
-        assert not PolynomialReachability.capabilities().synthesis
-        assert IntSymbolicReachability.capabilities().integer_data
-        assert not IntSymbolicReachability.capabilities().bounded
-        assert IntSymbolicReachability.capabilities().synthesis
+            assert design.backend_info(name).name == name
+            assert isinstance(design.backend(name), engine)
 
     def test_unknown_backend_lookup(self):
         design = Design.from_process(alternator_process())
@@ -508,25 +498,12 @@ class TestLegacyWrappers:
     def test_wrapper_routes_value_atoms_to_concrete_backend(self):
         """A value atom on a large boolean design goes to a concrete engine —
         the exhaustive bit-blasted one rather than a truncating explicit
-        exploration — and the wrapper checks on the engine it is handed."""
+        exploration — and that engine answers the check itself."""
         design = Design.from_process(boolean_shift_register_process(10))
         predicate = P.absent("x") | P.value("x", lambda v: isinstance(v, bool))
-        assert invariant_holds(design.backend(), predicate).holds
+        assert design.backend().check_invariant(predicate).holds
         assert "symbolic_int" in design.artifact_counts
         assert "exploration" not in design.artifact_counts
-
-    def test_non_backend_target_still_rejected(self):
-        with pytest.raises(TypeError):
-            invariant_holds(42, P.always())
-        design = Design.from_process(alternator_process())
-        for wrapper, arguments in (
-            (invariant_holds, (P.always(),)),
-            (reaction_reachable, (P.present("flip"),)),
-            (synthesise_with, (P.always(), ["tick"])),
-        ):
-            with pytest.raises(TypeError):
-                wrapper(design, *arguments)
-        assert reaction_reachable(design.backend(), P.present("flip")).holds
 
 
 class TestSimulationFacade:

@@ -22,7 +22,6 @@ from repro.signal.library import (
 )
 from repro.signal.printer import render_process
 from repro.verification import (
-    BoundReached,
     EncodingError,
     ExplorationOptions,
     ReactionPredicate,
@@ -354,13 +353,15 @@ class TestFailureClassification:
     def test_bound_reached_failure_retries_after_raising_the_bound(self):
         design = Design.from_process(
             modulo_counter_process(5),
-            exploration_options=ExplorationOptions(max_states=2, on_bound="raise"),
+            exploration_options=ExplorationOptions(max_states=2),
             cache=None,
         )
-        with pytest.raises(BoundReached):
-            design.exploration
-        design.exploration_options = ExplorationOptions(max_states=10_000, on_bound="raise")
+        refused = design.check(ReactionPredicate.always(), backend="explicit").checks[0]
+        assert refused.holds is None and "truncated" in refused.error
+        design.exploration_options = ExplorationOptions(max_states=10_000)
         assert design.exploration.complete
+        assert design.check(ReactionPredicate.always(), backend="explicit").checks[0].holds
+        assert design.artifact_counts["exploration"] == 2
 
     def test_structural_failure_stays_memoised(self):
         design = Design.from_process(modulo_counter_process(5), cache=None)
