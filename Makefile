@@ -16,6 +16,10 @@
 #   make perfbench-smoke - every BENCHMARK.json workload for 3 s (perfbench/run.py
 #                      --trace 0), plus the symbolic one with --trace 1; fails
 #                      unless each run attempted operations and none failed
+#   make perfbench-counts - gate: every workload traced at seed 3; its routes and
+#                      count/% per-layer metrics must equal the committed
+#                      benchmarks/PERFBENCH_COUNTS.json exactly (regenerate it
+#                      with `python tools/perfbench_smoke.py --counts --update`)
 #   make bench       - the full pytest-benchmark campaign over benchmarks/
 
 PYTHON ?= python
@@ -23,7 +27,7 @@ PYTEST := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest
 COV_MIN ?= 85
 BENCH_FACTOR ?= 3.0
 
-.PHONY: test cov lint bench-smoke bench-check perfbench-smoke bench
+.PHONY: test cov lint bench-smoke bench-check perfbench-smoke perfbench-counts bench
 
 test:
 	$(PYTEST) -x -q
@@ -43,6 +47,9 @@ bench-check:
 
 perfbench-smoke:
 	$(PYTHON) tools/perfbench_smoke.py
+
+perfbench-counts:
+	$(PYTHON) tools/perfbench_smoke.py --counts
 
 bench:
 	$(PYTEST) -q -o python_files='bench_*.py' benchmarks

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .ast import (
+    BinaryOp,
     Cell,
     ClockBinary,
     ClockConstraint,
@@ -38,9 +39,11 @@ from .ast import (
     SignalDeclaration,
     SignalRef,
     Statement,
+    UnaryOp,
     When,
 )
 from ..core.values import EVENT
+from .operators import LEVEL_OR, LEVEL_UNARY, OPERATORS, Operator
 
 
 class SignalSyntaxError(Exception):
@@ -300,84 +303,40 @@ class Parser:
 
     def _parse_clock_term(self) -> Expression:
         stream = self._stream
-        left = self._parse_or()
+        left = self._parse_operators(LEVEL_OR)
         while stream.peek().text in ("^*", "^+", "^-"):
             op = stream.next().text
-            right = self._parse_or()
+            right = self._parse_operators(LEVEL_OR)
             left = ClockBinary(op, left, right)
         return left
 
-    def _parse_or(self) -> Expression:
+    def _parse_operators(self, level: int) -> Expression:
+        """The table's operators binding at ``level`` or tighter: a prefix
+        row of that level, else binary rows of it associating to the left
+        (a row that does not chain, such as a comparison, takes one)."""
+        if level >= LEVEL_UNARY:
+            return self._parse_unary()
         stream = self._stream
-        left = self._parse_and()
-        while stream.peek().text in ("or", "xor"):
-            op = stream.next().text
-            right = self._parse_and()
-            left = left.__or__(right) if op == "or" else left.__xor__(right)
-        return left
-
-    def _parse_and(self) -> Expression:
-        stream = self._stream
-        left = self._parse_not()
-        while stream.at("and"):
+        prefix = _syntax("unary", stream.peek().text, level)
+        if prefix is not None:
             stream.next()
-            right = self._parse_not()
-            left = left & right
-        return left
-
-    def _parse_not(self) -> Expression:
-        stream = self._stream
-        if stream.accept("not"):
-            return ~self._parse_not()
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> Expression:
-        stream = self._stream
-        left = self._parse_additive()
-        if stream.peek().text in ("=", "/=", "<", "<=", ">", ">="):
-            op = stream.next().text
-            right = self._parse_additive()
-            method = {"=": "eq", "/=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}[op]
-            return getattr(left, method)(right)
-        return left
-
-    def _parse_additive(self) -> Expression:
-        stream = self._stream
-        left = self._parse_multiplicative()
-        while stream.peek().text in ("+", "-"):
-            op = stream.next().text
-            right = self._parse_multiplicative()
-            left = left + right if op == "+" else left - right
-        return left
-
-    def _parse_multiplicative(self) -> Expression:
-        stream = self._stream
-        left = self._parse_unary()
-        while stream.peek().text in ("*", "/", "mod", "&", ">>", "<<"):
-            op = stream.next().text
-            right = self._parse_unary()
-            if op == "*":
-                left = left * right
-            elif op == "/":
-                from .ast import BinaryOp
-
-                left = BinaryOp("/", left, right)
-            elif op == "mod":
-                left = left % right
-            elif op == "&":
-                left = left.bitand(right)
-            elif op == ">>":
-                left = left >> right
-            else:
-                left = left << right
+            return UnaryOp(prefix.name, self._parse_operators(level))
+        left = self._parse_operators(level + 1)
+        while (row := _syntax("binary", stream.peek().text, level)) is not None:
+            stream.next()
+            left = BinaryOp(row.name, left, self._parse_operators(level + 1))
+            if not row.chains:
+                break
         return left
 
     def _parse_unary(self) -> Expression:
         stream = self._stream
-        if stream.accept("-"):
-            return -self._parse_unary()
         if stream.accept("^"):
             return ClockOf(self._parse_unary())
+        prefix = _syntax("unary", stream.peek().text, LEVEL_UNARY)
+        if prefix is not None:
+            stream.next()
+            return UnaryOp(prefix.name, self._parse_unary())
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expression:
@@ -441,11 +400,15 @@ class Parser:
     def _constant_value(expr: Expression) -> object:
         if isinstance(expr, Constant):
             return expr.value
-        from .ast import UnaryOp
-
         if isinstance(expr, UnaryOp) and expr.op == "-" and isinstance(expr.operand, Constant):
             return -expr.operand.value
         raise SignalSyntaxError("initial values must be constants")
+
+
+def _syntax(kind: str, text: str, level: int) -> Optional[Operator]:
+    """The table row a token writes at a binding level, if any."""
+    row = OPERATORS.get((kind, text))
+    return row if row is not None and row.level == level else None
 
 
 class _Group(Statement):

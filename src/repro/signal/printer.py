@@ -28,41 +28,16 @@ from .ast import (
     When,
 )
 from ..core.values import EVENT
+from .operators import LEVEL_MUL, LEVEL_UNARY, OPERATORS
 
-# Precedence levels, loosest first.  Used to decide where parentheses are needed.
+# Precedence levels of the non-operator forms, loosest first; the operator
+# levels come from the rows of the operator table.  Used to decide where
+# parentheses are needed.
 _LEVEL_DEFAULT = 1
 _LEVEL_WHEN = 2
 _LEVEL_CLOCK = 3
-_LEVEL_OR = 4
-_LEVEL_AND = 5
-_LEVEL_NOT = 6
-_LEVEL_CMP = 7
-_LEVEL_ADD = 8
-_LEVEL_MUL = 9
-_LEVEL_UNARY = 10
 _LEVEL_POSTFIX = 11
 _LEVEL_ATOM = 12
-
-_BINARY_LEVELS = {
-    "or": _LEVEL_OR,
-    "xor": _LEVEL_OR,
-    "and": _LEVEL_AND,
-    "=": _LEVEL_CMP,
-    "/=": _LEVEL_CMP,
-    "<": _LEVEL_CMP,
-    "<=": _LEVEL_CMP,
-    ">": _LEVEL_CMP,
-    ">=": _LEVEL_CMP,
-    "+": _LEVEL_ADD,
-    "-": _LEVEL_ADD,
-    "*": _LEVEL_MUL,
-    "/": _LEVEL_MUL,
-    "mod": _LEVEL_MUL,
-    "&": _LEVEL_MUL,
-    "|": _LEVEL_MUL,
-    ">>": _LEVEL_MUL,
-    "<<": _LEVEL_MUL,
-}
 
 
 def render_constant(value: object) -> str:
@@ -109,16 +84,23 @@ def _render(expr: Expression) -> tuple[str, int]:
         text = f"{_paren(left, left_level, _LEVEL_CLOCK)} {expr.op} {_paren(right, right_level, _LEVEL_CLOCK + 1)}"
         return text, _LEVEL_CLOCK
     if isinstance(expr, BinaryOp):
-        level = _BINARY_LEVELS.get(expr.op, _LEVEL_MUL)
+        # An operator without syntax (``|``) is written for reading only.
+        row = OPERATORS.get(("binary", expr.op))
+        level = row.level if row is not None and row.level is not None else LEVEL_MUL
+        chains = row is None or row.chains
         left, left_level = _render(expr.left)
         right, right_level = _render(expr.right)
-        text = f"{_paren(left, left_level, level)} {expr.op} {_paren(right, right_level, level + 1)}"
+        text = (
+            f"{_paren(left, left_level, level if chains else level + 1)} {expr.op} "
+            f"{_paren(right, right_level, level + 1)}"
+        )
         return text, level
     if isinstance(expr, UnaryOp):
+        row = OPERATORS.get(("unary", expr.op))
+        level = row.level if row is not None and row.level is not None else LEVEL_UNARY
         operand, operand_level = _render(expr.operand)
-        if expr.op == "not":
-            return f"not {_paren(operand, operand_level, _LEVEL_NOT)}", _LEVEL_NOT
-        return f"{expr.op}{_paren(operand, operand_level, _LEVEL_UNARY)}", _LEVEL_UNARY
+        separator = " " if expr.op.isalpha() else ""
+        return f"{expr.op}{separator}{_paren(operand, operand_level, level)}", level
     if isinstance(expr, Delay):
         operand, operand_level = _render(expr.operand)
         depth = "" if expr.depth == 1 else str(expr.depth)
@@ -130,13 +112,13 @@ def _render(expr: Expression) -> tuple[str, int]:
         operand, operand_level = _render(expr.operand)
         clock, clock_level = _render(expr.clock)
         return (
-            f"{_paren(operand, operand_level, _LEVEL_POSTFIX)} cell {_paren(clock, clock_level, _LEVEL_UNARY)} "
+            f"{_paren(operand, operand_level, _LEVEL_POSTFIX)} cell {_paren(clock, clock_level, LEVEL_UNARY)} "
             f"init {render_constant(expr.init)}",
             _LEVEL_POSTFIX,
         )
     if isinstance(expr, ClockOf):
         operand, operand_level = _render(expr.operand)
-        return f"^{_paren(operand, operand_level, _LEVEL_UNARY)}", _LEVEL_UNARY
+        return f"^{_paren(operand, operand_level, LEVEL_UNARY)}", LEVEL_UNARY
     if isinstance(expr, FunctionCall):
         arguments = ", ".join(render_expression(a) for a in expr.arguments)
         return f"{expr.function}({arguments})", _LEVEL_ATOM

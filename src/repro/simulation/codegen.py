@@ -28,10 +28,12 @@ The generated code reproduces the partial-knowledge semantics of
 ``_Evaluator`` branch for branch — including evaluation order, so every
 ``ConsistencyError``/``UnresolvedError``/``EvaluationError`` is raised under
 exactly the same circumstances with exactly the same message as the
-interpreter.  Integer operators run inline when both operands are plain
-``int`` and fall back to the :data:`~repro.signal.operators.BINARY_OPERATORS`
-function otherwise, so booleans, events and other values take the
-interpreter's own conversion path.  The differential suite
+interpreter.  Every operator and intrinsic is bound at compile time to its
+row of :data:`~repro.signal.operators.OPERATORS`: a row with an inline
+template runs inline (integer operators when both operands are plain
+``int``, falling back to the row's function otherwise, so booleans, events
+and other values take the interpreter's own conversion path and errors),
+any other row is a call of its function.  The differential suite
 (``tests/test_step_codegen.py``) pins that equivalence over the same
 corpora the symbolic engine is checked against; the interpreter stays
 available as the oracle via ``CompiledProcess(process, compile="interp")``.
@@ -57,14 +59,7 @@ from ..signal.ast import (
     UnaryOp,
     When,
 )
-from ..signal.operators import (
-    BINARY_OPERATORS,
-    UNARY_OPERATORS,
-    apply_binary,
-    apply_intrinsic,
-    apply_unary,
-    truthy,
-)
+from ..signal.operators import OPERATORS, lookup, truthy
 from .status import PRESENT, UNKNOWN_VALUE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -72,22 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 
 # ------------------------------------------------------------------- lowering
-
-#: Operators emitted as bare Python comparisons, as their functions compute.
-_INLINE_EQUALITY = {"=": "==", "/=": "!="}
-
-#: Integer operators emitted inline behind a ``type(...) is int`` guard.
-_INLINE_INTEGER = {
-    "+": "+",
-    "-": "-",
-    "*": "*",
-    "mod": "%",
-    "<": "<",
-    "<=": "<=",
-    ">": ">",
-    ">=": ">=",
-}
-
 
 class _FunctionBuilder:
     """Emits the straight-line body of one generated function.
@@ -134,13 +113,12 @@ class _FunctionBuilder:
         if isinstance(expr, ClockBinary):
             return self._lower_clockbinary(expr)
         if isinstance(expr, UnaryOp):
-            call = self.module.unary_call(expr.op)
-            return self._lower_pointwise([expr.operand], call)
+            return self._lower_pointwise([expr.operand], self.module.operator_call("unary", expr.op))
         if isinstance(expr, BinaryOp):
-            call = self.module.binary_call(expr.op)
+            call = self.module.operator_call("binary", expr.op)
             return self._lower_pointwise([expr.left, expr.right], call)
         if isinstance(expr, FunctionCall):
-            call = self.module.intrinsic_call(expr.function)
+            call = self.module.operator_call("intrinsic", expr.function)
             return self._lower_pointwise(list(expr.arguments), call)
         # Mirrors the interpreter's catch-all for unknown node types.
         raise _simulation_error(f"cannot compile expression {expr!r}")
@@ -348,9 +326,6 @@ class _ModuleBuilder:
             "_truthy": truthy,
             "_CE": ConsistencyError,
             "_UE": UnresolvedError,
-            "_apply_unary": apply_unary,
-            "_apply_binary": apply_binary,
-            "_apply_intrinsic": apply_intrinsic,
         }
 
     def _intern(self, prefix: str, value: Any) -> str:
@@ -364,38 +339,18 @@ class _ModuleBuilder:
     def message(self, text: str) -> str:
         return self._intern("m", text)
 
-    def unary_call(self, op: str):
-        function = UNARY_OPERATORS.get(op)
-        if function is None:
-            # Unknown operator: defer to apply_unary so the EvaluationError
-            # fires lazily, exactly when the interpreter would raise it.
-            return lambda vs: f"_apply_unary({op!r}, {vs[0]})"
-        name = self._intern("f", function)
-        return lambda vs: f"{name}({vs[0]})"
-
-    def binary_call(self, op: str):
-        function = BINARY_OPERATORS.get(op)
-        if function is None:
-            return lambda vs: f"_apply_binary({op!r}, {vs[0]}, {vs[1]})"
-        if op in _INLINE_EQUALITY:
-            # The operator functions compare the raw values: no conversion.
-            symbol = _INLINE_EQUALITY[op]
-            return lambda vs: f"({vs[0]} {symbol} {vs[1]})"
-        name = self._intern("f", function)
-        if op in _INLINE_INTEGER:
-            # Plain ints need no _as_int; anything else (bool, event, ...)
-            # takes the operator function for its conversion or its error.
-            symbol = _INLINE_INTEGER[op]
-            return lambda vs: (
-                f"(({vs[0]} {symbol} {vs[1]}) if type({vs[0]}) is int and type({vs[1]}) is int "
-                f"else {name}({vs[0]}, {vs[1]}))"
-            )
-        return lambda vs: f"{name}({vs[0]}, {vs[1]})"
-
-    def intrinsic_call(self, function: str):
-        # Intrinsics stay late-bound: register_intrinsic may add or replace
-        # them after compilation, and the interpreter looks them up per call.
-        return lambda vs: f"_apply_intrinsic({function!r}, {', '.join(vs)})"
+    def operator_call(self, kind: str, name: str):
+        """The call template of an operator's row, its function bound now."""
+        row = OPERATORS.get((kind, name))
+        if row is None:
+            # Unknown operator: the lookup error fires when the call is
+            # evaluated, exactly when the interpreter would raise it.
+            function = self._intern("f", lambda *_: lookup(kind, name))
+            return lambda vs: f"{function}({', '.join(vs)})"
+        function = self._intern("f", row.function)
+        if row.inline is not None:
+            return lambda vs: row.inline.format(*vs, f=function)
+        return lambda vs: f"{function}({', '.join(vs)})"
 
 
 # ------------------------------------------------------------------- the kernels

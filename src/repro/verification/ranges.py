@@ -12,8 +12,9 @@ This module computes those ranges by abstract interpretation over intervals:
 * **driven integer inputs** range over the exploration stimulus domain
   (``integer_domain``), exactly like the explicit explorer's alphabet;
 * everything else is **inferred** by Kleene iteration from bottom: constants
-  are point intervals, arithmetic is interval arithmetic, ``x mod k`` is
-  ``[0, k-1]`` for a positive constant ``k``, delays and cells hull their
+  are point intervals, each operator applies its row's interval transfer
+  (:data:`~repro.signal.operators.OPERATORS`: interval arithmetic, and
+  ``x mod k`` is ``[0, k-1]`` for a positive point ``k``), delays and cells hull their
   operand with the initial value, merges hull both branches, and sampling by
   a comparison against a constant (``x when x < k``) *refines* the sampled
   interval — the idiom saturating designs bound themselves with.
@@ -23,13 +24,14 @@ budget runs out has no finite range the analysis can stand behind;
 :func:`infer_ranges` then raises
 :class:`~repro.verification.encoding.EncodingError` naming the offending
 signals, and the workbench auto policy keeps routing such designs to the
-explicit explorer.
+explicit explorer.  An integer operator whose row has no transfer is
+refused the same way, naming the operator (:func:`require`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from ..core.values import EVENT
 from ..signal.ast import (
@@ -39,16 +41,15 @@ from ..signal.ast import (
     Default,
     Delay,
     Expression,
+    FunctionCall,
     ProcessDefinition,
     SignalRef,
     UnaryOp,
     When,
 )
+from ..signal.operators import EvaluationError, Interval, Operator, lookup
 from ..simulation.compiler import CompiledProcess
 from .encoding import EncodingError
-
-#: An inclusive integer interval, or None for "no information yet" (bottom).
-Interval = Optional[tuple[int, int]]
 
 #: Comparison operators usable as refining sampling conditions.
 _REFINING_OPS = ("<", "<=", ">", ">=", "=")
@@ -83,7 +84,7 @@ class RangeReport:
         ``max_states`` (the integer analogue of 3^state-variables)."""
         product = 1
         for _key, node in compiled.stateful_nodes():
-            interval = state_interval(node, self.signals)
+            interval = state_interval(node, self.signals, compiled.name)
             if interval is not None:
                 size = interval[1] - interval[0] + 1
             else:
@@ -93,9 +94,11 @@ class RangeReport:
         return product
 
 
-def state_interval(node: Union[Delay, Cell], ranges: Mapping[str, tuple[int, int]]) -> Interval:
+def state_interval(
+    node: Union[Delay, Cell], ranges: Mapping[str, tuple[int, int]], process: str
+) -> Interval:
     """Interval stored by a stateful operator, when its operand is integer."""
-    evaluator = _IntervalEvaluator(dict(ranges), refine=False)
+    evaluator = _IntervalEvaluator(dict(ranges), process, refine=False)
     operand = evaluator.interval(node.operand)
     init = node.init
     if isinstance(init, bool) or init is EVENT or init is None:
@@ -103,11 +106,36 @@ def state_interval(node: Union[Delay, Cell], ranges: Mapping[str, tuple[int, int
     return _hull(operand, (init, init))
 
 
+def operator_row(node: Union[UnaryOp, BinaryOp, FunctionCall], process: str) -> Operator:
+    """The operator-table row of a pointwise node; ``EncodingError`` when unknown."""
+    if isinstance(node, FunctionCall):
+        key = ("intrinsic", node.function)
+    else:
+        key = ("unary" if isinstance(node, UnaryOp) else "binary", node.op)
+    try:
+        return lookup(*key)
+    except EvaluationError as error:
+        raise EncodingError(f"{process}: {error}") from None
+
+
+def require(row: Operator, facet: str, process: str) -> Callable[..., Any]:
+    """A row's ``transfer`` or ``circuit``: the one place the finite-integer
+    engine refuses an operator the table gives it no way to encode."""
+    built = getattr(row, facet)
+    if built is None:
+        raise EncodingError(
+            f"{process}: operator {row.name!r} has no {facet} in the operator table, so the "
+            "finite-integer engine cannot encode it"
+        )
+    return built
+
+
 class _IntervalEvaluator:
     """One monotone transfer step: expression -> interval, under an environment."""
 
-    def __init__(self, environment: dict[str, Interval], refine: bool = True) -> None:
+    def __init__(self, environment: dict[str, Interval], process: str, refine: bool = True) -> None:
         self.environment = environment
+        self.process = process
         self.refine = refine
 
     def interval(self, expression: Expression) -> Interval:
@@ -128,16 +156,13 @@ class _IntervalEvaluator:
             return self._when(expression)
         if isinstance(expression, Default):
             return _hull(self.interval(expression.left), self.interval(expression.right))
-        if isinstance(expression, UnaryOp):
-            if expression.op == "-":
-                operand = self.interval(expression.operand)
-                return None if operand is None else (-operand[1], -operand[0])
-            if expression.op == "+":
-                return self.interval(expression.operand)
-            return None  # boolean
-        if isinstance(expression, BinaryOp):
-            return self._binary(expression)
-        return None  # clocks, calls, comparisons: not integer-valued (or unknown)
+        if isinstance(expression, (UnaryOp, BinaryOp, FunctionCall)):
+            row = operator_row(expression, self.process)
+            if row.result != "int":
+                return None  # comparisons and boolean connectives
+            transfer = require(row, "transfer", self.process)
+            return transfer(*(self.interval(operand) for operand in expression.children()))
+        return None  # clocks: not integer-valued
 
     def _stateful(self, node: Union[Delay, Cell]) -> Interval:
         operand = self.interval(node.operand)
@@ -154,7 +179,7 @@ class _IntervalEvaluator:
             return base
         refined = self._refined_environment(node.condition)
         if refined is not None:
-            base = _IntervalEvaluator(refined, refine=True).interval(node.operand)
+            base = _IntervalEvaluator(refined, self.process).interval(node.operand)
         return base
 
     def _refined_environment(self, condition: Expression) -> Optional[dict[str, Interval]]:
@@ -189,31 +214,6 @@ class _IntervalEvaluator:
         environment = dict(self.environment)
         environment[left.name] = (lo, hi) if lo <= hi else None
         return environment
-
-    def _binary(self, node: BinaryOp) -> Interval:
-        op = node.op
-        if op == "mod":
-            return self._mod(node)
-        left = self.interval(node.left)
-        right = self.interval(node.right)
-        if left is None or right is None:
-            return None
-        if op == "+":
-            return (left[0] + right[0], left[1] + right[1])
-        if op == "-":
-            return (left[0] - right[1], left[1] - right[0])
-        if op == "*":
-            corners = [a * b for a in left for b in right]
-            return (min(corners), max(corners))
-        return None  # comparisons and boolean connectives are not integer-valued
-
-    def _mod(self, node: BinaryOp) -> Interval:
-        # x mod k for a positive constant k is bounded whatever x is — the
-        # base case that lets modulo counters converge without declarations.
-        if isinstance(node.right, Constant) and isinstance(node.right.value, int) \
-                and not isinstance(node.right.value, bool) and node.right.value > 0:
-            return (0, node.right.value - 1)
-        return None
 
 
 def infer_ranges(
@@ -272,7 +272,7 @@ def infer_ranges(
 
     for _round in range(max_rounds):
         changed = False
-        evaluator = _IntervalEvaluator(environment)
+        evaluator = _IntervalEvaluator(environment, compiled.name)
         for definition_ in definitions:
             name = definition_.target
             if name in pinned:
@@ -292,7 +292,7 @@ def infer_ranges(
         break  # magnitude blow-up: stop iterating, report below
 
     # A final transfer step detects non-convergence (still-growing intervals).
-    evaluator = _IntervalEvaluator(environment)
+    evaluator = _IntervalEvaluator(environment, compiled.name)
     unbounded: list[str] = []
     for definition_ in definitions:
         name = definition_.target

@@ -56,11 +56,13 @@ from ..signal.ast import (
     Default,
     Delay,
     Expression,
+    FunctionCall,
     ProcessDefinition,
     SignalRef,
     UnaryOp,
     When,
 )
+from ..signal.operators import EvaluationError
 from ..simulation.compiler import CompiledProcess
 from .encoding import EncodingError
 from .reachability import (
@@ -72,7 +74,7 @@ from .reachability import (
     Trace,
     TraceStep,
 )
-from .ranges import RangeReport, infer_ranges, state_interval
+from .ranges import RangeReport, infer_ranges, operator_row, require, state_interval
 from .relational import PartitionedRelation, _presence, _primed, _value
 from .z3z import FIELD, Polynomial
 
@@ -149,6 +151,91 @@ def _width_for(count: int) -> int:
     return max(count - 1, 0).bit_length()
 
 
+class _BitVectors:
+    """The bit-vector algebra the operator table's circuits are written in.
+
+    Boolean payloads are BDD nodes and integer payloads :class:`_IntVec`;
+    each row of :data:`~repro.signal.operators.OPERATORS` with a circuit
+    builds it from these methods alone.
+    """
+
+    def __init__(self, manager: BDDManager, name: str) -> None:
+        self.manager = manager
+        self.name = name
+        self.neg, self.conj, self.disj, self.xor = manager.neg, manager.conj, manager.disj, manager.xor
+
+    def _align(self, left: _IntVec, right: _IntVec) -> tuple[list[BDDNode], list[BDDNode]]:
+        """Shift both vectors onto the smaller offset so they compare unsigned."""
+        manager = self.manager
+        delta = left.offset - right.offset
+        a, b = list(left.bits), list(right.bits)
+        if delta > 0:
+            width = max(len(a), delta.bit_length()) + 1
+            a = manager.bv_add(a, manager.bv_const(delta, delta.bit_length()), width)
+        elif delta < 0:
+            width = max(len(b), (-delta).bit_length()) + 1
+            b = manager.bv_add(b, manager.bv_const(-delta, (-delta).bit_length()), width)
+        return a, b
+
+    def equal(self, left: Any, right: Any) -> BDDNode:
+        if isinstance(left, _IntVec):
+            return self.manager.bv_eq(*self._align(left, right))
+        return self.manager.neg(self.manager.xor(left, right))
+
+    def less(self, left: _IntVec, right: _IntVec) -> BDDNode:
+        return self.manager.bv_lt(*self._align(left, right))
+
+    def less_equal(self, left: _IntVec, right: _IntVec) -> BDDNode:
+        return self.manager.bv_le(*self._align(left, right))
+
+    def negate(self, operand: _IntVec) -> _IntVec:
+        return _IntVec(-operand.hi, tuple(self.manager.bv_not(operand.bits)))
+
+    def add(self, left: _IntVec, right: _IntVec) -> _IntVec:
+        width = max(len(left.bits), len(right.bits)) + (1 if left.bits and right.bits else 0)
+        bits = self.manager.bv_add(left.bits, right.bits, max(width, len(left.bits), len(right.bits)))
+        return _IntVec(left.offset + right.offset, tuple(bits))
+
+    def subtract(self, left: _IntVec, right: _IntVec) -> _IntVec:
+        return self.add(left, self.negate(right))
+
+    def multiply(self, left: _IntVec, right: _IntVec) -> _IntVec:
+        manager = self.manager
+        if left.offset < 0 or right.offset < 0:
+            raise EncodingError(
+                f"{self.name}: symbolic multiplication needs non-negative operand ranges"
+            )
+        # Rebase both onto offset 0, then classical shift-and-add.
+        a = _IntVec(0, tuple(manager.bv_add(left.bits, manager.bv_const(left.offset, left.offset.bit_length()),
+                                            _width_for(left.hi + 1)))) if left.offset else left
+        b = _IntVec(0, tuple(manager.bv_add(right.bits, manager.bv_const(right.offset, right.offset.bit_length()),
+                                            _width_for(right.hi + 1)))) if right.offset else right
+        width = len(a.bits) + len(b.bits)
+        accumulator = manager.bv_const(0, width)
+        for index, bit in enumerate(b.bits):
+            shifted = [manager.false] * index + list(a.bits)
+            addend = manager.bv_mux(bit, shifted, manager.bv_const(0, width))
+            accumulator = manager.bv_add(accumulator, addend, width)
+        return _IntVec(0, tuple(accumulator))
+
+    def modulo(self, operand: _IntVec, divisor: _IntVec) -> _IntVec:
+        if divisor.bits or divisor.offset <= 0:
+            raise EncodingError(f"{self.name}: symbolic mod needs a positive constant modulus")
+        manager = self.manager
+        modulus = divisor.offset
+        # (offset + u) mod m == ((offset mod m) + u) mod m for positive m.
+        base = operand.offset % modulus
+        width = max(((1 << len(operand.bits)) - 1 + base).bit_length(), modulus.bit_length(), 1)
+        remainder = manager.bv_add(operand.bits, manager.bv_const(base, base.bit_length()), width)
+        modulus_bits = manager.bv_const(modulus, width)
+        wrap = manager.bv_const((1 << width) - modulus, width)
+        steps = ((1 << len(operand.bits)) - 1 + base) // modulus
+        for _ in range(steps):
+            reduced = manager.bv_add(remainder, wrap, width)  # remainder - m, mod 2^width
+            remainder = manager.bv_mux(manager.bv_lt(remainder, modulus_bits), remainder, reduced)
+        return _IntVec(0, tuple(remainder))
+
+
 class _Sym:
     """Relational status of one sub-expression.
 
@@ -220,6 +307,7 @@ class IntSymbolicEngine:
         self.compiled = source if isinstance(source, CompiledProcess) else CompiledProcess(source)
         self.options = options or SymbolicOptions()
         self.manager = self.options.manager()
+        self.bits = _BitVectors(self.manager, self.compiled.name)
         self.ranges: RangeReport = ranges if ranges is not None else infer_ranges(
             self.compiled, declared=self.options.ranges
         )
@@ -330,14 +418,9 @@ class IntSymbolicEngine:
             return left
         if isinstance(expression, (ClockOf, ClockBinary)):
             return "bool"
-        if isinstance(expression, UnaryOp):
-            return "bool" if expression.op == "not" else "int"
-        if isinstance(expression, BinaryOp):
-            if expression.op in ("+", "-", "*", "mod"):
-                return "int"
-            if expression.op in ("and", "or", "xor", "=", "/=", "<", "<=", ">", ">="):
-                return "bool"
-        raise EncodingError(f"{self.name}: operator outside the finite-integer fragment: {expression!r}")
+        if isinstance(expression, (UnaryOp, BinaryOp, FunctionCall)):
+            return operator_row(expression, self.name).result
+        raise EncodingError(f"{self.name}: cannot bit-blast {expression!r}")
 
     def _slot_layout(self, node: Union[Delay, Cell]) -> list[str]:
         """Register (once) and return the slot names of a stateful operator."""
@@ -352,7 +435,7 @@ class IntSymbolicEngine:
             return names
         kind = self._expression_kind(node.operand)
         if kind == "int":
-            interval = state_interval(node, self.ranges.signals)
+            interval = state_interval(node, self.ranges.signals, self.name)
             if interval is None:
                 raise EncodingError(
                     f"{self.name}: no finite range for the memory of {key} ({node!r})"
@@ -436,82 +519,10 @@ class IntSymbolicEngine:
             return self.manager.true if value else self.manager.false
         raise EncodingError(f"{self.name}: boolean context holds constant {value!r}")
 
-    def _iv_align(self, left: _IntVec, right: _IntVec) -> tuple[list[BDDNode], list[BDDNode]]:
-        """Shift both vectors onto the smaller offset so they compare unsigned."""
-        manager = self.manager
-        delta = left.offset - right.offset
-        a, b = list(left.bits), list(right.bits)
-        if delta > 0:
-            width = max(len(a), delta.bit_length()) + 1
-            a = manager.bv_add(a, manager.bv_const(delta, delta.bit_length()), width)
-        elif delta < 0:
-            width = max(len(b), (-delta).bit_length()) + 1
-            b = manager.bv_add(b, manager.bv_const(-delta, (-delta).bit_length()), width)
-        return a, b
-
-    def _iv_compare(self, op: str, left: _IntVec, right: _IntVec) -> BDDNode:
-        manager = self.manager
-        a, b = self._iv_align(left, right)
-        if op == "=":
-            return manager.bv_eq(a, b)
-        if op == "/=":
-            return manager.neg(manager.bv_eq(a, b))
-        if op == "<":
-            return manager.bv_lt(a, b)
-        if op == "<=":
-            return manager.bv_le(a, b)
-        if op == ">":
-            return manager.bv_lt(b, a)
-        return manager.bv_le(b, a)  # ">="
-
-    def _iv_add(self, left: _IntVec, right: _IntVec, negate_right: bool = False) -> _IntVec:
-        manager = self.manager
-        if negate_right:
-            right = _IntVec(-right.hi, tuple(manager.bv_not(right.bits)))
-        width = max(len(left.bits), len(right.bits)) + (1 if left.bits and right.bits else 0)
-        bits = manager.bv_add(left.bits, right.bits, max(width, len(left.bits), len(right.bits)))
-        return _IntVec(left.offset + right.offset, tuple(bits))
-
-    def _iv_negate(self, operand: _IntVec) -> _IntVec:
-        return _IntVec(-operand.hi, tuple(self.manager.bv_not(operand.bits)))
-
-    def _iv_multiply(self, left: _IntVec, right: _IntVec) -> _IntVec:
-        manager = self.manager
-        if left.offset < 0 or right.offset < 0:
-            raise EncodingError(
-                f"{self.name}: symbolic multiplication needs non-negative operand ranges"
-            )
-        # Rebase both onto offset 0, then classical shift-and-add.
-        a = _IntVec(0, tuple(manager.bv_add(left.bits, manager.bv_const(left.offset, left.offset.bit_length()),
-                                            _width_for(left.hi + 1)))) if left.offset else left
-        b = _IntVec(0, tuple(manager.bv_add(right.bits, manager.bv_const(right.offset, right.offset.bit_length()),
-                                            _width_for(right.hi + 1)))) if right.offset else right
-        width = len(a.bits) + len(b.bits)
-        accumulator = manager.bv_const(0, width)
-        for index, bit in enumerate(b.bits):
-            shifted = [manager.false] * index + list(a.bits)
-            addend = manager.bv_mux(bit, shifted, manager.bv_const(0, width))
-            accumulator = manager.bv_add(accumulator, addend, width)
-        return _IntVec(0, tuple(accumulator))
-
-    def _iv_mod(self, operand: _IntVec, modulus: int) -> _IntVec:
-        manager = self.manager
-        # (offset + u) mod m == ((offset mod m) + u) mod m for positive m.
-        base = operand.offset % modulus
-        width = max(((1 << len(operand.bits)) - 1 + base).bit_length(), modulus.bit_length(), 1)
-        remainder = manager.bv_add(operand.bits, manager.bv_const(base, base.bit_length()), width)
-        modulus_bits = manager.bv_const(modulus, width)
-        wrap = manager.bv_const((1 << width) - modulus, width)
-        steps = ((1 << len(operand.bits)) - 1 + base) // modulus
-        for _ in range(steps):
-            reduced = manager.bv_add(remainder, wrap, width)  # remainder - m, mod 2^width
-            remainder = manager.bv_mux(manager.bv_lt(remainder, modulus_bits), remainder, reduced)
-        return _IntVec(0, tuple(remainder))
-
     def _iv_in_window(self, value: _IntVec, lo: int, width: int) -> BDDNode:
         """Is the value inside the ``width``-bit window starting at ``lo``?"""
-        above = self._iv_compare("<=", self._iv_const(lo), value)
-        below = self._iv_compare("<=", value, self._iv_const(lo + (1 << width) - 1))
+        above = self.bits.less_equal(self._iv_const(lo), value)
+        below = self.bits.less_equal(value, self._iv_const(lo + (1 << width) - 1))
         return self.manager.conj(above, below)
 
     def _iv_rebase_bits(self, value: _IntVec, lo: int, width: int) -> list[BDDNode]:
@@ -531,7 +542,7 @@ class IntSymbolicEngine:
             return payload
         value = self._payload(sym)
         if value.lo <= 0 <= value.hi:
-            return manager.neg(self._iv_compare("=", value, self._iv_const(0)))
+            return manager.neg(self.bits.equal(value, self._iv_const(0)))
         return manager.true
 
     def _payload(self, sym: _Sym) -> Any:
@@ -605,10 +616,8 @@ class IntSymbolicEngine:
             else:  # "^-"
                 pres = manager.diff(left, right)
             return _Sym("bool", pres, manager.true)
-        if isinstance(expression, UnaryOp):
-            return self._compile_pointwise(expression, [expression.operand])
-        if isinstance(expression, BinaryOp):
-            return self._compile_pointwise(expression, [expression.left, expression.right])
+        if isinstance(expression, (UnaryOp, BinaryOp, FunctionCall)):
+            return self._compile_pointwise(expression)
         raise EncodingError(f"{self.name}: cannot bit-blast {expression!r}")
 
     def _compile_delay(self, node: Delay) -> _Sym:
@@ -680,12 +689,11 @@ class IntSymbolicEngine:
             value = manager.ite(left.pres, left.value, self._payload(right))
         return _Sym(left.kind, pres, value, fallback=right.fallback)
 
-    def _compile_pointwise(self, node: Union[UnaryOp, BinaryOp], operands: list[Expression]) -> _Sym:
-        from ..signal.operators import EvaluationError, apply_binary, apply_unary
-
+    def _compile_pointwise(self, node: Union[UnaryOp, BinaryOp, FunctionCall]) -> _Sym:
+        """An operator application: its row's circuit over the operands' payloads."""
         manager = self.manager
-        kind = self._expression_kind(node)
-        syms = [self._compile(operand) for operand in operands]
+        row = operator_row(node, self.name)
+        syms = [self._compile(operand) for operand in node.children()]
         strict = [sym.pres for sym in syms if sym.fallback is None]
         pres = manager.conj(
             manager.conj_all(strict),
@@ -698,71 +706,16 @@ class IntSymbolicEngine:
             # each operand contributes its fallback, and the fold below is
             # what the evaluator's Status.constant path computes.
             try:
-                values = [sym.fallback for sym in syms]
-                fallback = (
-                    apply_unary(node.op, values[0])
-                    if isinstance(node, UnaryOp)
-                    else apply_binary(node.op, values[0], values[1])
-                )
+                fallback = row.function(*(sym.fallback for sym in syms))
             except EvaluationError as error:
                 raise EncodingError(f"{self.name}: {error} in {node!r}") from None
         payloads = [self._payload(sym) for sym in syms]
-        value = self._pointwise_value(node, syms, payloads, kind)
-        return _Sym(kind, pres, value, fallback=fallback)
-
-    def _pointwise_value(self, node, syms: list[_Sym], payloads: list[Any], kind: str) -> Any:
-        manager = self.manager
-        op = node.op
-        if isinstance(node, UnaryOp):
-            if op == "not":
-                self._expect_kinds(node, syms, "bool")
-                return manager.neg(payloads[0])
-            if op == "-":
-                self._expect_kinds(node, syms, "int")
-                return self._iv_negate(payloads[0])
-            if op == "+":
-                self._expect_kinds(node, syms, "int")
-                return payloads[0]
-            raise EncodingError(f"{self.name}: unary operator {op!r} is outside the fragment")
-        if op in ("and", "or", "xor"):
-            self._expect_kinds(node, syms, "bool")
-            left, right = payloads
-            if op == "and":
-                return manager.conj(left, right)
-            if op == "or":
-                return manager.disj(left, right)
-            return manager.xor(left, right)
-        if op in ("=", "/="):
-            if syms[0].kind != syms[1].kind:
-                raise EncodingError(f"{self.name}: comparison across {syms[0].kind}/{syms[1].kind}")
-            if syms[0].kind == "bool":
-                equal = manager.neg(manager.xor(payloads[0], payloads[1]))
-                return equal if op == "=" else manager.neg(equal)
-            return self._iv_compare(op, payloads[0], payloads[1])
-        if op in ("<", "<=", ">", ">="):
-            self._expect_kinds(node, syms, "int")
-            return self._iv_compare(op, payloads[0], payloads[1])
-        if op in ("+", "-"):
-            self._expect_kinds(node, syms, "int")
-            return self._iv_add(payloads[0], payloads[1], negate_right=(op == "-"))
-        if op == "*":
-            self._expect_kinds(node, syms, "int")
-            return self._iv_multiply(payloads[0], payloads[1])
-        if op == "mod":
-            self._expect_kinds(node, syms, "int")
-            modulus = syms[1]
-            if modulus.value is not None or not isinstance(modulus.fallback, int) \
-                    or isinstance(modulus.fallback, bool) or modulus.fallback <= 0:
-                raise EncodingError(
-                    f"{self.name}: symbolic mod needs a positive constant modulus in {node!r}"
-                )
-            return self._iv_mod(payloads[0], modulus.fallback)
-        raise EncodingError(f"{self.name}: operator {op!r} is outside the finite-integer fragment")
-
-    def _expect_kinds(self, node, syms: list[_Sym], kind: str) -> None:
-        if any(sym.kind != kind for sym in syms):
-            kinds = [sym.kind for sym in syms]
-            raise EncodingError(f"{self.name}: {node.op!r} expects {kind} operands, got {kinds}")
+        circuit = require(row, "circuit", self.name)
+        kinds = [sym.kind for sym in syms]
+        wanted = [kinds[0] if want == "any" else want for want in row.operands]
+        if kinds != wanted:
+            raise EncodingError(f"{self.name}: {row.name!r} expects {wanted} operands, got {kinds}")
+        return _Sym(row.result, pres, circuit(self.bits, *payloads), fallback=fallback)
 
     # -- the instantaneous and transition relations ------------------------------------
 
@@ -807,9 +760,11 @@ class IntSymbolicEngine:
             # carry the stimulus alphabet, never the whole declared window:
             # leaving a non-input free over its bounds would make reactions
             # reachable that the reference explorer can never perform.
-            signal = self._compile(SignalRef(name))
+            # Compiled unmemoised: the memo is keyed by node identity, and
+            # a temporary node's id is reused once it is freed.
+            signal = self._compile_fresh(SignalRef(name))
             member = manager.disj_all(
-                self._iv_compare("=", signal.value, self._iv_const(v)) for v in values
+                self.bits.equal(signal.value, self._iv_const(v)) for v in values
             )
             domain = manager.conj(domain, manager.implies(signal.pres, member))
 
@@ -942,7 +897,7 @@ class IntSymbolicEngine:
             width = _width_for(hi - lo + 1)
             in_window = self._iv_in_window(payload, lo, width)
             target_vec = _IntVec(lo, tuple(manager.var(bit) for bit in self._signal_bit_names(target)[1:]))
-            equal = self._iv_compare("=", payload, target_vec)
+            equal = self.bits.equal(payload, target_vec)
             strict = manager.conj(
                 linking, manager.implies(presence, manager.conj(in_window, equal))
             )
@@ -1096,7 +1051,7 @@ class IntSymbolicEngine:
             )
         vector = _IntVec(lo, tuple(manager.var(bit) for bit in self._signal_bit_names(name)[1:]))
         accepted = manager.disj_all(
-            self._iv_compare("=", vector, self._iv_const(lo + offset))
+            self.bits.equal(vector, self._iv_const(lo + offset))
             for offset in range(window)
             if test(lo + offset)
         )

@@ -282,3 +282,63 @@ class TestPerfbenchSmokeGate:
     @pytest.mark.parametrize("line", ["", "Traceback (most recent call last):", "[1, 2]"])
     def test_non_result_lines_fail(self, line):
         assert "not a JSON object" in perfbench_smoke.result_problem(line)
+
+
+class TestPerfbenchCountGate:
+    """Routes and count/% metrics are compared exactly against the record."""
+
+    @staticmethod
+    def _lines(states=540.0, backends=None):
+        diagnostics = {"diagnostics": {"backends": backends or {"explicit": 12}}}
+        result = {
+            "correct": True, "attempted": 24, "failed": 0,
+            "metrics": {
+                "explorer.states": {"value": states, "unit": "count"},
+                "workbench.mix_explicit": {"value": 100.0, "unit": "%"},
+                "explorer.explore_s": {"value": 0.25, "unit": "s"},
+            },
+        }
+        return [json.dumps(diagnostics), json.dumps(result)]
+
+    def test_exact_counts_keep_only_deterministic_units(self):
+        counts = perfbench_smoke.exact_counts(self._lines())
+        assert counts == {
+            "backends": {"explicit": 12},
+            "metrics": {"explorer.states": 540.0, "workbench.mix_explicit": 100.0},
+        }
+
+    def test_identical_counts_pass(self):
+        recorded = perfbench_smoke.exact_counts(self._lines())
+        assert perfbench_smoke.count_problems(recorded, perfbench_smoke.exact_counts(self._lines())) == []
+
+    def test_planted_count_change_fails(self):
+        recorded = perfbench_smoke.exact_counts(self._lines())
+        current = perfbench_smoke.exact_counts(self._lines(states=541.0))
+        assert perfbench_smoke.count_problems(recorded, current) == ["explorer.states 540.0 -> 541.0"]
+
+    def test_route_change_fails(self):
+        recorded = perfbench_smoke.exact_counts(self._lines())
+        current = perfbench_smoke.exact_counts(self._lines(backends={"symbolic-int": 12}))
+        (problem,) = perfbench_smoke.count_problems(recorded, current)
+        assert problem.startswith("backends")
+
+    def test_gate_fails_on_a_planted_change_against_the_record(self, tmp_path, monkeypatch, capsys):
+        record = tmp_path / "COUNTS.json"
+        record.write_text(json.dumps(
+            {"workloads": {"explicit": perfbench_smoke.exact_counts(self._lines())}}
+        ))
+        monkeypatch.setattr(perfbench_smoke, "COUNTS_PATH", record)
+        declaration = {"command": ["python3", "run.py"], "workloads": [{"name": "explicit"}]}
+        monkeypatch.setattr(perfbench_smoke, "run_workload", lambda *a, **k: (None, self._lines()))
+        assert perfbench_smoke.counts(declaration, update=False) == 0
+        monkeypatch.setattr(
+            perfbench_smoke, "run_workload", lambda *a, **k: (None, self._lines(states=600.0))
+        )
+        assert perfbench_smoke.counts(declaration, update=False) == 1
+        assert "explorer.states 540.0 -> 600.0" in capsys.readouterr().out
+
+    def test_committed_record_covers_every_workload(self):
+        declaration = json.loads((perfbench_smoke.ROOT / "BENCHMARK.json").read_text())
+        record = json.loads(perfbench_smoke.COUNTS_PATH.read_text())
+        assert record["seed"] == perfbench_smoke.COUNT_SEED
+        assert set(record["workloads"]) == {entry["name"] for entry in declaration["workloads"]}

@@ -11,7 +11,7 @@ from repro.epc.signal_model import epc_signal_composition
 from repro.signal.ast import Cell, ClockOf
 from repro.signal.dsl import ProcessBuilder, call, const, sig
 from repro.signal.library import STANDARD_PROCESSES, merge_process, switch_process
-from repro.signal.operators import EvaluationError, apply_binary, apply_intrinsic, apply_unary, register_intrinsic
+from repro.signal.operators import EvaluationError, apply_binary, apply_intrinsic, apply_unary
 from repro.signal.parser import parse_expression
 from repro.signal.printer import render_expression
 from repro.signal.semantics import bounded_denotation, denotation, enumerate_scenarios, flows_denotation
@@ -37,12 +37,6 @@ class TestOperators:
         assert apply_intrinsic("popcount", 255) == 8
         with pytest.raises(EvaluationError):
             apply_intrinsic("nope", 1)
-
-    def test_register_intrinsic(self):
-        register_intrinsic("triple", lambda x: 3 * x)
-        assert apply_intrinsic("triple", 4) == 12
-        with pytest.raises(TypeError):
-            register_intrinsic("bad", 42)
 
 
 class TestPrinterEdgeCases:

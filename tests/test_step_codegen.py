@@ -52,11 +52,11 @@ def _outcome(compiled, state, stimulus):
     """One reaction's observable behaviour: the result or the exact error.
 
     Besides the reaction errors, operator failures count: an
-    ``EvaluationError`` or ``ZeroDivisionError`` must surface identically.
+    ``EvaluationError`` must surface identically.
     """
     try:
         new_state, instant = compiled.step(state, stimulus)
-    except (SimulationError, EvaluationError, ZeroDivisionError) as error:
+    except (SimulationError, EvaluationError) as error:
         return ("error", type(error).__name__, str(error))
     return ("ok", new_state, instant)
 
@@ -198,7 +198,7 @@ def event_arithmetic_process():
 
 
 def zero_modulus_process():
-    """``mod`` by a zero constant: the same ZeroDivisionError in both engines."""
+    """``mod`` by a zero constant: the same EvaluationError in both engines."""
     builder = ProcessBuilder("ZeroModulus")
     x = builder.input("x", "integer")
     builder.define(builder.output("y", "integer"), BinaryOp("mod", x, const(0)))
@@ -240,7 +240,7 @@ def test_integer_operators_convert_booleans(mode):
     "factory,stimulus,error,message",
     [
         (event_arithmetic_process, {"e": EVENT}, EvaluationError, "expected an integer value"),
-        (zero_modulus_process, {"x": 3}, ZeroDivisionError, "modulo by zero"),
+        (zero_modulus_process, {"x": 3}, EvaluationError, "modulo by zero"),
     ],
     ids=["event-operand", "zero-modulus"],
 )
@@ -313,7 +313,7 @@ def test_explorer_engines_agree_on_failing_operators():
     for factory in (event_arithmetic_process, zero_modulus_process):
         outcomes = []
         for mode in STEP_COMPILE_MODES:
-            with pytest.raises((EvaluationError, ZeroDivisionError)) as excinfo:
+            with pytest.raises(EvaluationError) as excinfo:
                 explore(CompiledProcess(factory(), compile=mode))
             outcomes.append((type(excinfo.value), str(excinfo.value)))
         assert outcomes[0] == outcomes[1]
