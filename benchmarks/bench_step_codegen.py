@@ -10,7 +10,10 @@ agree reaction for reaction (the differential guard in miniature), times
 both loops, and asserts the throughput ratio.  The measured ratio is
 recorded as the ``step_speedup`` test property (pytest's
 ``record_property``), which the bench-smoke conftest copies into
-``BENCH_SMOKE.json`` next to the wall-clocks.
+``BENCH_SMOKE.json`` next to the wall-clocks, together with each engine's
+fixpoint passes per reaction (``passes_per_reaction``): both engines run
+their passes in the process's static schedule, which resolves every
+reaction of this pipeline in one pass.
 """
 
 import time
@@ -62,6 +65,25 @@ def schedule(reactions: int):
     return [cycle[index % len(cycle)] for index in range(reactions)]
 
 
+def count_passes(compiled):
+    """Count the fixpoint passes ``compiled`` runs from now on.
+
+    Wraps the engine's one-pass function (the generated ``_pass`` under
+    codegen, :meth:`CompiledProcess._pass` under interp) on this instance
+    only; returns a one-item list holding the running count.
+    """
+    owner = compiled.kernels or compiled
+    run_pass = owner._pass
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return run_pass(*args)
+
+    owner._pass = counted
+    return calls
+
+
 def timed_replay(compiled, stimuli):
     """Run the schedule; return (elapsed_seconds, instants)."""
     state = compiled.initial_state()
@@ -99,6 +121,12 @@ def test_bench_step_codegen_throughput(benchmark, record_property, stages):
 
     ratio = interp_seconds / codegen_seconds
     record_property("step_speedup", round(ratio, 3))
+    passes = {}
+    for engine, compiled in (("interp", interp), ("codegen", codegen)):
+        calls = count_passes(compiled)
+        timed_replay(compiled, stimuli)
+        passes[engine] = round(calls[0] / len(stimuli), 3)
+    record_property("passes_per_reaction", passes)
     assert ratio >= SPEEDUP_FLOOR, (
         f"codegen step throughput only {ratio:.1f}x the interpreter "
         f"at {stages} stages (floor {SPEEDUP_FLOOR}x)"

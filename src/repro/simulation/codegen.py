@@ -7,8 +7,10 @@ run time of explicit exploration, simulation and trace replay.  This module
 compiles an *expanded* process once, the first time a reaction needs it,
 into three straight-line Python functions over slot-indexed status arrays:
 
-* ``_pass`` — one full fixpoint pass: every equation evaluated and refined
-  into the status arrays, every clock constraint propagated, events
+* ``_pass`` — one fixpoint pass in the process's static schedule
+  (``CompiledProcess.pass_order``): every clock equality propagated first,
+  then every equation evaluated and refined into the status arrays in
+  dependency order, members of instantaneous cycles last, then events
   normalised; returns whether anything changed;
 * ``_verify`` — the final consistency pass over equations and constraints;
 * ``_finish`` — the end of a converged reaction: unknown signals set absent,
@@ -19,9 +21,17 @@ into three straight-line Python functions over slot-indexed status arrays:
 
 The arrays replace the dict of :class:`~repro.simulation.status.Status`:
 ``K`` holds one small-int kind per signal (0 unknown, 1 absent, 2 present,
-3 constant), ``V`` the value slots (``UNKNOWN_VALUE`` until computed) and
-``S`` the stateful memory in ``stateful_nodes()`` order.  The explorer runs
-these tuples directly (:meth:`StepKernels.successor`); :meth:`StepKernels.step`
+3 constant), ``V`` the value slots (``UNKNOWN_VALUE`` until computed,
+``ABSENT`` once absent) and ``S`` the stateful memory in
+``stateful_nodes()`` order.  A reaction runs passes until one leaves every
+signal resolved or changes nothing.  Because absent slots hold ``ABSENT``,
+"every signal resolved" is the single C-level test ``UNKNOWN_VALUE not in
+V``.  In the schedule, the first pass passes it on every reaction of an
+acyclic design whose clocks the stimulus and the clock equalities fix, and
+no confirming pass follows: ``_verify`` re-evaluates every equation and
+constraint, so a conflict such a pass would raise is still a
+``ConsistencyError``.  The explorer runs these
+tuples directly (:meth:`StepKernels.successor`); :meth:`StepKernels.step`
 adapts them to the dict contract of ``CompiledProcess.step``.
 
 The generated code reproduces the partial-knowledge semantics of
@@ -406,40 +416,12 @@ class StepKernels:
     # -- code generation -------------------------------------------------------
 
     def _build_pass(self, module: _ModuleBuilder, process: "CompiledProcess") -> str:
-        """One fixpoint pass: refine every equation, propagate every
-        constraint, normalise events; returns whether anything changed."""
+        """One fixpoint pass in the process's schedule: propagate every
+        clock constraint, refine every equation in ``pass_order``, normalise
+        events; returns whether anything changed."""
         name = self.process_name
         fn = _FunctionBuilder(module, "_pass", "K, V, S")
         fn.emit("changed = False")
-        for definition in process.definitions:
-            target = definition.target
-            slot = module.slots[target]
-            fn.emit(f"# {target} := {definition.expression!r}"[:100])
-            k, v = fn.lower(definition.expression)
-            m_absent = module.message(f"{name}: {target!r} must be absent but is present")
-            m_present = module.message(f"{name}: {target!r} must be present but is absent")
-            m_conflict = module.message(f"{name}: conflicting values for {target!r}: ")
-            fn.emit(f"if {k} == 2:")
-            fn.emit(f"    c = K[{slot}]")
-            fn.emit("    if c == 1:")
-            fn.emit(f"        raise _CE({m_present})")
-            fn.emit(f"    if {v} is _UV:")
-            fn.emit("        if c == 0:")
-            fn.emit(f"            K[{slot}] = 2; changed = True")
-            fn.emit(f"    elif c == 2 and V[{slot}] is not _UV:")
-            fn.emit(f"        if V[{slot}] != {v}:")
-            fn.emit(f"            raise _CE({m_conflict} + repr(V[{slot}]) + ' vs ' + repr({v}))")
-            fn.emit("    else:")
-            fn.emit(f"        K[{slot}] = 2; V[{slot}] = {v}; changed = True")
-            fn.emit(f"elif {k} == 3:")
-            fn.emit(f"    if K[{slot}] == 2 and V[{slot}] is _UV:")
-            fn.emit(f"        V[{slot}] = {v}; changed = True")
-            fn.emit(f"elif {k} == 1:")
-            fn.emit(f"    c = K[{slot}]")
-            fn.emit("    if c == 2:")
-            fn.emit(f"        raise _CE({m_absent})")
-            fn.emit("    if c != 1:")
-            fn.emit(f"        K[{slot}] = 1; changed = True")
         for constraint in process.constraints:
             fn.emit(f"# constraint {constraint!r}"[:100])
             codes = [fn.lower(operand)[0] for operand in constraint.operands]
@@ -473,9 +455,38 @@ class StepKernels:
                 fn.emit("elif a:")
                 fn.emit(f"    c = K[{slot}]")
                 fn.emit("    if c == 0:")
-                fn.emit(f"        K[{slot}] = 1; changed = True")
+                fn.emit(f"        K[{slot}] = 1; V[{slot}] = _ABSENT; changed = True")
                 fn.emit("    elif c == 2:")
                 fn.emit(f"        raise _CE({m_force_absent})")
+        for definition in process.pass_order:
+            target = definition.target
+            slot = module.slots[target]
+            fn.emit(f"# {target} := {definition.expression!r}"[:100])
+            k, v = fn.lower(definition.expression)
+            m_absent = module.message(f"{name}: {target!r} must be absent but is present")
+            m_present = module.message(f"{name}: {target!r} must be present but is absent")
+            m_conflict = module.message(f"{name}: conflicting values for {target!r}: ")
+            fn.emit(f"if {k} == 2:")
+            fn.emit(f"    c = K[{slot}]")
+            fn.emit("    if c == 1:")
+            fn.emit(f"        raise _CE({m_present})")
+            fn.emit(f"    if {v} is _UV:")
+            fn.emit("        if c == 0:")
+            fn.emit(f"            K[{slot}] = 2; changed = True")
+            fn.emit(f"    elif c == 2 and V[{slot}] is not _UV:")
+            fn.emit(f"        if V[{slot}] != {v}:")
+            fn.emit(f"            raise _CE({m_conflict} + repr(V[{slot}]) + ' vs ' + repr({v}))")
+            fn.emit("    else:")
+            fn.emit(f"        K[{slot}] = 2; V[{slot}] = {v}; changed = True")
+            fn.emit(f"elif {k} == 3:")
+            fn.emit(f"    if K[{slot}] == 2 and V[{slot}] is _UV:")
+            fn.emit(f"        V[{slot}] = {v}; changed = True")
+            fn.emit(f"elif {k} == 1:")
+            fn.emit(f"    c = K[{slot}]")
+            fn.emit("    if c == 2:")
+            fn.emit(f"        raise _CE({m_absent})")
+            fn.emit("    if c != 1:")
+            fn.emit(f"        K[{slot}] = 1; V[{slot}] = _ABSENT; changed = True")
         for slot in self.event_slots:
             fn.emit(f"if K[{slot}] == 2 and V[{slot}] is _UV:")
             fn.emit(f"    V[{slot}] = _EVENT")
@@ -545,35 +556,33 @@ class StepKernels:
         return fn.source()
 
     def _build_finish(self, module: _ModuleBuilder, process: "CompiledProcess") -> str:
-        """The end of a converged reaction: unknown signals set absent,
-        events normalised, the verification pass, then the resolved values
-        and the successor memory (delay windows shifted, cells latched)."""
+        """The end of a converged reaction: unknown signals set absent, the
+        verification pass, then the resolved values and the successor memory
+        (delay windows shifted, cells latched).  The last pass normalised
+        the events already."""
         name = self.process_name
-        fn = _FunctionBuilder(module, "_finish", "K, V, S")
-        slots = range(self.width)
-        for slot in slots:
-            fn.emit(f"if K[{slot}] == 0:")
-            fn.emit(f"    K[{slot}] = 1")
-        for slot in self.event_slots:
-            fn.emit(f"if K[{slot}] == 2 and V[{slot}] is _UV:")
-            fn.emit(f"    V[{slot}] = _EVENT")
-        fn.emit("_verify(K, V, S)")
-        for slot in slots:
-            fn.emit(f"x{slot} = V[{slot}] if K[{slot}] == 2 else _ABSENT")
-        fn.emit("values = (" + "".join(f"x{slot}, " for slot in slots) + ")")
+        # ``resolved``: the caller found no _UV in V, so no signal is
+        # unknown and none is present without a value.
+        fn = _FunctionBuilder(module, "_finish", "K, V, S, resolved")
         if self.width:
-            # Only a present signal can hold _UV; the first one in slot
-            # order is the one the interpreter reports.
-            unresolved = module.constant(
-                tuple(
-                    f"{name}: signal {signal!r} is present but its value could not be resolved"
-                    for signal in process.signal_names
-                )
+            fn.emit("if not resolved:")
+        for slot in range(self.width):
+            fn.emit(f"if K[{slot}] == 0:", 2)
+            fn.emit(f"    K[{slot}] = 1; V[{slot}] = _ABSENT", 2)
+        fn.emit("_verify(K, V, S)")
+        fn.emit("values = tuple(V)")
+        # Now only a present signal can hold _UV; the first one in slot
+        # order is the one the interpreter reports.
+        unresolved = module.constant(
+            tuple(
+                f"{name}: signal {signal!r} is present but its value could not be resolved"
+                for signal in process.signal_names
             )
-            fn.emit("if " + " or ".join(f"x{slot} is _UV" for slot in slots) + ":")
-            fn.emit("    for slot, value in enumerate(values):")
-            fn.emit("        if value is _UV:")
-            fn.emit(f"            raise _UE({unresolved}[slot])")
+        )
+        fn.emit("if not resolved and _UV in values:")
+        fn.emit("    for slot, value in enumerate(values):")
+        fn.emit("        if value is _UV:")
+        fn.emit(f"            raise _UE({unresolved}[slot])")
         memory = []
         for index, (key, node) in enumerate(process.stateful_nodes()):
             fn.emit(f"# {key}: {node!r}"[:100])
@@ -603,6 +612,7 @@ class StepKernels:
             # merge_driven from unknown never conflicts: three plain cases.
             if directive is ABSENT:
                 K[slot] = 1
+                V[slot] = ABSENT
             elif directive is PRESENT:
                 K[slot] = 2
             else:
@@ -614,11 +624,20 @@ class StepKernels:
         return K, V
 
     def _react(self, K: list, V: list, S: tuple, bound: int) -> tuple[tuple, tuple]:
-        """Run the fixpoint passes, then finish: ``(next_state, values)``."""
+        """Run the fixpoint passes, then finish: ``(next_state, values)``.
+
+        The passes stop at the first one that leaves every signal resolved,
+        which is when no ``UNKNOWN_VALUE`` is left in ``V`` (an absent slot
+        holds ``ABSENT``), or that changes nothing.
+        """
         run_pass = self._pass
+        UV = UNKNOWN_VALUE
         for _ in range(bound):
-            if not run_pass(K, V, S):
-                return self._finish(K, V, S)
+            changed = run_pass(K, V, S)
+            if UV not in V:
+                return self._finish(K, V, S, True)
+            if not changed:
+                return self._finish(K, V, S, False)
         from .compiler import UnresolvedError
 
         raise UnresolvedError(

@@ -3,8 +3,16 @@
 The *compiled* form of a process definition is the structure the operational
 semantics runs on: the flattened list of equations and clock constraints, the
 set of stateful operators (delays and cells) with their state slots, the
-declared signal types, and an evaluator that resolves one reaction (one
-logical instant) by fixpoint propagation over the equations.
+declared signal types, the order of one fixpoint pass, and an evaluator that
+resolves one reaction (one logical instant) by fixpoint propagation over the
+equations.
+
+The pass order is the static schedule of the process: clock-equality
+constraints propagate first, then the equations run in the dependency order
+of :mod:`repro.simulation.scheduler`, members of instantaneous cycles last.
+A reaction ends after the first pass that leaves every signal resolved (its
+clock known, and its value too when present), or that changes nothing; in
+dependency order one pass resolves most reactions.
 
 This plays the role of the code-generation stage of the Polychrony platform
 (Figure 2 of the paper): once compiled, a process can be simulated, explored
@@ -13,6 +21,7 @@ by the model checker, or embedded in a GALS architecture model.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from ..core.values import ABSENT, EVENT
@@ -35,6 +44,7 @@ from ..signal.ast import (
     expand,
 )
 from ..signal.operators import apply_binary, apply_intrinsic, apply_unary, truthy
+from .scheduler import schedule
 from .status import PRESENT, Status, UNKNOWN_VALUE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -138,6 +148,17 @@ class CompiledProcess:
         """The (state-key, AST node) pairs of stateful operators."""
         return tuple(self._stateful)
 
+    @cached_property
+    def pass_order(self) -> tuple[Definition, ...]:
+        """The equations in the order one fixpoint pass evaluates them, after
+        the constraints (see :func:`~repro.simulation.scheduler.schedule`).
+
+        :attr:`definitions` keeps the declared order, which numbers the
+        memory and orders the final verification.  Computed when a step
+        engine first needs it.
+        """
+        return tuple(schedule(self.definitions))
+
     @property
     def kernels(self) -> Optional["StepKernels"]:
         """The generated step kernels under codegen (built on first use), else None."""
@@ -181,6 +202,10 @@ class CompiledProcess:
             driven: scenario directives — for each driven signal either a
                 concrete value, ``ABSENT``, or the ``PRESENT`` marker.
             max_passes: safety bound on fixpoint iterations (must be >= 1).
+                ``max_passes=1`` succeeds on a reaction that one pass of
+                :attr:`pass_order` resolves, which is every reaction of an
+                acyclic design whose clocks the stimulus and the clock
+                equalities fix.
 
         Returns:
             ``(new_state, instant)`` where ``instant`` maps every signal of the
@@ -212,19 +237,10 @@ class CompiledProcess:
         self._normalise_events(env)
 
         evaluator = _Evaluator(self, state)
-        converged = False
         for _ in range(bound):
-            changed = False
-            for definition in self.definitions:
-                result = evaluator.evaluate(definition.expression, env)
-                changed |= self._refine(env, definition.target, result)
-            for constraint in self.constraints:
-                changed |= self._propagate_constraint(evaluator, constraint, env)
-            self._normalise_events(env)
-            if not changed:
-                converged = True
+            if not self._pass(evaluator, env) or _resolved(env):
                 break
-        if not converged:
+        else:
             raise UnresolvedError(
                 f"{self.name}: reaction did not converge within {bound} fixpoint passes"
             )
@@ -233,7 +249,6 @@ class CompiledProcess:
         for name, status in env.items():
             if status.is_unknown:
                 env[name] = Status.absent()
-        self._normalise_events(env)
 
         self._verify(evaluator, env)
 
@@ -281,6 +296,17 @@ class CompiledProcess:
         return react
 
     # -- internals ----------------------------------------------------------------------
+
+    def _pass(self, evaluator: "_Evaluator", env: dict[str, Status]) -> bool:
+        """One fixpoint pass in :attr:`pass_order`; whether anything changed."""
+        changed = False
+        for constraint in self.constraints:
+            changed |= self._propagate_constraint(evaluator, constraint, env)
+        for definition in self.pass_order:
+            result = evaluator.evaluate(definition.expression, env)
+            changed |= self._refine(env, definition.target, result)
+        self._normalise_events(env)
+        return changed
 
     def _normalise_events(self, env: dict[str, Status]) -> None:
         for name in self.event_signals:
@@ -404,6 +430,11 @@ class CompiledProcess:
                 raise ConsistencyError(f"{self.name}: violated clock inclusion {constraint!r}")
             if constraint.kind == ">" and "present" in resolved[1:] and resolved[0] == "absent":
                 raise ConsistencyError(f"{self.name}: violated clock inclusion {constraint!r}")
+
+
+def _resolved(env: Mapping[str, Status]) -> bool:
+    """Whether every signal's clock is known, and its value when present."""
+    return not any(status.is_unknown or status.has_unknown_value for status in env.values())
 
 
 class _Evaluator:

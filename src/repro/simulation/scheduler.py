@@ -2,16 +2,19 @@
 
 Within one reaction, the value of a signal may depend on the value of another
 signal *at the same instant* (through any operator except the delay, which
-breaks instantaneous dependencies).  The scheduler builds this dependency
-graph, detects instantaneous cycles (causality loops) and produces an
-evaluation order that the compiler and the code generator of the Polychrony
-platform would use to emit sequential code.
+breaks instantaneous dependencies).  A delay still reads its operand's
+*presence* at the same instant: ``y := x$`` is present exactly when ``x``
+is.  The scheduler builds this dependency graph, detects instantaneous
+cycles (causality loops) and produces the evaluation order that both step
+engines of :class:`~repro.simulation.compiler.CompiledProcess` run their
+fixpoint pass in, the way the Polychrony compiler orders a process to emit
+sequential code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ..signal.ast import (
     Cell,
@@ -30,7 +33,7 @@ class DependencyGraph:
 
     ``edges[x]`` is the set of signals whose *current* value the equation
     defining ``x`` reads.  Delayed operands are recorded separately in
-    ``delayed_edges`` (they constrain clocks but not evaluation order).
+    ``delayed_edges``: the equation reads only their current presence.
     """
 
     defined: set[str] = field(default_factory=set)
@@ -78,17 +81,19 @@ def build_dependency_graph(process: ProcessDefinition) -> DependencyGraph:
     Sub-process instantiations are expanded first so that the graph covers the
     whole flattened design.
     """
-    flattened = expand(process)
+    return _graph(expand(process).definitions())
+
+
+def _graph(definitions: Iterable[Definition]) -> DependencyGraph:
     graph = DependencyGraph()
-    for definition in flattened.definitions():
+    for definition in definitions:
         instantaneous, delayed = instantaneous_reads(definition.expression)
         graph.defined.add(definition.target)
-        graph.edges[definition.target] = instantaneous
-        graph.delayed_edges[definition.target] = delayed
-    for definition in flattened.definitions():
-        for name in graph.edges[definition.target] | graph.delayed_edges[definition.target]:
-            if name not in graph.defined:
-                graph.free.add(name)
+        graph.edges.setdefault(definition.target, set()).update(instantaneous)
+        graph.delayed_edges.setdefault(definition.target, set()).update(delayed)
+    for target in graph.defined:
+        graph.free.update(graph.edges[target] | graph.delayed_edges[target])
+    graph.free -= graph.defined
     return graph
 
 
@@ -129,37 +134,40 @@ def find_cycles(graph: DependencyGraph) -> list[list[str]]:
 def evaluation_order(graph: DependencyGraph) -> list[str]:
     """A topological order of the defined signals (cycle members last).
 
-    Signals involved in instantaneous cycles are appended after all acyclic
-    signals, in name order; the fixpoint evaluator handles them by iteration.
+    A signal comes after every signal whose current value its equation
+    reads.  Among the signals that may come next, one whose delayed operands
+    are all placed goes first, so a delay follows its operand wherever no
+    value dependency forces the opposite; ties go by name.  Signals involved
+    in instantaneous cycles are appended after all acyclic signals, in name
+    order; the fixpoint evaluator handles them by iteration.
     """
-    in_degree: dict[str, int] = {name: 0 for name in graph.defined}
-    dependents: dict[str, set[str]] = {name: set() for name in graph.defined}
-    for target, reads in graph.edges.items():
-        for read in reads:
-            if read in graph.defined and read != target:
-                in_degree[target] += 1
-                dependents[read].add(target)
-    ready = sorted(name for name, degree in in_degree.items() if degree == 0)
+
+    def placed_reads(reads: dict[str, set[str]], name: str) -> bool:
+        return all(read in placed or read == name for read in reads[name] & graph.defined)
+
+    remaining = sorted(graph.defined)
+    placed: set[str] = set()
     order: list[str] = []
-    while ready:
-        name = ready.pop(0)
+    while True:
+        ready = [name for name in remaining if placed_reads(graph.edges, name)]
+        if not ready:
+            return order + remaining
+        settled = [name for name in ready if placed_reads(graph.delayed_edges, name)]
+        name = (settled or ready)[0]
         order.append(name)
-        for dependent in sorted(dependents[name]):
-            in_degree[dependent] -= 1
-            if in_degree[dependent] == 0:
-                ready.append(dependent)
-        ready.sort()
-    remaining = sorted(n for n in graph.defined if n not in order)
-    return order + remaining
+        placed.add(name)
+        remaining.remove(name)
 
 
-def schedule(process: ProcessDefinition) -> list[Definition]:
-    """Equations of ``process`` reordered according to :func:`evaluation_order`."""
-    flattened = expand(process)
-    graph = build_dependency_graph(flattened)
-    order = {name: index for index, name in enumerate(evaluation_order(graph))}
-    definitions = list(flattened.definitions())
-    return sorted(definitions, key=lambda d: order.get(d.target, len(order)))
+def schedule(definitions: Iterable[Definition]) -> list[Definition]:
+    """The equations reordered according to :func:`evaluation_order`.
+
+    ``definitions`` are those of an expanded process.  The sort is stable,
+    so several equations of one signal keep their relative order.
+    """
+    definitions = list(definitions)
+    order = {name: index for index, name in enumerate(evaluation_order(_graph(definitions)))}
+    return sorted(definitions, key=lambda definition: order[definition.target])
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,11 @@ from collections import Counter
 
 import pytest
 
+from test_bench_smoke import BENCH_DIR, _load
 from test_symbolic_vs_explicit import CORPUS, INTEGER_CORPUS
 
 from repro.core.values import ABSENT, EVENT
-from repro.signal.ast import BinaryOp
+from repro.signal.ast import BinaryOp, compose
 from repro.signal.dsl import ProcessBuilder, call, const
 from repro.signal.library import (
     alternator_process,
@@ -364,10 +365,14 @@ def test_contradiction_messages_identical():
         assert outcomes["interp"] == outcomes["codegen"]
 
 
-# --------------------------------------------------------------------------- max_passes semantics
+# --------------------------------------------------------------------------- the pass schedule
+
+#: The step benchmark: its pipeline design and its pass counter.
+BENCH = _load(BENCH_DIR / "bench_step_codegen.py")
+
 
 def chained_process():
-    """Definitions listed against dataflow order: needs several passes."""
+    """Definitions listed against dataflow order: the schedule reorders them."""
     builder = ProcessBuilder("SlowChain")
     x = builder.input("x", "integer")
     a = builder.local("a", "integer")
@@ -377,6 +382,107 @@ def chained_process():
     builder.define(b, a + const(1))
     builder.define(a, x + const(1))
     return builder.build()
+
+
+def cyclic_process():
+    """An instantaneous cycle ``a -> b -> a``, which the schedule leaves to
+    iteration.
+
+    Cycle members run last, in name order, so ``a`` reads ``b`` before
+    ``b`` takes the value of ``x``; the second pass computes ``a``.
+    """
+    builder = ProcessBuilder("Loop")
+    x = builder.input("x", "integer")
+    a = builder.local("a", "integer")
+    b = builder.output("b", "integer")
+    builder.define(a, b + const(1))
+    builder.define(b, x.default(a))
+    return builder.build()
+
+
+def counter_bank_process(moduli=(3, 4)):
+    """Renamed modulo counters composed side by side, as perfbench builds them."""
+    return compose(
+        "Bank",
+        *(
+            modulo_counter_process(modulo, f"C{index}").renamed(
+                {
+                    "tick": f"tick{index}",
+                    "n": f"n{index}",
+                    "carry": f"carry{index}",
+                    "previous": f"previous{index}",
+                }
+            )
+            for index, modulo in enumerate(moduli)
+        ),
+    )
+
+
+def register_process(depth=4, order=None):
+    """A boolean shift register, its equations in ``order`` (default: in order)."""
+    builder = ProcessBuilder("Register")
+    x = builder.input("x", "boolean")
+    stages = [builder.output(f"s{index}", "boolean") for index in range(depth)]
+    for index in order or range(depth):
+        builder.define(stages[index], (x if index == 0 else stages[index - 1]).delayed(False))
+    return builder.build()
+
+
+def passes_per_reaction(compiled, max_states=200):
+    """Fixpoint passes per reaction over every reachable state and stimulus,
+    the rejected stimuli included."""
+    driven = list(compiled.input_names)
+    domains = [_stimulus_domain(compiled, name, (0, 1)) for name in driven]
+    stimuli = [dict(zip(driven, combo)) for combo in itertools.product(*domains)]
+    react = compiled.successor(stimuli)
+    calls = BENCH.count_passes(compiled)
+    initial = tuple(compiled.initial_state()[key] for key in compiled.state_keys)
+    seen, frontier, reactions = {initial}, [initial], 0
+    while frontier and len(seen) < max_states:
+        state = frontier.pop()
+        for index in range(len(stimuli)):
+            reactions += 1
+            try:
+                successor, _values = react(state, index)
+            except SimulationError:
+                continue
+            if successor not in seen:
+                seen.add(successor)
+                frontier.append(successor)
+    assert reactions >= len(stimuli)
+    return calls[0] / reactions
+
+
+@pytest.mark.parametrize("mode", STEP_COMPILE_MODES)
+@pytest.mark.parametrize(
+    "build",
+    [
+        counter_bank_process,
+        register_process,
+        lambda: register_process(5, order=(3, 0, 4, 2, 1)),
+        lambda: BENCH.pipeline_process(4),
+        chained_process,
+    ],
+    ids=["counter-bank", "register", "shuffled-register", "pipeline", "chained"],
+)
+def test_one_pass_per_reaction(mode, build):
+    """Constraints first, then the equations in dependency order: one pass
+    resolves every reaction, and the resolved exit skips the confirming pass."""
+    compiled = CompiledProcess(build(), compile=mode)
+    assert passes_per_reaction(compiled) == 1.0
+
+
+def test_pass_order_follows_value_then_presence_reads():
+    """A delay follows its operand unless a value read forces the opposite;
+    the memory keeps the declared order."""
+    compiled = CompiledProcess(register_process(4, order=(3, 1, 0, 2)))
+    assert [d.target for d in compiled.definitions] == ["s3", "s1", "s0", "s2"]
+    assert [d.target for d in compiled.pass_order] == ["s0", "s1", "s2", "s3"]
+    assert compiled.state_keys == ("delay0", "delay1", "delay2", "delay3")
+    counter = CompiledProcess(modulo_counter_process(3))
+    # previous := n$ reads n's presence, n reads previous's value: the value
+    # read wins, and the clock equality n ^= tick supplies n's presence.
+    assert [d.target for d in counter.pass_order] == ["previous", "n", "carry"]
 
 
 @pytest.mark.parametrize("mode", STEP_COMPILE_MODES)
@@ -389,21 +495,34 @@ def test_max_passes_must_be_positive(mode, bad):
 
 
 @pytest.mark.parametrize("mode", STEP_COMPILE_MODES)
-def test_non_convergence_is_flagged(mode):
-    """An exhausted pass budget raises UnresolvedError instead of returning
-    a half-resolved reaction as if it had converged."""
+def test_one_pass_suffices_when_it_resolves(mode):
+    """``max_passes=1`` succeeds on a reaction one scheduled pass resolves,
+    even with the equations declared against dataflow order."""
     compiled = CompiledProcess(chained_process(), compile=mode)
-    state = compiled.initial_state()
-    with pytest.raises(UnresolvedError, match="did not converge within 1 fixpoint passes"):
-        compiled.step(state, {"x": 1}, max_passes=1)
-    # A sufficient budget resolves the same scenario.
-    _, instant = compiled.step(state, {"x": 1}, max_passes=4)
+    _, instant = compiled.step(compiled.initial_state(), {"x": 1}, max_passes=1)
     assert instant["out"] == 3
 
 
+@pytest.mark.parametrize("mode", STEP_COMPILE_MODES)
+def test_non_convergence_is_flagged(mode):
+    """An instantaneous cycle still iterates, and an exhausted pass budget
+    raises UnresolvedError instead of returning a half-resolved reaction as
+    if it had converged."""
+    compiled = CompiledProcess(cyclic_process(), compile=mode)
+    state = compiled.initial_state()
+    calls = BENCH.count_passes(compiled)
+    with pytest.raises(UnresolvedError, match="did not converge within 1 fixpoint passes"):
+        compiled.step(state, {"x": 1}, max_passes=1)
+    assert calls[0] == 1
+    # A sufficient budget resolves the same scenario, in two passes.
+    _, instant = compiled.step(state, {"x": 1}, max_passes=2)
+    assert (instant["a"], instant["b"]) == (2, 1)
+    assert calls[0] == 3
+
+
 def test_non_convergence_message_parity():
-    interp = CompiledProcess(chained_process(), compile="interp")
-    codegen = CompiledProcess(chained_process(), compile="codegen")
+    interp = CompiledProcess(cyclic_process(), compile="interp")
+    codegen = CompiledProcess(cyclic_process(), compile="codegen")
     state = interp.initial_state()
     assert _outcome(interp, state, {"x": 5}) == _outcome(codegen, state, {"x": 5})
     outcomes = [
@@ -418,6 +537,21 @@ def test_non_convergence_message_parity():
         failures.append(str(excinfo.value))
     assert failures[0] == failures[1]
     assert outcomes[0] == outcomes[1]
+
+
+def test_conflict_resolved_in_one_pass_is_rejected():
+    """A stimulus one pass resolves into a conflict is still rejected: no
+    confirming pass runs, so ``_verify`` raises it, with the same exception
+    and message under both engines.  Here ``a := b + 1`` runs before ``b``
+    is known, so the pass never refines the driven ``a = 5``."""
+    outcomes = []
+    for mode in STEP_COMPILE_MODES:
+        compiled = CompiledProcess(cyclic_process(), compile=mode)
+        calls = BENCH.count_passes(compiled)
+        outcomes.append(_outcome(compiled, compiled.initial_state(), {"x": 1, "a": 5}))
+        assert calls[0] == 1
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == ("error", "ConsistencyError", "Loop: 'a' = 5 contradicts computed 2")
 
 
 # --------------------------------------------------------------------------- compile= plumbing
