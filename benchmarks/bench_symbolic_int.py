@@ -9,21 +9,35 @@ handful of BDD images whatever ``k`` is.  Before this engine existed these
 designs had *no* exhaustive backend at all — integer data has no Z/3Z
 encoding (``encode_process`` raises ``EncodingError``), which is precisely
 the gap ``repro.verification.symbolic_int`` closes.
+
+The relation build is recorded as a layer of its own: the smoke run writes
+the build seconds and the nodes it creates for a depth-18 register and a
+5-counter bank, the two strata of perfbench ``symbolic``, to
+``BENCH_SMOKE.json``.
 """
+
+from time import perf_counter
 
 import pytest
 
 from repro.signal.ast import compose
-from repro.signal.library import modulo_counter_process, saturating_accumulator_process
+from repro.signal.library import (
+    boolean_shift_register_process,
+    modulo_counter_process,
+    saturating_accumulator_process,
+)
+from repro.simulation.compiler import CompiledProcess
 from repro.verification import (
     BoundReached,
     EncodingError,
     ExplorationOptions,
+    IntSymbolicEngine,
     ReactionPredicate,
     encode_process,
     explore,
     symbolic_int_explore,
 )
+from repro.verification.ranges import infer_ranges
 
 
 def counter_bank(counters: int, modulo: int):
@@ -49,6 +63,31 @@ def test_bench_explicit_integer_reachability(benchmark, counters, modulo):
     result = benchmark(lambda: explore(process))
     assert result.complete
     assert result.state_count == modulo ** counters
+
+
+def test_bench_relation_build(benchmark, record_property):
+    """The relation-build layer: seconds (best of three) and nodes created.
+
+    The process is compiled and its ranges inferred up front, so only the
+    engine's circuit compilation and clustering are timed — the work
+    perfbench reports as ``relational.build_s``.
+    """
+    designs = {
+        "register18": boolean_shift_register_process(18),
+        "bank5x8": counter_bank(5, 8),
+    }
+    for label, process in designs.items():
+        compiled = CompiledProcess(process)
+        ranges = infer_ranges(compiled)
+        seconds = []
+        for _ in range(3):
+            started = perf_counter()
+            engine = IntSymbolicEngine(compiled, ranges=ranges)
+            seconds.append(perf_counter() - started)
+        record_property(f"{label}_build_s", round(min(seconds), 6))
+        record_property(f"{label}_build_nodes", engine.manager.statistics()["nodes_created"])
+        assert engine.relation.cluster_count == 1
+    benchmark(lambda: IntSymbolicEngine(compiled, ranges=ranges))
 
 
 @pytest.mark.parametrize("counters,modulo", [(2, 3), (4, 6), (6, 8)])

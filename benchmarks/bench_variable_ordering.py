@@ -24,8 +24,10 @@ The headline test pins the reordering effect quantitatively: under one
 shared node budget, the partitioned + sifted engine completes the depth-18
 register with a peak node count at most half the peak of the same
 partitioned engine under the static order.  (Measured on a 2-core host:
-static peaks at 13,755 nodes in about 0.1 s; sifted at 4,947 nodes with 2
-reorders in about 0.8 s.)
+static peaks at 7,792 nodes in about 0.1 s; sifted at 2,984 nodes with 4
+reorders in about 2.7 s.  The sifted run took 0.9 s with 2 reorders while
+the relation build left more garbage behind: with less of it, the doubling
+reorder threshold trips at different checkpoints.)
 """
 
 import random

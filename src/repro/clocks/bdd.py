@@ -864,25 +864,6 @@ class BDDManager:
             memo[n] = done
         return done ^ c  # substitution commutes with negation
 
-    def preimage(
-        self,
-        relation: BDDNode,
-        states: BDDNode,
-        prime_map: Mapping[str, str],
-        quantified: Iterable[str],
-    ) -> BDDNode:
-        """Predecessors of ``states`` under ``relation`` (backward image).
-
-        The backward counterpart of the image relational product: ``states``
-        (over unprimed state variables) is renamed onto the primed variables
-        via ``prime_map``, conjoined with the transition relation, and the
-        ``quantified`` variables (signal and primed state bits) are
-        existentially eliminated in the same pass.  This is the primitive the
-        counterexample-trace extraction of the symbolic engine walks the
-        per-iteration frontier rings back through.
-        """
-        return self.and_exists(relation, self.rename(states, prime_map), quantified)
-
     # -- dynamic variable reordering -----------------------------------------------------
 
     def maybe_reorder(self, roots: Iterable[BDDNode] = ()) -> bool:

@@ -10,8 +10,9 @@ compilation that builds it, plus the bit-naming scheme both sides share
 
 :class:`PartitionedRelation` keeps the relation as a list of *conjunctive
 clusters* instead of one monolithic BDD.  Every equation (or bit-vector
-fragment) contributes its own conjunct; clusters are formed greedily up to
-a node-size bound, and every relational product runs an
+fragment) contributes its own conjunct; neighbouring conjuncts are merged
+pairwise, level by level, while the sum of their sizes stays within a
+node-size bound (:func:`merge_pairwise`), and every relational product runs an
 **early-quantification** schedule: a variable is existentially eliminated at
 the last cluster whose support mentions it, so intermediate products never
 carry bits no later conjunct cares about.  The relation is never conjoined
@@ -45,48 +46,75 @@ def _primed(bit: str) -> str:
 CLUSTER_SIZE = 600
 
 
+def merge_pairwise(
+    manager: BDDManager, parts: Sequence[BDDNode], bound: Optional[int] = None
+) -> list[BDDNode]:
+    """Conjoin neighbouring ``parts`` pairwise, level by level.
+
+    Each level conjoins parts 0 ∧ 1, 2 ∧ 3, … and carries an unpaired last
+    part up unchanged, so a fold of n parts is log₂ n levels deep and walks
+    each part O(log n) times, where a left fold re-walks the growing
+    conjunction once per later part.  With a ``bound``, two neighbours merge
+    only while the sum of their sizes stays within it (a refused pair leaves
+    its left part alone and the right one tries its own right neighbour);
+    each node's size is computed once.  Levels repeat until one merges
+    nothing.  Without a bound the result is the single conjunction.
+
+    ``true`` parts are dropped and a ``false`` part (or conjunction) makes
+    the result ``[false]``; no parts at all give ``[true]``.  Two folds over
+    lists that share a prefix build the same subtrees over its aligned
+    blocks, so the second finds them in the computed cache.
+    """
+    true, false = manager.true, manager.false
+    sized: list[tuple[BDDNode, int]] = []
+    for part in parts:
+        if part is false:
+            return [false]
+        if part is not true:
+            sized.append((part, 0 if bound is None else manager.size(part)))
+    merged = True
+    while merged and len(sized) > 1:
+        merged = False
+        level: list[tuple[BDDNode, int]] = []
+        index = 0
+        while index < len(sized):
+            left, left_size = sized[index]
+            if index + 1 < len(sized):
+                right, right_size = sized[index + 1]
+                if bound is None or left_size + right_size <= bound:
+                    both = manager.conj(left, right)
+                    if both is false:
+                        return [false]
+                    level.append((both, 0 if bound is None else manager.size(both)))
+                    merged = True
+                    index += 2
+                    continue
+            level.append((left, left_size))
+            index += 1
+        sized = level
+    return [part for part, _size in sized] or [true]
+
+
 class PartitionedRelation:
     """A conjunctively partitioned relation with early-quantification products.
 
-    ``parts`` are the per-equation conjuncts; they are greedily merged into
-    clusters whose BDDs stay below ``cluster_size`` nodes (``0`` keeps every
-    part its own cluster).  The clusters' supports are computed once; each
-    distinct quantification set gets a cached schedule assigning every
-    quantified variable to the last cluster that mentions it.
+    ``parts`` are the per-equation conjuncts; :func:`merge_pairwise` merges
+    neighbours into clusters while the sum of their sizes stays within
+    ``cluster_size`` nodes (``0`` keeps every part its own cluster).  The
+    clusters' supports are computed once; each distinct quantification set
+    gets a cached schedule assigning every quantified variable to the last
+    cluster that mentions it.
     """
 
     def __init__(
         self, manager: BDDManager, parts: Sequence[BDDNode], cluster_size: int = CLUSTER_SIZE
     ) -> None:
         self.manager = manager
-        self.clusters: list[BDDNode] = self._cluster(list(parts), cluster_size)
+        self.clusters: list[BDDNode] = merge_pairwise(manager, parts, cluster_size)
         self._supports: list[frozenset] = [
             frozenset(manager.support(cluster)) for cluster in self.clusters
         ]
         self._schedules: dict[frozenset, tuple[frozenset, list[frozenset]]] = {}
-
-    def _cluster(self, parts: list[BDDNode], cluster_size: int) -> list[BDDNode]:
-        manager = self.manager
-        clusters: list[BDDNode] = []
-        current: Optional[BDDNode] = None
-        current_size = 0
-        for part in parts:
-            if part is manager.true:
-                continue
-            if part is manager.false:
-                return [manager.false]
-            size = manager.size(part)
-            if current is None:
-                current, current_size = part, size
-            elif current_size + size <= cluster_size:
-                current = manager.conj(current, part)
-                current_size = manager.size(current)
-            else:
-                clusters.append(current)
-                current, current_size = part, size
-        if current is not None:
-            clusters.append(current)
-        return clusters or [manager.true]
 
     @property
     def cluster_count(self) -> int:

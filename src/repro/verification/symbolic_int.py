@@ -75,7 +75,7 @@ from .reachability import (
     TraceStep,
 )
 from .ranges import RangeReport, infer_ranges, operator_row, require, state_interval
-from .relational import PartitionedRelation, _presence, _primed, _value
+from .relational import PartitionedRelation, _presence, _primed, _value, merge_pairwise
 from .z3z import FIELD, Polynomial
 
 #: Hard cap on the width of any one bit-blasted integer signal.
@@ -742,13 +742,16 @@ class IntSymbolicEngine:
         manager = self.manager
         compiled = self.compiled
 
-        well_formed = manager.true
-        for name in self.signal_names:
-            presence = manager.var(_presence(name))
-            for bit in self._signal_bit_names(name)[1:]:
-                well_formed = manager.conj(well_formed, manager.implies(manager.var(bit), presence))
+        well_formed = merge_pairwise(
+            manager,
+            [
+                manager.implies(manager.var(bit), manager.var(_presence(name)))
+                for name in self.signal_names
+                for bit in self._signal_bit_names(name)[1:]
+            ],
+        )[0]
 
-        domain = manager.true
+        domain_parts: list[BDDNode] = []
         values = sorted(set(self.ranges.integer_domain))
         defined = {definition.target for definition in compiled.definitions}
         for name in self.signal_names:
@@ -766,18 +769,17 @@ class IntSymbolicEngine:
             member = manager.disj_all(
                 self.bits.equal(signal.value, self._iv_const(v)) for v in values
             )
-            domain = manager.conj(domain, manager.implies(signal.pres, member))
+            domain_parts.append(manager.implies(signal.pres, member))
+        domain = merge_pairwise(manager, domain_parts)[0]
 
         clock_parts = [self._clock_constraint(constraint) for constraint in compiled.constraints]
-        clocks = manager.conj_all(clock_parts)
 
         self._equation_constraints: list[BDDNode] = []
         self._relaxed_constraints: list[BDDNode] = []
         self._equation_clips: list[tuple[str, BDDNode]] = []
         # Every BDD consumed after the loops below must ride through the
-        # garbage-collecting checkpoints: the clocks *conjunction* (not just
-        # its parts) feeds the base relation at the end of the build.
-        durable = [well_formed, domain, clocks, *clock_parts]
+        # garbage-collecting checkpoints.
+        durable = [well_formed, domain, *clock_parts]
         for definition in compiled.definitions:
             constraint, relaxed, clip = self._equation(definition)
             self._equation_constraints.append(constraint)
@@ -790,29 +792,31 @@ class IntSymbolicEngine:
                 *durable, *self._equation_constraints, *self._relaxed_constraints
             )
 
-        # Local on purpose: the base relation is only an ingredient of the
-        # instantaneous/relaxed conjunctions below, and a kept-but-unprotected
-        # attribute would go stale at the first garbage-collecting reorder.
-        base_relation = manager.conj_all([well_formed, domain, clocks])
-        self.instantaneous = manager.conj(
-            base_relation, manager.conj_all(self._equation_constraints)
-        )
+        # The transition relation stays partitioned: one conjunct per clock
+        # constraint, per equation and per memory-slot update (the int
+        # engine's bit-vector fragments).  ``instantaneous`` folds the leading
+        # parts in the pairwise shape the clustering later merges them in,
+        # so the clustering finds those subtrees in the computed cache.
+        parts: list[BDDNode] = [well_formed, domain, *clock_parts, *self._equation_constraints]
+        self.instantaneous = merge_pairwise(manager, parts)[0]
         # The audit relation: every equation keeps its presence linking and its
         # in-window value equality, but *admits* the reactions whose value
         # falls outside the window (target bits unconstrained there).  This is
         # the projection of the explicit relation onto the representable
         # space, so clips are audited against it — a strict window of one
-        # equation can never mask a simultaneous clip of another.
-        self._relaxed_relation = manager.protect(
-            manager.conj(base_relation, manager.conj_all(self._relaxed_constraints))
-        )
-
-        # The transition relation stays partitioned: one conjunct per clock
-        # constraint, per equation and per memory-slot update (the int
-        # engine's bit-vector fragments).
-        parts: list[BDDNode] = [well_formed, domain]
-        parts.extend(clock_parts)
-        parts.extend(self._equation_constraints)
+        # equation can never mask a simultaneous clip of another.  Without an
+        # integer target every relaxed conjunct is the strict one.
+        if all(
+            relaxed is strict
+            for relaxed, strict in zip(self._relaxed_constraints, self._equation_constraints)
+        ):
+            self._relaxed_relation = manager.protect(self.instantaneous)
+        else:
+            self._relaxed_relation = manager.protect(
+                merge_pairwise(
+                    manager, [well_formed, domain, *clock_parts, *self._relaxed_constraints]
+                )[0]
+            )
         self._slot_clips: list[tuple[str, BDDNode]] = []
         for key, node in compiled.stateful_nodes():
             step, clip = self._slot_transition(node)
@@ -1063,17 +1067,6 @@ class IntSymbolicEngine:
         """Successors of ``states`` under the transition relation, unprimed."""
         successors = self.relation.product(states, self.signal_bits + self.state_bits)
         return self.manager.rename(successors, self._unprime_map)
-
-    def preimage(self, states: BDDNode) -> BDDNode:
-        """Predecessors of ``states`` under the transition relation.
-
-        The backward counterpart of :meth:`image` — the target set is renamed
-        onto the primed variables and the signal and primed state bits are
-        eliminated cluster by cluster.  Trace extraction walks the stored
-        frontier rings back through it.
-        """
-        seed = self.manager.rename(states, self._prime_map)
-        return self.relation.product(seed, self.signal_bits + self.primed_bits)
 
     def _reach_fixpoint(
         self, max_iterations: Optional[int]
@@ -1335,15 +1328,14 @@ class IntSymbolicReachability(Reachability):
         BDD per iteration (:attr:`frontiers`).  Extraction finds the earliest
         ring admitting a satisfying reaction, picks one concrete (state,
         reaction) model there with the witness-synthesis machinery, then walks
-        back ring by ring — each step one
-        :meth:`~IntSymbolicEngine.preimage` partitioned relational
-        product intersected with the previous ring, from which one concrete
-        predecessor state and one connecting reaction are extracted.  The
-        trace length equals the ring index plus one — the BFS distance, since
-        ``rings[k]`` holds exactly the states first reached after k images —
-        so symbolic traces are as short as the explicit engine's
-        parent-pointer BFS paths, and no state is ever enumerated outside the
-        path itself.
+        back ring by ring — each step one partitioned relational product of
+        the previous ring with the current state on the primed bits, from
+        which one concrete predecessor state and one connecting reaction are
+        extracted.  The trace length equals the ring index plus one — the
+        BFS distance, since ``rings[k]`` holds exactly the states first
+        reached after k images — so symbolic traces are as short as the
+        explicit engine's parent-pointer BFS paths, and no state is ever
+        enumerated outside the path itself.
         """
         self._validate_predicate(predicate)
         return self._extract_trace(self.engine.predicate_bdd(predicate), name)
@@ -1351,9 +1343,10 @@ class IntSymbolicReachability(Reachability):
     def _extract_trace(self, condition: BDDNode, name: str) -> Optional[Trace]:
         """The ring walk behind :meth:`trace_to`, from a condition BDD.
 
-        Each step back costs one pre-image and one relational product; the
-        cubes and models around them (two of each per step) are linear in
-        the state and signal bits, so those products dominate.
+        Each step back costs one relational product, ``joint`` below; the
+        cubes, models and the signal quantification around it are linear in
+        the state and signal bits (``joint`` fixes the primed ones), so the
+        product dominates.
         """
         engine = self.engine
         manager = engine.manager
@@ -1378,21 +1371,24 @@ class IntSymbolicReachability(Reachability):
 
         # Walk the rings backward from the state the satisfying reaction fires
         # in, extracting one concrete predecessor and connecting reaction per
-        # ring.  The steps come out in reverse order.
+        # ring.  ``joint`` holds every (state, reaction) of the previous ring
+        # stepping into the cursor; the predecessor is the first model of its
+        # signal projection and the reaction the first model of ``joint``
+        # fixed to that predecessor.  The steps come out in reverse order.
         steps: list[TraceStep] = []
         cursor = {bit: model[bit] for bit in engine.state_bits}
         for index in range(ring_index, 0, -1):
-            cursor_cube = manager.cube(cursor)
-            predecessors = manager.conj(engine.preimage(cursor_cube), self.frontiers[index - 1])
-            previous = next(manager.satisfying_assignments(predecessors, engine.state_bits))
-            step_relation = engine.relation.product(
-                manager.conj(
-                    manager.cube(previous),
-                    manager.rename(cursor_cube, engine._prime_map),
-                ),
-                engine.primed_bits,
+            into_cursor = manager.cube(
+                {engine._prime_map[bit]: value for bit, value in cursor.items()}
             )
-            reaction_model = next(manager.satisfying_assignments(step_relation, bits))
+            joint = engine.relation.product(
+                manager.conj(self.frontiers[index - 1], into_cursor), engine.primed_bits
+            )
+            predecessors = manager.exists(joint, engine.signal_bits)
+            previous = next(manager.satisfying_assignments(predecessors, engine.state_bits))
+            reaction_model = next(
+                manager.satisfying_assignments(manager.conj(joint, manager.cube(previous)), bits)
+            )
             steps.append(
                 TraceStep(engine.decode_reaction(reaction_model), engine.decode_state(cursor))
             )

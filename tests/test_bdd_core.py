@@ -8,7 +8,7 @@ table side shares no algorithm with the code under test: connectives are
 integer bit operations, and quantification, restriction and renaming
 enumerate assignments directly.  The tests pin model counts and sets,
 ``exists``/``forall``, ``and_exists``, order-keeping and order-breaking
-``rename``, ``preimage``, ``restrict``, and round-trips through
+``rename``, ``restrict``, and round-trips through
 ``reorder()`` and ``dump_nodes``/``load_nodes`` to the table — plus the
 canonicity invariants of the complement-edge store (no stored complemented
 high edge, O(1) involutive negation).  ``cube`` and the model walk are also
@@ -215,23 +215,6 @@ class TestRenameAndPreimageAgree:
         manager, oracle, f, table = built(seed, depth=3)
         mapping = {"v0": "v6", "v6": "v0", "v1": "v5", "v5": "v1"}
         assert_matches(manager, manager.rename(f, mapping), oracle, oracle.rename(table, mapping))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_preimage_matches_oracle(self, seed):
-        current = [f"s{i}" for i in range(4)]
-        primed = [f"s{i}'" for i in range(4)]
-        names = [name for pair in zip(current, primed) for name in pair]
-        manager, oracle = BDDManager(names), Table(names)
-        relation_expr = random_expression(names, random.Random(seed), 4)
-        target_expr = random_expression(current, random.Random(seed + 1), 3)
-        relation = build(manager, relation_expr)
-        target = build(manager, target_expr)
-        mapping = dict(zip(current, primed))
-        result = manager.preimage(relation, target, mapping, primed)
-        expected = oracle.quantify(
-            oracle.of(relation_expr) & oracle.rename(oracle.of(target_expr), mapping), primed, True
-        )
-        assert_matches(manager, result, oracle, expected)
 
 
 class TestReorderRoundTrips:

@@ -219,11 +219,14 @@ class TestBudgetAndAutoTrigger:
         from repro.signal.dsl import ProcessBuilder
         from repro.verification import SymbolicOptions, symbolic_int_explore
 
-        order = list(range(12))
+        # Depth 16 peaks at 7,457 nodes under the static order: past the
+        # armed threshold (half the budget), short of the near-budget
+        # checkpoint (three quarters), so only the arming makes it sift.
+        order = list(range(16))
         _random.Random(11).shuffle(order)
         builder = ProcessBuilder("ShuffledBudget")
         x = builder.input("x", "boolean")
-        stages = [builder.output(f"s{index}", "boolean") for index in range(12)]
+        stages = [builder.output(f"s{index}", "boolean") for index in range(16)]
         for index in order:
             source = x if index == 0 else stages[index - 1]
             builder.define(stages[index], source.delayed(False))
@@ -232,7 +235,7 @@ class TestBudgetAndAutoTrigger:
             builder.build(),
             SymbolicOptions(reorder="auto", node_budget=10000),
         )
-        assert result.complete and result.state_count == 2 ** 12
+        assert result.complete and result.state_count == 2 ** 16
         assert result.statistics()["reorders"] >= 1
 
 
