@@ -8,7 +8,8 @@ table side shares no algorithm with the code under test: connectives are
 integer bit operations, and quantification, restriction and renaming
 enumerate assignments directly.  The tests pin model counts and sets,
 ``exists``/``forall``, ``and_exists``, order-keeping and order-breaking
-``rename``, ``restrict``, and round-trips through
+``rename``, ``restrict``, the pairwise conjunction fold the relation build
+runs (``merge_pairwise``), and round-trips through
 ``reorder()`` and ``dump_nodes``/``load_nodes`` to the table — plus the
 canonicity invariants of the complement-edge store (no stored complemented
 high edge, O(1) involutive negation).  ``cube`` and the model walk are also
@@ -18,11 +19,13 @@ and no recursion-depth limit at 2,000 variables.
 """
 
 import random
+from itertools import combinations
 from time import perf_counter
 
 import pytest
 
 from repro.clocks.bdd import BDDManager, BDDNode, dump_nodes, load_nodes
+from repro.verification.relational import merge_pairwise
 
 NAMES = [f"v{index}" for index in range(7)]
 
@@ -194,6 +197,74 @@ class TestQuantificationAgrees:
         f = manager.xor(manager.var("v0"), manager.var("v1"))
         assert manager.exists(f, ["zz", "qq"]) is f
         assert manager.forall(f, []) is f
+
+
+class TestMergePairwiseAgrees:
+    """``merge_pairwise`` against the conjunction of the parts' truth tables."""
+
+    @staticmethod
+    def parts(seed):
+        """Six dense random parts (each a disjunction) with ``true`` mixed in."""
+        rng = random.Random(seed + 1300)
+        manager, oracle = BDDManager(NAMES), Table(NAMES)
+        expressions = [
+            ("or", random_expression(NAMES, rng, 2), random_expression(NAMES, rng, 2)) for _ in range(6)
+        ]
+        parts = [build(manager, expression) for expression in expressions]
+        parts.insert(rng.randrange(len(parts) + 1), manager.true)
+        table = oracle.full
+        for expression in expressions:
+            table &= oracle.of(expression)
+        return manager, oracle, parts, table
+
+    @staticmethod
+    def conjunction(manager, parts):
+        result = manager.true
+        for part in parts:
+            result = manager.conj(result, part)
+        return result
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unbounded_fold_is_the_conjunction(self, seed):
+        manager, oracle, parts, table = self.parts(seed)
+        [result] = merge_pairwise(manager, parts)
+        assert_matches(manager, result, oracle, table)
+        assert result is self.conjunction(manager, parts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounded_clusters_are_maximal_contiguous_runs(self, seed):
+        manager, oracle, parts, table = self.parts(seed)
+        kept = [part for part in parts if part is not manager.true]
+        assert merge_pairwise(manager, parts, 0) == kept
+        assert merge_pairwise(manager, parts, 10**9) == merge_pairwise(manager, parts)
+        sizes = sorted({manager.size(part) for part in kept})
+        for bound in (sizes[0] * 2, sizes[-1] + sizes[0], 2 * sum(sizes)):
+            clusters = merge_pairwise(manager, parts, bound)
+            assert_matches(manager, self.conjunction(manager, clusters), oracle, table)
+            cuts = [
+                (0, *inner, len(kept))
+                for inner in combinations(range(1, len(kept)), len(clusters) - 1)
+            ]
+            assert any(
+                all(
+                    cluster is self.conjunction(manager, kept[start:stop])
+                    for cluster, start, stop in zip(clusters, cut, cut[1:])
+                )
+                for cut in cuts
+            ), "clusters are not conjunctions of contiguous runs, in order"
+            for left, right in zip(clusters, clusters[1:]):
+                assert manager.size(left) + manager.size(right) > bound
+
+    def test_constant_parts(self):
+        manager = BDDManager(NAMES)
+        true, false = manager.true, manager.false
+        x = manager.var("v0")
+        assert merge_pairwise(manager, []) == [true]
+        assert merge_pairwise(manager, [true, true], 5) == [true]
+        assert merge_pairwise(manager, [x, true]) == [x]
+        assert merge_pairwise(manager, [x, false, manager.var("v1")]) == [false]
+        assert merge_pairwise(manager, [x, manager.neg(x)]) == [false]
+        assert merge_pairwise(manager, [x, manager.neg(x)], 0) == [x, manager.neg(x)]
 
 
 class TestRenameAndPreimageAgree:
