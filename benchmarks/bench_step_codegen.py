@@ -11,9 +11,12 @@ both loops, and asserts the throughput ratio.  The measured ratio is
 recorded as the ``step_speedup`` test property (pytest's
 ``record_property``), which the bench-smoke conftest copies into
 ``BENCH_SMOKE.json`` next to the wall-clocks, together with each engine's
-fixpoint passes per reaction (``passes_per_reaction``): both engines run
+fixpoint passes per reaction (``passes_per_reaction``) and equation
+verifications per reaction (``verify_runs_per_reaction``): both engines run
 their passes in the process's static schedule, which resolves every
-reaction of this pipeline in one pass.
+reaction of this pipeline in one pass, and that pass decides every
+equation, so the kernels never verify them (the interpreter, the oracle,
+verifies every reaction).
 """
 
 import time
@@ -65,23 +68,39 @@ def schedule(reactions: int):
     return [cycle[index % len(cycle)] for index in range(reactions)]
 
 
-def count_passes(compiled):
-    """Count the fixpoint passes ``compiled`` runs from now on.
+def count_calls(compiled, method):
+    """Count the calls of the step engine's ``method`` from now on.
 
-    Wraps the engine's one-pass function (the generated ``_pass`` under
-    codegen, :meth:`CompiledProcess._pass` under interp) on this instance
-    only; returns a one-item list holding the running count.
+    Wraps the method of the engine that resolves ``compiled``'s reactions
+    (its ``StepKernels`` under codegen, the ``CompiledProcess`` itself under
+    interp) on this instance only; returns a one-item list holding the
+    running count.
     """
     owner = compiled.kernels or compiled
-    run_pass = owner._pass
+    run = getattr(owner, method)
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
-        return run_pass(*args)
+        return run(*args)
 
-    owner._pass = counted
+    setattr(owner, method, counted)
     return calls
+
+
+def count_passes(compiled):
+    """Count the fixpoint passes ``compiled`` runs from now on: the
+    generated ``_pass`` under codegen, :meth:`CompiledProcess._pass` under
+    interp."""
+    return count_calls(compiled, "_pass")
+
+
+def count_verifies(compiled):
+    """Count the equation verifications ``compiled`` runs from now on:
+    ``StepKernels._verify`` under codegen, which runs only when the last
+    pass left an equation undecided, and :meth:`CompiledProcess._verify`
+    under interp, which runs on every reaction that converges."""
+    return count_calls(compiled, "_verify")
 
 
 def timed_replay(compiled, stimuli):
@@ -121,12 +140,15 @@ def test_bench_step_codegen_throughput(benchmark, record_property, stages):
 
     ratio = interp_seconds / codegen_seconds
     record_property("step_speedup", round(ratio, 3))
-    passes = {}
+    passes, verifies = {}, {}
     for engine, compiled in (("interp", interp), ("codegen", codegen)):
-        calls = count_passes(compiled)
+        pass_calls, verify_calls = count_passes(compiled), count_verifies(compiled)
         timed_replay(compiled, stimuli)
-        passes[engine] = round(calls[0] / len(stimuli), 3)
+        passes[engine] = round(pass_calls[0] / len(stimuli), 3)
+        verifies[engine] = round(verify_calls[0] / len(stimuli), 3)
     record_property("passes_per_reaction", passes)
+    record_property("verify_runs_per_reaction", verifies)
+    assert verifies == {"interp": 1.0, "codegen": 0.0}
     assert ratio >= SPEEDUP_FLOOR, (
         f"codegen step throughput only {ratio:.1f}x the interpreter "
         f"at {stages} stages (floor {SPEEDUP_FLOOR}x)"

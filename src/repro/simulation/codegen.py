@@ -5,19 +5,23 @@ The reference implementation of a reaction is ``_Evaluator`` in
 dispatch, re-run on every pass of every fixpoint.  That walk dominates the
 run time of explicit exploration, simulation and trace replay.  This module
 compiles an *expanded* process once, the first time a reaction needs it,
-into three straight-line Python functions over slot-indexed status arrays:
+into straight-line Python functions over slot-indexed status arrays:
 
 * ``_pass`` — one fixpoint pass in the process's static schedule
   (``CompiledProcess.pass_order``): every clock equality propagated first,
   then every equation evaluated and refined into the status arrays in
   dependency order, members of instantaneous cycles last, then events
-  normalised; returns whether anything changed;
-* ``_verify`` — the final consistency pass over equations and constraints;
+  normalised; returns whether anything changed and whether it *decided*
+  every equation (see below);
 * ``_finish`` — the end of a converged reaction: unknown signals set absent,
-  ``_verify`` run, every present signal checked for a resolved value, and
-  the result returned as ``(next_state, values)`` — the successor memory of
-  the delay/cell operators in ``stateful_nodes()`` order and every signal's
-  value (``ABSENT`` when absent) in slot order.
+  the equation verifier run unless the pass decided the reaction, every
+  clock constraint checked, every present signal checked for a resolved
+  value, and the result returned as ``(next_state, values)`` — the
+  successor memory of the delay/cell operators in ``stateful_nodes()``
+  order and every signal's value (``ABSENT`` when absent) in slot order;
+* ``_verify_equations`` — the final consistency check of every equation
+  against the settled arrays, generated and compiled only when a reaction
+  first needs it (:meth:`StepKernels._verify`).
 
 The arrays replace the dict of :class:`~repro.simulation.status.Status`:
 ``K`` holds one small-int kind per signal (0 unknown, 1 absent, 2 present,
@@ -28,9 +32,22 @@ signal resolved or changes nothing.  Because absent slots hold ``ABSENT``,
 "every signal resolved" is the single C-level test ``UNKNOWN_VALUE not in
 V``.  In the schedule, the first pass passes it on every reaction of an
 acyclic design whose clocks the stimulus and the clock equalities fix, and
-no confirming pass follows: ``_verify`` re-evaluates every equation and
-constraint, so a conflict such a pass would raise is still a
-``ConsistencyError``.  The explorer runs these
+no confirming pass follows.
+
+Nor does the equation verifier, when the pass decided every equation: it
+assigned the expression's value to the target or compared it equal, or
+found both absent.  Evaluation only gains knowledge within a reaction, so
+re-evaluating a decided equation yields the same result, and the verifier
+could find nothing.  An equation is left undecided when its expression was
+unknown, present without a value, or a constant not assigned into a
+present valueless target; and when a re-evaluation could call an operator
+(or test a ``when``/``cell`` condition) on operands this pass had not yet
+settled: an operand defined later in the schedule, or an event the pass
+normalised at its end.  Then ``_finish`` verifies every equation, so a
+conflict the pass did not see is still a ``ConsistencyError`` with the
+interpreter's message.  The clock constraints are checked on every
+reaction: the pass propagates them before the equations refine their
+operands.  The explorer runs these
 tuples directly (:meth:`StepKernels.successor`); :meth:`StepKernels.step`
 adapts them to the dict contract of ``CompiledProcess.step``.
 
@@ -52,7 +69,7 @@ available as the oracle via ``CompiledProcess(process, compile="interp")``.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from ..core.values import ABSENT, EVENT
 from ..signal.ast import (
@@ -315,6 +332,30 @@ def _truth(value: str) -> str:
     return f"({value} is True or {value} is _EVENT or ({value} is not False and _truthy({value})))"
 
 
+def _guarded_reads(expr: Expression) -> set[str]:
+    """The signals ``expr`` reads where evaluating it can raise: under an
+    operator or intrinsic, or in a ``when``/``cell`` condition."""
+    reads: set[str] = set()
+
+    def visit(node: Expression, guarded: bool) -> None:
+        if isinstance(node, SignalRef):
+            if guarded:
+                reads.add(node.name)
+        elif isinstance(node, When):
+            visit(node.condition, True)
+            visit(node.operand, guarded)
+        elif isinstance(node, Cell):
+            visit(node.operand, guarded)
+            visit(node.clock, True)
+        else:
+            guarded = guarded or isinstance(node, (UnaryOp, BinaryOp, FunctionCall))
+            for child in node.children():
+                visit(child, guarded)
+
+    visit(expr, False)
+    return reads
+
+
 def _simulation_error(message: str) -> Exception:
     from .compiler import SimulationError
 
@@ -368,17 +409,19 @@ class _ModuleBuilder:
 class StepKernels:
     """The compiled reaction engine of one :class:`CompiledProcess`.
 
-    Three generated functions — fixpoint pass, verification pass, fused
-    finish — resolve a reaction from status arrays to the successor memory
-    and the resolved values.  :meth:`successor` runs them over state tuples
-    for the explorer; :meth:`step` adapts them into a drop-in replacement
-    for the interpreter path of :meth:`CompiledProcess.step`: same results,
-    same exceptions, same messages.
+    Two generated functions — fixpoint pass and fused finish — resolve a
+    reaction from status arrays to the successor memory and the resolved
+    values; a third, the equation verifier, is generated the first time a
+    reaction needs it (:meth:`_verify`).  :meth:`successor` runs them over
+    state tuples for the explorer; :meth:`step` adapts them into a drop-in
+    replacement for the interpreter path of :meth:`CompiledProcess.step`:
+    same results, same exceptions, same messages.
     """
 
     def __init__(self, process: "CompiledProcess") -> None:
         started = perf_counter()
         name = process.name
+        self._process = process
         self.process_name = name
         self.signal_names = process.signal_names
         self.width = len(process.signal_names)
@@ -391,17 +434,13 @@ class StepKernels:
         self.state_keys = process.state_keys
         # Aliased nodes resolve to their last key, like the interpreter's map.
         state_index = {id(node): i for i, (_key, node) in enumerate(stateful)}
-        module = _ModuleBuilder(slots, state_index)
+        self._module = module = _ModuleBuilder(slots, state_index)
+        self._verify_equations: Optional[Callable[[list, list, tuple], None]] = None
 
-        sources = [
-            self._build_pass(module, process),
-            self._build_verify(module, process),
-            self._build_finish(module, process),
-        ]
-        source = "\n\n\n".join(sources) + "\n"
-        code = compile(source, f"<repro-step-kernels:{name}>", "exec")
-        exec(code, module.namespace)
-        self.source = source
+        #: The generated source so far: the pass and the finish, then the
+        #: equation verifier once a reaction needed it.
+        self.source = ""
+        self._exec("\n\n\n".join([self._build_pass(module, process), self._build_finish(module, process)]))
         self._pass = module.namespace["_pass"]
         self._finish = module.namespace["_finish"]
         # One logical kernel per equation, constraint operand and stateful
@@ -415,13 +454,21 @@ class StepKernels:
 
     # -- code generation -------------------------------------------------------
 
+    def _exec(self, source: str) -> None:
+        """Compile ``source`` into the kernels' shared namespace."""
+        source += "\n"
+        code = compile(source, f"<repro-step-kernels:{self.process_name}>", "exec")
+        exec(code, self._module.namespace)
+        self.source += source
+
     def _build_pass(self, module: _ModuleBuilder, process: "CompiledProcess") -> str:
         """One fixpoint pass in the process's schedule: propagate every
         clock constraint, refine every equation in ``pass_order``, normalise
-        events; returns whether anything changed."""
+        events; returns whether anything changed and whether every equation
+        was decided (see the module docstring)."""
         name = self.process_name
         fn = _FunctionBuilder(module, "_pass", "K, V, S")
-        fn.emit("changed = False")
+        fn.emit("changed = False; decided = True")
         for constraint in process.constraints:
             fn.emit(f"# constraint {constraint!r}"[:100])
             codes = [fn.lower(operand)[0] for operand in constraint.operands]
@@ -458,10 +505,19 @@ class StepKernels:
                 fn.emit(f"        K[{slot}] = 1; V[{slot}] = _ABSENT; changed = True")
                 fn.emit("    elif c == 2:")
                 fn.emit(f"        raise _CE({m_force_absent})")
-        for definition in process.pass_order:
+        # Where a re-evaluation could raise, an equation is only decided if
+        # the pass had settled what it read: nothing defined at or after it
+        # in the schedule, and no event the pass normalises at its end.
+        position = {definition.target: index for index, definition in enumerate(process.pass_order)}
+        guarded_slots = set()
+        for index, definition in enumerate(process.pass_order):
             target = definition.target
             slot = module.slots[target]
             fn.emit(f"# {target} := {definition.expression!r}"[:100])
+            guarded = _guarded_reads(definition.expression)
+            guarded_slots.update(module.slots[signal] for signal in guarded if signal in module.slots)
+            if any(position.get(signal, -1) >= index for signal in guarded):
+                fn.emit("decided = False")
             k, v = fn.lower(definition.expression)
             m_absent = module.message(f"{name}: {target!r} must be absent but is present")
             m_present = module.message(f"{name}: {target!r} must be present but is absent")
@@ -471,6 +527,7 @@ class StepKernels:
             fn.emit("    if c == 1:")
             fn.emit(f"        raise _CE({m_present})")
             fn.emit(f"    if {v} is _UV:")
+            fn.emit("        decided = False")
             fn.emit("        if c == 0:")
             fn.emit(f"            K[{slot}] = 2; changed = True")
             fn.emit(f"    elif c == 2 and V[{slot}] is not _UV:")
@@ -481,23 +538,27 @@ class StepKernels:
             fn.emit(f"elif {k} == 3:")
             fn.emit(f"    if K[{slot}] == 2 and V[{slot}] is _UV:")
             fn.emit(f"        V[{slot}] = {v}; changed = True")
+            fn.emit("    else:")
+            fn.emit("        decided = False")
             fn.emit(f"elif {k} == 1:")
             fn.emit(f"    c = K[{slot}]")
             fn.emit("    if c == 2:")
             fn.emit(f"        raise _CE({m_absent})")
             fn.emit("    if c != 1:")
             fn.emit(f"        K[{slot}] = 1; V[{slot}] = _ABSENT; changed = True")
+            fn.emit("else:")
+            fn.emit("    decided = False")
         for slot in self.event_slots:
             fn.emit(f"if K[{slot}] == 2 and V[{slot}] is _UV:")
-            fn.emit(f"    V[{slot}] = _EVENT")
-        fn.emit("return changed")
+            fn.emit(f"    V[{slot}] = _EVENT" + ("; decided = False" if slot in guarded_slots else ""))
+        fn.emit("return changed, decided")
         return fn.source()
 
-    def _build_verify(self, module: _ModuleBuilder, process: "CompiledProcess") -> str:
-        """The final consistency pass, re-evaluating every equation and
-        constraint against the fully resolved status arrays."""
+    def _build_verify_equations(self, module: _ModuleBuilder, process: "CompiledProcess") -> str:
+        """The equation half of the final consistency check, re-evaluating
+        every equation against the settled status arrays."""
         name = self.process_name
-        fn = _FunctionBuilder(module, "_verify", "K, V, S")
+        fn = _FunctionBuilder(module, "_verify_equations", "K, V, S")
         for definition in process.definitions:
             target = definition.target
             slot = module.slots[target]
@@ -532,6 +593,26 @@ class StepKernels:
             )
             fn.emit(f"elif K[{slot}] == 2:")
             fn.emit(f"    raise _CE({m_abs_exp})")
+        fn.emit("return None")
+        return fn.source()
+
+    def _build_finish(self, module: _ModuleBuilder, process: "CompiledProcess") -> str:
+        """The end of a converged reaction: unknown signals set absent, the
+        equations verified by ``verify`` unless it is None, every clock
+        constraint checked, then the resolved values and the successor
+        memory (delay windows shifted, cells latched).  The last pass
+        normalised the events already."""
+        name = self.process_name
+        # ``resolved``: the caller found no _UV in V, so no signal is
+        # unknown and none is present without a value.
+        fn = _FunctionBuilder(module, "_finish", "K, V, S, resolved, verify")
+        if self.width:
+            fn.emit("if not resolved:")
+        for slot in range(self.width):
+            fn.emit(f"if K[{slot}] == 0:", 2)
+            fn.emit(f"    K[{slot}] = 1; V[{slot}] = _ABSENT", 2)
+        fn.emit("if verify is not None:")
+        fn.emit("    verify(K, V, S)")
         for constraint in process.constraints:
             fn.emit(f"# constraint {constraint!r}"[:100])
             codes = [fn.lower(operand)[0] for operand in constraint.operands]
@@ -552,24 +633,6 @@ class StepKernels:
                 m = module.message(f"{name}: violated clock inclusion {constraint!r}")
                 fn.emit(f"if ({' or '.join(presents[1:])}) and not {presents[0]}:")
                 fn.emit(f"    raise _CE({m})")
-        fn.emit("return None")
-        return fn.source()
-
-    def _build_finish(self, module: _ModuleBuilder, process: "CompiledProcess") -> str:
-        """The end of a converged reaction: unknown signals set absent, the
-        verification pass, then the resolved values and the successor memory
-        (delay windows shifted, cells latched).  The last pass normalised
-        the events already."""
-        name = self.process_name
-        # ``resolved``: the caller found no _UV in V, so no signal is
-        # unknown and none is present without a value.
-        fn = _FunctionBuilder(module, "_finish", "K, V, S, resolved")
-        if self.width:
-            fn.emit("if not resolved:")
-        for slot in range(self.width):
-            fn.emit(f"if K[{slot}] == 0:", 2)
-            fn.emit(f"    K[{slot}] = 1; V[{slot}] = _ABSENT", 2)
-        fn.emit("_verify(K, V, S)")
         fn.emit("values = tuple(V)")
         # Now only a present signal can hold _UV; the first one in slot
         # order is the one the interpreter reports.
@@ -628,21 +691,37 @@ class StepKernels:
 
         The passes stop at the first one that leaves every signal resolved,
         which is when no ``UNKNOWN_VALUE`` is left in ``V`` (an absent slot
-        holds ``ABSENT``), or that changes nothing.
+        holds ``ABSENT``), or that changes nothing.  The equations are
+        verified unless that pass resolved every signal and decided every
+        equation.
         """
         run_pass = self._pass
         UV = UNKNOWN_VALUE
         for _ in range(bound):
-            changed = run_pass(K, V, S)
+            changed, decided = run_pass(K, V, S)
             if UV not in V:
-                return self._finish(K, V, S, True)
+                return self._finish(K, V, S, True, None if decided else self._verify)
             if not changed:
-                return self._finish(K, V, S, False)
+                return self._finish(K, V, S, False, self._verify)
         from .compiler import UnresolvedError
 
         raise UnresolvedError(
             f"{self.process_name}: reaction did not converge within {bound} fixpoint passes"
         )
+
+    def _verify(self, K: list, V: list, S: tuple) -> None:
+        """Check every equation against the settled status arrays.
+
+        The checking function is generated and compiled on the first call:
+        reactions whose pass decided every equation never need it.
+        """
+        verify = self._verify_equations
+        if verify is None:
+            started = perf_counter()
+            self._exec(self._build_verify_equations(self._module, self._process))
+            verify = self._verify_equations = self._module.namespace["_verify_equations"]
+            self.compile_seconds += perf_counter() - started
+        verify(K, V, S)
 
     def successor(self, stimuli: Sequence[Mapping[str, Any]], bound: int):
         """``react(state, index)`` over state tuples (see ``CompiledProcess.successor``).

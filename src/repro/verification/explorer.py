@@ -36,7 +36,7 @@ from ..core.values import ABSENT, EVENT
 from ..signal.ast import ProcessDefinition
 from ..simulation.compiler import CompiledProcess, SimulationError
 from ..simulation.status import PRESENT
-from .lts import LTS, label_to_dict, per_label
+from .lts import LTS, Label, label_to_dict, per_label
 from .reachability import (
     CheckResult,
     ControlVerdict,
@@ -91,6 +91,11 @@ class ExplorationResult(Reachability):
     #: Which engine resolved the reactions (``CompiledProcess.step_engine_info()``):
     #: the ``compile=`` knob plus kernel count and compile time under codegen.
     step_engine: Optional[dict] = None
+    #: The states reachable from the initial one, walked on the first check
+    #: that needs them.  Not an init field, so the closed loop
+    #: ``Controller.restrict`` builds with ``dataclasses.replace`` walks its
+    #: own LTS, which can hold states its initial one no longer reaches.
+    _reachable: Optional[set[int]] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def state_count(self) -> int:
@@ -121,7 +126,7 @@ class ExplorationResult(Reachability):
     def check_invariant(self, predicate: ReactionPredicate, name: str = "invariant") -> CheckResult:
         """AG over reactions, on the explored LTS."""
         self._validate_signals(predicate.signals(), self.observed, self.lts.name, "predicate")
-        result = _check_invariant_labels(self.lts, predicate, name)
+        result = _check_invariant_labels(self.lts, self._reachable_states(), predicate, name)
         if result.holds:
             self._require_complete(name)
         return result
@@ -129,10 +134,17 @@ class ExplorationResult(Reachability):
     def check_reachable(self, predicate: ReactionPredicate, name: str = "reachability") -> CheckResult:
         """EF over reactions, on the explored LTS."""
         self._validate_signals(predicate.signals(), self.observed, self.lts.name, "predicate")
-        result = _check_reaction_reachable(self.lts, predicate, name)
+        result = _check_reaction_reachable(self.lts, self._reachable_states(), predicate, name)
         if not result.holds:
             self._require_complete(name)
         return result
+
+    def _reachable_states(self) -> set[int]:
+        """The states reachable from the initial one, walked once per result:
+        an exploration's LTS is final when the explorer returns it."""
+        if self._reachable is None:
+            self._reachable = self.lts.reachable()
+        return self._reachable
 
     def trace_to(self, predicate: ReactionPredicate, name: str = "trace") -> Optional[Trace]:
         """A shortest explicit trace to a reaction satisfying ``predicate``.
@@ -151,8 +163,20 @@ class ExplorationResult(Reachability):
         for transition in path:
             memory = self.memories.get(transition.target)
             state = dict(memory) if memory is not None else self.lts.payload(transition.target)
-            steps.append(TraceStep(label_to_dict(transition.label), state))
+            steps.append(TraceStep(self._reaction(transition.label), state))
         return Trace(tuple(steps), name)
+
+    def _reaction(self, label: Label) -> dict[str, Any]:
+        """A label as a reaction dict, keyed in ``observed`` order.
+
+        A label is a frozenset, whose iteration order follows the string
+        hash seed; the observed order keeps traces the same from run to
+        run.  Hand-built results without ``observed`` keep the label's order.
+        """
+        reaction = label_to_dict(label)
+        if self.observed is None:
+            return reaction
+        return {name: reaction[name] for name in self.observed if name in reaction}
 
     def synthesise(
         self,
@@ -177,10 +201,10 @@ class ExplorationResult(Reachability):
 
 
 def _check_invariant_labels(
-    lts: LTS, predicate: Callable[[dict[str, Any]], bool], name: str = "invariant"
+    lts: LTS, reachable: set[int], predicate: Callable[[dict[str, Any]], bool], name: str = "invariant"
 ) -> CheckResult:
-    """AG over reactions: every reachable transition label satisfies ``predicate``."""
-    reachable = lts.reachable()
+    """AG over reactions: every transition label out of a ``reachable``
+    state satisfies ``predicate``."""
     holds = per_label(predicate)
     for transition in lts.transitions():
         if transition.source not in reachable:
@@ -192,10 +216,13 @@ def _check_invariant_labels(
 
 
 def _check_reaction_reachable(
-    lts: LTS, predicate: Callable[[dict[str, Any]], bool], name: str = "reaction-reachability"
+    lts: LTS,
+    reachable: set[int],
+    predicate: Callable[[dict[str, Any]], bool],
+    name: str = "reaction-reachability",
 ) -> CheckResult:
-    """EF over reactions: some reachable transition label satisfies ``predicate``."""
-    reachable = lts.reachable()
+    """EF over reactions: some transition label out of a ``reachable``
+    state satisfies ``predicate``."""
     holds = per_label(predicate)
     for transition in lts.transitions():
         if transition.source in reachable and holds(transition.label):

@@ -8,12 +8,16 @@ baseline predating the ``peak_nodes`` counters, a current entry missing
 ``conftest`` must write ``BENCH_SMOKE.json`` exactly when the collected
 items *are* the smoke suite — substring-matching the ``-m`` expression
 would misread ``-m "not bench_smoke"`` as a smoke run and overwrite the
-artifact with an empty payload.
+artifact with an empty payload.  ``tools/perfbench_pairs.py``, which runs
+interleaved parent/change pairs of a perfbench workload, is pinned on a
+stub runner: which side runs first, how values are read, and the summary.
 """
 
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -25,6 +29,13 @@ _TOOL_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file
 _spec = importlib.util.spec_from_file_location("check_bench_regression", _TOOL_PATH)
 check_bench_regression = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_bench_regression)
+
+_PAIRS_PATH = os.path.join(os.path.dirname(_TOOL_PATH), "perfbench_pairs.py")
+_spec = importlib.util.spec_from_file_location("perfbench_pairs", _PAIRS_PATH)
+perfbench_pairs = importlib.util.module_from_spec(_spec)
+# Registered first: its dataclasses resolve their annotations through it.
+sys.modules[_spec.name] = perfbench_pairs
+_spec.loader.exec_module(perfbench_pairs)
 
 
 def _payload(*entries, schema="bench-smoke/2", **extra):
@@ -342,3 +353,119 @@ class TestPerfbenchCountGate:
         record = json.loads(perfbench_smoke.COUNTS_PATH.read_text())
         assert record["seed"] == perfbench_smoke.COUNT_SEED
         assert set(record["workloads"]) == {entry["name"] for entry in declaration["workloads"]}
+
+
+# ------------------------------------------------------- interleaved perfbench pairs
+
+def _result(value, failed=0, metric="designs_per_s"):
+    return {"attempted": 5, "failed": failed, "metrics": {metric: {"value": value, "unit": "1/s"}}}
+
+
+class StubRunner:
+    """Answers ``runner(side, seed)`` from a table and records the calls."""
+
+    def __init__(self, values):
+        self.values = values
+        self.calls = []
+
+    def __call__(self, side, seed):
+        self.calls.append((side, seed))
+        value = self.values[side, seed]
+        return value if value is None or isinstance(value, dict) else _result(value)
+
+
+class TestPerfbenchPairs:
+    def test_parent_runs_first_on_odd_seeds(self):
+        runner = StubRunner({(side, seed): 1.0 for side in ("parent", "change") for seed in (1, 2, 3)})
+        pairs = list(perfbench_pairs.run_pairs(runner, "designs_per_s", [1, 2, 3]))
+        assert runner.calls == [
+            ("parent", 1), ("change", 1), ("change", 2), ("parent", 2), ("parent", 3), ("change", 3),
+        ]
+        assert [pair.first for pair in pairs] == ["parent", "change", "parent"]
+
+    def test_values_are_read_per_side(self):
+        runner = StubRunner({("parent", 4): 10.0, ("change", 4): 12.5})
+        (pair,) = perfbench_pairs.run_pairs(runner, "designs_per_s", [4])
+        assert (pair.seed, pair.parent, pair.change) == (4, 10.0, 12.5)
+
+    def test_failed_operations_or_no_result_leave_a_side_empty(self):
+        runner = StubRunner({("parent", 5): _result(9.0, failed=1), ("change", 5): None})
+        (pair,) = perfbench_pairs.run_pairs(runner, "designs_per_s", [5])
+        assert pair.parent is None and pair.change is None
+        assert not pair.change_wins(higher_is_better=True)
+        assert perfbench_pairs.metric_value({"attempted": 0, "failed": 0}, "designs_per_s") is None
+
+    def test_summary_counts_wins_in_the_better_direction(self):
+        Pair = perfbench_pairs.Pair
+        pairs = [Pair(1, "parent", 10.0, 12.0), Pair(2, "change", 11.0, 10.5), Pair(3, "parent", 9.0, 13.0)]
+        higher = perfbench_pairs.summarise(pairs, higher_is_better=True)
+        assert (higher.wins, higher.pairs) == (2, 3)
+        assert (higher.parent_median, higher.change_median) == (10.0, 12.0)
+        assert higher.parent_quartiles == (9.5, 10.5)
+        assert higher.spread == 1.0
+        assert higher.clears_spread(higher_is_better=True)
+        lower = perfbench_pairs.summarise(pairs, higher_is_better=False)
+        assert lower.wins == 1
+        assert not lower.clears_spread(higher_is_better=False)
+
+    def test_summary_skips_incomplete_pairs(self):
+        Pair = perfbench_pairs.Pair
+        summary = perfbench_pairs.summarise(
+            [Pair(1, "parent", 10.0, 11.0), Pair(2, "change", None, 20.0)], higher_is_better=True
+        )
+        assert (summary.wins, summary.pairs, summary.parent_quartiles) == (1, 1, (10.0, 10.0))
+        with pytest.raises(ValueError, match="no pair"):
+            perfbench_pairs.summarise([Pair(2, "change", None, 20.0)], higher_is_better=True)
+
+    def test_report_prints_pairs_and_summary(self):
+        values = {("parent", 7): 10.0, ("change", 7): 12.0, ("parent", 8): 10.0, ("change", 8): 9.0}
+        lines = []
+        status = perfbench_pairs.report(StubRunner(values), "designs_per_s", True, [7, 8], lines.append)
+        assert status == 0
+        assert lines[1].split() == ["7", "parent", "10", "12", "1.200", "win"]
+        assert lines[2].split() == ["8", "change", "10", "9", "0.900", "loss"]
+        assert lines[3] == "change wins 1 of 2 pairs"
+        failing = StubRunner({("parent", 7): 10.0, ("change", 7): None})
+        assert perfbench_pairs.report(failing, "designs_per_s", True, [7], lines.append) == 1
+
+    def test_command_runner_runs_each_side_in_its_checkout(self, tmp_path):
+        script = tmp_path / "bench.py"
+        script.write_text(
+            "import json, os, sys\n"
+            "print('noise')\n"
+            "print(json.dumps({'cwd': os.getcwd(), 'argv': sys.argv[1:],"
+            " 'prefix': os.environ.get('PYTHONPYCACHEPREFIX')}))\n"
+        )
+        roots = {"parent": tmp_path / "p", "change": tmp_path / "c"}
+        for root in roots.values():
+            root.mkdir()
+        runner = perfbench_pairs.command_runner(
+            ["python3", str(script)], roots, "explicit", 2.0, tmp_path / "caches"
+        )
+        result = runner("parent", 9)
+        assert os.path.samefile(result["cwd"], roots["parent"])
+        assert result["argv"] == ["--workload", "explicit", "--seed", "9", "--seconds", "2.0"]
+        # Each side's bytecode lives apart from both checkouts.
+        assert result["prefix"] == str(tmp_path / "caches" / "parent")
+        assert runner("change", 9)["prefix"] == str(tmp_path / "caches" / "change")
+        failing = perfbench_pairs.command_runner(
+            ["python3", "-c", "raise SystemExit(3)"], roots, "explicit", 2.0, tmp_path / "caches"
+        )
+        assert failing("parent", 9) is None
+
+    def test_parent_checkout_is_a_removed_worktree(self, tmp_path):
+        repository = tmp_path / "repository"
+        repository.mkdir()
+        git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+        for command in (["init", "--quiet"], ["commit", "--quiet", "--allow-empty", "-m", "parent"]):
+            subprocess.run([*git, *command], cwd=repository, check=True)
+        (repository / "marker.txt").write_text("parent")
+        subprocess.run([*git, "add", "marker.txt"], cwd=repository, check=True)
+        subprocess.run([*git, "commit", "--quiet", "-m", "change"], cwd=repository, check=True)
+        with perfbench_pairs.parent_checkout("HEAD~1", repository) as checkout:
+            assert checkout.is_dir() and not (checkout / "marker.txt").exists()
+        assert not checkout.exists()
+        listed = subprocess.run(
+            ["git", "worktree", "list"], cwd=repository, check=True, capture_output=True, text=True
+        )
+        assert len(listed.stdout.strip().splitlines()) == 1

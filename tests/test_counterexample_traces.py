@@ -22,6 +22,10 @@ runs the explicit explorer runs it, and the replay, under both step engines:
 the generated kernels and the reference interpreter.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from test_symbolic_vs_explicit import (
@@ -193,6 +197,53 @@ def test_trace_steps_carry_successor_states():
     for step in polynomial_trace:
         assert isinstance(step.state, dict) and step.state
         assert all(code in (0, 1, 2) for code in step.state.values())
+
+
+#: A counter-bank trace printed by a fresh interpreter: its reactions' keys
+#: in the order the trace holds them.
+_TRACE_KEYS_SCRIPT = """
+from repro.signal.ast import compose
+from repro.signal.library import modulo_counter_process
+from repro.verification import ReactionPredicate as P, explore
+bank = compose("Bank", *(
+    modulo_counter_process(modulo, f"C{index}").renamed(
+        {"tick": f"tick{index}", "n": f"n{index}", "carry": f"carry{index}",
+         "previous": f"previous{index}"})
+    for index, modulo in enumerate((2, 3))))
+trace = explore(bank).trace_to(P.present("carry0") & P.present("carry1"))
+print([list(step.reaction) for step in trace])
+"""
+
+
+def test_explicit_trace_reactions_follow_the_observed_order():
+    """Explicit trace reactions are keyed in ``observed`` order, not in the
+    hash order of their frozenset labels, so a trace prints the same under
+    every string hash seed."""
+    process = compose(
+        "Bank",
+        *(
+            modulo_counter_process(modulo, f"C{index}").renamed(
+                {"tick": f"tick{index}", "n": f"n{index}", "carry": f"carry{index}",
+                 "previous": f"previous{index}"}
+            )
+            for index, modulo in enumerate((2, 3))
+        ),
+    )
+    for mode in STEP_COMPILE_MODES:
+        result = explore(CompiledProcess(process, compile=mode))
+        trace = result.trace_to(P.present("carry0") & P.present("carry1"))
+        assert len(trace) >= 1 and len(trace[-1].reaction) >= 4
+        for step in trace:
+            assert list(step.reaction) == [name for name in result.observed if name in step.reaction]
+    printed = set()
+    for seed in ("0", "1", "2"):
+        completed = subprocess.run(
+            [sys.executable, "-c", _TRACE_KEYS_SCRIPT],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, check=True,
+        )
+        printed.add(completed.stdout)
+    assert len(printed) == 1
 
 
 # --------------------------------------------------------------------------- integer corpus

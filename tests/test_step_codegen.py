@@ -428,14 +428,14 @@ def register_process(depth=4, order=None):
     return builder.build()
 
 
-def passes_per_reaction(compiled, max_states=200):
-    """Fixpoint passes per reaction over every reachable state and stimulus,
-    the rejected stimuli included."""
+def calls_per_reaction(compiled, max_states=200):
+    """Fixpoint passes and equation verifications per reaction over every
+    reachable state and stimulus, the rejected stimuli included."""
     driven = list(compiled.input_names)
     domains = [_stimulus_domain(compiled, name, (0, 1)) for name in driven]
     stimuli = [dict(zip(driven, combo)) for combo in itertools.product(*domains)]
     react = compiled.successor(stimuli)
-    calls = BENCH.count_passes(compiled)
+    passes, verifies = BENCH.count_passes(compiled), BENCH.count_verifies(compiled)
     initial = tuple(compiled.initial_state()[key] for key in compiled.state_keys)
     seen, frontier, reactions = {initial}, [initial], 0
     while frontier and len(seen) < max_states:
@@ -450,7 +450,7 @@ def passes_per_reaction(compiled, max_states=200):
                 seen.add(successor)
                 frontier.append(successor)
     assert reactions >= len(stimuli)
-    return calls[0] / reactions
+    return passes[0] / reactions, verifies[0] / reactions
 
 
 @pytest.mark.parametrize("mode", STEP_COMPILE_MODES)
@@ -467,9 +467,17 @@ def passes_per_reaction(compiled, max_states=200):
 )
 def test_one_pass_per_reaction(mode, build):
     """Constraints first, then the equations in dependency order: one pass
-    resolves every reaction, and the resolved exit skips the confirming pass."""
+    resolves every reaction, and the resolved exit skips the confirming pass.
+    That pass decides every equation, so the kernels never verify them; the
+    interpreter verifies every reaction that converges."""
     compiled = CompiledProcess(build(), compile=mode)
-    assert passes_per_reaction(compiled) == 1.0
+    passes, verifies = calls_per_reaction(compiled)
+    assert passes == 1.0
+    if mode == "codegen":
+        assert verifies == 0.0
+        assert "_verify_equations" not in compiled.kernels.source
+    else:
+        assert verifies > 0.0
 
 
 def test_pass_order_follows_value_then_presence_reads():
@@ -552,6 +560,117 @@ def test_conflict_resolved_in_one_pass_is_rejected():
         assert calls[0] == 1
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] == ("error", "ConsistencyError", "Loop: 'a' = 5 contradicts computed 2")
+
+
+@pytest.mark.parametrize("mode", STEP_COMPILE_MODES)
+def test_cyclic_design_verifies_its_equations(mode):
+    """In an instantaneous cycle ``a`` reads ``b`` under an operator before
+    the pass computes ``b``: the pass cannot decide ``a``, so every
+    reaction that converges verifies the equations."""
+    compiled = CompiledProcess(cyclic_process(), compile=mode)
+    _passes, verifies = calls_per_reaction(compiled)
+    assert verifies >= 1.0
+
+
+def relay_process(synchronous=False):
+    """``a := b`` in a cycle with ``b := x default a``: ``a`` runs first and
+    reads ``b`` unknown, or present without a value once ``a ^= b`` forces
+    ``b``'s clock.  No operator sits between them, so only the result's
+    kind leaves ``a`` undecided."""
+    builder = ProcessBuilder("Relay")
+    x = builder.input("x", "integer")
+    a = builder.local("a", "integer")
+    b = builder.output("b", "integer")
+    builder.define(a, b)
+    builder.define(b, x.default(a))
+    if synchronous:
+        builder.synchronize(a, b)
+    return builder.build()
+
+
+def constant_process():
+    """``y := 7``: a constant provides a value, never a clock."""
+    builder = ProcessBuilder("Seven")
+    builder.define(builder.output("y", "integer"), const(7))
+    return builder.build()
+
+
+def late_operand_process():
+    """``a := x default (x mod b)`` in a cycle with ``b := a - a``: ``a`` runs
+    first and ``x`` decides it, but re-evaluating it once ``b`` is 0
+    computes ``x mod 0``."""
+    builder = ProcessBuilder("LateOperand")
+    x = builder.input("x", "integer")
+    a = builder.output("a", "integer")
+    b = builder.local("b", "integer")
+    builder.define(a, x.default(BinaryOp("mod", x, b)))
+    builder.define(b, a - a)
+    return builder.build()
+
+
+def normalised_event_process():
+    """``y := x default (e + 1)`` with ``e ^= x``: an undriven ``e`` is forced
+    present without a value, and the pass makes it an event only at its
+    end, after ``x`` decided ``y``; re-evaluating ``e + 1`` then fails."""
+    builder = ProcessBuilder("LateEvent")
+    x = builder.input("x", "integer")
+    e = builder.input("e", "event")
+    builder.define(builder.output("y", "integer"), x.default(e + const(1)))
+    builder.synchronize(x, e)
+    return builder.build()
+
+
+#: One reaction per way a pass leaves an equation undecided, every signal
+#: resolved at its end, and what the equation verifier makes of it.
+UNDECIDED = [
+    ("unknown-kind", relay_process, {"x": 1, "a": 5},
+     ("error", "ConsistencyError", "Relay: 'a' = 5 contradicts computed 1")),
+    ("present-without-value", lambda: relay_process(synchronous=True), {"x": 1, "a": 5},
+     ("error", "ConsistencyError", "Relay: 'a' = 5 contradicts computed 1")),
+    ("constant-into-valued-target", constant_process, {"y": 3},
+     ("error", "ConsistencyError", "Seven: 'y' = 3 contradicts constant 7")),
+    ("constant-into-absent-target", constant_process, {"y": ABSENT},
+     ("ok", {}, {"y": ABSENT})),
+    ("operand-defined-later", late_operand_process, {"x": 3},
+     ("error", "EvaluationError", "modulo by zero")),
+    ("event-normalised-at-pass-end", normalised_event_process, {"x": 3},
+     ("error", "EvaluationError", "expected an integer value, got EVENT")),
+]
+
+
+@pytest.mark.parametrize(
+    "factory,stimulus,expected", [case[1:] for case in UNDECIDED], ids=[case[0] for case in UNDECIDED]
+)
+def test_undecided_pass_runs_the_verifier(factory, stimulus, expected):
+    """One pass resolves every signal but leaves an equation undecided, so
+    the kernels verify the equations as the interpreter does: the same
+    outcome, error and message under both engines."""
+    outcomes = []
+    for mode in STEP_COMPILE_MODES:
+        compiled = CompiledProcess(factory(), compile=mode)
+        passes, verifies = BENCH.count_passes(compiled), BENCH.count_verifies(compiled)
+        outcomes.append(_outcome(compiled, compiled.initial_state(), stimulus))
+        assert (passes[0], verifies[0]) == (1, 1)
+    assert outcomes[0] == outcomes[1] == expected
+
+
+def test_verifier_is_compiled_on_first_need():
+    """Decided reactions never build the equation verifier; the first
+    undecided one generates it, once, and adds its source and compile time."""
+    compiled = CompiledProcess(constant_process())
+    kernels = compiled.kernels
+    before = (kernels.source, kernels.compile_seconds)
+    assert "def _verify_equations" not in before[0]
+    _, instant = compiled.step(compiled.initial_state(), {"y": PRESENT})
+    assert instant == {"y": 7}
+    assert kernels.source == before[0]
+    compiled.step(compiled.initial_state(), {"y": ABSENT})
+    assert "def _verify_equations" in kernels.source
+    assert kernels.source.startswith(before[0])
+    assert kernels.compile_seconds >= before[1]
+    built = kernels.source
+    compiled.step(compiled.initial_state(), {"y": ABSENT})
+    assert kernels.source == built
 
 
 # --------------------------------------------------------------------------- compile= plumbing

@@ -214,6 +214,33 @@ class TestInvariants:
             assert trace[-1].state == {"delay0": (value,)}
         assert trace[-1].state == counter.memories[counter.lts.initial]
 
+    def test_checks_share_one_reachability_walk(self, monkeypatch):
+        # An exploration's LTS is final: its checks walk it once between them.
+        walks = []
+        walk = LTS.reachable
+        monkeypatch.setattr(LTS, "reachable", lambda lts, *a: walks.append(lts) or walk(lts, *a))
+        counter = self._counter()
+        below = ReactionPredicate.absent("n") | ReactionPredicate.value("n", lambda n: n < 3)
+        assert counter.check_invariant(below).holds
+        assert not counter.check_invariant(ReactionPredicate.absent("carry")).holds
+        assert counter.check_reachable(ReactionPredicate.present("carry")).holds
+        assert walks == [counter.lts]
+
+    def test_closed_loop_walks_its_own_lts(self):
+        # The plant reaches every state; a controller that keeps only the
+        # silent reaction out of the initial state leaves the other states
+        # in the closed loop, unreachable.  Their reactions must not count.
+        plant = self._counter()
+        ticking = ReactionPredicate.present("tick")
+        assert not plant.check_invariant(~ticking).holds
+        initial = plant.lts.initial
+        allowed = {state: plant.lts.transitions_from(state) for state in plant.lts.states}
+        allowed[initial] = [t for t in allowed[initial] if not t.label]
+        closed = Controller(allowed=allowed, kept_states=set(plant.lts.states)).restrict(plant)
+        assert closed.state_count == plant.state_count
+        assert closed.check_invariant(~ticking).holds
+        assert not closed.check_reachable(ticking).holds
+
 
 class TestBisimulation:
     def test_identical_systems_are_bisimilar(self):
