@@ -20,21 +20,17 @@
 #                      count/% per-layer metrics must equal the committed
 #                      benchmarks/PERFBENCH_COUNTS.json exactly (regenerate it
 #                      with `python tools/perfbench_smoke.py --counts --update`)
-#   make perfbench-pairs - PAIRS interleaved runs of one workload (WORKLOAD,
-#                      default explicit) at the parent revision PARENT (default
-#                      HEAD, checked out into a temporary git worktree) and in
-#                      the working tree; prints each pair's METRIC, the wins
-#                      and both medians (tools/perfbench_pairs.py)
+#   make perfbench-pairs ARGS="--parent HEAD~1" - interleaved runs of one
+#                      workload at a parent revision (checked out into a
+#                      temporary git worktree) and in the working tree; prints
+#                      each pair, the wins and both medians; ARGS go to
+#                      tools/perfbench_pairs.py (see its --help)
 #   make bench       - the full pytest-benchmark campaign over benchmarks/
 
 PYTHON ?= python
 PYTEST := PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest
 COV_MIN ?= 85
 BENCH_FACTOR ?= 3.0
-WORKLOAD ?= explicit
-METRIC ?= designs_per_s
-PAIRS ?= 10
-PARENT ?= HEAD
 
 .PHONY: test cov lint bench-smoke bench-check perfbench-smoke perfbench-counts perfbench-pairs bench
 
@@ -61,7 +57,7 @@ perfbench-counts:
 	$(PYTHON) tools/perfbench_smoke.py --counts
 
 perfbench-pairs:
-	$(PYTHON) tools/perfbench_pairs.py --workload $(WORKLOAD) --metric $(METRIC) --pairs $(PAIRS) --parent $(PARENT)
+	$(PYTHON) tools/perfbench_pairs.py $(ARGS)
 
 bench:
 	$(PYTEST) -q -o python_files='bench_*.py' benchmarks

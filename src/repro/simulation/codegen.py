@@ -334,7 +334,13 @@ def _truth(value: str) -> str:
 
 def _guarded_reads(expr: Expression) -> set[str]:
     """The signals ``expr`` reads where evaluating it can raise: under an
-    operator or intrinsic, or in a ``when``/``cell`` condition."""
+    operator or intrinsic, or in a ``when``/``cell`` condition.
+
+    Unlike ``scheduler.instantaneous_reads`` this counts the operand of a
+    delay under an operator: the delay's value is memory, but its clock is
+    the operand's, so a pass that ran before the operand's clock was known
+    never called the operator a re-evaluation calls.  A plain read outside
+    any operator cannot raise, and is not counted."""
     reads: set[str] = set()
 
     def visit(node: Expression, guarded: bool) -> None:

@@ -357,8 +357,12 @@ class TestPerfbenchCountGate:
 
 # ------------------------------------------------------- interleaved perfbench pairs
 
-def _result(value, failed=0, metric="designs_per_s"):
-    return {"attempted": 5, "failed": failed, "metrics": {metric: {"value": value, "unit": "1/s"}}}
+def _result(value, failed=0, **others):
+    metrics = {"designs_per_s": value, **others}
+    return {
+        "attempted": 5, "failed": failed,
+        "metrics": {name: {"value": number, "unit": "-"} for name, number in metrics.items()},
+    }
 
 
 class StubRunner:
@@ -374,59 +378,75 @@ class StubRunner:
         return value if value is None or isinstance(value, dict) else _result(value)
 
 
+def _pair(seed, first, parent, change, metric="designs_per_s"):
+    side = lambda value: None if value is None else {metric: value}  # noqa: E731
+    return perfbench_pairs.Pair(seed, first, side(parent), side(change))
+
+
 class TestPerfbenchPairs:
     def test_parent_runs_first_on_odd_seeds(self):
         runner = StubRunner({(side, seed): 1.0 for side in ("parent", "change") for seed in (1, 2, 3)})
-        pairs = list(perfbench_pairs.run_pairs(runner, "designs_per_s", [1, 2, 3]))
+        pairs = list(perfbench_pairs.run_pairs(runner, [1, 2, 3]))
         assert runner.calls == [
             ("parent", 1), ("change", 1), ("change", 2), ("parent", 2), ("parent", 3), ("change", 3),
         ]
         assert [pair.first for pair in pairs] == ["parent", "change", "parent"]
 
     def test_values_are_read_per_side(self):
-        runner = StubRunner({("parent", 4): 10.0, ("change", 4): 12.5})
-        (pair,) = perfbench_pairs.run_pairs(runner, "designs_per_s", [4])
-        assert (pair.seed, pair.parent, pair.change) == (4, 10.0, 12.5)
+        runner = StubRunner({("parent", 4): _result(10.0, peak_rss_mb=30.0), ("change", 4): 12.5})
+        (pair,) = perfbench_pairs.run_pairs(runner, [4])
+        assert (pair.seed, pair.values("designs_per_s")) == (4, (10.0, 12.5))
+        assert pair.values("peak_rss_mb") == (30.0, None)
 
     def test_failed_operations_or_no_result_leave_a_side_empty(self):
         runner = StubRunner({("parent", 5): _result(9.0, failed=1), ("change", 5): None})
-        (pair,) = perfbench_pairs.run_pairs(runner, "designs_per_s", [5])
+        (pair,) = perfbench_pairs.run_pairs(runner, [5])
         assert pair.parent is None and pair.change is None
-        assert not pair.change_wins(higher_is_better=True)
-        assert perfbench_pairs.metric_value({"attempted": 0, "failed": 0}, "designs_per_s") is None
+        assert not pair.change_wins("designs_per_s", higher_is_better=True)
+        assert perfbench_pairs.metric_values({"attempted": 0, "failed": 0}) is None
 
     def test_summary_counts_wins_in_the_better_direction(self):
-        Pair = perfbench_pairs.Pair
-        pairs = [Pair(1, "parent", 10.0, 12.0), Pair(2, "change", 11.0, 10.5), Pair(3, "parent", 9.0, 13.0)]
-        higher = perfbench_pairs.summarise(pairs, higher_is_better=True)
+        pairs = [_pair(1, "parent", 10.0, 12.0), _pair(2, "change", 11.0, 10.5), _pair(3, "parent", 9.0, 13.0)]
+        higher = perfbench_pairs.summarise(pairs, "designs_per_s", higher_is_better=True)
         assert (higher.wins, higher.pairs) == (2, 3)
         assert (higher.parent_median, higher.change_median) == (10.0, 12.0)
         assert higher.parent_quartiles == (9.5, 10.5)
         assert higher.spread == 1.0
         assert higher.clears_spread(higher_is_better=True)
-        lower = perfbench_pairs.summarise(pairs, higher_is_better=False)
+        lower = perfbench_pairs.summarise(pairs, "designs_per_s", higher_is_better=False)
         assert lower.wins == 1
         assert not lower.clears_spread(higher_is_better=False)
 
     def test_summary_skips_incomplete_pairs(self):
-        Pair = perfbench_pairs.Pair
         summary = perfbench_pairs.summarise(
-            [Pair(1, "parent", 10.0, 11.0), Pair(2, "change", None, 20.0)], higher_is_better=True
+            [_pair(1, "parent", 10.0, 11.0), _pair(2, "change", None, 20.0)], "designs_per_s", True
         )
         assert (summary.wins, summary.pairs, summary.parent_quartiles) == (1, 1, (10.0, 10.0))
         with pytest.raises(ValueError, match="no pair"):
-            perfbench_pairs.summarise([Pair(2, "change", None, 20.0)], higher_is_better=True)
+            perfbench_pairs.summarise([_pair(2, "change", None, 20.0)], "designs_per_s", True)
 
-    def test_report_prints_pairs_and_summary(self):
-        values = {("parent", 7): 10.0, ("change", 7): 12.0, ("parent", 8): 10.0, ("change", 8): 9.0}
+    def test_report_prints_pairs_summary_and_every_metric(self):
+        values = {
+            ("parent", 7): _result(10.0, setup_s=0.2), ("change", 7): _result(12.0, setup_s=0.1),
+            ("parent", 8): _result(10.0, setup_s=0.2), ("change", 8): _result(9.0, setup_s=0.3),
+        }
         lines = []
-        status = perfbench_pairs.report(StubRunner(values), "designs_per_s", True, [7, 8], lines.append)
+        better = {"designs_per_s": True, "setup_s": False}
+        status = perfbench_pairs.report(StubRunner(values), "designs_per_s", better, [7, 8], lines.append)
         assert status == 0
         assert lines[1].split() == ["7", "parent", "10", "12", "1.200", "win"]
         assert lines[2].split() == ["8", "change", "10", "9", "0.900", "loss"]
         assert lines[3] == "change wins 1 of 2 pairs"
+        assert lines[-2].split()[:5] == ["designs_per_s", "10", "->", "10.5", "1.050x"]
+        assert lines[-1].split()[:5] == ["setup_s", "0.2", "->", "0.2", "1.000x"]
+        assert lines[-1].endswith("(lower is better; change better in 1 of 2)")
         failing = StubRunner({("parent", 7): 10.0, ("change", 7): None})
-        assert perfbench_pairs.report(failing, "designs_per_s", True, [7], lines.append) == 1
+        assert perfbench_pairs.report(failing, "designs_per_s", better, [7], lines.append) == 1
+
+    def test_parent_revision_is_required(self, capsys):
+        with pytest.raises(SystemExit):
+            perfbench_pairs.main(["--workload", "explicit"])
+        assert "--parent" in capsys.readouterr().err
 
     def test_command_runner_runs_each_side_in_its_checkout(self, tmp_path):
         script = tmp_path / "bench.py"

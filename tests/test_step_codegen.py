@@ -608,6 +608,23 @@ def late_operand_process():
     return builder.build()
 
 
+def late_delay_process():
+    """``a := x default ((w $ 1) mod z)`` with ``z := x - x`` and
+    ``w := a + 0``: ``a`` runs before ``w``, so its delay is unknown and
+    ``x`` decides it; once ``w`` is present the delay is too, and
+    re-evaluating ``a`` computes ``0 mod 0``.  The delay's value is memory,
+    but its clock is ``w``'s, read later in the schedule."""
+    builder = ProcessBuilder("LateDelay")
+    x = builder.input("x", "integer")
+    a = builder.output("a", "integer")
+    z = builder.local("z", "integer")
+    w = builder.local("w", "integer")
+    builder.define(a, x.default(BinaryOp("mod", w.delayed(0), z)))
+    builder.define(z, x - x)
+    builder.define(w, a + const(0))
+    return builder.build()
+
+
 def normalised_event_process():
     """``y := x default (e + 1)`` with ``e ^= x``: an undriven ``e`` is forced
     present without a value, and the pass makes it an event only at its
@@ -632,6 +649,8 @@ UNDECIDED = [
     ("constant-into-absent-target", constant_process, {"y": ABSENT},
      ("ok", {}, {"y": ABSENT})),
     ("operand-defined-later", late_operand_process, {"x": 3},
+     ("error", "EvaluationError", "modulo by zero")),
+    ("delay-operand-defined-later", late_delay_process, {"x": 3},
      ("error", "EvaluationError", "modulo by zero")),
     ("event-normalised-at-pass-end", normalised_event_process, {"x": 3},
      ("error", "EvaluationError", "expected an integer value, got EVENT")),

@@ -1,24 +1,26 @@
 """Interleaved parent/change pairs of one perfbench workload.
 
-Run from anywhere (``make perfbench-pairs`` runs the defaults)::
+Run from anywhere; ``make perfbench-pairs ARGS="--parent HEAD~1"`` forwards
+its arguments::
 
-    python tools/perfbench_pairs.py --workload explicit --metric designs_per_s
-    python tools/perfbench_pairs.py --parent HEAD~1 --pairs 10 --seconds 25 --first-seed 101
+    python tools/perfbench_pairs.py --parent HEAD~1
+    python tools/perfbench_pairs.py --parent HEAD --workload service --pairs 5 --first-seed 401
 
 The *change* is the working tree this script sits in, uncommitted edits
-included; the *parent* is ``--parent`` (default ``HEAD``, the commit an
-uncommitted change sits on), checked out with ``git worktree`` into a
-temporary directory that is removed afterwards, or an existing checkout
-named by ``--parent-dir``.  Pair ``i`` runs both sides at seed
-``first_seed + i`` with the benchmark command of ``BENCHMARK.json``; the
-parent runs first on odd seeds and the change first on even ones, so a
-drift of the host over the run does not favour one side.
+included; the *parent* is the revision ``--parent`` (``HEAD`` for an
+uncommitted change, ``HEAD~1`` for a committed one), checked out with
+``git worktree`` into a temporary directory that is removed afterwards.
+Pair ``i`` runs both sides at seed ``first_seed + i`` with the benchmark
+command and run length of ``BENCHMARK.json``; the parent runs first on odd
+seeds and the change first on even ones, so a drift of the host over the
+run does not favour one side.
 
-The report prints each pair's values of one end-to-end metric, which side
-won, and both sides' medians with the parent's quartiles: a claimed gain
-should win (nearly) every pair and move the median by more than the
-parent's interquartile spread.  The exit status is 1 when a run failed an
-operation or produced no result.
+The report prints each pair's values of one end-to-end metric
+(``--metric``), which side won, and both sides' medians with the parent's
+quartiles: a claimed gain should win (nearly) every pair and move the
+median by more than the parent's interquartile spread.  It ends with the
+medians and wins of every end-to-end metric, read from the same runs.  The
+exit status is 1 when a run failed an operation or produced no result.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,22 +48,27 @@ Runner = Callable[[str, int], Optional[dict]]
 
 @dataclass(frozen=True)
 class Pair:
-    """Both sides' value of the metric at one seed; None when a run failed."""
+    """Both sides' metric values at one seed; a side is None when its run failed."""
 
     seed: int
     first: str  # "parent" or "change"
-    parent: Optional[float]
-    change: Optional[float]
+    parent: Optional[Mapping[str, float]]
+    change: Optional[Mapping[str, float]]
 
-    def change_wins(self, higher_is_better: bool) -> bool:
-        if self.parent is None or self.change is None:
+    def values(self, metric: str) -> tuple[Optional[float], Optional[float]]:
+        """``(parent, change)`` values of ``metric``, None where missing."""
+        return tuple(None if side is None else side.get(metric) for side in (self.parent, self.change))
+
+    def change_wins(self, metric: str, higher_is_better: bool) -> bool:
+        parent, change = self.values(metric)
+        if parent is None or change is None:
             return False
-        return self.change > self.parent if higher_is_better else self.change < self.parent
+        return change > parent if higher_is_better else change < parent
 
 
 @dataclass(frozen=True)
 class Summary:
-    """The wins and medians over the pairs with a value on both sides."""
+    """The wins and medians of one metric over the pairs with a value on both sides."""
 
     wins: int
     pairs: int
@@ -74,6 +81,10 @@ class Summary:
         """The parent's interquartile distance."""
         return self.parent_quartiles[1] - self.parent_quartiles[0]
 
+    @property
+    def ratio(self) -> float:
+        return self.change_median / self.parent_median if self.parent_median else float("nan")
+
     def clears_spread(self, higher_is_better: bool) -> bool:
         """Whether the medians differ in the better direction by more than the spread."""
         gain = self.change_median - self.parent_median
@@ -85,36 +96,33 @@ def order(seed: int) -> tuple[str, str]:
     return ("parent", "change") if seed % 2 else ("change", "parent")
 
 
-def metric_value(result: Optional[dict], metric: str) -> Optional[float]:
-    """The metric of a run's result line; None unless every operation succeeded."""
+def metric_values(result: Optional[dict]) -> Optional[dict[str, float]]:
+    """The metrics of a run's result line; None unless every operation succeeded."""
     if not isinstance(result, dict) or result.get("failed") != 0 or not result.get("attempted"):
         return None
-    entry = result.get("metrics", {}).get(metric)
-    return None if entry is None else float(entry["value"])
+    return {name: float(entry["value"]) for name, entry in result.get("metrics", {}).items()}
 
 
-def run_pairs(runner: Runner, metric: str, seeds: list[int]) -> Iterator[Pair]:
+def run_pairs(runner: Runner, seeds: list[int]) -> Iterator[Pair]:
     """Run both sides at every seed, in :func:`order`, yielding each pair."""
     for seed in seeds:
-        values = {}
-        for side in order(seed):
-            values[side] = metric_value(runner(side, seed), metric)
+        values = {side: metric_values(runner(side, seed)) for side in order(seed)}
         yield Pair(seed, order(seed)[0], values["parent"], values["change"])
 
 
-def summarise(pairs: list[Pair], higher_is_better: bool) -> Summary:
-    """Wins, medians and the parent's quartiles over the complete pairs."""
-    complete = [pair for pair in pairs if pair.parent is not None and pair.change is not None]
+def summarise(pairs: list[Pair], metric: str, higher_is_better: bool) -> Summary:
+    """Wins, medians and the parent's quartiles of ``metric`` over the complete pairs."""
+    complete = [pair for pair in pairs if None not in pair.values(metric)]
     if not complete:
-        raise ValueError("no pair has a value on both sides")
-    parents = [pair.parent for pair in complete]
-    changes = [pair.change for pair in complete]
+        raise ValueError(f"no pair has a value of {metric} on both sides")
+    parents = [pair.values(metric)[0] for pair in complete]
+    changes = [pair.values(metric)[1] for pair in complete]
     if len(parents) > 1:
         low, _median, high = statistics.quantiles(parents, n=4, method="inclusive")
     else:
         low = high = parents[0]
     return Summary(
-        wins=sum(pair.change_wins(higher_is_better) for pair in complete),
+        wins=sum(pair.change_wins(metric, higher_is_better) for pair in complete),
         pairs=len(complete),
         parent_median=statistics.median(parents),
         change_median=statistics.median(changes),
@@ -126,30 +134,38 @@ def _number(value: Optional[float]) -> str:
     return "failed" if value is None else f"{value:.4g}"
 
 
-def pair_line(pair: Pair, higher_is_better: bool) -> str:
+def pair_line(pair: Pair, metric: str, higher_is_better: bool) -> str:
+    parent, change = pair.values(metric)
     ratio = None
-    if pair.parent is None or pair.change is None:
+    if parent is None or change is None:
         verdict = "incomplete"
     else:
-        ratio = pair.change / pair.parent if pair.parent else None
-        verdict = "win" if pair.change_wins(higher_is_better) else "loss"
+        ratio = change / parent if parent else None
+        verdict = "win" if pair.change_wins(metric, higher_is_better) else "loss"
     return (
-        f"{pair.seed:>6}  {pair.first:<7}  {_number(pair.parent):>10}  {_number(pair.change):>10}  "
+        f"{pair.seed:>6}  {pair.first:<7}  {_number(parent):>10}  {_number(change):>10}  "
         f"{'' if ratio is None else f'{ratio:.3f}':>6}  {verdict}"
     )
 
 
 def summary_lines(summary: Summary, higher_is_better: bool) -> list[str]:
     low, high = summary.parent_quartiles
-    ratio = summary.change_median / summary.parent_median if summary.parent_median else float("nan")
     return [
         f"change wins {summary.wins} of {summary.pairs} pairs",
         f"median parent {_number(summary.parent_median)}, change {_number(summary.change_median)} "
-        f"({ratio:.3f}x)",
+        f"({summary.ratio:.3f}x)",
         f"parent quartiles {_number(low)}-{_number(high)} (spread {_number(summary.spread)}); "
         f"median moves by more than the spread in the better direction: "
         f"{'yes' if summary.clears_spread(higher_is_better) else 'no'}",
     ]
+
+
+def metric_line(metric: str, summary: Summary, higher_is_better: bool) -> str:
+    return (
+        f"{metric:<16}  {_number(summary.parent_median):>10} -> {_number(summary.change_median):<10}  "
+        f"{summary.ratio:.3f}x  ({'higher' if higher_is_better else 'lower'} is better; "
+        f"change better in {summary.wins} of {summary.pairs})"
+    )
 
 
 @contextlib.contextmanager
@@ -204,53 +220,60 @@ def command_runner(
     return run
 
 
-def report(runner: Runner, metric: str, higher_is_better: bool, seeds: list[int], out=print) -> int:
-    """Run the pairs, print each as it ends and the summary; the exit status."""
+def report(
+    runner: Runner, metric: str, better: Mapping[str, bool], seeds: list[int], out=print
+) -> int:
+    """Run the pairs, print each as it ends, the summary of ``metric`` and
+    the medians of every metric in ``better`` (name -> higher is better);
+    the exit status."""
     out(f"{'seed':>6}  {'first':<7}  {'parent':>10}  {'change':>10}  {'ratio':>6}")
     pairs = []
-    for pair in run_pairs(runner, metric, seeds):
+    for pair in run_pairs(runner, seeds):
         pairs.append(pair)
-        out(pair_line(pair, higher_is_better))
+        out(pair_line(pair, metric, better[metric]))
     try:
-        summary = summarise(pairs, higher_is_better)
+        summary = summarise(pairs, metric, better[metric])
     except ValueError as error:
         out(str(error))
         return 1
-    for line in summary_lines(summary, higher_is_better):
+    for line in summary_lines(summary, better[metric]):
         out(line)
+    out("every end-to-end metric, parent -> change medians:")
+    for name, higher_is_better in better.items():
+        try:
+            out(metric_line(name, summarise(pairs, name, higher_is_better), higher_is_better))
+        except ValueError as error:
+            out(str(error))
     return 0 if summary.pairs == len(pairs) else 1
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     declaration = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {entry["name"]: entry for entry in declaration["end_to_end"]}
+    better = {entry["name"]: entry["better"] == "higher" for entry in declaration["end_to_end"]}
     workloads = [entry["name"] for entry in declaration["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--workload", choices=workloads, default="explicit")
-    parser.add_argument("--metric", choices=sorted(metrics), default="designs_per_s")
+    parser.add_argument("--metric", choices=sorted(better), default="designs_per_s")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=float(declaration["run_seconds"]))
     parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
-    parser.add_argument("--parent-dir", type=Path, help="an existing checkout of the parent")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    higher_is_better = metrics[args.metric]["better"] == "higher"
+    seconds = declaration["run_seconds"]
     seeds = [args.first_seed + index for index in range(args.pairs)]
-    label = args.parent_dir or args.parent
     print(
-        f"perfbench {args.workload} {args.metric} ({metrics[args.metric]['better']} is better): "
-        f"parent {label} vs the working tree, {args.pairs} pairs of {args.seconds:g} s",
+        f"perfbench {args.workload} {args.metric} ({'higher' if better[args.metric] else 'lower'} "
+        f"is better): parent {args.parent} vs the working tree, {args.pairs} pairs of {seconds:g} s",
         flush=True,
     )
-    with contextlib.ExitStack() as stack:
-        parent = args.parent_dir or stack.enter_context(parent_checkout(args.parent))
-        caches = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="perfbench-pycache-")))
+    with parent_checkout(args.parent) as parent, tempfile.TemporaryDirectory(
+        prefix="perfbench-pycache-"
+    ) as caches:
         runner = command_runner(
-            declaration["command"], {"parent": parent, "change": ROOT}, args.workload, args.seconds, caches
+            declaration["command"], {"parent": parent, "change": ROOT}, args.workload, seconds, Path(caches)
         )
-        return report(runner, args.metric, higher_is_better, seeds, lambda line: print(line, flush=True))
+        return report(runner, args.metric, better, seeds, lambda line: print(line, flush=True))
 
 
 if __name__ == "__main__":
