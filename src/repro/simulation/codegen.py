@@ -727,6 +727,7 @@ class StepKernels:
             self._exec(self._build_verify_equations(self._module, self._process))
             verify = self._verify_equations = self._module.namespace["_verify_equations"]
             self.compile_seconds += perf_counter() - started
+            self._process.report_kernels()
         verify(K, V, S)
 
     def successor(self, stimuli: Sequence[Mapping[str, Any]], bound: int):

@@ -166,20 +166,27 @@ class CompiledProcess:
             from .codegen import StepKernels
 
             self._kernels = StepKernels(self)
-            for watcher in self._kernel_watchers:
-                watcher(self._kernels)
+            self.report_kernels()
         return self._kernels
 
     def watch_kernels(self, watcher: Callable[["StepKernels"], None]) -> None:
         """Call ``watcher(kernels)`` once the step kernels exist.
 
         At once if a reaction already built them, else when the first one
-        does.  The interpreter builds no kernels, so it never calls back.
+        does; and again whenever they compile more code (the equation
+        verifier, on first need), so a watcher always holds their whole
+        compile time.  The interpreter builds no kernels, so it never calls
+        back.
         """
         if self._kernels is not None:
             watcher(self._kernels)
         else:
             self._kernel_watchers.append(watcher)
+
+    def report_kernels(self) -> None:
+        """Call every watcher of :meth:`watch_kernels` with the kernels."""
+        for watcher in self._kernel_watchers:
+            watcher(self._kernels)
 
     def step_engine_info(self) -> dict[str, Any]:
         """Which engine resolves reactions, plus kernel count/compile time."""

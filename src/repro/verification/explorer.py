@@ -349,7 +349,7 @@ def explore(
 
     react = compiled.successor(stimuli)
     lts = LTS(compiled.name)
-    result = ExplorationResult(lts, observed=tuple(observed), step_engine=compiled.step_engine_info())
+    result = ExplorationResult(lts, observed=tuple(observed))
 
     keys = compiled.state_keys
     initial_memory = compiled.initial_state()
@@ -357,7 +357,7 @@ def explore(
     result.memories[initial] = dict(initial_memory)
 
     slots = {signal: slot for slot, signal in enumerate(compiled.signal_names)}
-    return _search(
+    _search(
         result,
         options.max_states,
         react,
@@ -365,6 +365,10 @@ def explore(
         [slots[signal] for signal in observed],
         lambda key: dict(zip(keys, key)),
     )
+    # Read after the search: the kernels compile their equation verifier
+    # on the first reaction that needs it.
+    result.step_engine = compiled.step_engine_info()
+    return result
 
 
 def explore_product(
@@ -411,9 +415,7 @@ def explore_product(
     left_react = left_compiled.successor(stimuli)
     right_react = right_compiled.successor(stimuli)
     lts = LTS(f"{left_compiled.name}×{right_compiled.name}")
-    result = ExplorationResult(
-        lts, observed=tuple(observed), step_engine=left_compiled.step_engine_info()
-    )
+    result = ExplorationResult(lts, observed=tuple(observed))
     left_keys, right_keys = left_compiled.state_keys, right_compiled.state_keys
     left_memory, right_memory = left_compiled.initial_state(), right_compiled.initial_state()
     initial_payload = (
@@ -436,6 +438,6 @@ def explore_product(
     def memory_of(key: tuple) -> dict[str, Any]:
         return {"left": dict(zip(left_keys, key[0])), "right": dict(zip(right_keys, key[1]))}
 
-    return _search(
-        result, options.max_states, react, len(stimuli), [slots[signal] for signal in observed], memory_of
-    )
+    _search(result, options.max_states, react, len(stimuli), [slots[signal] for signal in observed], memory_of)
+    result.step_engine = left_compiled.step_engine_info()
+    return result

@@ -403,7 +403,8 @@ class Design:
     def _watch_kernels(self, compiled: CompiledProcess) -> None:
         # The step kernels are generated when a reaction first runs (an
         # exploration or a simulation, never a BDD route); their build is
-        # surfaced alongside the other artifacts then.  The watcher holds
+        # surfaced alongside the other artifacts then, and its time again
+        # once they compile their equation verifier.  The watcher holds
         # the two dicts, not the design, so it makes no reference cycle.
         counts, seconds = self.artifact_counts, self.artifact_seconds
 

@@ -756,6 +756,17 @@ def test_design_reports_kernels_built_before_it():
     assert design.artifact_counts["step_kernels"] == compiled.kernels.kernel_count
 
 
+def test_kernel_statistics_match_the_kernels_after_verifying():
+    """The compile time a design and an exploration report is the kernels'
+    whole compile time, also once reactions of a cycle verified equations."""
+    design = Design(cyclic_process(), cache=None)
+    stats = design.exploration.statistics()
+    kernels = design.compiled.kernels
+    assert calls_per_reaction(design.compiled)[1] >= 1.0
+    assert design.artifact_seconds["step_kernels"] == kernels.compile_seconds
+    assert stats["kernel_compile_seconds"] == round(kernels.compile_seconds, 6)
+
+
 def test_symbolic_route_builds_no_kernels():
     """A design routed to the BDD engine never generates step kernels."""
     design = Design(boolean_shift_register_process(12), cache=None)
