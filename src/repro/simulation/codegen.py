@@ -42,8 +42,9 @@ could find nothing.  An equation is left undecided when its expression was
 unknown, present without a value, or a constant not assigned into a
 present valueless target; and when a re-evaluation could call an operator
 (or test a ``when``/``cell`` condition) on operands this pass had not yet
-settled: an operand defined later in the schedule, or an event the pass
-normalised at its end.  Then ``_finish`` verifies every equation, so a
+settled: an operand defined later in the schedule (a delay's operand
+too, whose clock is the delay's), or an event the pass normalised at its
+end.  Then ``_finish`` verifies every equation, so a
 conflict the pass did not see is still a ``ConsistencyError`` with the
 interpreter's message.  The clock constraints are checked on every
 reaction: the pass propagates them before the equations refine their
