@@ -16,7 +16,10 @@ verifications per reaction (``verify_runs_per_reaction``): both engines run
 their passes in the process's static schedule, which resolves every
 reaction of this pipeline in one pass, and that pass decides every
 equation, so the kernels never verify them (the interpreter, the oracle,
-verifies every reaction).
+verifies every reaction).  ``kernel_compile_seconds`` records the kernels'
+build time for the first design of the pipeline's shape in the process and
+for a repeat of that shape, which reuses the compiled code and only
+generates the source.
 """
 
 import time
@@ -26,6 +29,7 @@ import pytest
 from repro.core.values import ABSENT, EVENT
 from repro.signal.dsl import ProcessBuilder, const
 from repro.simulation import CompiledProcess
+from repro.simulation.codegen import _compile_shape
 from repro.verification import explore
 
 #: Reactions per timed loop — enough to swamp per-call noise, small enough
@@ -153,6 +157,14 @@ def test_bench_step_codegen_throughput(benchmark, record_property, stages):
         f"codegen step throughput only {ratio:.1f}x the interpreter "
         f"at {stages} stages (floor {SPEEDUP_FLOOR}x)"
     )
+
+    # Kernel build time, first of its shape vs a repeat of the shape.
+    _compile_shape.cache_clear()
+    first, repeat = (CompiledProcess(process).kernels.compile_seconds for _ in range(2))
+    record_property(
+        "kernel_compile_seconds", {"first_of_shape": round(first, 6), "same_shape_repeat": round(repeat, 6)}
+    )
+    assert repeat < first
 
     # The win must survive the exploration loop wrapped around it: the
     # explicit explorer over the same process is meaningfully faster too.

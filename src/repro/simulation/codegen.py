@@ -4,8 +4,9 @@ The reference implementation of a reaction is ``_Evaluator`` in
 :mod:`repro.simulation.compiler`: a recursive AST walk with isinstance
 dispatch, re-run on every pass of every fixpoint.  That walk dominates the
 run time of explicit exploration, simulation and trace replay.  This module
-compiles an *expanded* process once, the first time a reaction needs it,
-into straight-line Python functions over slot-indexed status arrays:
+generates an *expanded* process's kernels once, the first time a reaction
+needs them, as straight-line Python functions over slot-indexed status
+arrays; designs of one shape share the compiled code (:func:`_shape_of`):
 
 * ``_pass`` — one fixpoint pass in the process's static schedule
   (``CompiledProcess.pass_order``): every clock equality propagated first,
@@ -69,7 +70,9 @@ available as the oracle via ``CompiledProcess(process, compile="interp")``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from time import perf_counter
+from types import CodeType
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from ..core.values import ABSENT, EVENT
@@ -413,6 +416,26 @@ class _ModuleBuilder:
 
 # ------------------------------------------------------------------- the kernels
 
+#: Kernel shapes whose code objects one process keeps (least recently used
+#: first out).  A shape is a generated body with its comments blanked.
+SHAPE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _compile_shape(body: str) -> CodeType:
+    """The code object of one kernel shape, shared by every design of it."""
+    return compile(body, "<repro-step-kernels>", "exec")
+
+
+def _shape_of(source: str) -> str:
+    """``source`` with its comment lines blanked, so its line numbers stand.
+
+    The comments quote the design's equations; everything else specific to
+    one design (constants, messages, operator functions) is a name bound in
+    its namespace, so designs that differ only there share one shape."""
+    return "\n".join("" if line.lstrip().startswith("#") else line for line in source.split("\n"))
+
+
 class StepKernels:
     """The compiled reaction engine of one :class:`CompiledProcess`.
 
@@ -462,10 +485,10 @@ class StepKernels:
     # -- code generation -------------------------------------------------------
 
     def _exec(self, source: str) -> None:
-        """Compile ``source`` into the kernels' shared namespace."""
+        """Run ``source`` in the kernels' namespace, compiled once per shape
+        (:func:`_shape_of`) for the whole process."""
         source += "\n"
-        code = compile(source, f"<repro-step-kernels:{self.process_name}>", "exec")
-        exec(code, self._module.namespace)
+        exec(_compile_shape(_shape_of(source)), self._module.namespace)
         self.source += source
 
     def _build_pass(self, module: _ModuleBuilder, process: "CompiledProcess") -> str:

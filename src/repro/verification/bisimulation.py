@@ -45,7 +45,7 @@ def _partition_refinement(lts: LTS, states: Iterable[int]) -> dict[int, int]:
         changed = False
         signatures: dict[int, tuple] = {}
         for state in state_list:
-            moves = {(transition.label, block[transition.target]) for transition in lts.transitions_from(state)}
+            moves = {(label, block[target]) for label, target in lts.outgoing(state)}
             signature = tuple(
                 sorted(moves, key=lambda item: (sorted((n, repr(v)) for n, v in item[0]), item[1]))
             )
@@ -72,10 +72,10 @@ def _disjoint_union(left: LTS, right: LTS) -> tuple[LTS, dict[int, int], dict[in
         left_map[state] = union.add_state(("L", left.payload(state), state))
     for state in right.states:
         right_map[state] = union.add_state(("R", right.payload(state), state))
-    for transition in left.transitions():
-        union.add_transition(left_map[transition.source], transition.label, left_map[transition.target])
-    for transition in right.transitions():
-        union.add_transition(right_map[transition.source], transition.label, right_map[transition.target])
+    for side, side_map in ((left, left_map), (right, right_map)):
+        for source in side.states:
+            for label, target in side.outgoing(source):
+                union.add_transition(side_map[source], label, side_map[target])
     return union, left_map, right_map
 
 
@@ -135,10 +135,11 @@ def quotient(lts: LTS) -> LTS:
     if restricted.initial is not None:
         result.initial = block_state[block[restricted.initial]]
     seen: set[tuple[int, Label, int]] = set()
-    for transition in restricted.transitions():
-        key = (block[transition.source], transition.label, block[transition.target])
-        if key in seen:
-            continue
-        seen.add(key)
-        result.add_transition(block_state[key[0]], transition.label, block_state[key[2]])
+    for source in restricted.states:
+        for label, target in restricted.outgoing(source):
+            key = (block[source], label, block[target])
+            if key in seen:
+                continue
+            seen.add(key)
+            result.add_transition(block_state[key[0]], label, block_state[key[2]])
     return result

@@ -36,7 +36,7 @@ from ..core.values import ABSENT, EVENT
 from ..signal.ast import ProcessDefinition
 from ..simulation.compiler import CompiledProcess, SimulationError
 from ..simulation.status import PRESENT
-from .lts import LTS, Label, label_to_dict, per_label
+from .lts import LTS, Label, Transition, label_to_dict, per_label
 from .reachability import (
     CheckResult,
     ControlVerdict,
@@ -206,12 +206,12 @@ def _check_invariant_labels(
     """AG over reactions: every transition label out of a ``reachable``
     state satisfies ``predicate``."""
     holds = per_label(predicate)
-    for transition in lts.transitions():
-        if transition.source not in reachable:
+    for source in lts.states:
+        if source not in reachable:
             continue
-        if not holds(transition.label):
-            path = lts.path_to(lambda s: s == transition.source) or []
-            return CheckResult(False, name, path + [transition], transition.target)
+        for label, target in lts.outgoing(source):
+            if not holds(label):
+                return CheckResult(False, name, _witness(lts, source, label, target), target)
     return CheckResult(True, name, details=f"{len(reachable)} reachable states")
 
 
@@ -224,11 +224,20 @@ def _check_reaction_reachable(
     """EF over reactions: some transition label out of a ``reachable``
     state satisfies ``predicate``."""
     holds = per_label(predicate)
-    for transition in lts.transitions():
-        if transition.source in reachable and holds(transition.label):
-            path = lts.path_to(lambda s: s == transition.source) or []
-            return CheckResult(True, name, path + [transition], transition.target, "witness reaction found")
+    for source in lts.states:
+        if source not in reachable:
+            continue
+        for label, target in lts.outgoing(source):
+            if holds(label):
+                path = _witness(lts, source, label, target)
+                return CheckResult(True, name, path, target, "witness reaction found")
     return CheckResult(False, name, details="no reachable reaction satisfies the predicate")
+
+
+def _witness(lts: LTS, source: int, label: Label, target: int) -> list[Transition]:
+    """A shortest path to ``source``, then the transition ``source --label--> target``."""
+    path = lts.path_to(lambda state: state == source) or []
+    return path + [Transition(source, label, target)]
 
 
 def _stimulus_domain(compiled: CompiledProcess, name: str, integers: Sequence[int]) -> list[Any]:
@@ -272,40 +281,36 @@ def _search(
     """
     lts = result.lts
     observed = result.observed
+    memories = result.memories
     pick = _picker(observed_slots)
-    index_of, add_transition = lts.index_of, lts.add_transition
+    # Bound once: each transition costs a dict lookup and two appends.
+    payloads, index_of = lts._states, lts._index.get
+    out_labels, out_targets = lts._labels, lts._targets
     # Keyed by the values *and* their types: 1 == True, but a predicate
     # must see the value the reaction carried.
     labels: dict[tuple, frozenset] = {}
     stimuli = range(stimulus_count)
+    rejected = 0
+    # A state is pushed once, when it is added, so none is expanded twice.
     frontier = [lts.initial]
-    pending = {lts.initial}
-    explored: set[int] = set()
     while frontier:
         state = frontier.pop()
-        pending.discard(state)
-        if state in explored:
-            continue
-        explored.add(state)
-        key = lts.payload(state)
+        key = payloads[state]
+        state_labels, state_targets = out_labels[state], out_targets[state]
         for index in stimuli:
             try:
                 target_key, values = react(key, index)
             except SimulationError:
-                result.rejected_stimuli += 1
+                rejected += 1
                 continue
-            existing = index_of(target_key)
-            if existing is None:
-                if lts.state_count() >= max_states:
+            target = index_of(target_key)
+            if target is None:
+                if len(payloads) >= max_states:
                     result.complete = False
                     continue
-                existing = lts.add_state(target_key)
-                result.memories[existing] = memory_of(target_key)
-                frontier.append(existing)
-                pending.add(existing)
-            elif existing not in explored and existing not in pending:
-                frontier.append(existing)
-                pending.add(existing)
+                target = lts.add_state(target_key)
+                memories[target] = memory_of(target_key)
+                frontier.append(target)
             reaction = pick(values)
             typed = (reaction, tuple(map(type, reaction)))
             label = labels.get(typed)
@@ -315,7 +320,9 @@ def _search(
                     for signal, value in zip(observed, reaction)
                     if value is not ABSENT
                 )
-            add_transition(state, label, existing)
+            state_labels.append(label)
+            state_targets.append(target)
+    result.rejected_stimuli += rejected
     return result
 
 

@@ -51,6 +51,11 @@ def per_label(predicate: Callable[[dict[str, Any]], bool]) -> Callable[[Label], 
     return holds
 
 
+def _as_label(label: Label | Mapping[str, Any]) -> Label:
+    """``label`` as a transition label (a mapping goes through :func:`make_label`)."""
+    return label if isinstance(label, frozenset) else make_label(label)
+
+
 @dataclass(frozen=True)
 class Transition:
     """One labelled transition ``source --label--> target``."""
@@ -61,13 +66,23 @@ class Transition:
 
 
 class LTS:
-    """A finite labelled transition system."""
+    """A finite labelled transition system.
+
+    States are dense ints in order of registration.  The transitions out of
+    state ``s`` are stored as two parallel lists, ``_labels[s]`` and
+    ``_targets[s]``, in insertion order; a :class:`Transition` object is
+    built only where a method returns one.  Every walk reports transitions
+    grouped by source, in state order, and in insertion order within a
+    state.  Walks that need no objects read :meth:`outgoing`; the explorer
+    grows the lists directly (reading ``_states`` and ``_index`` as it goes).
+    """
 
     def __init__(self, name: str = "lts") -> None:
         self.name = name
         self._states: list[Hashable] = []
         self._index: dict[Hashable, int] = {}
-        self._transitions: dict[int, list[Transition]] = {}
+        self._labels: list[list[Label]] = []
+        self._targets: list[list[int]] = []
         self.initial: Optional[int] = None
 
     # -- construction --------------------------------------------------------------
@@ -79,18 +94,29 @@ class LTS:
             index = len(self._states)
             self._states.append(payload)
             self._index[payload] = index
-            self._transitions[index] = []
+            self._labels.append([])
+            self._targets.append([])
         if initial:
             self.initial = index
         return index
 
     def add_transition(self, source: int, label: Label | Mapping[str, Any], target: int) -> Transition:
-        """Add a transition (labels given as mappings are converted)."""
-        if not isinstance(label, frozenset):
-            label = make_label(label)
-        transition = Transition(source, label, target)
-        self._transitions[source].append(transition)
-        return transition
+        """Add a transition (labels given as mappings are converted).
+
+        Raises:
+            KeyError: when ``source`` or ``target`` is not a state of this LTS.
+        """
+        for state in (source, target):
+            if not self._known(state):
+                raise KeyError(state)
+        label = _as_label(label)
+        self._labels[source].append(label)
+        self._targets[source].append(target)
+        return Transition(source, label, target)
+
+    def _known(self, state: int) -> bool:
+        """Whether ``state`` indexes a state (never counting from the end)."""
+        return 0 <= state < len(self._states)
 
     # -- observations ----------------------------------------------------------------
 
@@ -105,7 +131,7 @@ class LTS:
 
     def transition_count(self) -> int:
         """Number of transitions."""
-        return sum(len(ts) for ts in self._transitions.values())
+        return sum(map(len, self._targets))
 
     def payload(self, state: int) -> Hashable:
         """The payload used to register ``state``."""
@@ -115,26 +141,35 @@ class LTS:
         """The state registered with ``payload``, if any."""
         return self._index.get(payload)
 
+    def outgoing(self, state: int) -> Iterator[tuple[Label, int]]:
+        """The ``(label, target)`` pairs of the transitions out of ``state``,
+        in insertion order, without building :class:`Transition` objects
+        (none for an unknown state)."""
+        if not self._known(state):
+            return iter(())
+        return zip(self._labels[state], self._targets[state])
+
     def transitions_from(self, state: int) -> list[Transition]:
-        """Outgoing transitions of ``state``."""
-        return list(self._transitions.get(state, []))
+        """Outgoing transitions of ``state`` (none for an unknown state)."""
+        return [Transition(state, label, target) for label, target in self.outgoing(state)]
 
     def transitions(self) -> Iterator[Transition]:
         """All transitions."""
-        for outgoing in self._transitions.values():
-            yield from outgoing
+        for source in self.states:
+            for label, target in self.outgoing(source):
+                yield Transition(source, label, target)
 
     def successors(self, state: int) -> set[int]:
         """Target states of the outgoing transitions of ``state``."""
-        return {t.target for t in self._transitions.get(state, [])}
+        return set(self._targets[state]) if self._known(state) else set()
 
     def predecessors(self, state: int) -> set[int]:
         """States with a transition into ``state``."""
-        return {t.source for t in self.transitions() if t.target == state}
+        return {source for source, targets in enumerate(self._targets) if state in targets}
 
     def alphabet(self) -> set[Label]:
         """The set of labels used by the transitions."""
-        return {t.label for t in self.transitions()}
+        return {label for labels in self._labels for label in labels}
 
     # -- traversals --------------------------------------------------------------------
 
@@ -144,15 +179,28 @@ class LTS:
             start = self.initial
         if start is None:
             return set()
+        if not self._known(start):
+            return {start}
         seen = {start}
         frontier = [start]
+        targets_of = self._targets
         while frontier:
-            state = frontier.pop()
-            for transition in self._transitions.get(state, []):
-                if transition.target not in seen:
-                    seen.add(transition.target)
-                    frontier.append(transition.target)
+            for target in targets_of[frontier.pop()]:
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
         return seen
+
+    def _path_back(self, parents: dict[int, tuple[int, Label]], state: int) -> list[Transition]:
+        """The transitions from the initial state to ``state`` along ``parents``
+        (each reached state's BFS source and label)."""
+        path: list[Transition] = []
+        while state != self.initial:
+            source, label = parents[state]
+            path.append(Transition(source, label, state))
+            state = source
+        path.reverse()
+        return path
 
     def path_to(self, predicate: Callable[[int], bool]) -> Optional[list[Transition]]:
         """A shortest transition path from the initial state to a state satisfying ``predicate``."""
@@ -160,23 +208,20 @@ class LTS:
             return None
         if predicate(self.initial):
             return []
-        parents: dict[int, Transition] = {}
+        parents: dict[int, tuple[int, Label]] = {}
         frontier = [self.initial]
         seen = {self.initial}
         while frontier:
             next_frontier: list[int] = []
             for state in frontier:
-                for transition in self._transitions.get(state, []):
-                    if transition.target in seen:
+                for label, target in self.outgoing(state):
+                    if target in seen:
                         continue
-                    seen.add(transition.target)
-                    parents[transition.target] = transition
-                    if predicate(transition.target):
-                        path = [transition]
-                        while path[0].source != self.initial:
-                            path.insert(0, parents[path[0].source])
-                        return path
-                    next_frontier.append(transition.target)
+                    seen.add(target)
+                    parents[target] = (state, label)
+                    if predicate(target):
+                        return self._path_back(parents, target)
+                    next_frontier.append(target)
             frontier = next_frontier
         return None
 
@@ -193,22 +238,19 @@ class LTS:
         if self.initial is None:
             return None
         holds = per_label(predicate)
-        parents: dict[int, Transition] = {}
+        parents: dict[int, tuple[int, Label]] = {}
         frontier = [self.initial]
         seen = {self.initial}
         while frontier:
             next_frontier: list[int] = []
             for state in frontier:
-                for transition in self._transitions.get(state, []):
-                    if holds(transition.label):
-                        path = [transition]
-                        while path[0].source != self.initial:
-                            path.insert(0, parents[path[0].source])
-                        return path
-                    if transition.target not in seen:
-                        seen.add(transition.target)
-                        parents[transition.target] = transition
-                        next_frontier.append(transition.target)
+                for label, target in self.outgoing(state):
+                    if holds(label):
+                        return self._path_back(parents, state) + [Transition(state, label, target)]
+                    if target not in seen:
+                        seen.add(target)
+                        parents[target] = (state, label)
+                        next_frontier.append(target)
             frontier = next_frontier
         return None
 
@@ -220,8 +262,9 @@ class LTS:
         for payload in self._states:
             copy.add_state(payload)
         copy.initial = self.initial
-        for transition in self.transitions():
-            copy.add_transition(transition.source, transform(transition.label), transition.target)
+        for source, labels in enumerate(self._labels):
+            copy._labels[source] = [_as_label(transform(label)) for label in labels]
+            copy._targets[source] = list(self._targets[source])
         return copy
 
     def project_labels(self, observed: Iterable[str]) -> "LTS":
@@ -238,9 +281,11 @@ class LTS:
             mapping[state] = copy.add_state(self._states[state])
         if self.initial in keep:
             copy.initial = mapping[self.initial]
-        for transition in self.transitions():
-            if transition.source in keep and transition.target in keep:
-                copy.add_transition(mapping[transition.source], transition.label, mapping[transition.target])
+        for source, new_source in mapping.items():
+            for label, target in self.outgoing(source):
+                if target in keep:
+                    copy._labels[new_source].append(label)
+                    copy._targets[new_source].append(mapping[target])
         return copy
 
     # -- rendering ----------------------------------------------------------------------------
@@ -257,10 +302,9 @@ class LTS:
         for state in self.states:
             shape = "doublecircle" if state == self.initial else "circle"
             lines.append(f'  s{state} [label="{state}", shape={shape}];')
-        for transition in self.transitions():
-            lines.append(
-                f'  s{transition.source} -> s{transition.target} [label="{self.render_label(transition.label)}"];'
-            )
+        for source in self.states:
+            for label, target in self.outgoing(source):
+                lines.append(f'  s{source} -> s{target} [label="{self.render_label(label)}"];')
         lines.append("}")
         return "\n".join(lines)
 

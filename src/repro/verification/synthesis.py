@@ -69,10 +69,10 @@ class Controller:
         if lts.initial in mapping:
             closed.initial = mapping[lts.initial]
         for state in mapping:
-            allowed = set(self.allowed.get(state, ()))
-            for transition in lts.transitions_from(state):
-                if transition in allowed and transition.target in mapping:
-                    closed.add_transition(mapping[state], transition.label, mapping[transition.target])
+            allowed = {(t.source, t.label, t.target) for t in self.allowed.get(state, ())}
+            for label, target in lts.outgoing(state):
+                if (state, label, target) in allowed and target in mapping:
+                    closed.add_transition(mapping[state], label, mapping[target])
         memories = {mapping[state]: plant.memories[state] for state in mapping if state in plant.memories}
         return replace(plant, lts=closed, memories=memories)
 
@@ -120,9 +120,10 @@ def _synthesise(
     # "The bad thing has just happened": a state is unsafe when it is the
     # target of some violating reaction.
     bad_targets = {
-        transition.target
-        for transition in lts.transitions()
-        if not safe(label_to_dict(transition.label))
+        target
+        for state in lts.states
+        for label, target in lts.outgoing(state)
+        if not safe(label_to_dict(label))
     }
     kept = {state for state in lts.states if state not in bad_targets}
     iterations = 0
@@ -131,15 +132,14 @@ def _synthesise(
         iterations += 1
         changed = False
         for state in sorted(kept):
-            outgoing = lts.transitions_from(state)
             must_leave = False
-            allowed_count = 0
-            for transition in outgoing:
-                target_ok = transition.target in kept
-                if target_ok:
+            outgoing = allowed_count = 0
+            for label, target in lts.outgoing(state):
+                outgoing += 1
+                if target in kept:
                     allowed_count += 1
                     continue
-                if not any(name in names for name in label_to_dict(transition.label)):
+                if not any(name in names for name, _value in label):
                     # An uncontrollable reaction escapes the safe set: the state
                     # itself must be abandoned.
                     must_leave = True
@@ -152,9 +152,9 @@ def _synthesise(
     disabled = 0
     for state in kept:
         allowed: list[Transition] = []
-        for transition in lts.transitions_from(state):
-            if transition.target in kept:
-                allowed.append(transition)
+        for label, target in lts.outgoing(state):
+            if target in kept:
+                allowed.append(Transition(state, label, target))
             else:
                 disabled += 1
         controller.allowed[state] = allowed

@@ -443,6 +443,50 @@ class TestPerfbenchPairs:
         failing = StubRunner({("parent", 7): 10.0, ("change", 7): None})
         assert perfbench_pairs.report(failing, "designs_per_s", better, [7], lines.append) == 1
 
+    def test_report_gives_every_metric_a_verdict_against_its_bound(self):
+        """Four seeds, four verdicts: a small loss, a loss past the bound, a
+        spread wider than the bound with a mixed outcome, and the same
+        spread with the change ahead in every pair."""
+        parent = {
+            "designs_per_s": [10.0] * 4,
+            "setup_s": [0.2] * 4,
+            "verdict_p50_s": [0.1, 0.2, 0.3, 0.4],
+            "verdict_tail_s": [0.1, 0.2, 0.3, 0.4],
+        }
+        change = {
+            "designs_per_s": [9.5] * 4,
+            "setup_s": [0.3] * 4,
+            "verdict_p50_s": [0.05, 0.3, 0.25, 0.5],
+            "verdict_tail_s": [0.09, 0.19, 0.29, 0.39],
+        }
+        seeds = [11, 12, 13, 14]
+        values = {}
+        for side, table in (("parent", parent), ("change", change)):
+            for index, seed in enumerate(seeds):
+                metrics = {name: column[index] for name, column in table.items()}
+                values[side, seed] = _result(metrics.pop("designs_per_s"), **metrics)
+        better = {"designs_per_s": True, "setup_s": False, "verdict_p50_s": False, "verdict_tail_s": False}
+        bounds = {name: 0.25 for name in better}
+        lines = []
+        status = perfbench_pairs.report(
+            StubRunner(values), "designs_per_s", better, seeds, lines.append, bounds
+        )
+        assert status == 0
+        start = lines.index("every end-to-end metric against its bound:")
+        verdicts = {line.split()[0]: line.split(": ")[-1] for line in lines[start + 1:]}
+        assert verdicts == {
+            "designs_per_s": "within bound",
+            "setup_s": "worse than bound",
+            "verdict_p50_s": "unresolved",
+            "verdict_tail_s": "within bound",
+        }
+        assert lines[start + 1].split() == [
+            "designs_per_s", "parent", "spread", "0", "(0.0%", "of", "median),", "gain", "-5.0%,",
+            "bound", "25%:", "within", "bound",
+        ]
+        assert "parent spread 0.15 (60.0% of median)" in lines[start + 3]
+        assert len(lines) == start + 1 + len(bounds)
+
     def test_parent_revision_is_required(self, capsys):
         with pytest.raises(SystemExit):
             perfbench_pairs.main(["--workload", "explicit"])

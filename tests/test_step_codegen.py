@@ -42,6 +42,7 @@ from repro.simulation import (
     SimulationError,
     UnresolvedError,
 )
+from repro.simulation.codegen import SHAPE_CACHE_SIZE, _compile_shape
 from repro.verification.explorer import ExplorationOptions, _stimulus_domain, explore, explore_product
 from repro.verification.reachability import ReactionPredicate
 from repro.workbench import Design
@@ -690,6 +691,61 @@ def test_verifier_is_compiled_on_first_need():
     built = kernels.source
     compiled.step(compiled.initial_state(), {"y": ABSENT})
     assert kernels.source == built
+
+
+# --------------------------------------------------------------------------- one compile per shape
+
+def test_designs_of_one_shape_share_their_code():
+    """Counters modulo 5 and 7 differ only in constants and their name:
+    one code object serves both, and each still behaves as itself."""
+    five, seven = (
+        CompiledProcess(modulo_counter_process(modulo, f"Mod{modulo}")) for modulo in (5, 7)
+    )
+    assert five.kernels._pass.__code__ is seven.kernels._pass.__code__
+    assert five.kernels._finish.__code__ is seven.kernels._finish.__code__
+    assert five.kernels.source != seven.kernels.source
+    assert [explore(design).state_count for design in (five, seven)] == [5, 7]
+    for modulo in (5, 7):
+        lockstep_compare(modulo_counter_process(modulo, f"Mod{modulo}"))
+
+
+def test_shared_code_reports_each_designs_own_violation():
+    """Messages are bound per design: a conflict in the second design of a
+    shape names that design, not the first one."""
+    for modulo in (5, 7):
+        compiled = CompiledProcess(modulo_counter_process(modulo, f"Mod{modulo}"))
+        outcome = _outcome(compiled, compiled.initial_state(), {"tick": EVENT, "n": 3})
+        assert outcome == ("error", "ConsistencyError", f"Mod{modulo}: conflicting values for 'n': 3 vs 0")
+
+
+def _constant_design(name, value):
+    builder = ProcessBuilder(name)
+    builder.define(builder.output("y", "integer"), const(value))
+    return CompiledProcess(builder.build())
+
+
+def test_lazily_compiled_verifier_shares_its_code():
+    """The equation verifier, compiled on first need, is one shape too; its
+    messages still name the design and its constant."""
+    first, second = _constant_design("Seven", 7), _constant_design("Nine", 9)
+    first.step(first.initial_state(), {"y": ABSENT})
+    assert second.kernels._verify_equations is None
+    hits = _compile_shape.cache_info().hits
+    second.step(second.initial_state(), {"y": ABSENT})
+    assert _compile_shape.cache_info().hits == hits + 1
+    assert first.kernels._verify_equations.__code__ is second.kernels._verify_equations.__code__
+    assert _outcome(second, second.initial_state(), {"y": 3}) == (
+        "error", "ConsistencyError", "Nine: 'y' = 3 contradicts constant 9"
+    )
+
+
+def test_shape_cache_stays_within_its_bound():
+    """More distinct shapes than the bound evict the oldest ones."""
+    for depth in range(1, SHAPE_CACHE_SIZE + 2):
+        CompiledProcess(register_process(depth)).kernels
+    info = _compile_shape.cache_info()
+    assert info.maxsize == SHAPE_CACHE_SIZE
+    assert info.currsize == SHAPE_CACHE_SIZE
 
 
 # --------------------------------------------------------------------------- compile= plumbing

@@ -59,6 +59,14 @@ class TestLTS:
         assert lts.reachable() == {a, b}
         assert lts.alphabet() == {make_label({"x": 1}), frozenset()}
 
+    def test_transition_into_an_unknown_state_is_refused(self):
+        lts = LTS("demo")
+        a = lts.add_state("a", initial=True)
+        for target in (-1, 1):
+            with pytest.raises(KeyError):
+                lts.add_transition(a, {}, target)
+        assert lts.transition_count() == 0 and lts.reachable() == {a}
+
     def test_path_to_and_deadlocks(self):
         lts = LTS("demo")
         a = lts.add_state("a", initial=True)

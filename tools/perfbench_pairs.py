@@ -18,9 +18,14 @@ run does not favour one side.
 The report prints each pair's values of one end-to-end metric
 (``--metric``), which side won, and both sides' medians with the parent's
 quartiles: a claimed gain should win (nearly) every pair and move the
-median by more than the parent's interquartile spread.  It ends with the
-medians and wins of every end-to-end metric, read from the same runs.  The
-exit status is 1 when a run failed an operation or produced no result.
+median by more than the parent's interquartile spread.  It goes on with the
+medians and wins of every end-to-end metric, read from the same runs, and
+ends with each metric's verdict against its ``bound`` in ``BENCHMARK.json``
+(the largest relative loss of the change's median the benchmark accepts):
+``within bound``, ``worse than bound``, or ``unresolved`` when the parent's
+quartile spread is wider than the bound and the change did not beat the
+parent in every pair, so the runs cannot tell.  The exit status is 1 when a
+run failed an operation or produced no result.
 """
 
 from __future__ import annotations
@@ -84,6 +89,27 @@ class Summary:
     @property
     def ratio(self) -> float:
         return self.change_median / self.parent_median if self.parent_median else float("nan")
+
+    @property
+    def relative_spread(self) -> float:
+        """The parent's interquartile distance as a share of its median."""
+        return self.spread / self.parent_median if self.parent_median else float("inf")
+
+    def relative_loss(self, higher_is_better: bool) -> float:
+        """How much worse the change's median is, as a share of the parent's
+        (negative when it is better)."""
+        loss = self.parent_median - self.change_median
+        if not higher_is_better:
+            loss = -loss
+        if not self.parent_median:
+            return float("inf") if loss > 0 else 0.0
+        return loss / self.parent_median
+
+    def bound_verdict(self, higher_is_better: bool, bound: float) -> str:
+        """The change against a relative ``bound`` on its loss (see the module docstring)."""
+        if self.relative_spread > bound and self.wins < self.pairs:
+            return "unresolved"
+        return "worse than bound" if self.relative_loss(higher_is_better) > bound else "within bound"
 
     def clears_spread(self, higher_is_better: bool) -> bool:
         """Whether the medians differ in the better direction by more than the spread."""
@@ -168,6 +194,14 @@ def metric_line(metric: str, summary: Summary, higher_is_better: bool) -> str:
     )
 
 
+def bound_line(metric: str, summary: Summary, higher_is_better: bool, bound: float) -> str:
+    return (
+        f"{metric:<16}  parent spread {_number(summary.spread)} ({summary.relative_spread:.1%} of median), "
+        f"gain {-summary.relative_loss(higher_is_better):+.1%}, bound {bound:.0%}: "
+        f"{summary.bound_verdict(higher_is_better, bound)}"
+    )
+
+
 @contextlib.contextmanager
 def parent_checkout(ref: str, repository: Path = ROOT) -> Iterator[Path]:
     """``ref`` checked out into a temporary ``git worktree``, removed on exit."""
@@ -221,11 +255,16 @@ def command_runner(
 
 
 def report(
-    runner: Runner, metric: str, better: Mapping[str, bool], seeds: list[int], out=print
+    runner: Runner,
+    metric: str,
+    better: Mapping[str, bool],
+    seeds: list[int],
+    out=print,
+    bounds: Optional[Mapping[str, float]] = None,
 ) -> int:
-    """Run the pairs, print each as it ends, the summary of ``metric`` and
-    the medians of every metric in ``better`` (name -> higher is better);
-    the exit status."""
+    """Run the pairs, print each as it ends, the summary of ``metric``, the
+    medians of every metric in ``better`` (name -> higher is better) and the
+    verdict of every metric in ``bounds`` (name -> bound); the exit status."""
     out(f"{'seed':>6}  {'first':<7}  {'parent':>10}  {'change':>10}  {'ratio':>6}")
     pairs = []
     for pair in run_pairs(runner, seeds):
@@ -238,18 +277,27 @@ def report(
         return 1
     for line in summary_lines(summary, better[metric]):
         out(line)
+    summaries: dict[str, Summary] = {}
     out("every end-to-end metric, parent -> change medians:")
     for name, higher_is_better in better.items():
         try:
-            out(metric_line(name, summarise(pairs, name, higher_is_better), higher_is_better))
+            summaries[name] = summarise(pairs, name, higher_is_better)
         except ValueError as error:
             out(str(error))
+        else:
+            out(metric_line(name, summaries[name], higher_is_better))
+    if bounds:
+        out("every end-to-end metric against its bound:")
+        for name, bound in bounds.items():
+            if name in summaries:
+                out(bound_line(name, summaries[name], better[name], bound))
     return 0 if summary.pairs == len(pairs) else 1
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     declaration = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {entry["name"]: entry["better"] == "higher" for entry in declaration["end_to_end"]}
+    bounds = {entry["name"]: float(entry["bound"]) for entry in declaration["end_to_end"]}
     workloads = [entry["name"] for entry in declaration["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -273,7 +321,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         runner = command_runner(
             declaration["command"], {"parent": parent, "change": ROOT}, args.workload, seconds, Path(caches)
         )
-        return report(runner, args.metric, better, seeds, lambda line: print(line, flush=True))
+        return report(runner, args.metric, better, seeds, lambda line: print(line, flush=True), bounds)
 
 
 if __name__ == "__main__":
