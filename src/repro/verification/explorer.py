@@ -283,9 +283,7 @@ def _search(
     observed = result.observed
     memories = result.memories
     pick = _picker(observed_slots)
-    # Bound once: each transition costs a dict lookup and two appends.
-    payloads, index_of = lts._states, lts._index.get
-    out_labels, out_targets = lts._labels, lts._targets
+    payload, index_of, transition_lists = lts.payload, lts.index_of, lts.transition_lists
     # Keyed by the values *and* their types: 1 == True, but a predicate
     # must see the value the reaction carried.
     labels: dict[tuple, frozenset] = {}
@@ -295,8 +293,8 @@ def _search(
     frontier = [lts.initial]
     while frontier:
         state = frontier.pop()
-        key = payloads[state]
-        state_labels, state_targets = out_labels[state], out_targets[state]
+        key = payload(state)
+        state_labels, state_targets = transition_lists(state)
         for index in stimuli:
             try:
                 target_key, values = react(key, index)
@@ -305,7 +303,7 @@ def _search(
                 continue
             target = index_of(target_key)
             if target is None:
-                if len(payloads) >= max_states:
+                if lts.state_count() >= max_states:
                     result.complete = False
                     continue
                 target = lts.add_state(target_key)

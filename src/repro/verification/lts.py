@@ -73,8 +73,8 @@ class LTS:
     ``_targets[s]``, in insertion order; a :class:`Transition` object is
     built only where a method returns one.  Every walk reports transitions
     grouped by source, in state order, and in insertion order within a
-    state.  Walks that need no objects read :meth:`outgoing`; the explorer
-    grows the lists directly (reading ``_states`` and ``_index`` as it goes).
+    state.  Walks that need no objects read :meth:`outgoing`, and a builder
+    that adds many transitions per state appends to :meth:`transition_lists`.
     """
 
     def __init__(self, name: str = "lts") -> None:
@@ -113,6 +113,12 @@ class LTS:
         self._labels[source].append(label)
         self._targets[source].append(target)
         return Transition(source, label, target)
+
+    def transition_lists(self, state: int) -> tuple[list[Label], list[int]]:
+        """The label and target lists of the transitions out of ``state``, for
+        a builder that appends to both in step.  Unlike :meth:`add_transition`
+        nothing is checked: every target appended must already be a state."""
+        return self._labels[state], self._targets[state]
 
     def _known(self, state: int) -> bool:
         """Whether ``state`` indexes a state (never counting from the end)."""

@@ -431,33 +431,38 @@ class TestPerfbenchPairs:
             ("parent", 8): _result(10.0, setup_s=0.2), ("change", 8): _result(9.0, setup_s=0.3),
         }
         lines = []
-        better = {"designs_per_s": True, "setup_s": False}
-        status = perfbench_pairs.report(StubRunner(values), "designs_per_s", better, [7, 8], lines.append)
+        metrics = {"designs_per_s": (True, 0.25), "setup_s": (False, 0.25)}
+        status = perfbench_pairs.report(StubRunner(values), "designs_per_s", metrics, [7, 8], lines.append)
         assert status == 0
         assert lines[1].split() == ["7", "parent", "10", "12", "1.200", "win"]
         assert lines[2].split() == ["8", "change", "10", "9", "0.900", "loss"]
         assert lines[3] == "change wins 1 of 2 pairs"
-        assert lines[-2].split()[:5] == ["designs_per_s", "10", "->", "10.5", "1.050x"]
-        assert lines[-1].split()[:5] == ["setup_s", "0.2", "->", "0.2", "1.000x"]
-        assert lines[-1].endswith("(lower is better; change better in 1 of 2)")
+        start = lines.index("every end-to-end metric, parent -> change medians:")
+        assert lines[start + 1].split()[:5] == ["designs_per_s", "10", "->", "10.5", "1.050x"]
+        assert lines[start + 2].split()[:5] == ["setup_s", "0.2", "->", "0.2", "1.000x"]
+        assert lines[start + 2].endswith("(lower is better; change better in 1 of 2)")
+        assert lines[start + 3] == "every end-to-end metric against its bound:"
         failing = StubRunner({("parent", 7): 10.0, ("change", 7): None})
-        assert perfbench_pairs.report(failing, "designs_per_s", better, [7], lines.append) == 1
+        assert perfbench_pairs.report(failing, "designs_per_s", metrics, [7], lines.append) == 1
 
     def test_report_gives_every_metric_a_verdict_against_its_bound(self):
-        """Four seeds, four verdicts: a small loss, a loss past the bound, a
-        spread wider than the bound with a mixed outcome, and the same
-        spread with the change ahead in every pair."""
+        """Four seeds: a small loss, a loss past the bound, and three spreads
+        wider than the bound.  Of those, a mixed outcome and a change ahead
+        in every pair whose runs still overlap the parent's are unresolved;
+        only a change whose every run beats every parent run is resolved."""
         parent = {
             "designs_per_s": [10.0] * 4,
             "setup_s": [0.2] * 4,
             "verdict_p50_s": [0.1, 0.2, 0.3, 0.4],
             "verdict_tail_s": [0.1, 0.2, 0.3, 0.4],
+            "peak_rss_mb": [10.0, 20.0, 30.0, 40.0],
         }
         change = {
             "designs_per_s": [9.5] * 4,
             "setup_s": [0.3] * 4,
             "verdict_p50_s": [0.05, 0.3, 0.25, 0.5],
             "verdict_tail_s": [0.09, 0.19, 0.29, 0.39],
+            "peak_rss_mb": [5.0, 6.0, 7.0, 9.0],
         }
         seeds = [11, 12, 13, 14]
         values = {}
@@ -465,12 +470,9 @@ class TestPerfbenchPairs:
             for index, seed in enumerate(seeds):
                 metrics = {name: column[index] for name, column in table.items()}
                 values[side, seed] = _result(metrics.pop("designs_per_s"), **metrics)
-        better = {"designs_per_s": True, "setup_s": False, "verdict_p50_s": False, "verdict_tail_s": False}
-        bounds = {name: 0.25 for name in better}
+        metrics = {name: (name == "designs_per_s", 0.25) for name in parent}
         lines = []
-        status = perfbench_pairs.report(
-            StubRunner(values), "designs_per_s", better, seeds, lines.append, bounds
-        )
+        status = perfbench_pairs.report(StubRunner(values), "designs_per_s", metrics, seeds, lines.append)
         assert status == 0
         start = lines.index("every end-to-end metric against its bound:")
         verdicts = {line.split()[0]: line.split(": ")[-1] for line in lines[start + 1:]}
@@ -478,14 +480,15 @@ class TestPerfbenchPairs:
             "designs_per_s": "within bound",
             "setup_s": "worse than bound",
             "verdict_p50_s": "unresolved",
-            "verdict_tail_s": "within bound",
+            "verdict_tail_s": "unresolved",
+            "peak_rss_mb": "within bound",
         }
         assert lines[start + 1].split() == [
             "designs_per_s", "parent", "spread", "0", "(0.0%", "of", "median),", "gain", "-5.0%,",
             "bound", "25%:", "within", "bound",
         ]
         assert "parent spread 0.15 (60.0% of median)" in lines[start + 3]
-        assert len(lines) == start + 1 + len(bounds)
+        assert len(lines) == start + 1 + len(metrics)
 
     def test_parent_revision_is_required(self, capsys):
         with pytest.raises(SystemExit):

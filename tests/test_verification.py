@@ -67,6 +67,20 @@ class TestLTS:
                 lts.add_transition(a, {}, target)
         assert lts.transition_count() == 0 and lts.reachable() == {a}
 
+    def test_transitions_appended_to_a_states_lists_are_its_transitions(self):
+        lts = LTS("demo")
+        a = lts.add_state("a", initial=True)
+        b = lts.add_state("b")
+        lts.add_transition(a, {"x": 1}, b)
+        labels, targets = lts.transition_lists(a)
+        labels.append(make_label({"x": 2}))
+        targets.append(a)
+        assert [(t.source, t.label, t.target) for t in lts.transitions()] == [
+            (a, make_label({"x": 1}), b),
+            (a, make_label({"x": 2}), a),
+        ]
+        assert lts.transition_lists(b) == ([], [])
+
     def test_path_to_and_deadlocks(self):
         lts = LTS("demo")
         a = lts.add_state("a", initial=True)

@@ -23,9 +23,9 @@ medians and wins of every end-to-end metric, read from the same runs, and
 ends with each metric's verdict against its ``bound`` in ``BENCHMARK.json``
 (the largest relative loss of the change's median the benchmark accepts):
 ``within bound``, ``worse than bound``, or ``unresolved`` when the parent's
-quartile spread is wider than the bound and the change did not beat the
-parent in every pair, so the runs cannot tell.  The exit status is 1 when a
-run failed an operation or produced no result.
+quartile spread is wider than the bound and some run of the change is not
+better than every run of the parent, so the runs cannot tell.  The exit
+status is 1 when a run failed an operation or produced no result.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ RUN_TIMEOUT_S = 900
 #: ``runner(side, seed)``: the parsed last output line of one run, or None.
 Runner = Callable[[str, int], Optional[dict]]
 
+#: End-to-end metric name -> (higher is better, bound), from ``BENCHMARK.json``.
+Metrics = Mapping[str, tuple[bool, float]]
+
 
 @dataclass(frozen=True)
 class Pair:
@@ -73,13 +76,31 @@ class Pair:
 
 @dataclass(frozen=True)
 class Summary:
-    """The wins and medians of one metric over the pairs with a value on both sides."""
+    """One metric's values over the pairs with a value on both sides, in
+    seed order, and the number of pairs the change won."""
 
     wins: int
-    pairs: int
-    parent_median: float
-    change_median: float
-    parent_quartiles: tuple[float, float]
+    parent_values: tuple[float, ...]
+    change_values: tuple[float, ...]
+
+    @property
+    def pairs(self) -> int:
+        return len(self.parent_values)
+
+    @property
+    def parent_median(self) -> float:
+        return statistics.median(self.parent_values)
+
+    @property
+    def change_median(self) -> float:
+        return statistics.median(self.change_values)
+
+    @property
+    def parent_quartiles(self) -> tuple[float, float]:
+        if self.pairs == 1:
+            return self.parent_values[0], self.parent_values[0]
+        low, _median, high = statistics.quantiles(self.parent_values, n=4, method="inclusive")
+        return low, high
 
     @property
     def spread(self) -> float:
@@ -105,9 +126,15 @@ class Summary:
             return float("inf") if loss > 0 else 0.0
         return loss / self.parent_median
 
+    def separated(self, higher_is_better: bool) -> bool:
+        """Whether every run of the change is better than every run of the parent."""
+        if higher_is_better:
+            return min(self.change_values) > max(self.parent_values)
+        return max(self.change_values) < min(self.parent_values)
+
     def bound_verdict(self, higher_is_better: bool, bound: float) -> str:
         """The change against a relative ``bound`` on its loss (see the module docstring)."""
-        if self.relative_spread > bound and self.wins < self.pairs:
+        if self.relative_spread > bound and not self.separated(higher_is_better):
             return "unresolved"
         return "worse than bound" if self.relative_loss(higher_is_better) > bound else "within bound"
 
@@ -141,18 +168,10 @@ def summarise(pairs: list[Pair], metric: str, higher_is_better: bool) -> Summary
     complete = [pair for pair in pairs if None not in pair.values(metric)]
     if not complete:
         raise ValueError(f"no pair has a value of {metric} on both sides")
-    parents = [pair.values(metric)[0] for pair in complete]
-    changes = [pair.values(metric)[1] for pair in complete]
-    if len(parents) > 1:
-        low, _median, high = statistics.quantiles(parents, n=4, method="inclusive")
-    else:
-        low = high = parents[0]
     return Summary(
         wins=sum(pair.change_wins(metric, higher_is_better) for pair in complete),
-        pairs=len(complete),
-        parent_median=statistics.median(parents),
-        change_median=statistics.median(changes),
-        parent_quartiles=(low, high),
+        parent_values=tuple(pair.values(metric)[0] for pair in complete),
+        change_values=tuple(pair.values(metric)[1] for pair in complete),
     )
 
 
@@ -254,55 +273,50 @@ def command_runner(
     return run
 
 
-def report(
-    runner: Runner,
-    metric: str,
-    better: Mapping[str, bool],
-    seeds: list[int],
-    out=print,
-    bounds: Optional[Mapping[str, float]] = None,
-) -> int:
-    """Run the pairs, print each as it ends, the summary of ``metric``, the
-    medians of every metric in ``better`` (name -> higher is better) and the
-    verdict of every metric in ``bounds`` (name -> bound); the exit status."""
+def report(runner: Runner, metric: str, metrics: Metrics, seeds: list[int], out=print) -> int:
+    """Run the pairs, print each as it ends, the summary of ``metric``, then
+    the medians and the verdict against its bound of every metric in
+    ``metrics``; the exit status."""
+    higher_is_better = metrics[metric][0]
     out(f"{'seed':>6}  {'first':<7}  {'parent':>10}  {'change':>10}  {'ratio':>6}")
     pairs = []
     for pair in run_pairs(runner, seeds):
         pairs.append(pair)
-        out(pair_line(pair, metric, better[metric]))
+        out(pair_line(pair, metric, higher_is_better))
     try:
-        summary = summarise(pairs, metric, better[metric])
+        summary = summarise(pairs, metric, higher_is_better)
     except ValueError as error:
         out(str(error))
         return 1
-    for line in summary_lines(summary, better[metric]):
+    for line in summary_lines(summary, higher_is_better):
         out(line)
     summaries: dict[str, Summary] = {}
     out("every end-to-end metric, parent -> change medians:")
-    for name, higher_is_better in better.items():
+    for name, (higher, _bound) in metrics.items():
         try:
-            summaries[name] = summarise(pairs, name, higher_is_better)
+            summaries[name] = summarise(pairs, name, higher)
         except ValueError as error:
             out(str(error))
         else:
-            out(metric_line(name, summaries[name], higher_is_better))
-    if bounds:
-        out("every end-to-end metric against its bound:")
-        for name, bound in bounds.items():
-            if name in summaries:
-                out(bound_line(name, summaries[name], better[name], bound))
+            out(metric_line(name, summaries[name], higher))
+    out("every end-to-end metric against its bound:")
+    for name, summary_of_name in summaries.items():
+        higher, bound = metrics[name]
+        out(bound_line(name, summary_of_name, higher, bound))
     return 0 if summary.pairs == len(pairs) else 1
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     declaration = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {entry["name"]: entry["better"] == "higher" for entry in declaration["end_to_end"]}
-    bounds = {entry["name"]: float(entry["bound"]) for entry in declaration["end_to_end"]}
+    metrics = {
+        entry["name"]: (entry["better"] == "higher", float(entry["bound"]))
+        for entry in declaration["end_to_end"]
+    }
     workloads = [entry["name"] for entry in declaration["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--workload", choices=workloads, default="explicit")
-    parser.add_argument("--metric", choices=sorted(better), default="designs_per_s")
+    parser.add_argument("--metric", choices=sorted(metrics), default="designs_per_s")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=101)
     args = parser.parse_args(argv)
@@ -311,7 +325,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     seconds = declaration["run_seconds"]
     seeds = [args.first_seed + index for index in range(args.pairs)]
     print(
-        f"perfbench {args.workload} {args.metric} ({'higher' if better[args.metric] else 'lower'} "
+        f"perfbench {args.workload} {args.metric} ({'higher' if metrics[args.metric][0] else 'lower'} "
         f"is better): parent {args.parent} vs the working tree, {args.pairs} pairs of {seconds:g} s",
         flush=True,
     )
@@ -321,7 +335,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         runner = command_runner(
             declaration["command"], {"parent": parent, "change": ROOT}, args.workload, seconds, Path(caches)
         )
-        return report(runner, args.metric, better, seeds, lambda line: print(line, flush=True), bounds)
+        return report(runner, args.metric, metrics, seeds, lambda line: print(line, flush=True))
 
 
 if __name__ == "__main__":
