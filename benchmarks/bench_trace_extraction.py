@@ -2,16 +2,17 @@
 
 Extracting a trace is a different workload from deciding a verdict: the
 explicit engine walks BFS parent pointers it already holds, while the
-symbolic engine walks the stored frontier rings backward — one relational
-product per ring, touching only the states on the path.  These
+symbolic engine walks the stored frontier rings backward — one node-free
+model search per ring, over the previous ring and the relation's clusters,
+touching only the states on the path.  These
 benchmarks measure both, and assert the headline claim of the trace work:
 on a 2^14-state design whose explicit exploration is bound-truncated (and
 therefore refuses the deep trace), the symbolic ring walk extracts a full
 replay-valid 15-step counterexample in well under a second.  A bank of five
 modulo counters is the other shape: short walks over wide states, where
-each step's cubes and model reads span all 35 state bits.  Its smoke run
-records ``bank_trace_nodes``, the nodes its two traces create, in
-``BENCH_SMOKE.json``.
+each step's model search spans all 35 state bits.  Its smoke run records
+``bank_trace_nodes``, the nodes its two traces create (their condition BDDs
+only: the walk itself creates none), in ``BENCH_SMOKE.json``.
 """
 
 import pytest
@@ -44,7 +45,7 @@ def test_bench_explicit_trace_extraction(benchmark, depth):
 
 @pytest.mark.parametrize("depth", [4, 10, 14])
 def test_bench_symbolic_trace_extraction(benchmark, depth):
-    """Symbolic ring walk: one relational product per step of the trace."""
+    """Symbolic ring walk: one model search per step of the trace."""
     process = boolean_shift_register_process(depth)
     result = symbolic_int_explore(process)
     trace = benchmark(lambda: result.trace_to(_deep_predicate(depth)))

@@ -1408,6 +1408,91 @@ class BDDManager:
             if lo != 1:  # pushed last: False pops first
                 stack.append((depth + 1, False, lo))
 
+    def first_model(
+        self,
+        operands: Sequence[BDDNode],
+        variables: Sequence[str],
+        fixed: Optional[Mapping[str, bool]] = None,
+    ) -> Optional[dict[str, bool]]:
+        """The first model of ``operands[0] ∧ operands[1] ∧ …`` under ``fixed``.
+
+        Returns the model over ``variables`` that comes first in rank order,
+        ``False`` before ``True``, keyed in that order, or ``None`` when the
+        conjunction has no model that agrees with ``fixed``.  A listed
+        variable also in ``fixed`` takes its fixed value; a variable neither
+        listed nor fixed that an operand tests is searched like a listed one
+        and left out of the model.  The conjunction is never built: the
+        search walks the tuple of the operands' edges depth-first, one
+        variable at a time, with an explicit stack and a memo of the tuples
+        known to have no model.  It creates no node, so no reordering
+        checkpoint can fire during it, and it never walks a whole support.
+        """
+        varids, rank = self._varids, self._rank
+        for name in variables:
+            if name not in rank:
+                self.declare(name)
+        pinned = {
+            varids[name]: bool(value) for name, value in (fixed or {}).items() if name in varids
+        }
+        V, L, H, LEV, var_at = self._var, self._lo, self._hi, self._level_of, self._var_at
+
+        def cofactor(edges: tuple, vid: int, value: bool) -> Optional[tuple]:
+            # ``None`` for a false cofactor; true operands are dropped.
+            child = []
+            for e in edges:
+                n = e >> 1
+                if V[n] == vid:
+                    e = (H[n] if value else L[n]) ^ (e & 1)
+                    if e < 2:
+                        if e:
+                            return None
+                        continue
+                child.append(e)
+            return tuple(child)
+
+        edges = tuple(node._edge for node in operands if node._edge)
+        if 1 in edges:
+            return None
+        dead: set[tuple] = set()
+        # The decisions on the current path, ``(edges, vid, value)``: the
+        # tuple the free variable ``vid`` was decided at and its value;
+        # ``True`` means the ``False`` branch is spent.
+        frames: list[tuple[tuple, int, bool]] = []
+        while True:
+            while edges:
+                vid = var_at[min([LEV[V[e >> 1]] for e in edges])]
+                value = pinned.get(vid)
+                if value is not None:
+                    child = cofactor(edges, vid, value)
+                else:
+                    child = cofactor(edges, vid, False)
+                    value = child is None or child in dead
+                    if value:
+                        child = cofactor(edges, vid, True)
+                    frames.append((edges, vid, value))
+                if child is None or child in dead:
+                    break
+                edges = child
+            else:
+                chosen = {vid: value for _edges, vid, value in frames}
+                chosen.update(pinned)
+                return {
+                    name: chosen.get(varids[name], False)
+                    for name in sorted(set(variables), key=rank.__getitem__)
+                }
+            # A dead end: back to the deepest decision whose True branch is
+            # left, marking every decision tuple with both branches spent.
+            while frames:
+                decided, vid, value = frames.pop()
+                if not value:
+                    edges = cofactor(decided, vid, True)
+                    if edges is not None and edges not in dead:
+                        frames.append((decided, vid, True))
+                        break
+                dead.add(decided)
+            else:
+                return None
+
     def count_satisfying(self, node: BDDNode, variables: Optional[list[str]] = None) -> int:
         """Number of satisfying assignments over ``variables``.
 

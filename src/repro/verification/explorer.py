@@ -36,7 +36,7 @@ from ..core.values import ABSENT, EVENT
 from ..signal.ast import ProcessDefinition
 from ..simulation.compiler import CompiledProcess, SimulationError
 from ..simulation.status import PRESENT
-from .lts import LTS, Label, Transition, label_to_dict, per_label
+from .lts import LTS, Label, Transition, label_to_dict
 from .reachability import (
     CheckResult,
     ControlVerdict,
@@ -91,11 +91,19 @@ class ExplorationResult(Reachability):
     #: Which engine resolved the reactions (``CompiledProcess.step_engine_info()``):
     #: the ``compile=`` knob plus kernel count and compile time under codegen.
     step_engine: Optional[dict] = None
-    #: The states reachable from the initial one, walked on the first check
-    #: that needs them.  Not an init field, so the closed loop
-    #: ``Controller.restrict`` builds with ``dataclasses.replace`` walks its
-    #: own LTS, which can hold states its initial one no longer reaches.
-    _reachable: Optional[set[int]] = field(default=None, init=False, repr=False, compare=False)
+    #: The states reachable from the initial one in BFS order and their BFS
+    #: parents (:meth:`LTS.breadth_first`), walked on the first check that
+    #: needs them, and every label's reaction dict, shared by all predicates
+    #: (keyed by label identity, as :func:`~repro.verification.lts.per_label`
+    #: explains).  Not init fields, so the closed loop ``Controller.restrict``
+    #: builds with ``dataclasses.replace`` walks its own LTS, which can hold
+    #: states its initial one no longer reaches.
+    _bfs: Optional[tuple[list[int], list[int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _reactions: dict[int, dict[str, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def state_count(self) -> int:
@@ -124,41 +132,85 @@ class ExplorationResult(Reachability):
         return stats
 
     def check_invariant(self, predicate: ReactionPredicate, name: str = "invariant") -> CheckResult:
-        """AG over reactions, on the explored LTS."""
+        """AG over reactions, on the explored LTS.
+
+        A violation's ``counterexample`` is the first violating transition in
+        BFS order behind a shortest path to its source: the path
+        :meth:`trace_to` ``(~predicate)`` walks.
+        """
         self._validate_signals(predicate.signals(), self.observed, self.lts.name, "predicate")
-        result = _check_invariant_labels(self.lts, self._reachable_states(), predicate, name)
-        if result.holds:
+        path = self._first_path(predicate.evaluate, False)
+        if path is None:
             self._require_complete(name)
-        return result
+            return CheckResult(True, name, details=f"{len(self._breadth_first()[0])} reachable states")
+        return CheckResult(False, name, path, path[-1].target)
 
     def check_reachable(self, predicate: ReactionPredicate, name: str = "reachability") -> CheckResult:
-        """EF over reactions, on the explored LTS."""
+        """EF over reactions, on the explored LTS; a witness's
+        ``counterexample`` is the path :meth:`trace_to` walks."""
         self._validate_signals(predicate.signals(), self.observed, self.lts.name, "predicate")
-        result = _check_reaction_reachable(self.lts, self._reachable_states(), predicate, name)
-        if not result.holds:
+        path = self._first_path(predicate.evaluate, True)
+        if path is None:
             self._require_complete(name)
-        return result
+            return CheckResult(False, name, details="no reachable reaction satisfies the predicate")
+        return CheckResult(True, name, path, path[-1].target, "witness reaction found")
 
-    def _reachable_states(self) -> set[int]:
-        """The states reachable from the initial one, walked once per result:
-        an exploration's LTS is final when the explorer returns it."""
-        if self._reachable is None:
-            self._reachable = self.lts.reachable()
-        return self._reachable
+    def _breadth_first(self) -> tuple[list[int], list[int]]:
+        """The BFS order and parents, walked once per result: an
+        exploration's LTS is final when the explorer returns it."""
+        if self._bfs is None:
+            self._bfs = self.lts.breadth_first()
+        return self._bfs
+
+    def _first_path(
+        self, predicate: Callable[[dict[str, Any]], bool], wanted: bool
+    ) -> Optional[list[Transition]]:
+        """A shortest path ending with the first transition in BFS order
+        whose reaction ``predicate`` judges ``wanted``, or ``None``.
+
+        ``predicate`` runs once per distinct label, on the reaction dicts
+        every predicate of this result shares.
+        """
+        order, parents = self._breadth_first()
+        lts, reactions = self.lts, self._reactions
+        verdicts: dict[int, bool] = {}
+        for source in order:
+            for label, target in lts.outgoing(source):
+                key = id(label)
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    reaction = reactions.get(key)
+                    if reaction is None:
+                        reaction = reactions[key] = label_to_dict(label)
+                    verdict = verdicts[key] = bool(predicate(reaction))
+                if verdict is wanted:
+                    return lts.path_back(parents, source) + [Transition(source, label, target)]
+        return None
 
     def trace_to(self, predicate: ReactionPredicate, name: str = "trace") -> Optional[Trace]:
         """A shortest explicit trace to a reaction satisfying ``predicate``.
 
-        BFS over the explored LTS (:meth:`~repro.verification.lts.LTS.path_to_reaction`),
-        so the returned path has minimal length; each step carries the
-        successor state's concrete memory.  A truncated exploration refuses
-        the "no trace exists" answer with :class:`BoundReached`.
+        The first satisfying transition in BFS order over the explored LTS,
+        behind a shortest path to its source, so the returned path has
+        minimal length; each step carries the successor state's concrete
+        memory.  A truncated exploration refuses the "no trace exists"
+        answer with :class:`BoundReached`.
         """
         self._validate_signals(predicate.signals(), self.observed, self.lts.name, "predicate")
-        path = self.lts.path_to_reaction(predicate.evaluate)
+        path = self._first_path(predicate.evaluate, True)
         if path is None:
             self._require_complete(name)
             return None
+        return self._trace_along(path, name)
+
+    def trace_of(self, result: CheckResult, predicate: ReactionPredicate, name: str) -> Optional[Trace]:
+        """The trace along ``result``'s counterexample path, which is the
+        path :meth:`trace_to` would walk again."""
+        if result.counterexample is None:
+            return super().trace_of(result, predicate, name)
+        return self._trace_along(result.counterexample, name)
+
+    def _trace_along(self, path: list[Transition], name: str) -> Trace:
         steps = []
         for transition in path:
             memory = self.memories.get(transition.target)
@@ -198,46 +250,6 @@ class ExplorationResult(Reachability):
         )
         self._require_complete("synthesis")
         return _synthesise(self.lts, safe, controllable, ensure_nonblocking)
-
-
-def _check_invariant_labels(
-    lts: LTS, reachable: set[int], predicate: Callable[[dict[str, Any]], bool], name: str = "invariant"
-) -> CheckResult:
-    """AG over reactions: every transition label out of a ``reachable``
-    state satisfies ``predicate``."""
-    holds = per_label(predicate)
-    for source in lts.states:
-        if source not in reachable:
-            continue
-        for label, target in lts.outgoing(source):
-            if not holds(label):
-                return CheckResult(False, name, _witness(lts, source, label, target), target)
-    return CheckResult(True, name, details=f"{len(reachable)} reachable states")
-
-
-def _check_reaction_reachable(
-    lts: LTS,
-    reachable: set[int],
-    predicate: Callable[[dict[str, Any]], bool],
-    name: str = "reaction-reachability",
-) -> CheckResult:
-    """EF over reactions: some transition label out of a ``reachable``
-    state satisfies ``predicate``."""
-    holds = per_label(predicate)
-    for source in lts.states:
-        if source not in reachable:
-            continue
-        for label, target in lts.outgoing(source):
-            if holds(label):
-                path = _witness(lts, source, label, target)
-                return CheckResult(True, name, path, target, "witness reaction found")
-    return CheckResult(False, name, details="no reachable reaction satisfies the predicate")
-
-
-def _witness(lts: LTS, source: int, label: Label, target: int) -> list[Transition]:
-    """A shortest path to ``source``, then the transition ``source --label--> target``."""
-    path = lts.path_to(lambda state: state == source) or []
-    return path + [Transition(source, label, target)]
 
 
 def _stimulus_domain(compiled: CompiledProcess, name: str, integers: Sequence[int]) -> list[Any]:

@@ -197,12 +197,41 @@ class LTS:
                     frontier.append(target)
         return seen
 
-    def _path_back(self, parents: dict[int, tuple[int, Label]], state: int) -> list[Transition]:
-        """The transitions from the initial state to ``state`` along ``parents``
-        (each reached state's BFS source and label)."""
+    def breadth_first(self) -> tuple[list[int], list[int]]:
+        """The states reachable from the initial one in breadth-first order,
+        and each state's BFS parent, indexed by state.
+
+        A state's parent is the source whose transition first reached it;
+        the initial state is its own parent, and a state the initial one
+        does not reach has ``-1``.  Sources are expanded in BFS order and
+        their transitions in insertion order, so the first transition of
+        that walk passing a test has a source of minimal depth, and
+        :meth:`path_back` from that source is a shortest path to it.
+        """
+        initial = self.initial
+        if initial is None:
+            return [], []
+        if not self._known(initial):
+            return [initial], []
+        parents = [-1] * len(self._states)
+        parents[initial] = initial
+        order = [initial]
+        targets_of = self._targets
+        for state in order:  # grows while it is walked: a FIFO queue
+            for target in targets_of[state]:
+                if parents[target] < 0:
+                    parents[target] = state
+                    order.append(target)
+        return order, parents
+
+    def path_back(self, parents: list[int], state: int) -> list[Transition]:
+        """The transitions from the initial state to ``state`` along the BFS
+        ``parents`` of :meth:`breadth_first`.  Each step is the parent's
+        first transition into the state, the one the walk reached it by."""
         path: list[Transition] = []
         while state != self.initial:
-            source, label = parents[state]
+            source = parents[state]
+            label = self._labels[source][self._targets[source].index(state)]
             path.append(Transition(source, label, state))
             state = source
         path.reverse()
@@ -210,54 +239,26 @@ class LTS:
 
     def path_to(self, predicate: Callable[[int], bool]) -> Optional[list[Transition]]:
         """A shortest transition path from the initial state to a state satisfying ``predicate``."""
-        if self.initial is None:
-            return None
-        if predicate(self.initial):
-            return []
-        parents: dict[int, tuple[int, Label]] = {}
-        frontier = [self.initial]
-        seen = {self.initial}
-        while frontier:
-            next_frontier: list[int] = []
-            for state in frontier:
-                for label, target in self.outgoing(state):
-                    if target in seen:
-                        continue
-                    seen.add(target)
-                    parents[target] = (state, label)
-                    if predicate(target):
-                        return self._path_back(parents, target)
-                    next_frontier.append(target)
-            frontier = next_frontier
+        order, parents = self.breadth_first()
+        for state in order:
+            if predicate(state):
+                return self.path_back(parents, state)
         return None
 
     def path_to_reaction(self, predicate: Callable[[dict[str, Any]], bool]) -> Optional[list[Transition]]:
         """A shortest transition path ending with a reaction satisfying ``predicate``.
 
-        BFS with parent pointers from the initial state: source states are
-        examined layer by layer, so the first satisfying transition found has
-        a minimal-depth source and the returned path (prefix to the source
-        plus the satisfying transition itself) has minimal length.  This is
-        the explicit engine's counterexample-trace skeleton — ``path_to``
-        targets *states*, this targets *labels*.
+        The first satisfying transition of the :meth:`breadth_first` walk has
+        a minimal-depth source, so the returned path (prefix to the source
+        plus the satisfying transition itself) has minimal length —
+        ``path_to`` targets *states*, this targets *labels*.
         """
-        if self.initial is None:
-            return None
+        order, parents = self.breadth_first()
         holds = per_label(predicate)
-        parents: dict[int, tuple[int, Label]] = {}
-        frontier = [self.initial]
-        seen = {self.initial}
-        while frontier:
-            next_frontier: list[int] = []
-            for state in frontier:
-                for label, target in self.outgoing(state):
-                    if holds(label):
-                        return self._path_back(parents, state) + [Transition(state, label, target)]
-                    if target not in seen:
-                        seen.add(target)
-                        parents[target] = (state, label)
-                        next_frontier.append(target)
-            frontier = next_frontier
+        for source in order:
+            for label, target in self.outgoing(source):
+                if holds(label):
+                    return self.path_back(parents, source) + [Transition(source, label, target)]
         return None
 
     # -- transformations ------------------------------------------------------------------

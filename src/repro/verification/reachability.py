@@ -405,6 +405,14 @@ class Reachability(ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} does not extract counterexample traces")
 
+    def trace_of(self, result: CheckResult, predicate: ReactionPredicate, name: str) -> Optional[Trace]:
+        """The trace behind a check ``result`` that found a reaction
+        satisfying ``predicate`` (a failed invariant's violation, a
+        reachability witness).  Backends whose checks already hold the path
+        build the trace from it; the default asks :meth:`trace_to`.
+        """
+        return self.trace_to(predicate, name)
+
     def synthesise(
         self,
         safe: ReactionPredicate,

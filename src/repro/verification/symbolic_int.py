@@ -1294,8 +1294,7 @@ class IntSymbolicReachability(Reachability):
             # model count it typically reports is only paid on this branch.
             self._require_complete(name)
             return CheckResult(not found_holds, name, details=missing())
-        bits = self.engine.signal_bits + self.engine.state_bits
-        model = next(manager.satisfying_assignments(hit, bits))
+        model = manager.first_model([hit], self.engine.signal_bits)
         reaction = {k: v for k, v in self.engine.decode_reaction(model).items() if v is not ABSENT}
         return CheckResult(found_holds, name, details=f"witness reaction {reaction}")
 
@@ -1326,16 +1325,17 @@ class IntSymbolicReachability(Reachability):
 
         Forward information is already there: the fixpoint stored one frontier
         BDD per iteration (:attr:`frontiers`).  Extraction finds the earliest
-        ring admitting a satisfying reaction, picks one concrete (state,
-        reaction) model there with the witness-synthesis machinery, then walks
-        back ring by ring — each step one partitioned relational product of
-        the previous ring with the current state on the primed bits, from
-        which one concrete predecessor state and one connecting reaction are
-        extracted.  The trace length equals the ring index plus one — the
-        BFS distance, since ``rings[k]`` holds exactly the states first
-        reached after k images — so symbolic traces are as short as the
-        explicit engine's parent-pointer BFS paths, and no state is ever
-        enumerated outside the path itself.
+        ring admitting a satisfying reaction and takes its first (state,
+        reaction) model, then walks back ring by ring: each step is one
+        search for the first model of the previous ring and the relation's
+        clusters with the current state fixed on the primed bits, which
+        yields one concrete predecessor and its connecting reaction at once
+        (:meth:`~repro.clocks.bdd.BDDManager.first_model`, which builds no
+        BDD).  The trace length equals the ring index plus one — the BFS
+        distance, since ``rings[k]`` holds exactly the states first reached
+        after k images — so symbolic traces are as short as the explicit
+        engine's parent-pointer BFS paths, and no state is ever enumerated
+        outside the path itself.
         """
         self._validate_predicate(predicate)
         return self._extract_trace(self.engine.predicate_bdd(predicate), name)
@@ -1343,56 +1343,44 @@ class IntSymbolicReachability(Reachability):
     def _extract_trace(self, condition: BDDNode, name: str) -> Optional[Trace]:
         """The ring walk behind :meth:`trace_to`, from a condition BDD.
 
-        Each step back costs one relational product, ``joint`` below; the
-        cubes, models and the signal quantification around it are linear in
-        the state and signal bits (``joint`` fixes the primed ones), so the
-        product dominates.
+        Every model comes from one ``first_model`` search over the operands
+        as they are: the ring search over ``[ring, instantaneous,
+        condition]``, each step back over ``[previous ring, *clusters]``, so
+        a multi-cluster relation is walked as its clusters and never
+        conjoined.  The walk creates no node.
         """
         engine = self.engine
         manager = engine.manager
-        hit = manager.conj_all([self.states, engine.instantaneous, condition])
-        if manager.is_false(hit):
-            self._require_complete(name)
-            return None
         if not self.frontiers:
             raise NotImplementedError(
                 f"{name}: this result carries no frontier rings (hand-built?); "
                 "recompute it via the engine's reach() to enable trace extraction"
             )
-        ring_index = 0
-        ring_hit = manager.false
-        for index, ring in enumerate(self.frontiers):
-            ring_hit = manager.conj(ring, hit)
-            if not manager.is_false(ring_hit):
-                ring_index = index
-                break
         bits = engine.signal_bits + engine.state_bits
-        model = next(manager.satisfying_assignments(ring_hit, bits))
+        for ring_index, ring in enumerate(self.frontiers):
+            model = manager.first_model([ring, engine.instantaneous, condition], bits)
+            if model is not None:
+                break
+        else:
+            # The rings partition the reached states: no ring has a model
+            # exactly when no reached reaction satisfies the condition.
+            self._require_complete(name)
+            return None
 
         # Walk the rings backward from the state the satisfying reaction fires
-        # in, extracting one concrete predecessor and connecting reaction per
-        # ring.  ``joint`` holds every (state, reaction) of the previous ring
-        # stepping into the cursor; the predecessor is the first model of its
-        # signal projection and the reaction the first model of ``joint``
-        # fixed to that predecessor.  The steps come out in reverse order.
+        # in: the first model of the previous ring and the relation with the
+        # cursor on the primed bits is a predecessor in that ring (its state
+        # bits) and a reaction stepping into the cursor (its signal bits).
+        # The steps come out in reverse order.
+        clusters = engine.relation.clusters
+        prime = engine._prime_map
         steps: list[TraceStep] = []
         cursor = {bit: model[bit] for bit in engine.state_bits}
         for index in range(ring_index, 0, -1):
-            into_cursor = manager.cube(
-                {engine._prime_map[bit]: value for bit, value in cursor.items()}
-            )
-            joint = engine.relation.product(
-                manager.conj(self.frontiers[index - 1], into_cursor), engine.primed_bits
-            )
-            predecessors = manager.exists(joint, engine.signal_bits)
-            previous = next(manager.satisfying_assignments(predecessors, engine.state_bits))
-            reaction_model = next(
-                manager.satisfying_assignments(manager.conj(joint, manager.cube(previous)), bits)
-            )
-            steps.append(
-                TraceStep(engine.decode_reaction(reaction_model), engine.decode_state(cursor))
-            )
-            cursor = previous
+            into_cursor = {prime[bit]: value for bit, value in cursor.items()}
+            step = manager.first_model([self.frontiers[index - 1], *clusters], bits, into_cursor)
+            steps.append(TraceStep(engine.decode_reaction(step), engine.decode_state(cursor)))
+            cursor = {bit: step[bit] for bit in engine.state_bits}
         steps.reverse()
         steps.append(TraceStep(engine.decode_reaction(model), self._successor_of(model)))
         return Trace(tuple(steps), name)
@@ -1405,15 +1393,11 @@ class IntSymbolicReachability(Reachability):
         update.
         """
         engine = self.engine
-        manager = engine.manager
-        primed = engine.relation.product(
-            manager.cube(model), engine.signal_bits + engine.state_bits
-        )
-        if manager.is_false(primed):
+        successor = engine.manager.first_model(engine.relation.clusters, engine.primed_bits, model)
+        if successor is None:
             return None
-        successor = manager.rename(primed, engine._unprime_map)
-        assignment = next(manager.satisfying_assignments(successor, engine.state_bits))
-        return engine.decode_state(assignment)
+        prime = engine._prime_map
+        return engine.decode_state({bit: successor[prime[bit]] for bit in engine.state_bits})
 
     def synthesise(
         self,

@@ -725,9 +725,9 @@ class Design:
         so the trace exists even under a truncated analysis.
         """
         if spec.kind == "invariant" and not result.holds:
-            return engine.trace_to(~spec.predicate, spec.name)
+            return engine.trace_of(result, ~spec.predicate, spec.name)
         if spec.kind == "reachable" and result.holds:
-            return engine.trace_to(spec.predicate, spec.name)
+            return engine.trace_of(result, spec.predicate, spec.name)
         return None
 
     def __repr__(self) -> str:

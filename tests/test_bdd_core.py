@@ -15,7 +15,10 @@ canonicity invariants of the complement-edge store (no stored complemented
 high edge, O(1) involutive negation).  ``cube`` and the model walk are also
 pinned after sifting has moved the levels, together with their cost
 contracts: one node per cube literal, a ``restrict`` linear in the diagram,
-and no recursion-depth limit at 2,000 variables.
+and no recursion-depth limit at 2,000 variables.  ``first_model``, the
+node-free search for the first model of a conjunction under a partial
+assignment, is pinned against the table and the built conjunction, before
+and after sifting, at no node and no cache miss.
 """
 
 import random
@@ -524,3 +527,111 @@ class TestCubesAndModelWalks:
             rest = manager.xor(rest, manager.var(name))
         assert first_fixed is manager.neg(rest)
         assert manager.restrict(chain, {"unknown": True}) is chain
+
+
+def first_model_case(seed, reorder):
+    """A few random operands over ``NAMES``, a partial assignment, and the
+    operands' conjunction as a truth table; ``reorder`` sifts first."""
+    rng = random.Random(seed + 7000)
+    manager, oracle = BDDManager(NAMES), Table(NAMES)
+    expressions = [random_expression(NAMES, rng, 4) for _ in range(rng.randint(1, 4))]
+    operands = [build(manager, expression) for expression in expressions]
+    if reorder:
+        for operand in operands:
+            manager.protect(operand)
+        manager.reorder()
+    fixed = {name: rng.random() < 0.5 for name in rng.sample(NAMES, rng.randint(0, 3))}
+    table = oracle.full
+    for expression in expressions:
+        table &= oracle.of(expression)
+    return manager, oracle, operands, fixed, table
+
+
+class TestFirstModelAgrees:
+    """``first_model`` walks a conjunction's operands without building it."""
+
+    @pytest.mark.parametrize("reorder", [False, True])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_first_model_of_the_conjunction_under_the_fixed_bits(self, seed, reorder):
+        manager, oracle, operands, fixed, table = first_model_case(seed, reorder)
+        free = [name for name in NAMES if name not in fixed]
+        ranked = [name for name in manager.variables if name in free]
+        before = manager.statistics()
+        model = manager.first_model(operands, list(reversed(free)), fixed)
+        after = manager.statistics()
+        assert after["nodes_created"] == before["nodes_created"]
+        assert after["cache_misses"] == before["cache_misses"]
+        # The oracle: every total assignment agreeing with ``fixed`` that the
+        # table accepts, the first in rank order over the free variables.
+        models = [
+            oracle.assignment(index)
+            for index in oracle.models(table)
+            if all(oracle.assignment(index)[name] == value for name, value in fixed.items())
+        ]
+        if not models:
+            assert model is None
+            assert manager.restrict(manager.conj_all(operands), fixed) is manager.false
+            return
+        first = min(models, key=lambda assignment: [assignment[name] for name in ranked])
+        assert model == {name: first[name] for name in ranked}
+        assert list(model) == ranked
+        # The same model as the built conjunction's first one.
+        built_conjunction = manager.restrict(manager.conj_all(operands), fixed)
+        assert model == next(manager.satisfying_assignments(built_conjunction, free))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fixed_and_unlisted_variables(self, seed):
+        manager, oracle, operands, fixed, table = first_model_case(seed, reorder=False)
+        free = [name for name in NAMES if name not in fixed]
+        model = manager.first_model(operands, free, fixed)
+        # A listed fixed variable takes its fixed value.
+        with_fixed = manager.first_model(operands, NAMES, fixed)
+        assert (model is None) == (with_fixed is None)
+        if model is not None:
+            assert with_fixed == {name: {**model, **fixed}[name] for name in manager.variables}
+            # Unlisted variables are searched and left out: the model of the
+            # listed ones is the first model of the projection.
+            listed = free[: len(free) // 2]
+            projected = manager.first_model(operands, listed, fixed)
+            assert projected == {name: model[name] for name in manager.variables if name in listed}
+
+    def test_a_fixed_variable_no_operand_mentions_is_harmless(self):
+        manager = BDDManager(NAMES)
+        f = manager.xor(manager.var("v0"), manager.var("v1"))
+        g = manager.implies(manager.var("v1"), manager.var("v2"))
+        variables = ["v0", "v1", "v2"]
+        plain = manager.first_model([f, g], variables)
+        assert plain == {"v0": False, "v1": True, "v2": True}
+        assert manager.first_model([f, g], variables, {"v5": True, "ghost": False}) == plain
+        assert "ghost" not in manager.variables
+        assert manager.first_model([f, g], variables, {"v0": True}) == {
+            "v0": True, "v1": False, "v2": False,
+        }
+        assert manager.first_model([f, g], variables, {"v1": True, "v2": False}) is None
+        assert manager.first_model([f, manager.neg(f)], variables) is None
+        assert manager.first_model([], ["v3"]) == {"v3": False}
+        assert manager.first_model([manager.true], ["v3"], {"v3": True}) == {"v3": True}
+        assert manager.first_model([manager.false], ["v3"]) is None
+
+    @pytest.mark.timeout(20)
+    def test_a_wide_chain_does_not_recurse(self):
+        """2,000 levels, split over two operands: past the recursion limit."""
+        names = [f"w{index}" for index in range(2000)]
+        manager = BDDManager(names)
+        rng = random.Random(2001)
+        literals = {name: rng.random() < 0.5 for name in names}
+        free = names[1000]
+        def half(parity, skip=None):
+            return manager.cube(
+                {n: v for n, v in literals.items() if int(n[1:]) % 2 == parity and n != skip}
+            )
+
+        halves = [half(0), half(1)]
+        loose = [half(0, skip=free), halves[1]]
+        before = manager.statistics()["nodes_created"]
+        assert manager.first_model(halves, names) == literals
+        model = manager.first_model(loose, names, {names[1]: literals[names[1]]})
+        assert model == {**literals, free: False} and list(model) == names
+        pinned = names[1500]
+        assert manager.first_model(halves, names, {pinned: not literals[pinned]}) is None
+        assert manager.statistics()["nodes_created"] == before

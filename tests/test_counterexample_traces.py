@@ -37,6 +37,7 @@ from test_symbolic_vs_explicit import (
     predicates_for,
 )
 
+from repro.clocks.bdd import BDDManager
 from repro.core.values import ABSENT, EVENT
 from repro.signal.ast import compose
 from repro.signal.library import (
@@ -55,6 +56,7 @@ from repro.verification import (
     explore,
     symbolic_int_explore,
 )
+from repro.verification.relational import PartitionedRelation
 from repro.verification.symbolic_int import IntSymbolicEngine
 
 ENGINE_NAMES = ("explicit", "polynomial", "symbolic-int")
@@ -291,12 +293,13 @@ def counter_bank(moduli):
 
 
 def test_counter_bank_traces_create_few_nodes():
-    """Ring-walk traces on a 7^5-state bank stay a few hundred nodes each.
+    """Ring-walk traces on a 7^5-state bank create no node past the condition.
 
-    Every step of a symbolic trace turns models of 35 state bits (and the
-    signal bits) into cubes and reads models back out.  Folding each cube
-    one ``ite`` per literal cost about 2,400 nodes per trace here; built
-    bottom-up, one node per literal, a trace costs 300-450.
+    Every step of a symbolic trace reads models of 35 state bits (and the
+    signal bits) out of a ring and the relation.  Cubes, relational products
+    and model reads cost 300-450 nodes per trace here; the node-free model
+    search creates none, so only the predicate's condition BDD (built before
+    the walk) may cost a node.
     """
     process = counter_bank((7, 7, 7, 7, 7))
     result = symbolic_int_explore(process)
@@ -305,11 +308,56 @@ def test_counter_bank_traces_create_few_nodes():
     top_value = P.value("n0", lambda v: v == 6)
     for predicate, length in ((both_carries, 1), (top_value, 7)):
         before = manager.statistics()["nodes_created"]
+        result.engine.predicate_bdd(predicate)
+        condition = manager.statistics()["nodes_created"]
         trace = result.trace_to(predicate)
-        created = manager.statistics()["nodes_created"] - before
         assert trace is not None and len(trace) == length, repr(predicate)
-        assert created <= 800, (repr(predicate), created)
+        assert condition - before <= 1, (repr(predicate), condition - before)
+        assert manager.statistics()["nodes_created"] == condition, repr(predicate)
         replay_trace(process, trace, predicate, abstract=False)
+
+
+def test_register_trace_steps_back_create_no_nodes(monkeypatch):
+    """A depth-16 register's 17-step trace builds nothing, however many
+    clusters the relation is kept as: each step back is one model search
+    over the previous ring and the clusters as they are."""
+    process = boolean_shift_register_process(16)
+    result = symbolic_int_explore(process)
+    engine = result.engine
+    manager = engine.manager
+    deepest = P.true_of("s15")
+    engine.predicate_bdd(deepest)
+    # A three-cluster relation with the same conjunction: two projections
+    # of the one cluster, then the cluster itself.
+    (cluster,) = engine.relation.clusters
+    parts = [
+        manager.exists(cluster, engine.signal_bits[:8]),
+        manager.exists(cluster, engine.primed_bits[8:]),
+        cluster,
+    ]
+    single = engine.relation
+    for relation in (single, PartitionedRelation(manager, parts, cluster_size=0)):
+        engine.relation = relation
+        with monkeypatch.context() as patched:
+            for owner, name in (
+                (PartitionedRelation, "product"),
+                (BDDManager, "exists"),
+                (BDDManager, "satisfying_assignments"),
+            ):
+                patched.setattr(owner, name, _refused(name))
+            before = manager.statistics()["nodes_created"]
+            trace = result.trace_to(deepest)
+            assert manager.statistics()["nodes_created"] == before, relation.cluster_count
+        assert trace is not None and len(trace) == 17, relation.cluster_count
+        replay_trace(process, trace, deepest, abstract=False)
+    assert engine.relation.cluster_count == 3
+
+
+def _refused(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the trace walk called {name}")
+
+    return refuse
 
 
 # --------------------------------------------------------------------------- soundness

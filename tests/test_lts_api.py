@@ -105,6 +105,16 @@ def test_path_to(lts):
     assert LTS("empty").path_to(lambda state: True) is None
 
 
+def test_breadth_first(lts):
+    order, parents = lts.breadth_first()
+    # u is unreached; d is first reached through b, whose branch came first.
+    assert order == [0, 1, 2, 3]
+    assert parents == [0, 0, 0, 1, -1]
+    assert lts.path_back(parents, 3) == [Transition(0, X, 1), Transition(1, Z, 3)]
+    assert lts.path_back(parents, 0) == []
+    assert LTS("empty").breadth_first() == ([], [])
+
+
 def test_path_to_reaction(lts):
     assert lts.path_to_reaction(lambda reaction: "y" in reaction) == [Transition(0, Y, 2)]
     assert lts.path_to_reaction(lambda reaction: "z" in reaction) == [

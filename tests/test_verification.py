@@ -237,15 +237,17 @@ class TestInvariants:
         assert trace[-1].state == counter.memories[counter.lts.initial]
 
     def test_checks_share_one_reachability_walk(self, monkeypatch):
-        # An exploration's LTS is final: its checks walk it once between them.
+        # An exploration's LTS is final: its checks and traces walk it once
+        # between them, breadth first.
         walks = []
-        walk = LTS.reachable
-        monkeypatch.setattr(LTS, "reachable", lambda lts, *a: walks.append(lts) or walk(lts, *a))
+        walk = LTS.breadth_first
+        monkeypatch.setattr(LTS, "breadth_first", lambda lts: walks.append(lts) or walk(lts))
         counter = self._counter()
         below = ReactionPredicate.absent("n") | ReactionPredicate.value("n", lambda n: n < 3)
         assert counter.check_invariant(below).holds
         assert not counter.check_invariant(ReactionPredicate.absent("carry")).holds
         assert counter.check_reachable(ReactionPredicate.present("carry")).holds
+        assert counter.trace_to(ReactionPredicate.present("carry")) is not None
         assert walks == [counter.lts]
 
     def test_closed_loop_walks_its_own_lts(self):
