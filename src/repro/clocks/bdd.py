@@ -114,7 +114,7 @@ def global_stats() -> dict:
 #: Version tag of the :func:`dump_nodes` payload layout.  Bump on any change
 #: to the node-table encoding so stale persisted dumps are rejected as a
 #: cache miss instead of being mis-decoded.
-DUMP_FORMAT = 1
+DUMP_FORMAT = 2
 
 
 def dump_nodes(manager: "BDDManager", roots: Sequence["BDDNode"]) -> dict:
@@ -125,11 +125,13 @@ def dump_nodes(manager: "BDDManager", roots: Sequence["BDDNode"]) -> dict:
 
         {"format": DUMP_FORMAT,
          "order": [...variable names, dump-time level order, support only...],
-         "nodes": [[variable, low_index, high_index], ...],
+         "nodes": [variable, low_index, high_index, variable, ...],
          "roots": [index, ...]}          # parallel to ``roots``
 
-    Indices 0 and 1 denote the false/true terminals; internal nodes are
-    numbered from 2 in table order.  Shared sub-diagrams are emitted once,
+    The table is flat, three items a node: one list however many nodes, so
+    loading a large dump allocates no container per node (and triggers no
+    garbage-collector passes over them).  Indices 0 and 1 denote the
+    false/true terminals; internal nodes are numbered from 2 in table order.  Shared sub-diagrams are emitted once,
     so the table size equals the shared node count of the root set.  The
     payload records *which* order the nodes were reduced under, but
     :func:`load_nodes` does not depend on it — diagrams are rebuilt
@@ -138,7 +140,7 @@ def dump_nodes(manager: "BDDManager", roots: Sequence["BDDNode"]) -> dict:
     """
     V, L, H, name_of = manager._var, manager._lo, manager._hi, manager._name_of
     index: dict[int, int] = {1: 0, 0: 1}  # edge -> table index; FALSE, TRUE
-    nodes: list[list] = []
+    nodes: list = []
     for root in roots:
         stack = [(root._edge, False)]
         while stack:
@@ -147,11 +149,11 @@ def dump_nodes(manager: "BDDManager", roots: Sequence["BDDNode"]) -> dict:
                 continue
             n, c = e >> 1, e & 1  # push the complement into the children
             if expanded:
-                nodes.append([name_of[V[n]], index[L[n] ^ c], index[H[n] ^ c]])
-                index[e] = len(nodes) + 1
+                nodes += (name_of[V[n]], index[L[n] ^ c], index[H[n] ^ c])
+                index[e] = len(nodes) // 3 + 1
             else:
                 stack += ((e, True), (H[n] ^ c, False), (L[n] ^ c, False))
-    used = {entry[0] for entry in nodes}
+    used = set(nodes[::3])
     return {
         "format": DUMP_FORMAT,
         "order": [name for name in manager.variables if name in used],
@@ -1582,14 +1584,17 @@ class BDDManager:
         varids = self._varids
         V, LEV = self._var, self._level_of
         table = [1, 0]  # payload index 0 = false, 1 = true
-        for entry in payload["nodes"]:
-            variable, low, high = entry
+        nodes = payload["nodes"]
+        if len(nodes) % 3:
+            raise ValueError(f"malformed BDD dump table of {len(nodes)} items")
+        rows = iter(nodes)
+        for variable, low, high in zip(rows, rows, rows):
             if (
                 not isinstance(variable, str)
                 or not (0 <= low < len(table))
                 or not (0 <= high < len(table))
             ):
-                raise ValueError(f"malformed BDD dump entry {entry!r}")
+                raise ValueError(f"malformed BDD dump entry {[variable, low, high]!r}")
             vid = varids.get(variable)
             if vid is None:
                 self.declare(variable)

@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Version of every payload layout this module reads and writes.  Part of
 #: each key, so bumping it orphans (rather than mis-reads) old entries.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 #: Sentinel distinguishing "stored None" from "not stored".
 MISSING = object()

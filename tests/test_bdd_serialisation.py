@@ -147,22 +147,28 @@ class TestMalformedPayloads:
             load_nodes(BDDManager(), {"format": DUMP_FORMAT + 1, "order": [], "nodes": [], "roots": []})
 
     def test_rejects_child_index_out_of_range(self):
-        payload = {"format": DUMP_FORMAT, "order": ["x"], "nodes": [["x", 0, 9]], "roots": [2]}
+        payload = {"format": DUMP_FORMAT, "order": ["x"], "nodes": ["x", 0, 9], "roots": [2]}
+        with pytest.raises(ValueError, match="malformed"):
+            load_nodes(BDDManager(), payload)
+
+    def test_rejects_ragged_table(self):
+        # Three items a node: a table whose length is not a multiple of 3 is torn.
+        payload = {"format": DUMP_FORMAT, "order": ["x"], "nodes": ["x", 0, 1, "x"], "roots": [2]}
         with pytest.raises(ValueError, match="malformed"):
             load_nodes(BDDManager(), payload)
 
     def test_rejects_forward_reference(self):
         # Children-first is the contract: an entry may only reference earlier rows.
-        payload = {"format": DUMP_FORMAT, "order": ["x"], "nodes": [["x", 0, 3]], "roots": [2]}
+        payload = {"format": DUMP_FORMAT, "order": ["x"], "nodes": ["x", 0, 3], "roots": [2]}
         with pytest.raises(ValueError, match="malformed"):
             load_nodes(BDDManager(), payload)
 
     def test_rejects_root_index_out_of_range(self):
-        payload = {"format": DUMP_FORMAT, "order": ["x"], "nodes": [["x", 0, 1]], "roots": [3]}
+        payload = {"format": DUMP_FORMAT, "order": ["x"], "nodes": ["x", 0, 1], "roots": [3]}
         with pytest.raises(ValueError, match="root"):
             load_nodes(BDDManager(), payload)
 
     def test_rejects_non_string_variable(self):
-        payload = {"format": DUMP_FORMAT, "order": [], "nodes": [[7, 0, 1]], "roots": [2]}
+        payload = {"format": DUMP_FORMAT, "order": [], "nodes": [7, 0, 1], "roots": [2]}
         with pytest.raises(ValueError, match="malformed"):
             load_nodes(BDDManager(), payload)
