@@ -74,9 +74,8 @@ class ReactionPredicate:
         This is the escape hatch for properties over carried *data* (integer
         comparisons, set membership, ...) that the ternary abstraction cannot
         express.  Only backends that see concrete values (the explicit
-        explorer and the bit-blasted symbolic engine) can check it; the
-        polynomial engine cannot.  ``backend="auto"`` only ever picks one of
-        the former two.
+        explorer and the bit-blasted symbolic engine, the two ``Design``
+        backends) can check it; the polynomial engine cannot.
         """
         return cls("value", name, test)
 

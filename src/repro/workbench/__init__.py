@@ -3,8 +3,8 @@
 :class:`Design` is the single entry point users are expected to touch:
 construct it from SIGNAL source, a process definition, a DSL builder or a
 SpecC behavior; read its memoised artifacts (compiled process, clock
-hierarchy, endochrony report, Z/3Z encoding, explicit / polynomial / symbolic
-reachable sets, simulator); and run batched verification queries on a named
+hierarchy, endochrony report, Z/3Z encoding, explicit / symbolic reachable
+sets, simulator); and run batched verification queries on a named
 engine or on ``backend="auto"``, which picks the bit-blasted BDD engine when
 the design's potential state bound exceeds ``symbolic_state_threshold`` and
 the explicit engine otherwise.
@@ -27,9 +27,9 @@ process-wide default with :func:`configure_cache`.
 Verification scales past one interpreter through the job layer
 (:mod:`repro.workbench.jobs`): a :class:`WorkerPool` of spawned OS processes,
 created and shut down by its caller, runs ``submit``-ted batch checks
-against a shared :class:`DiskArtifactStore`, with priorities, per-job
-timeouts, cooperative cancellation and crash retry — answered as
-:class:`JobHandle` futures.
+against a shared :class:`DiskArtifactStore` in submission order, with
+per-job timeouts, cooperative cancellation and one crash retry — answered
+as :class:`JobHandle` futures.
 
 Verdicts outside a batch come from the engine itself: ``design.backend(...)``
 hands out the one the facade routes to, and its ``check_invariant`` /
@@ -56,7 +56,6 @@ from .jobs import (
     JobError,
     JobFailed,
     JobHandle,
-    JobQueue,
     JobTimeout,
     WorkerCrashed,
     WorkerPool,
@@ -73,7 +72,6 @@ __all__ = [
     "JobError",
     "JobFailed",
     "JobHandle",
-    "JobQueue",
     "JobTimeout",
     "MemoryArtifactStore",
     "Property",

@@ -13,13 +13,13 @@ you have::
 
 Every derived artifact — the compiled process, the clock hierarchy and
 endochrony report, the Z/3Z Sigali encoding, the integer range inference,
-the explicit exploration, the polynomial enumeration, the bit-blasted BDD
-fixpoint, the simulator — is computed lazily and **memoised**, so repeated
-queries never recompute a fixpoint or re-encode; :attr:`artifact_counts`
-records how often each was actually built (the tests pin it to one).
+the explicit exploration, the bit-blasted BDD fixpoint, the simulator — is
+computed lazily and **memoised**, so repeated queries never recompute a
+fixpoint or re-encode; :attr:`artifact_counts` records how often each was
+actually built (the tests pin it to one).
 
-Verification queries name an engine (``backend="explicit"``,
-``"polynomial"`` or ``"symbolic-int"``) or let ``backend="auto"`` route on
+Verification queries name an engine (``backend="explicit"`` or
+``"symbolic-int"``) or let ``backend="auto"`` route on
 one bound test: the bit-blasted BDD engine (``symbolic-int``) when
 :attr:`Design.potential_state_bound` exceeds ``symbolic_state_threshold``,
 the explicit engine otherwise — boolean/event skeletons and integer designs
@@ -35,6 +35,7 @@ default keeps batch throughput unchanged).
 
 from __future__ import annotations
 
+import copy
 import threading
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -51,7 +52,6 @@ from ..simulation.traces import Trace
 from ..verification.encoding import (
     EncodingError,
     PolynomialDynamicalSystem,
-    PolynomialReachability,
     encode_process,
 )
 from ..verification.explorer import ExplorationOptions, ExplorationResult, explore
@@ -93,7 +93,6 @@ PropertiesLike = Union[Mapping[str, ReactionPredicate], Sequence[PropertyLike]]
 #: The memoised artifact each backend name resolves to.
 _BACKENDS: dict[str, str] = {
     "explicit": "exploration",
-    "polynomial": "polynomial",
     "symbolic-int": "symbolic_int",
 }
 
@@ -114,12 +113,21 @@ class CheckCancelled(RuntimeError):
 
 
 class _FailedArtifact:
-    """Memoised failure: re-raise the original error on every later access."""
+    """Memoised failure: every later access raises a fresh copy of the error.
+
+    A copy keeps the error's type, arguments and attributes, and no
+    traceback.  The original's traceback holds the frames that built the
+    artifact, and with them the design; re-raising one stored object would
+    also grow that traceback by the caller's frames on every access.
+    """
 
     __slots__ = ("error",)
 
     def __init__(self, error: Exception) -> None:
-        self.error = error
+        self.error = copy.copy(error)
+
+    def fresh(self) -> Exception:
+        return copy.copy(self.error)
 
 
 #: Default of the ``cache=`` constructor parameter: consult the process-wide
@@ -260,19 +268,18 @@ class Design:
                 if name not in self._artifacts:
                     started = perf_counter()
                     try:
-                        value = self._produce(name, build)
+                        self._artifacts[name] = self._produce(name, build)
                     except _TRANSIENT_FAILURES:
-                        self.artifact_seconds[name] = perf_counter() - started
-                        self.artifact_counts[name] = self.artifact_counts.get(name, 0) + 1
                         raise
                     except Exception as error:
-                        value = _FailedArtifact(error)
-                    self.artifact_seconds[name] = perf_counter() - started
-                    self.artifact_counts[name] = self.artifact_counts.get(name, 0) + 1
-                    self._artifacts[name] = value
+                        self._artifacts[name] = _FailedArtifact(error)
+                        raise
+                    finally:
+                        self.artifact_seconds[name] = perf_counter() - started
+                        self.artifact_counts[name] = self.artifact_counts.get(name, 0) + 1
         value = self._artifacts[name]
         if isinstance(value, _FailedArtifact):
-            raise value.error
+            raise value.fresh()
         return value
 
     # -- the persistent cache glue -------------------------------------------------------
@@ -360,7 +367,7 @@ class Design:
     _ARTIFACT_DEPENDENTS = {
         "compiled": ("exploration", "simulator", "ranges"),
         "hierarchy": ("endochrony",),
-        "encoding": ("polynomial", "symbolic_int_engine"),
+        "encoding": ("symbolic_int_engine",),
         "ranges": ("symbolic_int_engine",),
         "symbolic_int_engine": ("symbolic_int",),
     }
@@ -454,11 +461,6 @@ class Design:
         return self._artifact(
             "exploration", lambda: explore(self.compiled, self.exploration_options)
         )
-
-    @property
-    def polynomial(self) -> PolynomialReachability:
-        """Explicit enumeration over the shared Z/3Z encoding (memoised)."""
-        return self._artifact("polynomial", lambda: PolynomialReachability(self.encoding))
 
     @property
     def ranges(self) -> RangeReport:

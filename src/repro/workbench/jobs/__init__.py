@@ -1,13 +1,19 @@
 """Verification-as-a-service: a multiprocess job layer over the workbench.
 
-The package splits into the four layers of the service:
+The package splits into the three layers of the service:
 
 * :mod:`~repro.workbench.jobs.protocol` — the picklable wire protocol
   (:class:`DesignSpec`, :class:`JobSpec`, worker messages, :class:`Compare`);
-* :mod:`~repro.workbench.jobs.queue` — the priority queue of pending jobs;
 * :mod:`~repro.workbench.jobs.worker` — the worker-process entry point;
-* :mod:`~repro.workbench.jobs.pool` — :class:`WorkerPool` and the
-  :class:`JobHandle` futures it answers with.
+* :mod:`~repro.workbench.jobs.pool` — :class:`WorkerPool`, its first-in
+  first-out queue of pending jobs, and the :class:`JobHandle` futures it
+  answers with.
+
+What the pool adds over an in-process ``Design.check_all`` loop is crash
+isolation (a dead worker re-runs its job once on a fresh one), hard
+timeouts (an overrunning worker is killed), cooperative cancellation,
+streamed progress events, and one on-disk artifact store shared by every
+worker.
 
 Quickstart::
 
@@ -35,7 +41,6 @@ from .protocol import (
     WorkerReady,
     ensure_picklable,
 )
-from .queue import JobQueue
 
 __all__ = [
     "Compare",
@@ -46,7 +51,6 @@ __all__ = [
     "JobFailed",
     "JobFinished",
     "JobHandle",
-    "JobQueue",
     "JobSpec",
     "JobStarted",
     "JobTimeout",

@@ -1,24 +1,28 @@
 """The multiprocess verification worker pool and its job futures.
 
 :class:`WorkerPool` turns the single-process workbench into a service: jobs
-— ``(design spec, properties, options)`` — are queued with priorities,
-executed by a fleet of **spawned** OS processes (one interpreter and one GIL
+— ``(design spec, properties, options)`` — wait in a first-in first-out
+queue, run on a fleet of **spawned** OS processes (one interpreter and one GIL
 each, so verification scales with cores), and answered through
 :class:`JobHandle` futures that stream progress events and surface the
 worker-side :class:`~repro.workbench.report.Report`.
 
 The failure taxonomy the pool owns:
 
-* **per-job timeouts** — the run clock starts at the worker's ``started``
-  message; on expiry the worker is killed and respawned, and the job fails
-  with :class:`~repro.workbench.jobs.protocol.JobTimeout`;
-* **worker crashes** — a dead worker process with a job in flight retries
-  the job on a fresh worker up to ``retries`` times, then fails it with
+* **per-job timeouts** — ``submit(timeout=...)``; the run clock starts at
+  the worker's ``started`` message; on expiry the worker is killed and
+  respawned, and the job fails with
+  :class:`~repro.workbench.jobs.protocol.JobTimeout`;
+* **worker crashes** — a dead worker process with a job in flight re-runs
+  the job on a fresh worker, ahead of everything still queued, at most
+  :data:`CRASH_RETRIES` times, then fails it with
   :class:`~repro.workbench.jobs.protocol.WorkerCrashed`;
 * **cancellation** — before dispatch the job is dropped from the queue;
   after dispatch the parent writes the job's sequence number into the
   worker's shared cancel cell and the worker aborts **cooperatively** at
   the next property boundary (a stuck fixpoint is the timeout's problem).
+  A job whose worker dies after its cancel was requested ends cancelled,
+  not re-run.
 
 A shared :class:`~repro.workbench.cache.DiskArtifactStore` (``cache=``) is
 wired into every worker's initialiser, so encodings and reached sets
@@ -34,6 +38,7 @@ import os
 import queue as queue_module
 import threading
 import time
+from collections import deque
 from typing import Any, Optional
 
 from ..report import Report
@@ -50,7 +55,6 @@ from .protocol import (
     ensure_picklable,
     make_check_job,
 )
-from .queue import JobQueue
 from .worker import worker_main
 
 #: Handle states, in the order a healthy job moves through them.
@@ -58,6 +62,9 @@ QUEUED, RUNNING, DONE, FAILED, CANCELLED, TIMEOUT = (
     "queued", "running", "done", "failed", "cancelled", "timeout",
 )
 _TERMINAL = (DONE, FAILED, CANCELLED, TIMEOUT)
+
+#: How many times a job is re-run after its worker dies under it.
+CRASH_RETRIES = 1
 
 #: Service-loop heartbeat in seconds: bounds timeout/crash detection
 #: latency, not job latency (completions wake the loop).
@@ -86,6 +93,8 @@ class JobHandle:
         self._events: list[dict] = []
         self.worker: Optional[str] = None
         self.pid: Optional[int] = None
+        self._crashes = 0
+        self._cancel_requested = False
 
     # -- observation -------------------------------------------------------------
 
@@ -171,7 +180,8 @@ class _WorkerSlot:
 
 
 class WorkerPool:
-    """A fleet of spawned verification workers behind a priority job queue.
+    """A fleet of spawned verification workers behind a first-in first-out
+    job queue.
 
     Args:
         workers: process count (default: all schedulable cores, capped at 4).
@@ -179,9 +189,6 @@ class WorkerPool:
             root path) shared by every worker; None disables cross-worker
             artifact sharing.  In-memory stores cannot cross the process
             boundary and are rejected.
-        job_timeout: default per-job timeout (seconds of run time) applied
-            when a submission does not set its own; None = no timeout.
-        retries: default retry budget per job for worker crashes.
         name: prefix of the worker process names (shows up in reports).
     """
 
@@ -190,8 +197,6 @@ class WorkerPool:
         workers: Optional[int] = None,
         *,
         cache: Any = None,
-        job_timeout: Optional[float] = None,
-        retries: int = 1,
         name: str = "pool",
     ) -> None:
         if workers is None:
@@ -200,12 +205,11 @@ class WorkerPool:
             raise ValueError(f"a pool needs at least one worker, not {workers}")
         self.name = name
         self.workers = workers
-        self.job_timeout = job_timeout
-        self.retries = retries
         self._cache_spec = _cache_spec(cache)
         self._context = multiprocessing.get_context("spawn")
         self._results = self._context.Queue()
-        self._queue = JobQueue()
+        # Pending jobs; every access holds ``_lock``.
+        self._queue: deque[JobSpec] = deque()
         self._lock = threading.RLock()
         self._handles: dict[int, JobHandle] = {}
         self._seq = itertools.count()
@@ -286,16 +290,18 @@ class WorkerPool:
             self.wait_idle(timeout)
         with self._lock:
             self._stopping = True
-            for job in self._queue.drain():
+            while self._queue:
+                job = self._queue.popleft()
                 handle = self._handles.get(job.seq)
                 if handle is not None:
                     handle._event("cancelled", reason="pool shutdown")
                     handle._finish(CANCELLED, error=JobCancelled("pool shut down"))
                     self.stats["cancelled"] += 1
-            for slot in self._slots:
-                if slot.job is None and slot.process.is_alive():
-                    slot.tasks.put(None)
-        for slot in self._slots:
+            # Idle workers exit on the sentinel; busy ones are stopped below.
+            idle = [slot for slot in self._slots if slot.job is None and slot.process.is_alive()]
+            for slot in idle:
+                slot.tasks.put(None)
+        for slot in idle:
             slot.process.join(2.0)
         with self._lock:
             for slot in self._slots:
@@ -320,17 +326,15 @@ class WorkerPool:
         reachables: Any = None,
         backend: str = "auto",
         traces: bool = False,
-        priority: int = 0,
         timeout: Optional[float] = None,
-        retries: Optional[int] = None,
         job_id: Optional[str] = None,
     ) -> JobHandle:
         """Queue a batch check job; returns its :class:`JobHandle` future.
 
         ``design`` is a Design, a DesignSpec or a bare ProcessDefinition;
-        properties follow the ``Design.check``/``check_all`` forms.  Higher
-        ``priority`` runs first.  ``timeout`` (default: the pool's
-        ``job_timeout``) kills the worker on expiry and fails the job with
+        properties follow the ``Design.check``/``check_all`` forms.  Jobs
+        start in submission order.  ``timeout`` (seconds of run time; None
+        sets no limit) kills the worker on expiry and fails the job with
         :class:`~repro.workbench.jobs.protocol.JobTimeout`.
         """
         seq = next(self._seq)
@@ -343,22 +347,17 @@ class WorkerPool:
             reachables,
             backend=backend,
             traces=traces,
-            priority=priority,
-            timeout=timeout if timeout is not None else self.job_timeout,
-            retries=self.retries if retries is None else retries,
+            timeout=timeout,
         )
-        return self._submit_spec(spec)
-
-    def _submit_spec(self, spec: JobSpec) -> JobHandle:
         ensure_picklable(spec)
         with self._lock:
             if self._closed:
                 raise RuntimeError(f"pool {self.name!r} is shut down")
             handle = JobHandle(spec, self)
             self._handles[spec.seq] = handle
-            handle._event("submitted", job_id=spec.job_id, priority=spec.priority)
+            handle._event("submitted", job_id=spec.job_id)
             self.stats["submitted"] += 1
-            self._queue.push(spec)
+            self._queue.append(spec)
             self._dispatch()
         return handle
 
@@ -368,7 +367,7 @@ class WorkerPool:
         with self._lock:
             if handle.state in _TERMINAL:
                 return False
-            if self._queue.cancel(handle.seq):
+            if self._dequeue(handle.seq):
                 handle._event("cancelled", reason="before start")
                 handle._finish(CANCELLED, error=JobCancelled(f"job {handle.job_id} cancelled before it started"))
                 self.stats["cancelled"] += 1
@@ -378,9 +377,18 @@ class WorkerPool:
                     # Cooperative: the worker sees the cell at its next
                     # property boundary and answers status="cancelled".
                     slot.cancel_cell.value = handle.seq
+                    handle._cancel_requested = True
                     handle._event("cancel-requested", worker=slot.name)
                     return True
             return False
+
+    def _dequeue(self, seq: int) -> bool:
+        """Drop a queued job; True when it was still pending."""
+        for index, job in enumerate(self._queue):
+            if job.seq == seq:
+                del self._queue[index]
+                return True
+        return False
 
     # -- the service loop ---------------------------------------------------------------
 
@@ -432,7 +440,7 @@ class WorkerPool:
                 return
             # A late result racing a crash retry is still a valid answer:
             # accept it and drop the queued retry.
-            self._queue.cancel(message.seq)
+            self._dequeue(message.seq)
             self.stats["cache_hits"] += message.cache_hits
             self.stats["cache_misses"] += message.cache_misses
             failure = message.failure()
@@ -498,12 +506,24 @@ class WorkerPool:
             handle = self._handles.get(job.seq)
             if handle is None or handle.state in _TERMINAL:
                 continue
-            if job.retries > 0:
+            if handle._cancel_requested:
+                handle._event("worker-crashed", exitcode=exitcode, action="cancelled")
+                handle._finish(
+                    CANCELLED,
+                    error=JobCancelled(
+                        f"job {job.job_id} was cancelled, and its worker {slot.name} "
+                        f"died (exit code {exitcode}) before it stopped"
+                    ),
+                )
+                self.stats["cancelled"] += 1
+            elif handle._crashes < CRASH_RETRIES:
+                handle._crashes += 1
                 self.stats["retries"] += 1
                 handle._event("worker-crashed", exitcode=exitcode, action="requeued",
-                              retries_left=job.retries - 1)
+                              retries_left=CRASH_RETRIES - handle._crashes)
                 handle._mark_requeued()
-                self._queue.push(job.requeued())
+                # Back to the front: it was submitted before anything queued.
+                self._queue.appendleft(job)
             else:
                 handle._event("worker-crashed", exitcode=exitcode, action="failed")
                 handle._finish(
@@ -518,9 +538,9 @@ class WorkerPool:
         for slot in self._slots:
             if not slot.ready or slot.job is not None or not slot.process.is_alive():
                 continue
-            job = self._queue.pop()
-            if job is None:
+            if not self._queue:
                 return
+            job = self._queue.popleft()
             slot.job = job
             slot.deadline = None  # armed when the worker reports started
             handle = self._handles.get(job.seq)

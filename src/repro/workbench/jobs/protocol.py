@@ -20,7 +20,7 @@ small declarative comparison (``Compare("<", 5)``, ``Compare("between",
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from ...signal.ast import ProcessDefinition
@@ -56,7 +56,7 @@ class JobCancelled(JobError):
 
 
 class WorkerCrashed(JobError):
-    """The worker process died mid-job and the retry budget is exhausted."""
+    """The worker process died mid-job and the crash-retry budget is spent."""
 
 
 # --------------------------------------------------------------------------- picklable value tests
@@ -184,10 +184,8 @@ class JobSpec:
     """One verification job, as shipped to a worker.
 
     The job is a batch check of invariants/reachables through
-    ``Design.check_all``.  ``priority`` is higher-runs-first; ``timeout`` is
-    wall-clock seconds of *run* time before the worker is killed and the job
-    fails with :class:`JobTimeout`; ``retries`` is the budget for re-running
-    the job after a worker crash.
+    ``Design.check_all``.  ``timeout`` is wall-clock seconds of *run* time
+    before the worker is killed and the job fails with :class:`JobTimeout`.
     """
 
     seq: int
@@ -197,21 +195,13 @@ class JobSpec:
     reachables: tuple[Property, ...] = ()
     backend: str = "auto"
     traces: bool = False
-    priority: int = 0
     timeout: Optional[float] = None
-    retries: int = 1
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be positive, not {self.timeout!r}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, not {self.retries!r}")
         if not (self.invariants or self.reachables):
             raise ValueError("a check job needs at least one invariant or reachable property")
-
-    def requeued(self) -> "JobSpec":
-        """A copy with one retry spent (for a retry after a worker crash)."""
-        return replace(self, retries=self.retries - 1)
 
 
 def make_check_job(
@@ -290,10 +280,6 @@ class JobEvent:
         a progress payload cannot re-label the event.
         """
         return {**dict(self.payload), "kind": self.kind, "at": self.at}
-
-
-#: Terminal statuses a worker reports for a job.
-JOB_STATUSES = ("done", "failed", "cancelled")
 
 
 @dataclass(frozen=True)

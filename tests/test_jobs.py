@@ -1,11 +1,13 @@
-"""The job layer: queue ordering, wire protocol, pool lifecycle, failure taxonomy.
+"""The job layer: wire protocol, pool lifecycle and queue order, failure taxonomy.
 
 The :class:`WorkerPool` tests run real spawned worker processes, so every
 pool-touching test carries the ``timeout`` guard marker — a regressed queue
 or service loop must *fail* in CI, not hang it.  The failure-taxonomy tests
-(worker killed mid-fixpoint, job timeout,
-cancellation before and after start) each use a small dedicated pool whose
-single worker they are allowed to break; the happy-path tests share one
+(worker killed mid-fixpoint, job timeout, cancellation before start and
+while running, a worker dying under a cancelled job), the queue tests
+(submission order, a queued cancel removing the job, a crash retry going
+back to the front) each use a small dedicated pool whose single worker
+they are allowed to break; the happy-path tests share one
 module-scoped pool wired to a :class:`DiskArtifactStore`, which also pins
 the cache-counter aggregation (worker-side hit/miss counters must reach the
 parent report — per-process counters would otherwise read 0 for every
@@ -32,7 +34,6 @@ from repro.workbench.jobs import (
     DesignSpec,
     JobCancelled,
     JobFailed,
-    JobQueue,
     JobSpec,
     JobTimeout,
     WorkerCrashed,
@@ -67,53 +68,8 @@ SLOW_PROPS = (
 SLOW_BACKEND = "symbolic-int"
 
 
-def make_job(seq: int, priority: int = 0) -> JobSpec:
-    return JobSpec(
-        seq=seq,
-        job_id=f"j{seq}",
-        design=DesignSpec(process=alternator_process()),
-        invariants=(Property.invariant("t", P.always()),),
-        priority=priority,
-    )
-
-
-# --------------------------------------------------------------------------- queue
-
-class TestJobQueue:
-    def test_priority_order_with_fifo_ties(self):
-        queue = JobQueue()
-        for seq, priority in ((0, 0), (1, 5), (2, 5), (3, 1)):
-            queue.push(make_job(seq, priority))
-        assert [queue.pop().seq for _ in range(4)] == [1, 2, 3, 0]
-        assert queue.pop() is None
-
-    def test_cancel_drops_pending_job(self):
-        queue = JobQueue()
-        queue.push(make_job(0))
-        queue.push(make_job(1))
-        assert queue.cancel(0) is True
-        assert queue.cancel(99) is False
-        assert queue.pop().seq == 1
-        assert queue.pop() is None
-
-    def test_cancelled_seq_cannot_be_requeued(self):
-        # A cancel racing a timeout/crash retry: the retry push must not
-        # resurrect the job.
-        queue = JobQueue()
-        queue.push(make_job(7))
-        assert queue.cancel(7)
-        queue.push(make_job(7))
-        assert queue.pop() is None
-        assert len(queue) == 0
-
-    def test_drain_and_len(self):
-        queue = JobQueue()
-        for seq in range(3):
-            queue.push(make_job(seq, priority=seq))
-        queue.cancel(1)
-        assert len(queue) == 2
-        assert [job.seq for job in queue.drain()] == [2, 0]
-        assert not queue
+def started_at(handle) -> float:
+    return next(event["at"] for event in handle.events if event["kind"] == "started")
 
 
 # --------------------------------------------------------------------------- Compare
@@ -156,14 +112,7 @@ class TestProtocol:
         with pytest.raises(ValueError):
             JobSpec(seq=0, job_id="j", design=design, invariants=prop, timeout=0)
         with pytest.raises(ValueError):
-            JobSpec(seq=0, job_id="j", design=design, invariants=prop, retries=-1)
-        with pytest.raises(ValueError):
             JobSpec(seq=0, job_id="j", design=design)  # a check needs properties
-
-    def test_requeued_spends_one_retry(self):
-        job = make_job(0)
-        assert job.retries == 1
-        assert job.requeued().retries == 0
 
     def test_lambda_predicate_fails_pointedly(self):
         job = JobSpec(
@@ -249,19 +198,75 @@ class TestWorkerPool:
             pool.submit(counter_design(), P.value("n", lambda v: v < 5))
         assert pool.statistics()["submitted"] == before
 
-    def test_priorities_order_queued_work(self, store_root):
-        with WorkerPool(1, name="prio", cache=store_root) as small:
+    def test_queued_jobs_start_in_submission_order(self, store_root):
+        with WorkerPool(1, name="fifo", cache=store_root) as small:
             assert small.wait_ready(60)
             blocker = small.submit(slow_design(), *SLOW_PROPS, backend=SLOW_BACKEND)
             assert blocker.wait_started(60)
-            low = small.submit(counter_design(), P.always(), priority=0)
-            high = small.submit(counter_design(), P.always(), priority=10)
-            assert high.result(90).all_hold and low.result(90).all_hold
-            started_at = lambda h: next(
-                e["at"] for e in h.events if e["kind"] == "started"
+            first, dropped, second, third = (
+                small.submit(counter_design(), P.always()) for _ in range(4)
             )
-            assert started_at(high) <= started_at(low)
+            assert dropped.cancel() is True
+            with pytest.raises(JobCancelled, match="before it started"):
+                dropped.result(5)
+            assert dropped.cancelled()
+            reports = [handle.result(90) for handle in (first, second, third)]
+            assert all(report.all_hold for report in reports)
+            assert started_at(first) <= started_at(second) <= started_at(third)
+            assert not dropped.wait_started(0)
+            assert [event["kind"] for event in dropped.events] == ["submitted", "cancelled"]
             assert blocker.result(90).all_hold
+            assert dropped.cancel() is False  # already terminal
+
+
+# --------------------------------------------------------------------------- pool: the queue
+
+@GUARD
+class TestJobQueue:
+    """The pool's pending jobs: a first-in first-out deque.  Each test holds
+    its one worker with a running blocker and ends with ``shutdown(wait=False)``,
+    which kills the blocker instead of waiting for it."""
+
+    def test_cancel_drops_pending_job(self, tmp_path):
+        small = WorkerPool(1, name="q-cxl", cache=str(tmp_path))
+        try:
+            blocker = small.submit(slow_design(), *SLOW_PROPS, backend=SLOW_BACKEND)
+            assert blocker.wait_started(60)
+            first, second = (small.submit(counter_design(), P.always()) for _ in range(2))
+            assert small.statistics()["pending"] == 2
+            assert first.cancel() is True
+            # Removed from the queue, not marked: the pending count drops.
+            assert small.statistics()["pending"] == 1
+            assert small.statistics()["cancelled"] == 1
+            assert first.cancel() is False
+            assert second.state == "queued"
+        finally:
+            small.shutdown(wait=False)
+        # Shutdown drains what stayed queued.
+        assert small.statistics()["pending"] == 0
+        with pytest.raises(JobCancelled, match="shut down"):
+            second.result(5)
+        assert [event["kind"] for event in first.events] == ["submitted", "cancelled"]
+
+    def test_crash_retry_runs_before_later_jobs(self, tmp_path):
+        # A job whose worker died goes back to the front of the queue: it was
+        # submitted before anything still queued.
+        small = WorkerPool(1, name="q-retry", cache=str(tmp_path))
+        try:
+            crashed = small.submit(slow_design(), *SLOW_PROPS, backend=SLOW_BACKEND)
+            assert crashed.wait_started(60)
+            later = small.submit(counter_design(), P.always())
+            first_pid = crashed.pid
+            os.kill(first_pid, signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while crashed.pid == first_pid and time.monotonic() < deadline:
+                time.sleep(0.01)  # the retry starts on the respawned worker
+            assert crashed.pid != first_pid
+            assert crashed.state == "running"
+            assert later.state == "queued"
+            assert not later.wait_started(0)
+        finally:
+            small.shutdown(wait=False)
 
 
 # --------------------------------------------------------------------------- failure taxonomy
@@ -284,7 +289,7 @@ class TestFailureTaxonomy:
         # retried job and any later job rebuild cleanly and verdicts stay
         # correct.
         with WorkerPool(1, name="kill", cache=str(tmp_path)) as small:
-            handle = small.submit(slow_design(), *SLOW_PROPS, backend=SLOW_BACKEND, retries=1)
+            handle = small.submit(slow_design(), *SLOW_PROPS, backend=SLOW_BACKEND)
             assert handle.wait_started(60)
             time.sleep(0.3)  # well inside the ~1.5s fixpoint
             os.kill(handle.pid, signal.SIGKILL)
@@ -296,14 +301,22 @@ class TestFailureTaxonomy:
             again = small.submit(slow_design(), *SLOW_PROPS, backend=SLOW_BACKEND).result(120)
             assert [c.holds for c in again] == [c.holds for c in report]
 
-    def test_worker_crash_without_retries_fails(self, tmp_path):
+    def test_worker_crash_after_the_retry_fails(self, tmp_path):
         with WorkerPool(1, name="crash", cache=str(tmp_path)) as small:
-            handle = small.submit(slow_design(), *SLOW_PROPS, backend=SLOW_BACKEND, retries=0)
+            handle = small.submit(slow_design(), *SLOW_PROPS, backend=SLOW_BACKEND)
             assert handle.wait_started(60)
+            first_pid = handle.pid
+            os.kill(first_pid, signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while handle.pid == first_pid and time.monotonic() < deadline:
+                time.sleep(0.01)  # the retry starts on the respawned worker
+            assert handle.pid != first_pid
             os.kill(handle.pid, signal.SIGKILL)
             with pytest.raises(WorkerCrashed, match="retry budget"):
                 handle.result(90)
             assert handle.state == "failed"
+            actions = [e["action"] for e in handle.events if e["kind"] == "worker-crashed"]
+            assert actions == ["requeued", "failed"]
 
     def test_cancel_before_start(self, tmp_path):
         with WorkerPool(1, name="cxl-q", cache=str(tmp_path)) as small:
@@ -328,6 +341,21 @@ class TestFailureTaxonomy:
             assert small.statistics()["cancelled"] == 1
             # The worker survives a cooperative cancel (it was never killed).
             assert small.submit(counter_design(), P.always()).result(90).all_hold
+
+    def test_worker_death_after_cancel_ends_cancelled(self, tmp_path):
+        # A cancel placed on a running job, then the worker dies before it
+        # reaches a property boundary: the job must not be re-run.
+        with WorkerPool(1, name="cxl-k", cache=str(tmp_path)) as small:
+            handle = small.submit(slow_design(), *SLOW_PROPS, backend=SLOW_BACKEND)
+            assert handle.wait_started(60)
+            assert handle.cancel() is True
+            os.kill(handle.pid, signal.SIGKILL)
+            with pytest.raises(JobCancelled):
+                handle.result(90)
+            assert handle.state == "cancelled"
+            kinds = [event["kind"] for event in handle.events]
+            assert kinds[kinds.index("cancel-requested"):] == ["cancel-requested", "worker-crashed"]
+            assert small.statistics()["retries"] == 0
 
     def test_shutdown_without_wait_cancels_queued_jobs(self, tmp_path):
         small = WorkerPool(1, name="down", cache=str(tmp_path))

@@ -6,13 +6,15 @@ keyword parameter: adding, renaming or removing one fails them until the pin
 is edited in the same change, where a reviewer sees it.  The public names of
 :mod:`repro.verification` are pinned the same way, so a new module-level
 verdict entry point (one that could answer on a truncated LTS without the
-engines' refusal rule) shows in the diff too.
+engines' refusal rule) shows in the diff too; so are those of
+:mod:`repro.workbench.jobs`, so a re-added queue class or job knob does.
 """
 
 import inspect
 from dataclasses import fields
 
 import repro.verification
+import repro.workbench.jobs
 from repro.verification import ExplorationOptions, SymbolicOptions
 from repro.workbench import Design, WorkerPool
 from repro.workbench.jobs import JobSpec
@@ -60,9 +62,7 @@ def test_job_spec_fields():
         "reachables",
         "backend",
         "traces",
-        "priority",
         "timeout",
-        "retries",
     ]
 
 
@@ -82,8 +82,6 @@ def test_worker_pool_constructor_parameters():
     assert keyword_names(WorkerPool.__init__) == [
         "workers",
         "cache",
-        "job_timeout",
-        "retries",
         "name",
     ]
 
@@ -95,10 +93,28 @@ def test_worker_pool_submit_parameters():
         "reachables",
         "backend",
         "traces",
-        "priority",
         "timeout",
-        "retries",
         "job_id",
+    ]
+
+
+def test_jobs_public_names():
+    assert sorted(repro.workbench.jobs.__all__) == [
+        "Compare",
+        "DesignSpec",
+        "JobCancelled",
+        "JobError",
+        "JobEvent",
+        "JobFailed",
+        "JobFinished",
+        "JobHandle",
+        "JobSpec",
+        "JobStarted",
+        "JobTimeout",
+        "WorkerCrashed",
+        "WorkerPool",
+        "WorkerReady",
+        "ensure_picklable",
     ]
 
 

@@ -1,6 +1,9 @@
 """Tests for the workbench layer: the Design facade, artifact memoisation,
 the ``backend="auto"`` route, and the batch-checking API."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.values import ABSENT, EVENT
@@ -130,12 +133,21 @@ class TestMemoisation:
         design.check(*properties, backend="explicit")
         assert design.artifact_counts["exploration"] == 1
 
-    def test_polynomial_backend_enumerates_once(self):
+    def test_polynomial_backend_enumerates_once(self, monkeypatch):
+        """The Z/3Z oracle built on a design's encoding enumerates at
+        construction; later checks scan its reaction cache."""
         design = Design.from_process(alternator_process())
+        oracle = PolynomialReachability(design.encoding)
+
+        def enumerate_again(*args, **kwargs):
+            raise AssertionError("the oracle re-enumerated its states")
+
+        monkeypatch.setattr(oracle.system, "_explore", enumerate_again)
         for _ in range(3):
-            design.check(P.always(), backend="polynomial")
+            assert oracle.check_invariant(P.present("flip").implies(P.present("tick"))).holds
+            assert oracle.check_reachable(P.present("flip")).holds
+            design.encoding
         assert design.artifact_counts["encoding"] == 1
-        assert design.artifact_counts["polynomial"] == 1
 
     def test_encoding_failure_is_memoised(self):
         design = Design.from_process(count_process())
@@ -144,6 +156,32 @@ class TestMemoisation:
                 design.encoding
         assert design.artifact_counts["encoding"] == 1
         assert not design.encodable
+
+    def test_memoised_failure_does_not_keep_the_design_alive(self):
+        """Each access raises a fresh copy of the stored error: same type and
+        message, a traceback that does not grow, and no frame that holds the
+        design once the caller drops the error."""
+        design = Design.from_process(modulo_counter_process(5), cache=None)
+        design.check(P.always())
+        for _ in range(3):
+            assert not design.encodable
+        depths, messages = set(), set()
+        for _ in range(3):
+            with pytest.raises(EncodingError) as caught:
+                design.encoding
+            depths.add(len(caught.traceback))
+            messages.add(str(caught.value))
+        assert len(depths) == 1 and len(messages) == 1
+        assert "integer" in messages.pop()
+        assert design.artifact_counts["encoding"] == 1
+        del caught
+        probe = weakref.ref(design)
+        gc.disable()
+        try:
+            del design
+            assert probe() is None
+        finally:
+            gc.enable()
 
     def test_clock_artifacts_are_shared(self):
         design = Design.from_process(alternator_process())
@@ -179,11 +217,10 @@ class TestMemoisation:
         symbolic artifact, so they go with it)."""
         design = Design.from_process(boolean_shift_register_process(5))
         design.encoding
-        design.polynomial
         rings = design.symbolic_int.frontiers
         assert rings
         design.invalidate("encoding")
-        for artifact in ("encoding", "polynomial", "symbolic_int_engine", "symbolic_int"):
+        for artifact in ("encoding", "symbolic_int_engine", "symbolic_int"):
             assert artifact not in design._artifacts
         # The compiled process and range report were not downstream of the
         # encoding; they survive.
@@ -388,7 +425,6 @@ class TestRegistry:
         design = Design.from_process(alternator_process())
         engines = {
             "explicit": ExplorationResult,
-            "polynomial": PolynomialReachability,
             "symbolic-int": IntSymbolicReachability,
         }
         for name, engine in engines.items():
@@ -396,9 +432,12 @@ class TestRegistry:
             assert isinstance(design.backend(name), engine)
 
     def test_unknown_backend_lookup(self):
+        """An unknown name (``polynomial`` among them: the Z/3Z enumeration is
+        an oracle the tests build directly) is refused with the two names."""
         design = Design.from_process(alternator_process())
-        with pytest.raises(LookupError):
-            design.check(P.always(), backend="no-such-engine")
+        for name in ("no-such-engine", "polynomial"):
+            with pytest.raises(LookupError, match=r"\['explicit', 'symbolic-int'\]"):
+                design.check(P.always(), backend=name)
 
 
 class TestBatchAPI:
